@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 = SAT, 1 = UNSAT, 2 = input error, 3 = resource cap
-exceeded, 4 = self-test failure.  All verdicts come straight from the
-library; the CLI only parses inputs and formats output.
+exceeded, 4 = self-test failure, 5 = internal error.  All verdicts come
+straight from the library; the CLI only parses inputs and formats output.
+An unexpected exception ends in code 5 with a one-line message, never in
+a traceback or in code 1, which means UNSAT.
 """
 
 from __future__ import annotations
@@ -36,11 +38,17 @@ EXIT_UNSAT = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
 EXIT_SELFTEST = 4
+EXIT_INTERNAL = 5
 
 
 def _fail(code: int, message: str):
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
+
+
+def _internal(exc: Exception):
+    detail = " ".join(str(exc).splitlines())
+    _fail(EXIT_INTERNAL, f"internal error: {type(exc).__name__}: {detail}")
 
 
 def _verdict(sat: bool):
@@ -107,7 +115,8 @@ def main():
 @main.command("check-path")
 @click.argument("team_file", type=click.Path(exists=True, dir_okay=False))
 @click.argument("formula")
-@click.option("--max-team", default=DEFAULT_MAX_TEAM, show_default=True,
+@click.option("--max-team", type=click.IntRange(min=0), default=DEFAULT_MAX_TEAM,
+              show_default=True,
               help="Cap on team size for splitjunction enumeration.")
 @click.option("--strategy", type=click.Choice(["auto", "disjoint", "covers"]),
               default="auto", show_default=True,
@@ -135,6 +144,8 @@ def check_path(team_file, formula, max_team, strategy, explain, oracle):
         _fail(EXIT_CAP, str(exc))
     except (ParseError, TeamTLError, OSError, ValueError) as exc:
         _fail(EXIT_INPUT, str(exc))
+    except Exception as exc:
+        _internal(exc)
     _verdict(sat)
 
 
@@ -146,7 +157,8 @@ def check_path(team_file, formula, max_team, strategy, explain, oracle):
 @click.option("--team", "team_arg", default=None,
               help="Multiset team for ctl mode: world names with repetition, "
                    "e.g. r,a,a.")
-@click.option("--max-team", default=DEFAULT_MAX_TEAM, show_default=True)
+@click.option("--max-team", type=click.IntRange(min=0), default=DEFAULT_MAX_TEAM,
+              show_default=True)
 @click.option("--max-subsets", default=DEFAULT_MAX_SUBSETS, show_default=True,
               help="Cap on the flattened characteristic in splitfree mode.")
 @click.option("--until-from-one", is_flag=True,
@@ -181,6 +193,8 @@ def check_model(kripke_file, formula, mode, team_arg, max_team, max_subsets,
         _fail(EXIT_INPUT, f"trace team is not finitely enumerable: {exc}")
     except (ParseError, TeamTLError, OSError, ValueError) as exc:
         _fail(EXIT_INPUT, str(exc))
+    except Exception as exc:
+        _internal(exc)
     _verdict(sat)
 
 
@@ -249,6 +263,8 @@ def gen(kind, source, out_dir, do_check):
         _fail(EXIT_CAP, str(exc))
     except (ParseError, TeamTLError, OSError, ValueError) as exc:
         _fail(EXIT_INPUT, str(exc))
+    except Exception as exc:
+        _internal(exc)
 
 
 @main.command("selftest")

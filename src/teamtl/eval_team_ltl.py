@@ -2,15 +2,33 @@
 teams of lasso traces, with the extension connectives (Boolean
 disjunction, contradictory negation) and generalised atoms.
 
-Temporal witnesses are bounded: a team's suffixes repeat with period
-lcm(loop lengths) once the longest prefix is consumed, so every Until /
-Release quantifier over k can stop at prfx(T) + lcm(T).
+Each call compiles its team once.  Every suffix of a canonical lasso
+trace is again canonical, and a trace with prefix length s and loop
+length l has exactly s + l distinct suffixes.  These suffix states are
+interned as integers across the whole team, with a successor table
+(the state one position later) and one state mask per proposition.  A
+team is then an ``int`` bitmask over states: a literal is one mask test,
+and the suffix team is a bit remap under which members that have become
+equal merge by themselves.  Formula nodes are interned too, and the
+fragment facts of each node (downward closure, and for flat nodes the
+mask of states falsifying it) are computed once per call.
+
+Temporal witnesses: the suffix teams T, T[1,∞), T[2,∞), ... form a
+deterministic sequence, periodic from prfx(T) on with a period dividing
+lcm(T).  Until and Release walk it lazily and stop at the first verdict
+or at the first repeated team, so the prfx(T) + lcm(T) teams of the
+whole horizon are built only when the formula needs them.  By the
+expansion laws every team on a walk has the walk's verdict, so nested
+temporal operators reuse it.
 
 Splitjunctions are the expensive part.  On downward-closed subformulas it
 suffices to enumerate disjoint subsets, pruned by per-trace feasibility;
 otherwise every ordered cover (each trace goes left, right, or both) must
-be considered.  ``naive_oracle`` is a deliberately independent and
-unoptimized second implementation used for differential testing.
+be considered.  Covers are decided with a superset closure ("sum over
+subsets") of the subteams satisfying the right side, in O(n·2^n), rather
+than by pairing every left subteam with every right one.
+``naive_oracle`` is a deliberately independent and unoptimized second
+implementation used for differential testing.
 """
 
 from __future__ import annotations
@@ -19,7 +37,7 @@ import itertools
 from enum import Enum
 
 from .errors import ResourceCapError, UnsupportedNodeError
-from .eval_classical import check_ltl_classical, prop_sat
+from .eval_classical import check_ltl_classical
 from .formula import (
     And,
     BoolOr,
@@ -38,9 +56,8 @@ from .formula import (
 from .trace import (
     LassoTrace,
     TeamEncoding,
-    lcm_loop,
-    prfx,
-    suffix_team,
+    canonicalize,
+    suffix_trace,
     trace_at,
     trace_sort_key,
 )
@@ -59,135 +76,297 @@ class SplitStrategy(Enum):
     COVERS = "covers"
 
 
-def _is_flat(phi: Formula) -> bool:
-    """Flat formulas (literals, And, Split) hold on a team iff they hold
-    classically on every member; evaluated per trace in linear time."""
-    if isinstance(phi, (Prop, NegProp)):
-        return True
-    if isinstance(phi, (And, Split)):
-        return _is_flat(phi.left) and _is_flat(phi.right)
-    return False
+_PROP, _NEGPROP, _AND, _SPLIT, _BOOLOR, _CNEG, _NEXT, _UNTIL, _RELEASE, _ATOM = range(10)
+_UNSUPPORTED = -1
+_KINDS = {
+    Prop: _PROP,
+    NegProp: _NEGPROP,
+    And: _AND,
+    Split: _SPLIT,
+    BoolOr: _BOOLOR,
+    CNeg: _CNEG,
+    Next: _NEXT,
+    Until: _UNTIL,
+    Release: _RELEASE,
+    GenAtomApp: _ATOM,
+}
+
+
+def _bits(mask: int):
+    """The single-bit masks of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
 
 
 class _TeamEval:
-    def __init__(self, max_team: int, strategy: SplitStrategy | None):
+    """One call's compiled team and formula.
+
+    State ``s`` is a distinct suffix of some member: ``heads[s]`` is its
+    first position, ``succ[s]`` the bit of the state one position later,
+    and ``origins[s]`` a (member, offset) pair it is the suffix of.  Node
+    ``n`` is a distinct subformula: ``kinds[n]``, ``args[n]`` (child
+    node ids), ``dc[n]`` (in the downward-closed fragment) and
+    ``fails[n]``, the mask of states whose first position falsifies the
+    node when it is flat, else None.  A flat node holds on a team iff no
+    member falsifies it, so it needs no memo; every other node memoises
+    its verdicts by team mask in ``memo[n]``.
+    """
+
+    def __init__(
+        self,
+        team: TeamEncoding,
+        phi: Formula,
+        max_team: int,
+        strategy: SplitStrategy | None,
+    ):
         self.max_team = max_team
         self.strategy = strategy
-        self.memo: dict[tuple[frozenset[LassoTrace], int], bool] = {}
+        self.heads: list[frozenset[str]] = []
+        self.succ: list[int] = []
+        self.origins: list[tuple[LassoTrace, int]] = []
+        self.steps: dict[int, int] = {}
+        self.root = self._intern_team(team)
+        self.formulas: list[Formula] = []
+        self.kinds: list[int] = []
+        self.args: list[tuple[int, ...]] = []
+        self.dc: list[bool] = []
+        self.fails: list[int | None] = []
+        self.memo: list[dict[int, bool]] = []
+        self.node_keys: dict[tuple, int] = {}
+        self.compiled: dict[int, int] = {}
+        self.top = self._compile(phi)
 
-    def check(self, traces: frozenset[LassoTrace], phi: Formula) -> bool:
-        key = (traces, id(phi))
-        cached = self.memo.get(key)
-        if cached is not None:
-            return cached
-        verdict = self._check(traces, phi)
-        self.memo[key] = verdict
+    # -- compiling ---------------------------------------------------------
+
+    def _add_state(self, head: frozenset[str], origin: tuple[LassoTrace, int]) -> int:
+        self.heads.append(head)
+        self.succ.append(0)
+        self.origins.append(origin)
+        return len(self.heads) - 1
+
+    def _intern_team(self, team: TeamEncoding) -> int:
+        # A rotation of a primitive loop is a distinct pure-loop state, and
+        # a prefix state (head, next state) of a canonical trace is never
+        # pure-loop; so these two keys identify suffixes exactly.
+        loop_states: dict[tuple[frozenset[str], ...], int] = {}
+        prefix_states: dict[tuple[frozenset[str], int], int] = {}
+        mask = 0
+        for t in team.traces:
+            t = canonicalize(t)
+            loop, stem = t.loop, len(t.prefix)
+            state = loop_states.get(loop)
+            if state is None:
+                state = len(self.heads)
+                for r in range(len(loop)):
+                    loop_states[loop[r:] + loop[:r]] = self._add_state(
+                        loop[r], (t, stem + r)
+                    )
+                    self.succ[state + r] = 1 << (state + (r + 1) % len(loop))
+            for i in range(stem - 1, -1, -1):
+                key = (t.prefix[i], state)
+                known = prefix_states.get(key)
+                if known is None:
+                    known = prefix_states[key] = self._add_state(t.prefix[i], (t, i))
+                    self.succ[known] = 1 << state
+                state = known
+            mask |= 1 << state
+        return mask
+
+    def _compile(self, phi: Formula) -> int:
+        node = self.compiled.get(id(phi))
+        if node is not None:
+            return node
+        kind = _KINDS.get(type(phi), _UNSUPPORTED)
+        args: tuple[int, ...] = ()
+        if kind in (_PROP, _NEGPROP):
+            key = (kind, phi.name)
+        elif kind in (_ATOM, _UNSUPPORTED):
+            key = (kind, id(phi))
+        else:
+            if kind in (_CNEG, _NEXT):
+                args = (self._compile(phi.child),)
+            else:
+                args = (self._compile(phi.left), self._compile(phi.right))
+            key = (kind, *args)
+        node = self.node_keys.get(key)
+        if node is None:
+            node = self.node_keys[key] = self._add_node(phi, kind, args)
+        self.compiled[id(phi)] = node
+        return node
+
+    def _add_node(self, phi: Formula, kind: int, args: tuple) -> int:
+        fails = None
+        if kind in (_PROP, _NEGPROP):
+            holds = sum(1 << s for s, head in enumerate(self.heads) if phi.name in head)
+            fails = holds if kind == _NEGPROP else ((1 << len(self.heads)) - 1) ^ holds
+        elif kind in (_AND, _SPLIT):
+            left, right = (self.fails[a] for a in args)
+            if left is not None and right is not None:
+                fails = left | right if kind == _AND else left & right
+        if kind == _CNEG:
+            dc = False
+        elif kind == _ATOM:
+            dc = classify(phi).downward_closed_fragment
+        else:
+            dc = all(self.dc[a] for a in args)
+        self.formulas.append(phi)
+        self.kinds.append(kind)
+        self.args.append(args)
+        self.dc.append(dc)
+        self.fails.append(fails)
+        self.memo.append({})
+        return len(self.kinds) - 1
+
+    # -- evaluating --------------------------------------------------------
+
+    def check(self, mask: int, node: int) -> bool:
+        fails = self.fails[node]
+        if fails is not None:
+            return not mask & fails
+        memo = self.memo[node]
+        verdict = memo.get(mask)
+        if verdict is None:
+            verdict = memo[mask] = self._eval(mask, node)
         return verdict
 
-    def _check(self, traces: frozenset[LassoTrace], phi: Formula) -> bool:
-        if isinstance(phi, Prop):
-            return all(phi.name in trace_at(t, 0) for t in traces)
-        if isinstance(phi, NegProp):
-            return all(phi.name not in trace_at(t, 0) for t in traces)
-        if isinstance(phi, And):
-            return self.check(traces, phi.left) and self.check(traces, phi.right)
-        if isinstance(phi, BoolOr):
-            return self.check(traces, phi.left) or self.check(traces, phi.right)
-        if isinstance(phi, CNeg):
-            return not self.check(traces, phi.child)
-        if isinstance(phi, Split):
-            return self._split(traces, phi)
-        if isinstance(phi, Next):
-            return self.check(self._suffix(traces, 1), phi.child)
-        if isinstance(phi, (Until, Release)):
-            return self._temporal(traces, phi)
-        if isinstance(phi, GenAtomApp):
-            return eval_gen_atom(TeamEncoding(traces), phi.atom, phi.params)
+    def step(self, mask: int) -> int:
+        """The suffix team one position later."""
+        image = self.steps.get(mask)
+        if image is None:
+            image, rest, succ = 0, mask, self.succ
+            while rest:
+                low = rest & -rest
+                image |= succ[low.bit_length() - 1]
+                rest ^= low
+            self.steps[mask] = image
+        return image
+
+    def _eval(self, mask: int, node: int) -> bool:
+        kind, args = self.kinds[node], self.args[node]
+        if kind == _AND:
+            return self.check(mask, args[0]) and self.check(mask, args[1])
+        if kind == _BOOLOR:
+            return self.check(mask, args[0]) or self.check(mask, args[1])
+        if kind == _CNEG:
+            return not self.check(mask, args[0])
+        if kind == _NEXT:
+            return self.check(self.step(mask), args[0])
+        if kind in (_UNTIL, _RELEASE):
+            return self._walk(mask, node)
+        if kind == _SPLIT:
+            return self._split(mask, node)
+        phi = self.formulas[node]
+        if kind == _ATOM:
+            members = frozenset(
+                suffix_trace(*self.origins[bit.bit_length() - 1])
+                for bit in _bits(mask)
+            )
+            return bool(eval_gen_atom(TeamEncoding(members), phi.atom, phi.params))
         raise UnsupportedNodeError(
             f"team LTL evaluation does not support {type(phi).__name__}"
         )
 
-    @staticmethod
-    def _suffix(traces: frozenset[LassoTrace], i: int) -> frozenset[LassoTrace]:
-        return suffix_team(TeamEncoding(traces), i).traces
+    def _walk(self, mask: int, node: int) -> bool:
+        """Until / Release along the suffix teams of ``mask``.
 
-    def _temporal(self, traces: frozenset[LassoTrace], phi: Until | Release) -> bool:
-        team = TeamEncoding(traces)
-        bound = prfx(team) + lcm_loop(team)
-        suffixes = [traces]
-        for _ in range(bound):
-            suffixes.append(self._suffix(suffixes[-1], 1))
-        if isinstance(phi, Until):
-            for step in suffixes:
-                if self.check(step, phi.right):
-                    return True
-                if not self.check(step, phi.left):
-                    return False
-            return False
-        for step in suffixes:
-            if not self.check(step, phi.right):
-                return False
-            if self.check(step, phi.left):
-                return True
-        return True
+        The walk goes on only while the expansion law U = ψ ∨ (φ ∧ X U),
+        or R = ψ ∧ (φ ∨ X R), leaves the verdict equal to the next team's,
+        so every team walked gets the verdict it ends with.  A repeated
+        team means the sequence has come round without a witness.
+        """
+        left, right = self.args[node]
+        until = self.kinds[node] == _UNTIL
+        memo = self.memo[node]
+        walked = set()
+        while True:
+            verdict = memo.get(mask)
+            if verdict is not None:
+                break
+            if mask in walked:
+                verdict = not until
+                break
+            walked.add(mask)
+            # Until ends true where ψ holds and false where φ fails;
+            # Release ends false where ψ fails and true where φ holds.
+            if self.check(mask, right) == until:
+                verdict = until
+                break
+            if self.check(mask, left) != until:
+                verdict = not until
+                break
+            mask = self.step(mask)
+        for team in walked:
+            memo[team] = verdict
+        return verdict
 
-    def _split(self, traces: frozenset[LassoTrace], phi: Split) -> bool:
-        if _is_flat(phi):
-            return all(prop_sat(trace_at(t, 0), phi) for t in traces)
-        if len(traces) > self.max_team:
+    def _split(self, mask: int, node: int) -> bool:
+        size = mask.bit_count()
+        if size > self.max_team:
             raise ResourceCapError(
-                f"team of size {len(traces)} exceeds the split cap {self.max_team}"
+                f"team of size {size} exceeds the split cap {self.max_team}"
             )
         strategy = self.strategy
         if strategy is None:
             strategy = (
-                SplitStrategy.DISJOINT_ONLY
-                if classify(phi).downward_closed_fragment
-                else SplitStrategy.COVERS
+                SplitStrategy.DISJOINT_ONLY if self.dc[node] else SplitStrategy.COVERS
             )
+        left, right = self.args[node]
         if strategy is SplitStrategy.DISJOINT_ONLY:
-            return self._split_disjoint(traces, phi.left, phi.right)
-        return self._split_covers(traces, phi.left, phi.right)
+            return self._split_disjoint(mask, left, right)
+        return self._split_covers(mask, left, right)
 
-    def _split_disjoint(self, traces, left, right) -> bool:
+    def _split_disjoint(self, mask: int, left: int, right: int) -> bool:
         # Downward closure makes minimal assignments complete: a trace that
         # can only live on one side must go there, and when one side is flat
         # the other side's part can be taken as small as possible.
-        if _is_flat(left):
-            rest = frozenset(t for t in traces if not prop_sat(trace_at(t, 0), left))
-            return self.check(rest, right)
-        if _is_flat(right):
-            rest = frozenset(t for t in traces if not prop_sat(trace_at(t, 0), right))
-            return self.check(rest, left)
-        can_left = frozenset(t for t in traces if self.check(frozenset([t]), left))
-        can_right = frozenset(t for t in traces if self.check(frozenset([t]), right))
-        if can_left | can_right != traces:
+        if self.fails[left] is not None:
+            return self.check(mask & self.fails[left], right)
+        if self.fails[right] is not None:
+            return self.check(mask & self.fails[right], left)
+        can_left = can_right = 0
+        for bit in _bits(mask):
+            if self.check(bit, left):
+                can_left |= bit
+            if self.check(bit, right):
+                can_right |= bit
+        if can_left | can_right != mask:
             return False
-        base = traces - can_right
-        free = sorted(can_left & can_right, key=trace_sort_key)
+        base = mask & ~can_right
+        free = list(_bits(can_left & can_right))
         for size in range(len(free), -1, -1):
             for extra in itertools.combinations(free, size):
-                part = base | frozenset(extra)
-                if self.check(part, left) and self.check(traces - part, right):
+                part = base | sum(extra)
+                if self.check(part, left) and self.check(mask ^ part, right):
                     return True
         return False
 
-    def _split_covers(self, traces, left, right) -> bool:
-        members = sorted(traces, key=trace_sort_key)
-        n = len(members)
-        full = (1 << n) - 1
-
-        def subteam(mask: int) -> frozenset[LassoTrace]:
-            return frozenset(members[i] for i in range(n) if mask >> i & 1)
-
-        sat_left = [m for m in range(full + 1) if self.check(subteam(m), left)]
-        sat_right = {m for m in range(full + 1) if self.check(subteam(m), right)}
-        for m1 in sat_left:
-            needed = full & ~m1
-            for m2 in sat_right:
-                if m1 | m2 == full and m2 & needed == needed:
-                    return True
-        return False
+    def _split_covers(self, mask: int, left: int, right: int) -> bool:
+        # subteams[x] holds the members whose index bits are set in x.
+        members = list(_bits(mask))
+        subteams = [0]
+        for bit in members:
+            subteams += [sub | bit for sub in subteams]
+        # Bit x of ``covered``: some superset of subteams[x] satisfies the
+        # right side.  Start from the subteams themselves, then close
+        # upwards one member at a time: for x without member i, take the
+        # bit of x | 1 << i, which sits ``step`` places higher.
+        covered = 0
+        for x, sub in enumerate(subteams):
+            if self.check(sub, right):
+                covered |= 1 << x
+        every = (1 << len(subteams)) - 1
+        for i in range(len(members)):
+            step = 1 << i
+            without_i = every // ((1 << 2 * step) - 1) * ((1 << step) - 1)
+            covered |= (covered >> step) & without_i
+        # A cover exists iff some left subteam's complement is covered.
+        full = len(subteams) - 1
+        return any(
+            covered >> (full ^ x) & 1 and self.check(sub, left)
+            for x, sub in enumerate(subteams)
+        )
 
 
 def check_team(
@@ -204,7 +383,8 @@ def check_team(
     covers otherwise).  Raises ResourceCapError instead of guessing when a
     split would enumerate more than 2^max_team subteams.
     """
-    return _TeamEval(max_team, strategy).check(team.traces, phi)
+    evaluator = _TeamEval(team, phi, max_team, strategy)
+    return evaluator.check(evaluator.root, evaluator.top)
 
 
 def eval_gen_atom(team: TeamEncoding, atom, params) -> bool:

@@ -11,7 +11,7 @@ import re
 from pathlib import Path
 
 from .errors import TeamTLError
-from .kripke import KripkeStructure
+from .kripke import KripkeStructure, validate
 from .trace import LassoTrace, TeamEncoding
 
 _COMMENT_RE = re.compile(r'^\s*#.*$', re.MULTILINE)
@@ -51,6 +51,8 @@ def dumps_team(team: TeamEncoding) -> str:
 
 
 def loads_kripke(text: str) -> KripkeStructure:
+    """Read a structure and reject it when ``validate`` finds a problem,
+    such as an edge to an undeclared world or a world without successor."""
     try:
         doc = json.loads(_strip_comments(text))
         structure = KripkeStructure.of(
@@ -61,6 +63,9 @@ def loads_kripke(text: str) -> KripkeStructure:
         )
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"malformed structure file: {exc}") from exc
+    problems = validate(structure)
+    if problems:
+        raise FileFormatError(f"invalid structure file: {'; '.join(problems)}")
     return structure
 
 

@@ -21,11 +21,6 @@ from typing import Callable
 # formula namespaces by convention.
 RESERVED_TAUT_PROP = "_taut"
 
-# A membership row records, for one team member, the truth value of each
-# generalised-atom parameter under classical semantics.
-Row = "tuple[bool, ...]"
-
-
 @dataclass(frozen=True)
 class Formula:
     """Base class for all formula nodes."""

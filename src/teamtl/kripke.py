@@ -63,13 +63,16 @@ def validate(k: KripkeStructure) -> list[str]:
     declared = set(k.worlds)
     if not declared:
         problems.append("structure has no worlds")
+    has_successor = set()
     for a, b in sorted(k.edges):
         if a not in declared:
             problems.append(f"edge source {a!r} is not a declared world")
         if b not in declared:
             problems.append(f"edge target {b!r} is not a declared world")
+        else:
+            has_successor.add(a)
     for w in k.worlds:
-        if not any(a == w and b in declared for a, b in k.edges):
+        if w not in has_successor:
             problems.append(f"world {w!r} has no successor (not left-total)")
     for w in k.labels:
         if w not in declared:
@@ -158,11 +161,6 @@ def successor_teams(k: KripkeStructure, team: MultiTeam) -> list[MultiTeam]:
         candidate = MultiTeam.of(choice)
         seen.setdefault(candidate.key(), candidate)
     return [seen[key] for key in sorted(seen)]
-
-
-def successor_sets_step(k: KripkeStructure, worlds: frozenset[str]) -> frozenset[str]:
-    """Image of a world set under the edge relation (one flattening step)."""
-    return frozenset(b for a, b in k.edges if a in worlds)
 
 
 # ---------------------------------------------------------------------------

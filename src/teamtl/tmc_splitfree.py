@@ -8,12 +8,16 @@ labeled p, and the companion proposition for "no world labeled p".  Team
 satisfaction then reduces to classical path checking of the rewritten
 formula on that one trace.
 
-The successor-set sequence is built explicitly and deterministically; it
-must repeat within 2^|W| steps, guarded by a configurable cap.
+The successor-set sequence is built over world bitmasks: each world is a
+bit, with one successor mask per world and one label mask per
+proposition, so a step ORs the successor masks of the current set and a
+unanimity label is one mask test.  The sequence must repeat within 2^|W|
+steps, guarded by a configurable cap.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import GenAtomPresent, ResourceCapError, SplitjunctionPresent
@@ -34,7 +38,7 @@ from .formula import (
     classify,
     propositions,
 )
-from .kripke import KripkeStructure, successor_sets_step
+from .kripke import KripkeStructure
 from .trace import LassoTrace
 
 DEFAULT_MAX_SUBSETS = 2**20
@@ -72,32 +76,45 @@ def flatten(
     """
     if k.initial is None:
         raise ValueError("flattening requires an initial world")
-    props = sorted(k.prop_universe if props is None else props)
-    seen: dict[frozenset[str], int] = {}
-    subsets: list[frozenset[str]] = []
-    current = frozenset([k.initial])
+    # Edge endpoints get bits too, declared or not, as the edge relation
+    # reaches them.
+    worlds = list(dict.fromkeys([*k.worlds, k.initial, *itertools.chain(*k.edges)]))
+    index = {w: i for i, w in enumerate(worlds)}
+    succ = [0] * len(worlds)
+    for a, b in k.edges:
+        succ[index[a]] |= 1 << index[b]
+    labelled = []
+    for p in sorted(k.prop_universe if props is None else props):
+        mask = sum(1 << i for i, w in enumerate(worlds) if p in k.label(w))
+        labelled.append((p, negative_prop(p), mask))
+    seen: dict[int, int] = {}
+    current = 1 << index[k.initial]
     while current not in seen:
-        if len(subsets) >= max_subsets:
+        if len(seen) >= max_subsets:
             raise ResourceCapError(
                 f"successor-set sequence exceeded {max_subsets} subsets"
             )
-        seen[current] = len(subsets)
-        subsets.append(current)
-        current = successor_sets_step(k, current)
+        seen[current] = len(seen)
+        image, rest = 0, current
+        while rest:
+            low = rest & -rest
+            image |= succ[low.bit_length() - 1]
+            rest ^= low
+        current = image
     stem = seen[current]
     labels = []
-    for subset in subsets:
+    for subset in seen:
         position = set()
-        for p in props:
-            if all(p in k.label(w) for w in subset):
+        for p, not_p, mask in labelled:
+            if not subset & ~mask:
                 position.add(p)
-            if all(p not in k.label(w) for w in subset):
-                position.add(negative_prop(p))
+            if not subset & mask:
+                position.add(not_p)
         labels.append(frozenset(position))
     return FlattenedTrace(
         trace=LassoTrace(tuple(labels[:stem]), tuple(labels[stem:])),
         stem=stem,
-        period=len(subsets) - stem,
+        period=len(seen) - stem,
     )
 
 

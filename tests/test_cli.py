@@ -64,6 +64,15 @@ class TestCheckPath:
         assert result.exit_code == 0
         assert "split:" in result.output
 
+    def test_deep_formula_is_an_internal_error(self, runner, workspace):
+        # The recursive parser overflows the stack; that is no UNSAT.
+        result = runner.invoke(
+            main, ["check-path", str(workspace / "team.json"), "X " * 3000 + "p"]
+        )
+        assert result.exit_code == 5
+        assert result.stderr.startswith("error: internal error: RecursionError")
+        assert len(result.stderr.splitlines()) == 1
+
     def test_resource_cap_exit_3(self, runner, tmp_path):
         doc = {
             "traces": [
@@ -77,6 +86,18 @@ class TestCheckPath:
             ["check-path", str(team_file), "~p0 | ~p1", "--max-team", "2"],
         )
         assert result.exit_code == 3
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("check-path", []),
+    ("check-model", ["--mode", "ltl-enumerate"]),
+])
+def test_negative_max_team_exit_2(runner, workspace, command, extra):
+    target = "team.json" if command == "check-path" else "ef.json"
+    r = runner.invoke(main, [command, str(workspace / target), "p",
+                             "--max-team", "-1", *extra])
+    assert r.exit_code == 2
+    assert "--max-team" in r.stderr
 
 
 class TestCheckModel:
@@ -107,6 +128,36 @@ class TestCheckModel:
         assert runner.invoke(main, ["check-model", str(k), "G p"]).exit_code == 0
         r = runner.invoke(main, ["check-model", str(k), "p | p"])
         assert r.exit_code == 2  # splitjunction rejected in splitfree mode
+
+    def test_edge_to_undeclared_world_exit_2(self, runner, tmp_path):
+        k = tmp_path / "k.json"
+        k.write_text(json.dumps({
+            "worlds": ["a"], "edges": [["a", "a"], ["a", "b"]],
+            "labels": {}, "initial": "a",
+        }))
+        r = runner.invoke(main, ["check-model", str(k), "AX p", "--mode", "ctl",
+                                 "--team", "a"])
+        assert r.exit_code == 2
+        assert "'b' is not a declared world" in r.stderr
+
+    @pytest.mark.parametrize("mode,formula", [
+        ("ctl", "AX AX p"), ("ctl", "AX AX BOT"),
+        ("ltl-splitfree", "X X p"), ("ltl-splitfree", "X X !p"),
+    ])
+    def test_dead_end_world_exit_2(self, runner, tmp_path, mode, formula):
+        # b has no successor: read as a structure, both a formula and its
+        # dual would hold vacuously two steps on.
+        k = tmp_path / "k.json"
+        k.write_text(json.dumps({
+            "worlds": ["a", "b"], "edges": [["a", "b"]],
+            "labels": {"b": ["p"]}, "initial": "a",
+        }))
+        args = ["check-model", str(k), formula, "--mode", mode]
+        if mode == "ctl":
+            args += ["--team", "a"]
+        r = runner.invoke(main, args)
+        assert r.exit_code == 2
+        assert "'b' has no successor" in r.stderr
 
     def test_enumerate_mode_rejects_branching_cycles(self, runner, tmp_path):
         k = tmp_path / "k.json"

@@ -1,7 +1,8 @@
+import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from teamtl.errors import ResourceCapError
 from teamtl.eval_classical import check_ltl_classical
@@ -13,19 +14,39 @@ from teamtl.eval_team_ltl import (
 )
 from teamtl.fixtures import union_closure_team
 from teamtl.formula import (
+    And,
     CNeg,
     GenAtomApp,
+    NegProp,
     Prop,
     Split,
+    bot,
     classify,
     dependence_atom,
     inclusion_atom,
 )
 from teamtl.parser import parse_ltl
 from teamtl.selftest import random_ltl_formula, random_team, random_trace
-from teamtl.trace import LassoTrace, TeamEncoding
+from teamtl.trace import LassoTrace, TeamEncoding, lcm_loop, prfx
 
 p, q = Prop("p"), Prop("q")
+positions = st.frozensets(st.sampled_from(["p", "q"]))
+
+
+@st.composite
+def merging_teams(draw):
+    """Up to three traces that differ only at position 0, so their suffixes
+    merge after one step, plus at most one other trace."""
+    tail = tuple(draw(st.lists(positions, max_size=2)))
+    loop = tuple(draw(st.lists(positions, min_size=1, max_size=3)))
+    heads = draw(st.lists(positions, min_size=1, max_size=3, unique=True))
+    traces = [LassoTrace((head,) + tail, loop) for head in heads]
+    if draw(st.booleans()):
+        traces.append(LassoTrace(
+            tuple(draw(st.lists(positions, max_size=2))),
+            tuple(draw(st.lists(positions, min_size=1, max_size=3))),
+        ))
+    return TeamEncoding.of(traces)
 
 
 def team_of(*specs):
@@ -146,6 +167,30 @@ class TestOracleAgreement:
         )
         assert check_team(team, phi) == naive_oracle(team, phi)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        merging_teams(),
+        st.integers(0, 2**32),
+        st.sampled_from([SplitStrategy.DISJOINT_ONLY, SplitStrategy.COVERS]),
+    )
+    def test_matches_naive_oracle_on_merging_prefixes(self, team, seed, strategy):
+        rng = random.Random(seed)
+        phi = random_ltl_formula(
+            rng, rng.randint(1, 6),
+            allow_cneg=True, allow_boolor=True, allow_atoms=True,
+        )
+        if rng.random() < 0.3:
+            # Both parts non-empty: a member may have to sit on both sides.
+            sides = [
+                And(CNeg(bot()), rng.choice([p, q, NegProp("p"), NegProp("q")]))
+                for _ in range(2)
+            ]
+            phi = Split(*sides)
+        # Disjoint splits are sound only on the downward-closed fragment.
+        assume(strategy is SplitStrategy.COVERS
+               or classify(phi).downward_closed_fragment)
+        assert check_team(team, phi, strategy=strategy) == naive_oracle(team, phi)
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2**32))
     def test_singleton_equals_classical(self, seed):
@@ -168,3 +213,14 @@ class TestOracleAgreement:
                 t for t in members if rng.random() < 0.5
             ))
             assert check_team(sub, phi)
+
+
+def test_long_horizon_stops_at_first_witness():
+    # Loop lengths 7, 11, 13, 17, 19, 23 and 2: the suffix teams repeat
+    # only after lcm = 14 872 858 steps, but F (p & q) holds at position 0.
+    loops = [7, 11, 13, 17, 19, 23, 2]
+    team = TeamEncoding.of(
+        LassoTrace.of([], [["p", "q"]] + [[]] * (n - 1)) for n in loops
+    )
+    assert prfx(team) + lcm_loop(team) == math.prod(loops) == 14_872_858
+    assert check_team(team, parse_ltl("F (p & q)"))

@@ -6,7 +6,6 @@ from teamtl.kripke import (
     MultiTeam,
     enumerate_traces,
     is_successor_team,
-    successor_sets_step,
     successor_teams,
     validate,
 )
@@ -81,14 +80,6 @@ def test_successor_teams_deduplicates():
     assert sorted(t.key() for t in succ) == [
         ("x", "x"), ("x", "y"), ("y", "y"),
     ]
-
-
-def test_successor_sets_step():
-    k = KripkeStructure.of(
-        ["a", "x", "y"], [("a", "x"), ("a", "y"), ("x", "x"), ("y", "y")]
-    )
-    assert successor_sets_step(k, frozenset({"a"})) == {"x", "y"}
-    assert successor_sets_step(k, frozenset({"x", "y"})) == {"x", "y"}
 
 
 class TestEnumerateTraces:
