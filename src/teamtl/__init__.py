@@ -69,7 +69,6 @@ from .kripke import (
     MultiTeam,
     enumerate_traces,
     is_successor_team,
-    successor_teams,
 )
 from .parser import ParseError, parse_ctl, parse_ltl, render
 from .qbf import (

@@ -3,7 +3,9 @@
 LTL on lasso traces evaluates positions directly; since the suffix
 structure of a lasso repeats with its loop length, temporal searches walk
 positions until a reduced position repeats, which bounds every witness by
-|prefix| + |loop| steps from the current offset.
+|prefix| + |loop| steps from the current offset.  Every position a walk
+passes gets the walk's verdict, so nested temporal operators stay linear
+in |prefix| + |loop|.
 
 CTL on pointed Kripke structures uses bottom-up subformula labeling with
 the standard fixpoint computations.
@@ -23,18 +25,16 @@ from .formula import (
     EU,
     EX,
     Formula,
-    GenAtomApp,
     NegProp,
     Next,
     Prop,
     Release,
     Split,
     Until,
+    iter_nodes,
 )
-from .kripke import KripkeStructure, MultiTeam
+from .kripke import KripkeStructure
 from .trace import LassoTrace, trace_at
-
-_CTL_NODES = (EX, AX, EU, AU, ER, AR)
 
 
 def prop_sat(labels: frozenset[str], phi: Formula) -> bool:
@@ -59,21 +59,16 @@ def prop_sat(labels: frozenset[str], phi: Formula) -> bool:
 # LTL on lasso traces
 
 
-def _require_pure_ltl(phi: Formula):
-    stack = [phi]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (CNeg, BoolOr, GenAtomApp) + _CTL_NODES):
+_PURE_LTL = (Prop, NegProp, And, Split, Next, Until, Release)
+_PURE_CTL = (Prop, NegProp, And, Split, EX, AX, EU, AU, ER, AR)
+
+
+def _require_nodes(phi: Formula, allowed: tuple[type, ...], logic: str):
+    for node in iter_nodes(phi):
+        if not isinstance(node, allowed):
             raise UnsupportedNodeError(
-                f"classical LTL evaluation does not support {type(node).__name__}"
+                f"classical {logic} evaluation does not support {type(node).__name__}"
             )
-        if isinstance(node, (Prop, NegProp)):
-            continue
-        if isinstance(node, Next):
-            stack.append(node.child)
-        else:
-            stack.append(node.left)
-            stack.append(node.right)
 
 
 class _LassoEval:
@@ -112,30 +107,8 @@ class _LassoEval:
             return self.eval(i, phi.left) or self.eval(i, phi.right)
         if isinstance(phi, Next):
             return self.eval(i + 1, phi.child)
-        if isinstance(phi, Until):
-            k, seen = i, set()
-            while True:
-                r = self.reduce(k)
-                if r in seen:
-                    return False
-                seen.add(r)
-                if self.eval(k, phi.right):
-                    return True
-                if not self.eval(k, phi.left):
-                    return False
-                k += 1
-        if isinstance(phi, Release):
-            k, seen = i, set()
-            while True:
-                r = self.reduce(k)
-                if r in seen:
-                    return True
-                seen.add(r)
-                if not self.eval(k, phi.right):
-                    return False
-                if self.eval(k, phi.left):
-                    return True
-                k += 1
+        if isinstance(phi, (Until, Release)):
+            return self._walk(i, phi, isinstance(phi, Until))
         if self.extended:
             if isinstance(phi, CNeg):
                 return not self.eval(i, phi.child)
@@ -145,10 +118,42 @@ class _LassoEval:
             f"classical LTL evaluation does not support {type(phi).__name__}"
         )
 
+    def _walk(self, i: int, phi: Until | Release, until: bool) -> bool:
+        """Until / Release from position ``i`` on.
+
+        The walk goes on only while the expansion law U = ψ ∨ (φ ∧ X U),
+        or R = ψ ∧ (φ ∨ X R), leaves the verdict equal to the next
+        position's, so every position walked gets the verdict it ends
+        with, and a later walk stops where an earlier one passed.  A
+        repeated position means the loop came round without a witness.
+        """
+        key = id(phi)
+        walked = set()
+        while True:
+            verdict = self.memo.get((i, key))
+            if verdict is not None:
+                break
+            if i in walked:
+                verdict = not until
+                break
+            walked.add(i)
+            # Until ends true where ψ holds and false where φ fails;
+            # Release ends false where ψ fails and true where φ holds.
+            if self.eval(i, phi.right) == until:
+                verdict = until
+                break
+            if self.eval(i, phi.left) != until:
+                verdict = not until
+                break
+            i = self.reduce(i + 1)
+        for position in walked:
+            self.memo[(position, key)] = verdict
+        return verdict
+
 
 def check_ltl_classical(t: LassoTrace, phi: Formula) -> bool:
     """Classical satisfaction of a pure-grammar LTL formula on one trace."""
-    _require_pure_ltl(phi)
+    _require_nodes(phi, _PURE_LTL, "LTL")
     return _LassoEval(t, extended=False).eval(0, phi)
 
 
@@ -160,23 +165,6 @@ def check_ltl_classical_extended(t: LassoTrace, phi: Formula) -> bool:
 
 # ---------------------------------------------------------------------------
 # CTL on pointed Kripke structures
-
-
-def _require_pure_ctl(phi: Formula):
-    stack = [phi]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (CNeg, BoolOr, GenAtomApp, Next, Until, Release)):
-            raise UnsupportedNodeError(
-                f"classical CTL evaluation does not support {type(node).__name__}"
-            )
-        if isinstance(node, (Prop, NegProp)):
-            continue
-        if isinstance(node, (EX, AX)):
-            stack.append(node.child)
-        else:
-            stack.append(node.left)
-            stack.append(node.right)
 
 
 def _ctl_sat_sets(k: KripkeStructure, phi: Formula) -> dict[int, frozenset[str]]:
@@ -256,18 +244,5 @@ def check_ctl_classical(k: KripkeStructure, w: str, phi: Formula) -> bool:
     """Standard CTL satisfaction at one world, by bottom-up labeling."""
     if w not in k.worlds:
         raise ValueError(f"{w!r} is not a world of the structure")
-    _require_pure_ctl(phi)
+    _require_nodes(phi, _PURE_CTL, "CTL")
     return w in _ctl_sat_sets(k, phi)[id(phi)]
-
-
-def check_ctl_classical_multiset(k: KripkeStructure, team: MultiTeam, phi: Formula) -> bool:
-    """The flat lift: every team member satisfies the formula classically."""
-    _require_pure_ctl(phi)
-    support = team.support()
-    for w in support:
-        if w not in k.worlds:
-            raise ValueError(f"{w!r} is not a world of the structure")
-    if not support:
-        return True
-    table = _ctl_sat_sets(k, phi)[id(phi)]
-    return all(w in table for w in support)

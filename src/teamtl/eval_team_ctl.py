@@ -287,28 +287,6 @@ def mc_ctl(
     return _CtlEval(k, limits).check(team.key(), phi)
 
 
-def successor_graph_reach(
-    k: KripkeStructure,
-    team: MultiTeam,
-    invariant: Formula,
-    target: Formula,
-    mode: str,
-    *,
-    limits: CtlLimits | None = None,
-) -> bool:
-    """The until-style searches exposed for testing: E-mode asks for one
-    synchronous evolution reaching the target through invariant teams,
-    A-mode requires every evolution to do so."""
-    limits = limits or CtlLimits()
-    ev = _CtlEval(k, limits)
-    start = team.key()
-    if mode == "E":
-        return ev._e_until(start, invariant, target)
-    if mode == "A":
-        return ev._a_until(start, invariant, target)
-    raise ValueError(f"mode must be 'E' or 'A', got {mode!r}")
-
-
 # ---------------------------------------------------------------------------
 # Independent oracle
 

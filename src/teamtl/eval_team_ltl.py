@@ -50,6 +50,7 @@ from .formula import (
     Release,
     Split,
     Until,
+    children,
     classify,
     formula_length,
 )
@@ -90,6 +91,27 @@ _KINDS = {
     Release: _RELEASE,
     GenAtomApp: _ATOM,
 }
+
+
+def _least_rotation(seq: list[int]) -> int:
+    """Start of the lexicographically least rotation of ``seq``, in
+    O(len(seq)) (two candidate starts race; a mismatch after k equal
+    steps rules out the k + 1 starts behind the larger one)."""
+    n = len(seq)
+    i, j, k = 0, 1, 0
+    while i < n and j < n and k < n:
+        a, b = seq[(i + k) % n], seq[(j + k) % n]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        k = 0
+    return min(i, j)
 
 
 def _bits(mask: int):
@@ -149,21 +171,27 @@ class _TeamEval:
     def _intern_team(self, team: TeamEncoding) -> int:
         # A rotation of a primitive loop is a distinct pure-loop state, and
         # a prefix state (head, next state) of a canonical trace is never
-        # pure-loop; so these two keys identify suffixes exactly.
-        loop_states: dict[tuple[frozenset[str], ...], int] = {}
+        # pure-loop; so these two keys identify suffixes exactly.  Loops
+        # that are rotations of each other share one key, their least
+        # rotation over per-label ids, whose states are numbered from there.
+        label_ids: dict[frozenset[str], int] = {}
+        loop_states: dict[tuple[int, ...], int] = {}
         prefix_states: dict[tuple[frozenset[str], int], int] = {}
         mask = 0
         for t in team.traces:
             t = canonicalize(t)
-            loop, stem = t.loop, len(t.prefix)
-            state = loop_states.get(loop)
-            if state is None:
-                state = len(self.heads)
-                for r in range(len(loop)):
-                    loop_states[loop[r:] + loop[:r]] = self._add_state(
-                        loop[r], (t, stem + r)
-                    )
-                    self.succ[state + r] = 1 << (state + (r + 1) % len(loop))
+            loop, stem, n = t.loop, len(t.prefix), len(t.loop)
+            ids = [label_ids.setdefault(head, len(label_ids)) for head in loop]
+            first = _least_rotation(ids)
+            least = tuple(ids[first:] + ids[:first])
+            base = loop_states.get(least)
+            if base is None:
+                base = loop_states[least] = len(self.heads)
+                for j in range(n):
+                    r = (first + j) % n
+                    self._add_state(loop[r], (t, stem + r))
+                    self.succ[base + j] = 1 << (base + (j + 1) % n)
+            state = base + (n - first) % n
             for i in range(stem - 1, -1, -1):
                 key = (t.prefix[i], state)
                 known = prefix_states.get(key)
@@ -185,10 +213,7 @@ class _TeamEval:
         elif kind in (_ATOM, _UNSUPPORTED):
             key = (kind, id(phi))
         else:
-            if kind in (_CNEG, _NEXT):
-                args = (self._compile(phi.child),)
-            else:
-                args = (self._compile(phi.left), self._compile(phi.right))
+            args = tuple(map(self._compile, children(phi)))
             key = (kind, *args)
         node = self.node_keys.get(key)
         if node is None:

@@ -7,7 +7,12 @@ default disjunction of team semantics); `BoolOr` is the classical "whole
 team satisfies one side" disjunction.
 
 All node classes are frozen dataclasses, so formulas are immutable,
-hashable, and compared structurally.
+hashable, and compared structurally.  A connective with one subformula
+derives from `Unary` (field ``child``), one with two from `Binary`
+(``left``, ``right``); a generalised atom's subformulas are its
+``params``.  `children`, `rebuild` and `iter_nodes` are the one
+traversal API: structural walks elsewhere go through them (or through
+`map_literals`, built on them) rather than reading those fields.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterable
 
 # Reserved proposition used by the TOP/BOT expansions; kept out of user
 # formula namespaces by convention.
@@ -24,6 +29,21 @@ RESERVED_TAUT_PROP = "_taut"
 @dataclass(frozen=True)
 class Formula:
     """Base class for all formula nodes."""
+
+
+@dataclass(frozen=True)
+class Unary(Formula):
+    """Base class for connectives with one subformula."""
+
+    child: Formula
+
+
+@dataclass(frozen=True)
+class Binary(Formula):
+    """Base class for connectives with two subformulas."""
+
+    left: Formula
+    right: Formula
 
 
 # ---------------------------------------------------------------------------
@@ -41,32 +61,23 @@ class NegProp(Formula):
 
 
 @dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class And(Binary):
+    pass
 
 
 @dataclass(frozen=True)
-class Split(Formula):
+class Split(Binary):
     """Team splitjunction: T = T1 ∪ T2 with T1 satisfying left, T2 right."""
 
-    left: Formula
-    right: Formula
-
 
 @dataclass(frozen=True)
-class BoolOr(Formula):
+class BoolOr(Binary):
     """Boolean (classical) disjunction: the whole team satisfies a side."""
 
-    left: Formula
-    right: Formula
-
 
 @dataclass(frozen=True)
-class CNeg(Formula):
+class CNeg(Unary):
     """Contradictory negation: T satisfies ~φ iff T does not satisfy φ."""
-
-    child: Formula
 
 
 @dataclass(frozen=True)
@@ -98,20 +109,18 @@ class GenAtomApp(Formula):
 
 
 @dataclass(frozen=True)
-class Next(Formula):
-    child: Formula
+class Next(Unary):
+    pass
 
 
 @dataclass(frozen=True)
-class Until(Formula):
-    left: Formula
-    right: Formula
+class Until(Binary):
+    pass
 
 
 @dataclass(frozen=True)
-class Release(Formula):
-    left: Formula
-    right: Formula
+class Release(Binary):
+    pass
 
 
 # ---------------------------------------------------------------------------
@@ -119,37 +128,33 @@ class Release(Formula):
 
 
 @dataclass(frozen=True)
-class EX(Formula):
-    child: Formula
+class EX(Unary):
+    pass
 
 
 @dataclass(frozen=True)
-class AX(Formula):
-    child: Formula
+class AX(Unary):
+    pass
 
 
 @dataclass(frozen=True)
-class EU(Formula):
-    left: Formula
-    right: Formula
+class EU(Binary):
+    pass
 
 
 @dataclass(frozen=True)
-class AU(Formula):
-    left: Formula
-    right: Formula
+class AU(Binary):
+    pass
 
 
 @dataclass(frozen=True)
-class ER(Formula):
-    left: Formula
-    right: Formula
+class ER(Binary):
+    pass
 
 
 @dataclass(frozen=True)
-class AR(Formula):
-    left: Formula
-    right: Formula
+class AR(Binary):
+    pass
 
 
 _LTL_TEMPORAL = (Next, Until, Release)
@@ -290,21 +295,54 @@ def classify(phi: Formula) -> FragmentFlags:
     )
 
 
+def children(phi: Formula) -> tuple[Formula, ...]:
+    """The direct subformulas of a node, generalised-atom parameters
+    included; empty for literals."""
+    if isinstance(phi, Binary):
+        return (phi.left, phi.right)
+    if isinstance(phi, Unary):
+        return (phi.child,)
+    if isinstance(phi, GenAtomApp):
+        return phi.params
+    return ()
+
+
+def rebuild(phi: Formula, kids: Iterable[Formula]) -> Formula:
+    """A node like ``phi`` whose direct subformulas are ``kids``, given in
+    the order `children` lists them; a literal is returned as it is."""
+    if isinstance(phi, GenAtomApp):
+        return GenAtomApp(phi.atom, tuple(kids))
+    if isinstance(phi, (Unary, Binary)):
+        return type(phi)(*kids)
+    return phi
+
+
 def iter_nodes(phi: Formula):
     """Yield every node of the tree, including generalised-atom parameters."""
     stack = [phi]
     while stack:
         node = stack.pop()
         yield node
-        if isinstance(node, (Prop, NegProp)):
-            continue
-        if isinstance(node, GenAtomApp):
-            stack.extend(node.params)
-        elif isinstance(node, (CNeg, Next, EX, AX)):
-            stack.append(node.child)
-        else:
-            stack.append(node.left)
-            stack.append(node.right)
+        stack.extend(children(node))
+
+
+def map_literals(phi: Formula, replace: Callable[[Formula], Formula]) -> Formula:
+    """Rebuild ``phi`` bottom-up with every literal (`Prop` or `NegProp`)
+    replaced by ``replace(literal)``.  A subtree shared within ``phi`` is
+    rewritten once and stays shared."""
+    done: dict[int, Formula] = {}
+
+    def walk(node: Formula) -> Formula:
+        result = done.get(id(node))
+        if result is None:
+            if isinstance(node, (Prop, NegProp)):
+                result = replace(node)
+            else:
+                result = rebuild(node, map(walk, children(node)))
+            done[id(node)] = result
+        return result
+
+    return walk(phi)
 
 
 def formula_length(phi: Formula) -> int:

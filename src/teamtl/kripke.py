@@ -9,8 +9,6 @@ augmenting-path algorithm.
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -151,16 +149,6 @@ def is_successor_team(k: KripkeStructure, t1: MultiTeam, t2: MultiTeam) -> bool:
         if not augment(i, set()):
             return False
     return True
-
-
-def successor_teams(k: KripkeStructure, team: MultiTeam) -> list[MultiTeam]:
-    """All one-step successor teams, deduplicated by multiset equality."""
-    _check_members(k, team)
-    seen: dict[tuple[str, ...], MultiTeam] = {}
-    for choice in itertools.product(*(k.succ[w] for w in team.worlds)):
-        candidate = MultiTeam.of(choice)
-        seen.setdefault(candidate.key(), candidate)
-    return [seen[key] for key in sorted(seen)]
 
 
 # ---------------------------------------------------------------------------

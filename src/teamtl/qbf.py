@@ -35,6 +35,7 @@ from .formula import (
     bot,
     expand_shorthand,
     iter_nodes,
+    map_literals,
     top,
 )
 from .kripke import KripkeStructure, MultiTeam, enumerate_traces
@@ -383,24 +384,23 @@ def assignment_structure(variables: list[str]) -> KripkeStructure:
     return KripkeStructure.of(worlds, edges, labels, initial="r")
 
 
+_PL_NODES = (Prop, NegProp, And, Split, BoolOr, CNeg)
+
+
+def _pl_literal_goal(literal: Formula) -> Formula:
+    value = isinstance(literal, Prop)
+    return _f(Prop(assignment_prop(literal.name, value)))
+
+
 def _rewrite_pl(phi: Formula) -> Formula:
     """Replace each propositional literal by an F-goal on the assignment
     traces."""
-    if isinstance(phi, Prop):
-        return _f(Prop(phi.name))
-    if isinstance(phi, NegProp):
-        return _f(Prop(assignment_prop(phi.name, False)))
-    if isinstance(phi, And):
-        return And(_rewrite_pl(phi.left), _rewrite_pl(phi.right))
-    if isinstance(phi, Split):
-        return Split(_rewrite_pl(phi.left), _rewrite_pl(phi.right))
-    if isinstance(phi, BoolOr):
-        return BoolOr(_rewrite_pl(phi.left), _rewrite_pl(phi.right))
-    if isinstance(phi, CNeg):
-        return CNeg(_rewrite_pl(phi.child))
-    raise ValueError(
-        f"propositional team formulas cannot contain {type(phi).__name__}"
-    )
+    for node in iter_nodes(phi):
+        if not isinstance(node, _PL_NODES):
+            raise ValueError(
+                f"propositional team formulas cannot contain {type(node).__name__}"
+            )
+    return map_literals(phi, _pl_literal_goal)
 
 
 def pl_variables(phi: Formula) -> list[str]:

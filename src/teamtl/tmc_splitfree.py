@@ -20,7 +20,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import GenAtomPresent, ResourceCapError, SplitjunctionPresent
+from .errors import (
+    GenAtomPresent,
+    ResourceCapError,
+    SplitjunctionPresent,
+    UnsupportedNodeError,
+)
 from .eval_classical import check_ltl_classical_extended
 from .formula import (
     And,
@@ -31,12 +36,14 @@ from .formula import (
     NegProp,
     Next,
     Prop,
-    RESERVED_TAUT_PROP,
     Release,
     Split,
     Until,
     classify,
+    iter_nodes,
+    map_literals,
     propositions,
+    top,
 )
 from .kripke import KripkeStructure
 from .trace import LassoTrace
@@ -118,56 +125,18 @@ def flatten(
     )
 
 
-def _is_taut_pattern(phi: Formula) -> bool:
-    """The ⊤ expansion over the reserved proposition: the only
-    splitjunction shape admitted here, since it is satisfied by every team
-    and classically true on the flattened trace."""
-    return (
-        isinstance(phi, Split)
-        and phi.left == Prop(RESERVED_TAUT_PROP)
-        and phi.right == NegProp(RESERVED_TAUT_PROP)
-    )
+# The ⊤ expansion over the reserved proposition is the only splitjunction
+# admitted here: every team satisfies it, and its rewritten literals make
+# a classical disjunction that holds at every flattened position.
+_TOP = top()
+_LTL_NODES = (Prop, NegProp, And, Split, BoolOr, CNeg, GenAtomApp, Next, Until, Release)
 
 
-def _has_real_split(phi: Formula) -> bool:
-    if _is_taut_pattern(phi):
-        return False
-    if isinstance(phi, (Prop, NegProp)):
-        return False
-    if isinstance(phi, Split):
-        return True
-    if isinstance(phi, (CNeg, Next)):
-        return _has_real_split(phi.child)
-    if isinstance(phi, GenAtomApp):
-        return any(_has_real_split(param) for param in phi.params)
-    return _has_real_split(phi.left) or _has_real_split(phi.right)
-
-
-def _rewrite_negations(phi: Formula) -> Formula:
-    """Replace every negated proposition by its positive companion."""
-    if isinstance(phi, Prop):
-        return phi
-    if isinstance(phi, NegProp):
-        return Prop(negative_prop(phi.name))
-    if isinstance(phi, Split):
-        # Only the ⊤ pattern reaches this point; classical disjunction of
-        # the rewritten literals is true at every flattened position.
-        return Split(_rewrite_negations(phi.left), _rewrite_negations(phi.right))
-    if isinstance(phi, And):
-        return And(_rewrite_negations(phi.left), _rewrite_negations(phi.right))
-    if isinstance(phi, BoolOr):
-        return BoolOr(_rewrite_negations(phi.left), _rewrite_negations(phi.right))
-    if isinstance(phi, CNeg):
-        return CNeg(_rewrite_negations(phi.child))
-    if isinstance(phi, Next):
-        return Next(_rewrite_negations(phi.child))
-    if isinstance(phi, Until):
-        return Until(_rewrite_negations(phi.left), _rewrite_negations(phi.right))
-    if isinstance(phi, Release):
-        return Release(_rewrite_negations(phi.left), _rewrite_negations(phi.right))
-    raise SplitjunctionPresent(
-        f"splitfree model checking cannot rewrite {type(phi).__name__}"
-    )
+def _rewrite_literal(literal: Formula) -> Formula:
+    """A negated proposition becomes its positive companion."""
+    if isinstance(literal, NegProp):
+        return Prop(negative_prop(literal.name))
+    return literal
 
 
 def check_model_splitfree(
@@ -178,18 +147,26 @@ def check_model_splitfree(
 ) -> bool:
     """Does the full trace team of the structure satisfy the splitfree
     formula?  CNeg and BoolOr are admitted (they commute with the
-    single-trace reduction); splitjunctions and generalised atoms are not.
+    single-trace reduction); splitjunctions, generalised atoms and CTL
+    operators are not.
     """
-    flags = classify(phi)
-    if _has_real_split(phi):
+    for node in iter_nodes(phi):
+        if not isinstance(node, _LTL_NODES):
+            raise UnsupportedNodeError(
+                "splitfree model checking takes LTL formulas, "
+                f"not {type(node).__name__}"
+            )
+    if any(isinstance(node, Split) and node != _TOP for node in iter_nodes(phi)):
         raise SplitjunctionPresent(
             "formula contains a splitjunction; use trace enumeration instead"
         )
-    if flags.uses_genatoms:
+    if classify(phi).uses_genatoms:
         raise GenAtomPresent(
             "flattening keeps only unanimous-label information, which cannot "
             "evaluate generalised atoms"
         )
     universe = k.prop_universe | propositions(phi)
     flattened = flatten(k, props=universe, max_subsets=max_subsets)
-    return check_ltl_classical_extended(flattened.trace, _rewrite_negations(phi))
+    return check_ltl_classical_extended(
+        flattened.trace, map_literals(phi, _rewrite_literal)
+    )

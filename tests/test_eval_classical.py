@@ -5,12 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from teamtl.errors import UnsupportedNodeError
 from teamtl.eval_classical import (
+    _LassoEval,
     check_ctl_classical,
-    check_ctl_classical_multiset,
     check_ltl_classical,
     check_ltl_classical_extended,
     prop_sat,
 )
+from teamtl.eval_team_ctl import mc_ctl
 from teamtl.formula import (
     And,
     BoolOr,
@@ -22,6 +23,7 @@ from teamtl.formula import (
     Release,
     Split,
     Until,
+    iter_nodes,
 )
 from teamtl.kripke import KripkeStructure, MultiTeam
 from teamtl.parser import parse_ctl, parse_ltl
@@ -85,6 +87,27 @@ class TestLtl:
         )
         assert check_ltl_classical(t, r) == expansion
 
+    @pytest.mark.parametrize(
+        "text", ["G F (p & q)", "F G !q", "G (!p | F (q & X p))", "~G F (p & q)"]
+    )
+    def test_nested_temporal_operators_are_linear(self, text, monkeypatch):
+        # p & q holds at one loop position only, so each inner walk that
+        # starts afresh runs up to the whole loop.
+        loop = [["p", "q"]] + [["p"] if i % 2 else [] for i in range(1, 300)]
+        t = LassoTrace.of([[], ["q"], []], loop)
+        phi = parse_ltl(text)
+        calls = 0
+        original = _LassoEval.eval
+
+        def counted(self, i, node):
+            nonlocal calls
+            calls += 1
+            return original(self, i, node)
+
+        monkeypatch.setattr(_LassoEval, "eval", counted)
+        check_ltl_classical_extended(t, phi)
+        assert calls <= 2 * (3 + 300) * sum(1 for _ in iter_nodes(phi))
+
 
 class TestCtl:
     def test_reachability(self):
@@ -117,9 +140,11 @@ class TestCtl:
             ["a", "b"], [("a", "a"), ("b", "b")], {"a": ["p"]}
         )
         phi = parse_ctl("AG p")
-        assert check_ctl_classical_multiset(k, MultiTeam.of(["a", "a"]), phi)
-        assert not check_ctl_classical_multiset(k, MultiTeam.of(["a", "b"]), phi)
-        assert check_ctl_classical_multiset(k, MultiTeam.of([]), phi)
+        # A formula without ~, \|/ or atoms holds on a team iff it holds
+        # classically at every member.
+        for worlds, verdict in {("a", "a"): True, ("a", "b"): False, (): True}.items():
+            assert mc_ctl(k, MultiTeam.of(worlds), phi) is verdict
+            assert all(check_ctl_classical(k, w, phi) for w in worlds) is verdict
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32))

@@ -5,12 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from teamtl.errors import ResourceCapError
 from teamtl.eval_classical import check_ctl_classical
-from teamtl.eval_team_ctl import (
-    CtlLimits,
-    mc_ctl,
-    mc_ctl_bruteforce,
-    successor_graph_reach,
-)
+from teamtl.eval_team_ctl import CtlLimits, _CtlEval, mc_ctl, mc_ctl_bruteforce
 from teamtl.fixtures import af_multiplicity_structure, ef_counterexample_structure
 from teamtl.formula import Prop
 from teamtl.kripke import KripkeStructure, MultiTeam
@@ -87,23 +82,31 @@ class TestBasics:
 
 
 class TestSuccessorGraphReach:
+    # E[φ U p] and A[φ U p] run the existential and the universal until
+    # search over the successor-multiset graph; no world is labelled q,
+    # so the invariant q stops both searches at the start team.
     def test_e_mode_finds_a_path(self):
         k = ef_counterexample_structure()
-        assert successor_graph_reach(
-            k, MultiTeam.of(["x1"]), parse_ctl("TOP"), parse_ctl("p"), "E"
-        )
-        assert not successor_graph_reach(
-            k, MultiTeam.of(["x1", "y1"]), parse_ctl("TOP"), parse_ctl("p"), "E"
-        )
+        phi = parse_ctl("E[TOP U p]")
+        assert mc_ctl(k, MultiTeam.of(["x1"]), phi)
+        assert not mc_ctl(k, MultiTeam.of(["x1", "y1"]), phi)
+        assert not mc_ctl(k, MultiTeam.of(["x1"]), parse_ctl("E[q U p]"))
 
     def test_a_mode_requires_all_branches(self):
         k = af_multiplicity_structure()
-        assert successor_graph_reach(
-            k, MultiTeam.of(["w"]), parse_ctl("TOP"), parse_ctl("p"), "A"
-        )
-        assert not successor_graph_reach(
-            k, MultiTeam.of(["w", "w"]), parse_ctl("TOP"), parse_ctl("p"), "A"
-        )
+        phi = parse_ctl("A[TOP U p]")
+        assert mc_ctl(k, MultiTeam.of(["w"]), phi)
+        assert not mc_ctl(k, MultiTeam.of(["w", "w"]), phi)
+        assert not mc_ctl(k, MultiTeam.of(["w"]), parse_ctl("A[q U p]"))
+
+
+def test_successors_deduplicate_multisets():
+    k = KripkeStructure.of(
+        ["a", "x", "y"], [("a", "x"), ("a", "y"), ("x", "x"), ("y", "y")]
+    )
+    assert _CtlEval(k, CtlLimits()).successors(("a", "a")) == (
+        ("x", "x"), ("x", "y"), ("y", "y"),
+    )
 
 
 @settings(max_examples=300, deadline=None)

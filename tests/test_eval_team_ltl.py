@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -224,3 +225,20 @@ def test_long_horizon_stops_at_first_witness():
     )
     assert prfx(team) + lcm_loop(team) == math.prod(loops) == 14_872_858
     assert check_team(team, parse_ltl("F (p & q)"))
+
+
+def test_long_loop_interning_is_linear():
+    # One member whose primitive loop has 5544 steps (lcm of 7, 8, 9, 11):
+    # keying every rotation of the loop takes about 250 MB here.
+    loop = [
+        [name for name, m in (("p", 7), ("q", 8), ("r", 9), ("s", 11)) if i % m == 0]
+        for i in range(5544)
+    ]
+    team = TeamEncoding.of([LassoTrace.of([], loop)])
+    tracemalloc.start()
+    try:
+        assert check_team(team, parse_ltl("F (p & q)"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

@@ -1,4 +1,9 @@
+import dataclasses
+import random
+import typing
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from teamtl.formula import (
     AU,
@@ -7,7 +12,9 @@ from teamtl.formula import (
     CNeg,
     ER,
     EU,
+    Formula,
     GenAtomApp,
+    GenAtomDef,
     NegProp,
     Next,
     Prop,
@@ -15,6 +22,7 @@ from teamtl.formula import (
     Split,
     Until,
     bot,
+    children,
     classify,
     dependence_atom,
     expand_shorthand,
@@ -22,9 +30,13 @@ from teamtl.formula import (
     inclusion_atom,
     is_ctl,
     is_ltl,
+    iter_nodes,
+    map_literals,
     propositions,
+    rebuild,
     top,
 )
+from teamtl.selftest import random_ctl_formula, random_ltl_formula
 
 p, q, r = Prop("p"), Prop("q"), Prop("r")
 
@@ -91,3 +103,70 @@ def test_structural_queries():
 def test_atom_length_counts_parameters():
     dep = GenAtomApp(dependence_atom(1, 1), (And(p, q), r))
     assert formula_length(dep) == 2
+
+
+def _node_classes(cls=Formula):
+    """The concrete node classes: the leaves of the Formula hierarchy."""
+    for sub in cls.__subclasses__():
+        if sub.__subclasses__():
+            yield from _node_classes(sub)
+        else:
+            yield sub
+
+
+def _instance(cls):
+    """One node of ``cls`` with distinct propositions in its formula fields,
+    and the subformulas it was given, in field order."""
+    hints = typing.get_type_hints(cls)
+    values, subformulas = [], []
+    for f in dataclasses.fields(cls):
+        hint = hints[f.name]
+        if hint is str:
+            values.append("p")
+        elif hint is GenAtomDef:
+            values.append(dependence_atom(1, 1))
+        elif hint is Formula:
+            subformulas.append(Prop(f"x{len(subformulas)}"))
+            values.append(subformulas[-1])
+        elif hint == tuple[Formula, ...]:
+            params = (Prop(f"x{len(subformulas)}"), Prop(f"x{len(subformulas) + 1}"))
+            subformulas += params
+            values.append(params)
+        else:
+            pytest.fail(f"{cls.__name__}.{f.name}: no test value for {hint}")
+    return cls(*values), tuple(subformulas)
+
+
+@pytest.mark.parametrize("cls", list(_node_classes()), ids=lambda c: c.__name__)
+def test_every_node_class_goes_through_children(cls):
+    # A node class whose subformula fields children() does not know would
+    # be invisible to every structural walk.
+    phi, subformulas = _instance(cls)
+    assert children(phi) == subformulas
+    assert rebuild(phi, children(phi)) == phi
+    replaced = tuple(Next(kid) for kid in subformulas)
+    assert type(rebuild(phi, replaced)) is cls
+    assert children(rebuild(phi, replaced)) == replaced
+    assert set(subformulas) <= set(iter_nodes(phi))
+
+
+def test_map_literals_keeps_shared_subtrees_shared():
+    shared = And(p, NegProp("q"))
+    rewritten = map_literals(Split(shared, shared), lambda lit: Prop(lit.name + "'"))
+    assert rewritten == Split(And(Prop("p'"), Prop("q'")), And(Prop("p'"), Prop("q'")))
+    assert rewritten.left is rewritten.right
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.booleans())
+def test_rebuild_round_trips_random_formulas(seed, ctl):
+    rng = random.Random(seed)
+    generate = random_ctl_formula if ctl else random_ltl_formula
+    phi = generate(
+        rng, rng.randint(0, 6), allow_cneg=True, allow_boolor=True, allow_atoms=True
+    )
+    assert all(rebuild(node, children(node)) == node for node in iter_nodes(phi))
+    assert map_literals(phi, lambda lit: lit) == phi
+    primed = map_literals(phi, lambda lit: type(lit)(lit.name + "'"))
+    assert propositions(primed) == {name + "'" for name in propositions(phi)}
+    assert formula_length(primed) == formula_length(phi)

@@ -6,7 +6,6 @@ from teamtl.kripke import (
     MultiTeam,
     enumerate_traces,
     is_successor_team,
-    successor_teams,
     validate,
 )
 from teamtl.qbf import assignment_structure
@@ -70,16 +69,6 @@ class TestSuccessorTeam:
         k = chain("a", "b")
         with pytest.raises(ValueError):
             is_successor_team(k, MultiTeam.of(["z"]), MultiTeam.of(["a"]))
-
-
-def test_successor_teams_deduplicates():
-    k = KripkeStructure.of(
-        ["a", "x", "y"], [("a", "x"), ("a", "y"), ("x", "x"), ("y", "y")]
-    )
-    succ = successor_teams(k, MultiTeam.of(["a", "a"]))
-    assert sorted(t.key() for t in succ) == [
-        ("x", "x"), ("x", "y"), ("y", "y"),
-    ]
 
 
 class TestEnumerateTraces:

@@ -3,11 +3,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from teamtl.errors import GenAtomPresent, ResourceCapError, SplitjunctionPresent
+from teamtl.errors import (
+    GenAtomPresent,
+    ResourceCapError,
+    SplitjunctionPresent,
+    UnsupportedNodeError,
+)
 from teamtl.eval_classical import check_ltl_classical_extended
 from teamtl.eval_team_ltl import check_team
 from teamtl.kripke import KripkeStructure, enumerate_traces
-from teamtl.parser import parse_ltl
+from teamtl.parser import parse_ctl, parse_ltl
 from teamtl.selftest import random_lasso_forest, random_ltl_formula
 from teamtl.tmc_splitfree import check_model_splitfree, flatten, negative_prop
 from teamtl.trace import trace_at
@@ -69,6 +74,11 @@ class TestCheckModelSplitfree:
     def test_rejects_generalised_atoms(self):
         with pytest.raises(GenAtomPresent):
             check_model_splitfree(diamond(), parse_ltl("dep(p; q)"))
+
+    @pytest.mark.parametrize("text, node", [("EX p", "EX"), ("E[p U q]", "EU")])
+    def test_rejects_ctl_operators(self, text, node):
+        with pytest.raises(UnsupportedNodeError, match=node):
+            check_model_splitfree(diamond(), parse_ctl(text))
 
     def test_shorthand_top_is_admitted(self):
         assert check_model_splitfree(diamond(), parse_ltl("F TOP"))
