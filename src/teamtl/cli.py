@@ -251,7 +251,9 @@ def gen(kind, source, out_dir, do_check):
                 f"and {out / 'formula.txt'}"
             )
             got = (
-                mc_ctl(k, team, goal, limits=CtlLimits(max_worlds=4096))
+                mc_ctl(k, team, goal, limits=CtlLimits(
+                    max_team=len(team), max_worlds=4096
+                ))
                 if do_check else None
             )
         if do_check:

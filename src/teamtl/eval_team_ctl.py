@@ -9,6 +9,39 @@ distinct multisets is at most |W|^|T|, so revisiting a multiset means a
 synchronous evolution can be pumped; the searches below use exactly that
 cutoff.
 
+Each call compiles the structure and the formula once.  Worlds are ints
+and a multiset team is one int: digit w, in a base 2^b above the team
+size, is the multiplicity of world w.  A power-of-two base lets the
+worlds of a key be read off its lowest set bits, one step per distinct
+member.  Every key's support mask (the worlds it contains) is cached.
+Successor multisets come from a per-member dynamic program over sums of
+digit units, which merges equal multisets by itself and carries each
+sum's support along; a member with one successor only adds a fixed
+offset to every sum.  Worlds whose only successor lies the same distance
+further on in the world order (the chains of the QBF gadgets) form shift
+classes, and all members in one class step at once: one mask and one
+shift of the key.
+
+Formula nodes are interned too, with a downward-closure flag and, for
+flat nodes, ``holds``: the mask of worlds satisfying the node.  A flat
+node holds on a team iff its support lies inside ``holds``, so it needs
+no memo and no split enumeration.  Flat are literals, ``&`` and ``|`` over
+flat nodes, ``EX``/``AX`` over a flat node, and ``E``/``A[φ R ψ]`` over
+flat nodes where no world satisfies φ (``EG``/``AG``), unless Until and
+Release are read from index 1.  Each is pointwise because the members of
+a team step independently: a successor team satisfies a flat node iff
+each member's chosen successor does, so ``EX`` asks every member for one
+good successor and ``AX`` for good successors only, and a synchronous
+path of teams inside ``holds(ψ)`` is just one such path per member, which
+makes ``EG``/``AG`` the classical greatest fixpoints.  ``AX`` and ``AG``
+are taken pointwise only on left-total structures: a member without
+successors leaves its team no successor team at all, so they hold there
+vacuously for every member.  ``E``/``A[φ U ψ]`` and Release with a
+satisfiable φ are not pointwise, since φ or ψ must hold on the whole
+team at one common step: in ``ef_counterexample`` both ``x1`` and ``y1``
+reach ``p``, but never at the same step, so ``EF p`` fails on the team
+``x1,y1``.  They stay searches over the successor-multiset graph.
+
 ``mc_ctl_bruteforce`` is the independent oracle: a bounded-unrolling
 evaluator that enumerates per-member successor functions explicitly.
 """
@@ -16,8 +49,8 @@ evaluator that enumerates per-member successor functions explicitly.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import ResourceCapError, UnsupportedNodeError
 from .eval_classical import prop_sat
@@ -36,6 +69,7 @@ from .formula import (
     NegProp,
     Prop,
     Split,
+    children,
     classify,
     is_temporal_free,
 )
@@ -51,124 +85,312 @@ class CtlLimits:
     until_from_one: bool = False
 
 
+(_PROP, _NEGPROP, _AND, _SPLIT, _BOOLOR, _CNEG, _EX, _AX,
+ _EU, _AU, _ER, _AR, _ATOM) = range(13)
+_UNSUPPORTED = -1
+_KINDS = {
+    Prop: _PROP,
+    NegProp: _NEGPROP,
+    And: _AND,
+    Split: _SPLIT,
+    BoolOr: _BOOLOR,
+    CNeg: _CNEG,
+    EX: _EX,
+    AX: _AX,
+    EU: _EU,
+    AU: _AU,
+    ER: _ER,
+    AR: _AR,
+    GenAtomApp: _ATOM,
+}
+
+
 class _CtlEval:
-    def __init__(self, k: KripkeStructure, limits: CtlLimits):
+    """One call's compiled structure and formula.
+
+    World ``w`` is ``k.worlds[w]``; ``unit[w]`` is the key of the team
+    holding it once, ``succ_steps[w]`` the (unit, world bit) pair of each
+    of its successors, and ``succ_masks[w]`` the mask of its successors.
+    Members on the worlds of a shift class in ``shifts`` step together,
+    members on the worlds in ``stepped`` one by one.  ``supports`` and
+    ``succ_cache`` hold every key's support mask and successor keys.
+
+    Node ``n`` is a distinct subformula: ``kinds[n]``, ``args[n]`` (child
+    node ids), ``dc[n]`` (in the downward-closed fragment) and
+    ``holds[n]``, the mask of worlds satisfying it when it is flat, else
+    None.  Every node that is not flat memoises its verdicts by team key
+    in ``memo[n]``.
+    """
+
+    def __init__(self, k: KripkeStructure, team_size: int, limits: CtlLimits):
         self.k = k
         self.limits = limits
-        self.memo: dict[tuple[TeamKey, int], bool] = {}
-        self.succ_cache: dict[TeamKey, tuple[TeamKey, ...]] = {}
+        self.index = {w: i for i, w in enumerate(k.worlds)}
+        self.width = max(team_size.bit_length(), 1)
+        self.digit = (1 << self.width) - 1
+        self.unit = [1 << self.width * i for i in range(len(k.worlds))]
+        succ = [[self.index[v] for v in k.succ[w]] for w in k.worlds]
+        self.succ_steps = [tuple((self.unit[v], 1 << v) for v in vs) for vs in succ]
+        self.succ_masks = [sum(1 << v for v in vs) for vs in succ]
+        self.left_total = all(succ)
+        self.full = (1 << len(k.worlds)) - 1
+        # Worlds whose only successor lies the same distance d further on
+        # form a shift class: their digits move together by d digits and
+        # their support bits by d bits.  Only classes of two or more worlds
+        # are kept, at most one per team member, the largest first, so
+        # that testing them costs no more than stepping the members; every
+        # other world is stepped member by member.
+        classes: dict[int, list[int]] = {}
+        for w, vs in enumerate(succ):
+            if len(vs) == 1:
+                classes.setdefault(vs[0] - w, []).append(w)
+        kept = sorted(
+            (ws for ws in classes.values() if len(ws) > 1), key=len, reverse=True
+        )[:max(team_size, 1)]
+        self.shifts = []
+        self.stepped = self.full
+        for ws in kept:
+            worlds = sum(1 << w for w in ws)
+            digits = sum(self.digit * self.unit[w] for w in ws)
+            self.shifts.append((succ[ws[0]][0] - ws[0], worlds, digits))
+            self.stepped ^= worlds
+        self.prop_masks: dict[str, int] = {}
+        for i, w in enumerate(k.worlds):
+            for p in k.label(w):
+                self.prop_masks[p] = self.prop_masks.get(p, 0) | 1 << i
+        self.supports: dict[int, int] = {}
+        self.succ_cache: dict[int, tuple[int, ...]] = {}
+        self.formulas: list[Formula] = []
+        self.kinds: list[int] = []
+        self.args: list[tuple[int, ...]] = []
+        self.dc: list[bool] = []
+        self.holds: list[int | None] = []
+        self.memo: list[dict[int, bool]] = []
+        self.node_keys: dict[tuple, int] = {}
+        self.compiled: dict[int, int] = {}
+        self.searches = {
+            _EU: self._e_until, _AU: self._a_until,
+            _ER: self._e_release, _AR: self._a_release,
+        }
 
-    def successors(self, key: TeamKey) -> tuple[TeamKey, ...]:
+    # -- multiset keys -----------------------------------------------------
+
+    def encode(self, worlds: Iterable[str]) -> int:
+        """The key of the multiset of ``worlds``."""
+        return sum(self.unit[self.index[w]] for w in worlds)
+
+    def support(self, key: int) -> int:
+        """The mask of the worlds in the multiset."""
+        support = self.supports.get(key)
+        if support is None:
+            support, rest = 0, key
+            while rest:
+                w = ((rest & -rest).bit_length() - 1) // self.width
+                support |= 1 << w
+                rest -= (rest >> self.width * w & self.digit) * self.unit[w]
+            self.supports[key] = support
+        return support
+
+    def members(self, key: int, worlds: int = -1):
+        """Yield (world, multiplicity) for every world of the multiset that
+        is in the mask ``worlds``."""
+        rest = self.support(key) & worlds
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            w = low.bit_length() - 1
+            yield w, key >> self.width * w & self.digit
+
+    def successors(self, key: int) -> tuple[int, ...]:
+        """The keys of the distinct successor multisets."""
         cached = self.succ_cache.get(key)
         if cached is None:
-            found = {
-                tuple(sorted(choice))
-                for choice in itertools.product(*(self.k.succ[w] for w in key))
-            }
-            cached = tuple(sorted(found))
-            self.succ_cache[key] = cached
+            support, width = self.support(key), self.width
+            offset = fixed = 0
+            for delta, worlds, digits in self.shifts:
+                moved = support & worlds
+                if moved:
+                    if delta >= 0:
+                        offset += (key & digits) << width * delta
+                        fixed |= moved << delta
+                    else:
+                        offset += (key & digits) >> -width * delta
+                        fixed |= moved >> -delta
+            branching = []
+            for w, count in self.members(key, self.stepped):
+                steps = self.succ_steps[w]
+                if len(steps) == 1:
+                    offset += count * steps[0][0]
+                    fixed |= steps[0][1]
+                else:
+                    branching += [steps] * count
+            # The sums map every successor key to its support, so that no
+            # successor has to be decoded.
+            sums = {offset: fixed}
+            for steps in branching:
+                sums = {
+                    s + unit: sup | bit
+                    for s, sup in sums.items()
+                    for unit, bit in steps
+                }
+            self.supports.update(sums)
+            cached = self.succ_cache[key] = tuple(sums)
         return cached
 
-    def check(self, key: TeamKey, phi: Formula) -> bool:
-        memo_key = (key, id(phi))
-        cached = self.memo.get(memo_key)
-        if cached is not None:
-            return cached
-        verdict = self._check(key, phi)
-        self.memo[memo_key] = verdict
+    # -- compiling ---------------------------------------------------------
+
+    def compile(self, phi: Formula) -> int:
+        node = self.compiled.get(id(phi))
+        if node is not None:
+            return node
+        kind = _KINDS.get(type(phi), _UNSUPPORTED)
+        args: tuple[int, ...] = ()
+        if kind in (_PROP, _NEGPROP):
+            key = (kind, phi.name)
+        elif kind in (_ATOM, _UNSUPPORTED):
+            key = (kind, id(phi))
+        else:
+            args = tuple(map(self.compile, children(phi)))
+            key = (kind, *args)
+        node = self.node_keys.get(key)
+        if node is None:
+            node = self.node_keys[key] = self._add_node(phi, kind, args)
+        self.compiled[id(phi)] = node
+        return node
+
+    def _pre(self, mask: int, every: bool) -> int:
+        """The worlds with a successor in ``mask``, or with only successors
+        in it if ``every``."""
+        if every:
+            return sum(1 << w for w, m in enumerate(self.succ_masks) if not m & ~mask)
+        return sum(1 << w for w, m in enumerate(self.succ_masks) if m & mask)
+
+    def _flat_holds(self, kind: int, args: tuple[int, ...], phi: Formula) -> int | None:
+        if kind == _PROP:
+            return self.prop_masks.get(phi.name, 0)
+        if kind == _NEGPROP:
+            return self.full ^ self.prop_masks.get(phi.name, 0)
+        sub = [self.holds[a] for a in args]
+        if not args or None in sub:
+            return None
+        if kind == _AND:
+            return sub[0] & sub[1]
+        if kind == _SPLIT:
+            return sub[0] | sub[1]
+        if kind == _EX or (kind == _AX and self.left_total):
+            return self._pre(sub[0], kind == _AX)
+        release = kind == _ER or (kind == _AR and self.left_total)
+        if not release or sub[0] or self.limits.until_from_one:
+            return None
+        # EG / AG: keep the worlds of holds(ψ) with a successor (EG) or
+        # with only successors (AG) still kept, until nothing changes.
+        region = sub[1]
+        while True:
+            shrunk = region & self._pre(region, kind == _AR)
+            if shrunk == region:
+                return region
+            region = shrunk
+
+    def _add_node(self, phi: Formula, kind: int, args: tuple[int, ...]) -> int:
+        if kind == _CNEG:
+            dc = False
+        elif kind == _ATOM:
+            dc = classify(phi).downward_closed_fragment
+        else:
+            dc = all(self.dc[a] for a in args)
+        self.formulas.append(phi)
+        self.kinds.append(kind)
+        self.args.append(args)
+        self.dc.append(dc)
+        self.holds.append(self._flat_holds(kind, args, phi))
+        self.memo.append({})
+        return len(self.kinds) - 1
+
+    # -- evaluating --------------------------------------------------------
+
+    def check(self, key: int, node: int) -> bool:
+        holds = self.holds[node]
+        if holds is not None:
+            return not self.support(key) & ~holds
+        memo = self.memo[node]
+        verdict = memo.get(key)
+        if verdict is None:
+            verdict = memo[key] = self._eval(key, node)
         return verdict
 
-    def _check(self, key: TeamKey, phi: Formula) -> bool:
-        k = self.k
-        if isinstance(phi, Prop):
-            return all(phi.name in k.label(w) for w in key)
-        if isinstance(phi, NegProp):
-            return all(phi.name not in k.label(w) for w in key)
-        if isinstance(phi, And):
-            return self.check(key, phi.left) and self.check(key, phi.right)
-        if isinstance(phi, BoolOr):
-            return self.check(key, phi.left) or self.check(key, phi.right)
-        if isinstance(phi, CNeg):
-            return not self.check(key, phi.child)
-        if isinstance(phi, Split):
-            return self._split(key, phi)
-        if isinstance(phi, EX):
-            return any(self.check(s, phi.child) for s in self.successors(key))
-        if isinstance(phi, AX):
-            return all(self.check(s, phi.child) for s in self.successors(key))
-        if isinstance(phi, (EU, AU, ER, AR)):
-            search = {
-                EU: self._e_until, AU: self._a_until,
-                ER: self._e_release, AR: self._a_release,
-            }[type(phi)]
+    def _eval(self, key: int, node: int) -> bool:
+        kind, args = self.kinds[node], self.args[node]
+        if kind == _AND:
+            return self.check(key, args[0]) and self.check(key, args[1])
+        if kind == _BOOLOR:
+            return self.check(key, args[0]) or self.check(key, args[1])
+        if kind == _CNEG:
+            return not self.check(key, args[0])
+        if kind == _SPLIT:
+            return self._split(key, node)
+        if kind == _EX:
+            return any(self.check(s, args[0]) for s in self.successors(key))
+        if kind == _AX:
+            return all(self.check(s, args[0]) for s in self.successors(key))
+        if kind in (_EU, _AU, _ER, _AR):
+            search = self.searches[kind]
             if self.limits.until_from_one:
                 # The i >= 1 reading never inspects the current team: a path
                 # satisfies the operator from index 1 iff its tail from the
                 # chosen successor team satisfies it from index 0.
-                quantifier = any if isinstance(phi, (EU, ER)) else all
-                return quantifier(
-                    search(s, phi.left, phi.right) for s in self.successors(key)
-                )
-            return search(key, phi.left, phi.right)
-        if isinstance(phi, GenAtomApp):
+                quantifier = any if kind in (_EU, _ER) else all
+                return quantifier(search(s, *args) for s in self.successors(key))
+            return search(key, *args)
+        phi = self.formulas[node]
+        if kind == _ATOM:
             return self._gen_atom(key, phi)
         raise UnsupportedNodeError(
             f"team CTL evaluation does not support {type(phi).__name__}"
         )
 
-    def _gen_atom(self, key: TeamKey, phi: GenAtomApp) -> bool:
+    def _gen_atom(self, key: int, phi: GenAtomApp) -> bool:
         for p in phi.params:
             if not is_temporal_free(p):
                 raise UnsupportedNodeError(
                     "generalised-atom parameters must be temporal-free in CTL"
                 )
-        rows = [tuple(prop_sat(self.k.label(w), p) for p in phi.params) for w in key]
+        rows = []
+        for w, count in self.members(key):
+            label = self.k.label(self.k.worlds[w])
+            rows += [tuple(prop_sat(label, p) for p in phi.params)] * count
         return phi.atom.evaluator(rows)
 
-    def _split(self, key: TeamKey, phi: Split) -> bool:
-        counts = Counter(key)
-        worlds = sorted(counts)
-        if classify(phi).downward_closed_fragment:
+    def _split(self, key: int, node: int) -> bool:
+        left, right = self.args[node]
+        if self.dc[node]:
             # Disjoint index splits; verdicts only depend on multisets, so
             # enumerate per-world count assignments instead of index sets.
-            options = [range(counts[w] + 1) for w in worlds]
-            for taken in itertools.product(*options):
-                left_key = tuple(
-                    w for w, n in zip(worlds, taken) for _ in range(n)
-                )
-                right_key = tuple(
-                    w
-                    for w, n in zip(worlds, taken)
-                    for _ in range(counts[w] - n)
-                )
-                if self.check(left_key, phi.left) and self.check(right_key, phi.right):
-                    return True
-            return False
-        # Covers: each index may serve both sides, so a world with count c
-        # contributes l copies left and r copies right with l + r >= c.
-        options = [
-            [
-                (left_n, right_n)
-                for left_n in range(counts[w] + 1)
-                for right_n in range(counts[w] + 1)
-                if left_n + right_n >= counts[w]
+            options = [
+                [(n * self.unit[w], (count - n) * self.unit[w]) for n in range(count + 1)]
+                for w, count in self.members(key)
             ]
-            for w in worlds
-        ]
+        else:
+            # Covers: each index may serve both sides, so a world with count
+            # c contributes l copies left and r copies right with l + r >= c.
+            options = [
+                [
+                    (l * self.unit[w], r * self.unit[w])
+                    for l in range(count + 1)
+                    for r in range(count + 1)
+                    if l + r >= count
+                ]
+                for w, count in self.members(key)
+            ]
         for assignment in itertools.product(*options):
-            left_key = tuple(
-                w for w, (l, _) in zip(worlds, assignment) for _ in range(l)
-            )
-            right_key = tuple(
-                w for w, (_, r) in zip(worlds, assignment) for _ in range(r)
-            )
-            if self.check(left_key, phi.left) and self.check(right_key, phi.right):
+            left_key = sum(part for part, _ in assignment)
+            right_key = sum(part for _, part in assignment)
+            if self.check(left_key, left) and self.check(right_key, right):
                 return True
         return False
 
     # -- temporal searches over the successor-multiset graph --------------
 
-    def _e_until(self, start: TeamKey, inv: Formula, tgt: Formula) -> bool:
+    def _e_until(self, start: int, inv: int, tgt: int) -> bool:
         stack = [start]
         visited = {start}
         while stack:
@@ -183,7 +405,7 @@ class _CtlEval:
                     stack.append(s)
         return False
 
-    def _a_until(self, start: TeamKey, inv: Formula, tgt: Formula) -> bool:
+    def _a_until(self, start: int, inv: int, tgt: int) -> bool:
         if self.check(start, tgt):
             return True
         if not self.check(start, inv):
@@ -203,7 +425,7 @@ class _CtlEval:
                 frontier.append(s)
         return not self._region_has_cycle(region)
 
-    def _e_release(self, start: TeamKey, inv: Formula, tgt: Formula) -> bool:
+    def _e_release(self, start: int, inv: int, tgt: int) -> bool:
         if not self.check(start, tgt):
             return False
         region = set()
@@ -221,7 +443,7 @@ class _CtlEval:
                     frontier.append(s)
         return self._region_has_cycle(region)
 
-    def _a_release(self, start: TeamKey, inv: Formula, tgt: Formula) -> bool:
+    def _a_release(self, start: int, inv: int, tgt: int) -> bool:
         stack = [start]
         visited = {start}
         while stack:
@@ -236,7 +458,7 @@ class _CtlEval:
                     stack.append(s)
         return True
 
-    def _region_has_cycle(self, region: set[TeamKey]) -> bool:
+    def _region_has_cycle(self, region: set[int]) -> bool:
         # Iterative three-color DFS on the subgraph induced by the region.
         WHITE, GRAY, BLACK = 0, 1, 2
         color = {key: WHITE for key in region}
@@ -284,7 +506,8 @@ def mc_ctl(
     for w in team.support():
         if w not in k.worlds:
             raise ValueError(f"team member {w!r} is not a world of the structure")
-    return _CtlEval(k, limits).check(team.key(), phi)
+    evaluator = _CtlEval(k, len(team), limits)
+    return evaluator.check(evaluator.encode(team.worlds), evaluator.compile(phi))
 
 
 # ---------------------------------------------------------------------------

@@ -104,10 +104,6 @@ class MultiTeam:
     def worlds(self) -> tuple[str, ...]:
         return tuple(w for _, w in self.entries)
 
-    def key(self) -> tuple[str, ...]:
-        """Canonical form up to index permutation (multiset equality)."""
-        return tuple(sorted(self.worlds))
-
     def support(self) -> frozenset[str]:
         return frozenset(self.worlds)
 

@@ -37,6 +37,7 @@ from .formula import (
     Until,
     classify,
     dependence_atom,
+    expand_shorthand,
     inclusion_atom,
 )
 from .kripke import KripkeStructure, MultiTeam, is_successor_team
@@ -185,6 +186,35 @@ def random_ctl_formula(
         "eu": EU, "au": AU, "er": ER, "ar": AR,
     }
     return ctor[kind](left, right)
+
+
+def random_flat_body(rng: random.Random, budget: int, props=("p", "q")) -> Formula:
+    """A random formula over literals, ``TOP``, ``BOT``, ``|``, ``&``,
+    ``EX`` and ``AX``: on these, team satisfaction is pointwise."""
+    if budget <= 0:
+        if rng.random() < 0.2:
+            return expand_shorthand(rng.choice(("TOP", "BOT")))
+        return _random_literal(rng, props)
+    kind = rng.choice(("split", "and", "ex", "ax"))
+    if kind in ("ex", "ax"):
+        child = random_flat_body(rng, budget - 1, props)
+        return EX(child) if kind == "ex" else AX(child)
+    b1 = rng.randint(0, budget - 1)
+    left = random_flat_body(rng, b1, props)
+    right = random_flat_body(rng, budget - 1 - b1, props)
+    return Split(left, right) if kind == "split" else And(left, right)
+
+
+def random_flat_ctl_formula(rng: random.Random, budget: int, props=("p", "q")) -> Formula:
+    """Either ``EG``/``AG`` ψ1 ``|`` ``EG``/``AG`` ψ2, which is pointwise, or
+    one ``E``/``A[φ U/R ψ]`` over pointwise operands, which is not."""
+    first, second = (random_flat_body(rng, budget, props) for _ in range(2))
+    if rng.random() < 0.5:
+        return Split(
+            expand_shorthand(rng.choice(("EG", "AG")), [first]),
+            expand_shorthand(rng.choice(("EG", "AG")), [second]),
+        )
+    return rng.choice((EU, AU, ER, AR))(first, second)
 
 
 def random_kripke(
@@ -372,7 +402,10 @@ def suite_ctl_oracle(rng, count) -> SuiteResult:
     for _ in range(count):
         k = random_kripke(rng)
         team = random_multiteam(rng, k)
-        phi = random_ctl_formula(rng, rng.randint(1, 4), allow_cneg=True)
+        if rng.random() < 0.3:
+            phi = random_flat_ctl_formula(rng, rng.randint(0, 2))
+        else:
+            phi = random_ctl_formula(rng, rng.randint(1, 4), allow_cneg=True)
         fast = mc_ctl(k, team, phi)
         slow = mc_ctl_bruteforce(k, team, phi)
         result.instances += 1

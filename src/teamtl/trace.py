@@ -74,10 +74,15 @@ def canonicalize(t: LassoTrace) -> LassoTrace:
     denote the same ω-word iff their canonical forms are equal.
     """
     loop = _primitive_loop(t.loop)
-    prefix = t.prefix
-    while prefix and prefix[-1] == loop[-1]:
-        prefix = prefix[:-1]
-        loop = (loop[-1],) + loop[:-1]
+    prefix, n = t.prefix, len(loop)
+    # Folding one position rotates the loop right by one, so the i-th
+    # position folded (from the end) must equal loop[-1 - i % n].
+    folded = 0
+    while folded < len(prefix) and prefix[-1 - folded] == loop[-1 - folded % n]:
+        folded += 1
+    if folded:
+        shift = folded % n
+        prefix, loop = prefix[:-folded], loop[n - shift:] + loop[:n - shift]
     return LassoTrace(prefix, loop)
 
 

@@ -189,6 +189,18 @@ class TestGen:
         assert "REDUCTION OK (valid)" in r.output
         assert (out / "kripke.json").exists()
 
+    def test_qbf_ctl_check_lifts_the_team_cap(self, runner, tmp_path):
+        # n variables give a team of n + 1 members, above the default cap 6.
+        f = tmp_path / "six.qbf"
+        f.write_text(
+            "exists x1\nforall x2\nexists x3\nforall x4\nexists x5\nforall x6\n"
+            "x1 x2 x3\n-x2 x4 x5\nx3 -x6 x5\n"
+        )
+        r = runner.invoke(main, ["gen", "qbf-ctl", str(f),
+                                 "--out-dir", str(tmp_path / "o"), "--check"])
+        assert r.exit_code == 0, r.output
+        assert "REDUCTION OK (valid)" in r.output
+
     def test_invalid_qbf_reports_invalid(self, runner, tmp_path):
         f = tmp_path / "false.qbf"
         f.write_text("forall x\nx x x\n")
