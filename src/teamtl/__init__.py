@@ -56,11 +56,11 @@ from .formula import (
     Split,
     Until,
     bot,
-    classify,
     dependence_atom,
     expand_shorthand,
     formula_length,
     inclusion_atom,
+    is_downward_closed,
     propositions,
     top,
 )

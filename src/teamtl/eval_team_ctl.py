@@ -4,10 +4,10 @@ All team members advance synchronously: one step replaces the team by a
 successor team (one edge choice per indexed member).  Temporal operators
 therefore become searches over the graph whose nodes are the reachable
 multisets — which, up to permutation of indices, is finite — instead of
-quantification over infinite per-member path assignments.  The number of
-distinct multisets is at most |W|^|T|, so revisiting a multiset means a
-synchronous evolution can be pumped; the searches below use exactly that
-cutoff.
+quantification over infinite per-member path assignments.  There are
+C(|W|+|T|-1, |T|) distinct multisets of size |T| over the worlds W, so a
+long enough evolution revisits one and can be pumped; the searches below
+use exactly that cutoff.
 
 Each call compiles the structure and the formula once.  Worlds are ints
 and a multiset team is one int: digit w, in a base 2^b above the team
@@ -22,17 +22,17 @@ further on in the world order (the chains of the QBF gadgets) form shift
 classes, and all members in one class step at once: one mask and one
 shift of the key.
 
-Formula nodes are interned too, with a downward-closure flag and, for
-flat nodes, ``holds``: the mask of worlds satisfying the node.  A flat
-node holds on a team iff its support lies inside ``holds``, so it needs
-no memo and no split enumeration.  Flat are literals, ``&`` and ``|`` over
-flat nodes, ``EX``/``AX`` over a flat node, and ``E``/``A[φ R ψ]`` over
-flat nodes where no world satisfies φ (``EG``/``AG``), unless Until and
+The formula is compiled by the shared core, `formula.Compiled`; here a
+flat node's ``fails`` mask is over worlds, and a flat node holds on a
+team iff its support misses ``fails``, so it needs no memo and no split
+enumeration.  Beyond literals and ``&`` and ``|`` over flat nodes, flat
+are ``EX``/``AX`` over a flat node, and ``E``/``A[φ R ψ]`` over flat
+nodes where every world falsifies φ (``EG``/``AG``), unless Until and
 Release are read from index 1.  Each is pointwise because the members of
 a team step independently: a successor team satisfies a flat node iff
 each member's chosen successor does, so ``EX`` asks every member for one
 good successor and ``AX`` for good successors only, and a synchronous
-path of teams inside ``holds(ψ)`` is just one such path per member, which
+path of teams avoiding ``fails(ψ)`` is just one such path per member, which
 makes ``EG``/``AG`` the classical greatest fixpoints.  ``AX`` and ``AG``
 are taken pointwise only on left-total structures: a member without
 successors leaves its team no successor team at all, so they hold there
@@ -49,6 +49,7 @@ evaluator that enumerates per-member successor functions explicitly.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -64,16 +65,16 @@ from .formula import (
     ER,
     EU,
     EX,
+    Compiled,
     Formula,
     GenAtomApp,
     NegProp,
     Prop,
     Split,
-    children,
-    classify,
+    is_downward_closed,
     is_temporal_free,
 )
-from .kripke import KripkeStructure, MultiTeam
+from .kripke import KripkeStructure, MultiTeam, _check_members
 
 TeamKey = tuple[str, ...]
 
@@ -85,28 +86,8 @@ class CtlLimits:
     until_from_one: bool = False
 
 
-(_PROP, _NEGPROP, _AND, _SPLIT, _BOOLOR, _CNEG, _EX, _AX,
- _EU, _AU, _ER, _AR, _ATOM) = range(13)
-_UNSUPPORTED = -1
-_KINDS = {
-    Prop: _PROP,
-    NegProp: _NEGPROP,
-    And: _AND,
-    Split: _SPLIT,
-    BoolOr: _BOOLOR,
-    CNeg: _CNEG,
-    EX: _EX,
-    AX: _AX,
-    EU: _EU,
-    AU: _AU,
-    ER: _ER,
-    AR: _AR,
-    GenAtomApp: _ATOM,
-}
-
-
-class _CtlEval:
-    """One call's compiled structure and formula.
+class _CtlEval(Compiled):
+    """One call's compiled structure, over the shared formula core.
 
     World ``w`` is ``k.worlds[w]``; ``unit[w]`` is the key of the team
     holding it once, ``succ_steps[w]`` the (unit, world bit) pair of each
@@ -115,14 +96,17 @@ class _CtlEval:
     members on the worlds in ``stepped`` one by one.  ``supports`` and
     ``succ_cache`` hold every key's support mask and successor keys.
 
-    Node ``n`` is a distinct subformula: ``kinds[n]``, ``args[n]`` (child
-    node ids), ``dc[n]`` (in the downward-closed fragment) and
-    ``holds[n]``, the mask of worlds satisfying it when it is flat, else
-    None.  Every node that is not flat memoises its verdicts by team key
-    in ``memo[n]``.
+    A flat node's ``fails`` mask holds the worlds falsifying it.
     """
 
+    logic = "team CTL"
+
     def __init__(self, k: KripkeStructure, team_size: int, limits: CtlLimits):
+        super().__init__({
+            EX: _CtlEval._step, AX: _CtlEval._step,
+            EU: _CtlEval._e_until, AU: _CtlEval._a_until,
+            ER: _CtlEval._e_release, AR: _CtlEval._a_release,
+        })
         self.k = k
         self.limits = limits
         self.index = {w: i for i, w in enumerate(k.worlds)}
@@ -160,18 +144,6 @@ class _CtlEval:
                 self.prop_masks[p] = self.prop_masks.get(p, 0) | 1 << i
         self.supports: dict[int, int] = {}
         self.succ_cache: dict[int, tuple[int, ...]] = {}
-        self.formulas: list[Formula] = []
-        self.kinds: list[int] = []
-        self.args: list[tuple[int, ...]] = []
-        self.dc: list[bool] = []
-        self.holds: list[int | None] = []
-        self.memo: list[dict[int, bool]] = []
-        self.node_keys: dict[tuple, int] = {}
-        self.compiled: dict[int, int] = {}
-        self.searches = {
-            _EU: self._e_until, _AU: self._a_until,
-            _ER: self._e_release, _AR: self._a_release,
-        }
 
     # -- multiset keys -----------------------------------------------------
 
@@ -239,24 +211,9 @@ class _CtlEval:
 
     # -- compiling ---------------------------------------------------------
 
-    def compile(self, phi: Formula) -> int:
-        node = self.compiled.get(id(phi))
-        if node is not None:
-            return node
-        kind = _KINDS.get(type(phi), _UNSUPPORTED)
-        args: tuple[int, ...] = ()
-        if kind in (_PROP, _NEGPROP):
-            key = (kind, phi.name)
-        elif kind in (_ATOM, _UNSUPPORTED):
-            key = (kind, id(phi))
-        else:
-            args = tuple(map(self.compile, children(phi)))
-            key = (kind, *args)
-        node = self.node_keys.get(key)
-        if node is None:
-            node = self.node_keys[key] = self._add_node(phi, kind, args)
-        self.compiled[id(phi)] = node
-        return node
+    def literal_fails(self, name: str, negated: bool) -> int:
+        holds = self.prop_masks.get(name, 0)
+        return holds if negated else self.full ^ holds
 
     def _pre(self, mask: int, every: bool) -> int:
         """The worlds with a successor in ``mask``, or with only successors
@@ -265,90 +222,41 @@ class _CtlEval:
             return sum(1 << w for w, m in enumerate(self.succ_masks) if not m & ~mask)
         return sum(1 << w for w, m in enumerate(self.succ_masks) if m & mask)
 
-    def _flat_holds(self, kind: int, args: tuple[int, ...], phi: Formula) -> int | None:
-        if kind == _PROP:
-            return self.prop_masks.get(phi.name, 0)
-        if kind == _NEGPROP:
-            return self.full ^ self.prop_masks.get(phi.name, 0)
-        sub = [self.holds[a] for a in args]
-        if not args or None in sub:
+    def temporal_fails(self, kind: type, masks: list[int]) -> int | None:
+        # EX fails where every successor fails, AX where one does.
+        if kind is EX or kind is AX and self.left_total:
+            return self._pre(masks[0], kind is EX)
+        release = kind is ER or kind is AR and self.left_total
+        if not release or masks[0] != self.full or self.limits.until_from_one:
             return None
-        if kind == _AND:
-            return sub[0] & sub[1]
-        if kind == _SPLIT:
-            return sub[0] | sub[1]
-        if kind == _EX or (kind == _AX and self.left_total):
-            return self._pre(sub[0], kind == _AX)
-        release = kind == _ER or (kind == _AR and self.left_total)
-        if not release or sub[0] or self.limits.until_from_one:
-            return None
-        # EG / AG: keep the worlds of holds(ψ) with a successor (EG) or
-        # with only successors (AG) still kept, until nothing changes.
-        region = sub[1]
+        # EG / AG fail where ψ fails or, from there on, where every
+        # successor (EG) or some successor (AG) fails: a least fixpoint.
+        fails = masks[1]
         while True:
-            shrunk = region & self._pre(region, kind == _AR)
-            if shrunk == region:
-                return region
-            region = shrunk
-
-    def _add_node(self, phi: Formula, kind: int, args: tuple[int, ...]) -> int:
-        if kind == _CNEG:
-            dc = False
-        elif kind == _ATOM:
-            dc = classify(phi).downward_closed_fragment
-        else:
-            dc = all(self.dc[a] for a in args)
-        self.formulas.append(phi)
-        self.kinds.append(kind)
-        self.args.append(args)
-        self.dc.append(dc)
-        self.holds.append(self._flat_holds(kind, args, phi))
-        self.memo.append({})
-        return len(self.kinds) - 1
+            grown = fails | self._pre(fails, kind is ER)
+            if grown == fails:
+                return fails
+            fails = grown
 
     # -- evaluating --------------------------------------------------------
 
     def check(self, key: int, node: int) -> bool:
-        holds = self.holds[node]
-        if holds is not None:
-            return not self.support(key) & ~holds
+        fails = self.fails[node]
+        if fails is not None:
+            return not self.support(key) & fails
         memo = self.memo[node]
         verdict = memo.get(key)
         if verdict is None:
-            verdict = memo[key] = self._eval(key, node)
+            verdict = memo[key] = self.rules[node](self, key, node)
         return verdict
 
-    def _eval(self, key: int, node: int) -> bool:
-        kind, args = self.kinds[node], self.args[node]
-        if kind == _AND:
-            return self.check(key, args[0]) and self.check(key, args[1])
-        if kind == _BOOLOR:
-            return self.check(key, args[0]) or self.check(key, args[1])
-        if kind == _CNEG:
-            return not self.check(key, args[0])
-        if kind == _SPLIT:
-            return self._split(key, node)
-        if kind == _EX:
-            return any(self.check(s, args[0]) for s in self.successors(key))
-        if kind == _AX:
-            return all(self.check(s, args[0]) for s in self.successors(key))
-        if kind in (_EU, _AU, _ER, _AR):
-            search = self.searches[kind]
-            if self.limits.until_from_one:
-                # The i >= 1 reading never inspects the current team: a path
-                # satisfies the operator from index 1 iff its tail from the
-                # chosen successor team satisfies it from index 0.
-                quantifier = any if kind in (_EU, _ER) else all
-                return quantifier(search(s, *args) for s in self.successors(key))
-            return search(key, *args)
-        phi = self.formulas[node]
-        if kind == _ATOM:
-            return self._gen_atom(key, phi)
-        raise UnsupportedNodeError(
-            f"team CTL evaluation does not support {type(phi).__name__}"
-        )
+    def _step(self, key: int, node: int) -> bool:
+        quantifier = any if self.kinds[node] is EX else all
+        child = self.args[node][0]
+        return quantifier(self.check(s, child) for s in self.successors(key))
 
-    def _gen_atom(self, key: int, phi: GenAtomApp) -> bool:
+    def gen_atom(self, key: int, node: int) -> bool:
+        phi = self.formulas[node]
         for p in phi.params:
             if not is_temporal_free(p):
                 raise UnsupportedNodeError(
@@ -360,7 +268,7 @@ class _CtlEval:
             rows += [tuple(prop_sat(label, p) for p in phi.params)] * count
         return phi.atom.evaluator(rows)
 
-    def _split(self, key: int, node: int) -> bool:
+    def split(self, key: int, node: int) -> bool:
         left, right = self.args[node]
         if self.dc[node]:
             # Disjoint index splits; verdicts only depend on multisets, so
@@ -390,9 +298,18 @@ class _CtlEval:
 
     # -- temporal searches over the successor-multiset graph --------------
 
-    def _e_until(self, start: int, inv: int, tgt: int) -> bool:
-        stack = [start]
-        visited = {start}
+    def _starts(self, key: int) -> tuple[int, ...]:
+        """The teams a path of the search may start from.  The i >= 1
+        reading never inspects the current team: a path satisfies the
+        operator from index 1 iff its tail from the chosen successor team
+        satisfies it from index 0.  Every search below quantifies over its
+        start teams as its path quantifier does (E: some, A: all)."""
+        return self.successors(key) if self.limits.until_from_one else (key,)
+
+    def _e_until(self, key: int, node: int) -> bool:
+        inv, tgt = self.args[node]
+        stack = list(self._starts(key))
+        visited = set(stack)
         while stack:
             key = stack.pop()
             if self.check(key, tgt):
@@ -405,47 +322,48 @@ class _CtlEval:
                     stack.append(s)
         return False
 
-    def _a_until(self, start: int, inv: int, tgt: int) -> bool:
-        if self.check(start, tgt):
-            return True
-        if not self.check(start, inv):
-            return False
-        region = {start}
-        frontier = [start]
-        while frontier:
-            key = frontier.pop()
-            for s in self.successors(key):
-                if s in region:
-                    continue
-                if self.check(s, tgt):
+    def _a_until(self, key: int, node: int) -> bool:
+        # The region holds the teams reached before ψ; φ must hold on all
+        # of them, and a cycle among them is a path that never meets ψ.
+        inv, tgt = self.args[node]
+        region: set[int] = set()
+        frontier: list[int] = []
+        pending = self._starts(key)
+        while True:
+            for s in pending:
+                if s in region or self.check(s, tgt):
                     continue
                 if not self.check(s, inv):
                     return False
                 region.add(s)
                 frontier.append(s)
-        return not self._region_has_cycle(region)
+            if not frontier:
+                return not self._region_has_cycle(region)
+            pending = self.successors(frontier.pop())
 
-    def _e_release(self, start: int, inv: int, tgt: int) -> bool:
-        if not self.check(start, tgt):
-            return False
-        region = set()
-        frontier = [start]
-        seen = {start}
-        while frontier:
-            key = frontier.pop()
-            # tgt already verified when key was enqueued
-            if self.check(key, inv):
-                return True
-            region.add(key)
-            for s in self.successors(key):
-                if s not in seen and self.check(s, tgt):
-                    seen.add(s)
-                    frontier.append(s)
-        return self._region_has_cycle(region)
+    def _e_release(self, key: int, node: int) -> bool:
+        # The region holds teams satisfying ψ but not φ; reaching φ ends
+        # the path well, and a cycle among them is a path kept in ψ forever.
+        inv, tgt = self.args[node]
+        region: set[int] = set()
+        frontier: list[int] = []
+        pending = self._starts(key)
+        while True:
+            for s in pending:
+                if s in region or not self.check(s, tgt):
+                    continue
+                if self.check(s, inv):
+                    return True
+                region.add(s)
+                frontier.append(s)
+            if not frontier:
+                return self._region_has_cycle(region)
+            pending = self.successors(frontier.pop())
 
-    def _a_release(self, start: int, inv: int, tgt: int) -> bool:
-        stack = [start]
-        visited = {start}
+    def _a_release(self, key: int, node: int) -> bool:
+        inv, tgt = self.args[node]
+        stack = list(self._starts(key))
+        visited = set(stack)
         while stack:
             key = stack.pop()
             if not self.check(key, tgt):
@@ -503,9 +421,7 @@ def mc_ctl(
         raise ResourceCapError(
             f"structure size {len(k.worlds)} exceeds the cap {limits.max_worlds}"
         )
-    for w in team.support():
-        if w not in k.worlds:
-            raise ValueError(f"team member {w!r} is not a world of the structure")
+    _check_members(k, team)
     evaluator = _CtlEval(k, len(team), limits)
     return evaluator.check(evaluator.encode(team.worlds), evaluator.compile(phi))
 
@@ -522,10 +438,12 @@ def mc_ctl_bruteforce(
     depth: int | None = None,
 ) -> bool:
     """Bounded-unrolling evaluator enumerating per-member successor
-    functions explicitly; the default depth |W|^|T| exceeds the number of
-    distinct multisets, which makes the cutoffs exact (a surviving run of
-    that length must revisit a multiset and can be pumped)."""
-    bound = len(k.worlds) ** max(len(team), 1) if depth is None else depth
+    functions explicitly.  The default depth is the number of distinct
+    multisets of the team's size, C(|W|+|T|-1, |T|), which makes the
+    cutoffs exact: a run of that many steps passes through one more team
+    than there are multisets, so it revisits one and can be pumped."""
+    multisets = math.comb(max(len(k.worlds) + len(team) - 1, 0), len(team))
+    bound = multisets if depth is None else depth
     memo: dict[tuple[TeamKey, int, int], bool] = {}
 
     def step_choices(worlds: TeamKey):
@@ -553,7 +471,7 @@ def mc_ctl_bruteforce(
             return not sat(worlds, phi.child, fuel)
         if isinstance(phi, Split):
             n = len(worlds)
-            if classify(phi).downward_closed_fragment:
+            if is_downward_closed(phi):
                 assignments = itertools.product((0, 1), repeat=n)
             else:
                 assignments = itertools.product((0, 1, 2), repeat=n)

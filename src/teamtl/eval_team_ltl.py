@@ -9,9 +9,8 @@ interned as integers across the whole team, with a successor table
 (the state one position later) and one state mask per proposition.  A
 team is then an ``int`` bitmask over states: a literal is one mask test,
 and the suffix team is a bit remap under which members that have become
-equal merge by themselves.  Formula nodes are interned too, and the
-fragment facts of each node (downward closure, and for flat nodes the
-mask of states falsifying it) are computed once per call.
+equal merge by themselves.  The formula is compiled by the shared core,
+`formula.Compiled`; here a flat node's mask is over states.
 
 Temporal witnesses: the suffix teams T, T[1,∞), T[2,∞), ... form a
 deterministic sequence, periodic from prfx(T) on with a period dividing
@@ -42,6 +41,7 @@ from .formula import (
     And,
     BoolOr,
     CNeg,
+    Compiled,
     Formula,
     GenAtomApp,
     NegProp,
@@ -50,8 +50,6 @@ from .formula import (
     Release,
     Split,
     Until,
-    children,
-    classify,
     formula_length,
 )
 from .trace import (
@@ -75,22 +73,6 @@ class SplitStrategy(Enum):
 
     DISJOINT_ONLY = "disjoint"
     COVERS = "covers"
-
-
-_PROP, _NEGPROP, _AND, _SPLIT, _BOOLOR, _CNEG, _NEXT, _UNTIL, _RELEASE, _ATOM = range(10)
-_UNSUPPORTED = -1
-_KINDS = {
-    Prop: _PROP,
-    NegProp: _NEGPROP,
-    And: _AND,
-    Split: _SPLIT,
-    BoolOr: _BOOLOR,
-    CNeg: _CNEG,
-    Next: _NEXT,
-    Until: _UNTIL,
-    Release: _RELEASE,
-    GenAtomApp: _ATOM,
-}
 
 
 def _least_rotation(seq: list[int]) -> int:
@@ -122,19 +104,17 @@ def _bits(mask: int):
         mask ^= low
 
 
-class _TeamEval:
-    """One call's compiled team and formula.
+class _TeamEval(Compiled):
+    """One call's compiled team, over the shared formula core.
 
     State ``s`` is a distinct suffix of some member: ``heads[s]`` is its
     first position, ``succ[s]`` the bit of the state one position later,
-    and ``origins[s]`` a (member, offset) pair it is the suffix of.  Node
-    ``n`` is a distinct subformula: ``kinds[n]``, ``args[n]`` (child
-    node ids), ``dc[n]`` (in the downward-closed fragment) and
-    ``fails[n]``, the mask of states whose first position falsifies the
-    node when it is flat, else None.  A flat node holds on a team iff no
-    member falsifies it, so it needs no memo; every other node memoises
-    its verdicts by team mask in ``memo[n]``.
+    and ``origins[s]`` a (member, offset) pair it is the suffix of.  A team
+    is a mask of states, and a flat node's ``fails`` mask holds the states
+    whose first position falsifies it.
     """
+
+    logic = "team LTL"
 
     def __init__(
         self,
@@ -143,6 +123,9 @@ class _TeamEval:
         max_team: int,
         strategy: SplitStrategy | None,
     ):
+        super().__init__(
+            {Next: _TeamEval._next, Until: _TeamEval._walk, Release: _TeamEval._walk}
+        )
         self.max_team = max_team
         self.strategy = strategy
         self.heads: list[frozenset[str]] = []
@@ -150,15 +133,7 @@ class _TeamEval:
         self.origins: list[tuple[LassoTrace, int]] = []
         self.steps: dict[int, int] = {}
         self.root = self._intern_team(team)
-        self.formulas: list[Formula] = []
-        self.kinds: list[int] = []
-        self.args: list[tuple[int, ...]] = []
-        self.dc: list[bool] = []
-        self.fails: list[int | None] = []
-        self.memo: list[dict[int, bool]] = []
-        self.node_keys: dict[tuple, int] = {}
-        self.compiled: dict[int, int] = {}
-        self.top = self._compile(phi)
+        self.top = self.compile(phi)
 
     # -- compiling ---------------------------------------------------------
 
@@ -202,47 +177,9 @@ class _TeamEval:
             mask |= 1 << state
         return mask
 
-    def _compile(self, phi: Formula) -> int:
-        node = self.compiled.get(id(phi))
-        if node is not None:
-            return node
-        kind = _KINDS.get(type(phi), _UNSUPPORTED)
-        args: tuple[int, ...] = ()
-        if kind in (_PROP, _NEGPROP):
-            key = (kind, phi.name)
-        elif kind in (_ATOM, _UNSUPPORTED):
-            key = (kind, id(phi))
-        else:
-            args = tuple(map(self._compile, children(phi)))
-            key = (kind, *args)
-        node = self.node_keys.get(key)
-        if node is None:
-            node = self.node_keys[key] = self._add_node(phi, kind, args)
-        self.compiled[id(phi)] = node
-        return node
-
-    def _add_node(self, phi: Formula, kind: int, args: tuple) -> int:
-        fails = None
-        if kind in (_PROP, _NEGPROP):
-            holds = sum(1 << s for s, head in enumerate(self.heads) if phi.name in head)
-            fails = holds if kind == _NEGPROP else ((1 << len(self.heads)) - 1) ^ holds
-        elif kind in (_AND, _SPLIT):
-            left, right = (self.fails[a] for a in args)
-            if left is not None and right is not None:
-                fails = left | right if kind == _AND else left & right
-        if kind == _CNEG:
-            dc = False
-        elif kind == _ATOM:
-            dc = classify(phi).downward_closed_fragment
-        else:
-            dc = all(self.dc[a] for a in args)
-        self.formulas.append(phi)
-        self.kinds.append(kind)
-        self.args.append(args)
-        self.dc.append(dc)
-        self.fails.append(fails)
-        self.memo.append({})
-        return len(self.kinds) - 1
+    def literal_fails(self, name: str, negated: bool) -> int:
+        holds = sum(1 << s for s, head in enumerate(self.heads) if name in head)
+        return holds if negated else ((1 << len(self.heads)) - 1) ^ holds
 
     # -- evaluating --------------------------------------------------------
 
@@ -253,7 +190,7 @@ class _TeamEval:
         memo = self.memo[node]
         verdict = memo.get(mask)
         if verdict is None:
-            verdict = memo[mask] = self._eval(mask, node)
+            verdict = memo[mask] = self.rules[node](self, mask, node)
         return verdict
 
     def step(self, mask: int) -> int:
@@ -268,30 +205,15 @@ class _TeamEval:
             self.steps[mask] = image
         return image
 
-    def _eval(self, mask: int, node: int) -> bool:
-        kind, args = self.kinds[node], self.args[node]
-        if kind == _AND:
-            return self.check(mask, args[0]) and self.check(mask, args[1])
-        if kind == _BOOLOR:
-            return self.check(mask, args[0]) or self.check(mask, args[1])
-        if kind == _CNEG:
-            return not self.check(mask, args[0])
-        if kind == _NEXT:
-            return self.check(self.step(mask), args[0])
-        if kind in (_UNTIL, _RELEASE):
-            return self._walk(mask, node)
-        if kind == _SPLIT:
-            return self._split(mask, node)
-        phi = self.formulas[node]
-        if kind == _ATOM:
-            members = frozenset(
-                suffix_trace(*self.origins[bit.bit_length() - 1])
-                for bit in _bits(mask)
-            )
-            return bool(eval_gen_atom(TeamEncoding(members), phi.atom, phi.params))
-        raise UnsupportedNodeError(
-            f"team LTL evaluation does not support {type(phi).__name__}"
+    def _next(self, mask: int, node: int) -> bool:
+        return self.check(self.step(mask), self.args[node][0])
+
+    def gen_atom(self, mask: int, node: int) -> bool:
+        members = frozenset(
+            suffix_trace(*self.origins[bit.bit_length() - 1]) for bit in _bits(mask)
         )
+        phi = self.formulas[node]
+        return bool(eval_gen_atom(TeamEncoding(members), phi.atom, phi.params))
 
     def _walk(self, mask: int, node: int) -> bool:
         """Until / Release along the suffix teams of ``mask``.
@@ -302,7 +224,7 @@ class _TeamEval:
         team means the sequence has come round without a witness.
         """
         left, right = self.args[node]
-        until = self.kinds[node] == _UNTIL
+        until = self.kinds[node] is Until
         memo = self.memo[node]
         walked = set()
         while True:
@@ -326,7 +248,7 @@ class _TeamEval:
             memo[team] = verdict
         return verdict
 
-    def _split(self, mask: int, node: int) -> bool:
+    def split(self, mask: int, node: int) -> bool:
         size = mask.bit_count()
         if size > self.max_team:
             raise ResourceCapError(

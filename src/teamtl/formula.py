@@ -13,14 +13,24 @@ derives from `Unary` (field ``child``), one with two from `Binary`
 ``params``.  `children`, `rebuild` and `iter_nodes` are the one
 traversal API: structural walks elsewhere go through them (or through
 `map_literals`, built on them) rather than reading those fields.
+`is_downward_closed` tells whether a formula is in the syntactic
+downward-closed fragment.
+
+`Compiled` is the core both team evaluators build on: it interns a
+formula's nodes once per call, records per node its class, child ids,
+downward closure and, for flat nodes, the mask of team members
+falsifying it, and decides ``&``, Boolean disjunction and ``~``.  The
+evaluators add their team encoding, temporal operators, splits and
+atoms.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Iterable
+
+from .errors import UnsupportedNodeError
 
 # Reserved proposition used by the TOP/BOT expansions; kept out of user
 # formula namespaces by convention.
@@ -257,44 +267,6 @@ def expand_shorthand(name: str, args: list[Formula] | tuple[Formula, ...] = ()) 
 # Structural queries
 
 
-@dataclass(frozen=True)
-class FragmentFlags:
-    uses_split: bool
-    uses_cneg: bool
-    uses_boolor: bool
-    uses_genatoms: bool
-    downward_closed_fragment: bool
-
-
-@lru_cache(maxsize=None)
-def classify(phi: Formula) -> FragmentFlags:
-    """Flags used to pick evaluation strategies.
-
-    downward_closed_fragment holds iff the formula has no contradictory
-    negation and no generalised atom declared non-downward-closed.
-    """
-    split = cneg = boolor = genatoms = False
-    non_dc_atom = False
-    for node in iter_nodes(phi):
-        if isinstance(node, Split):
-            split = True
-        elif isinstance(node, CNeg):
-            cneg = True
-        elif isinstance(node, BoolOr):
-            boolor = True
-        elif isinstance(node, GenAtomApp):
-            genatoms = True
-            if not node.atom.downward_closed:
-                non_dc_atom = True
-    return FragmentFlags(
-        uses_split=split,
-        uses_cneg=cneg,
-        uses_boolor=boolor,
-        uses_genatoms=genatoms,
-        downward_closed_fragment=not cneg and not non_dc_atom,
-    )
-
-
 def children(phi: Formula) -> tuple[Formula, ...]:
     """The direct subformulas of a node, generalised-atom parameters
     included; empty for literals."""
@@ -368,6 +340,18 @@ def is_temporal_free(phi: Formula) -> bool:
     )
 
 
+def is_downward_closed(phi: Formula) -> bool:
+    """True iff the formula is in the downward-closed fragment: no
+    contradictory negation and no generalised atom declared
+    non-downward-closed.  Such a formula holding on a team holds on all
+    its subteams, so disjoint splits suffice for it."""
+    return not any(
+        isinstance(node, CNeg)
+        or isinstance(node, GenAtomApp) and not node.atom.downward_closed
+        for node in iter_nodes(phi)
+    )
+
+
 def is_ltl(phi: Formula) -> bool:
     """True iff no CTL-only operator occurs (generalised-atom params included)."""
     return not any(isinstance(node, _CTL_TEMPORAL) for node in iter_nodes(phi))
@@ -376,3 +360,117 @@ def is_ltl(phi: Formula) -> bool:
 def is_ctl(phi: Formula) -> bool:
     """True iff no bare LTL temporal operator occurs."""
     return not any(isinstance(node, _LTL_TEMPORAL) for node in iter_nodes(phi))
+
+
+# ---------------------------------------------------------------------------
+# The compiled-formula core shared by the team evaluators
+
+
+class Compiled:
+    """One evaluation call's formula, interned once: the core that the
+    team LTL and team CTL evaluators share.
+
+    Node ``n`` is a distinct subformula: ``kinds[n]`` is its node class,
+    ``args[n]`` its child node ids, ``dc[n]`` whether it lies in the
+    downward-closed fragment, and ``rules[n]`` the function deciding it on
+    a team.  A node is flat when its truth on a team is decided member by
+    member; then ``fails[n]`` is the mask of members falsifying it, and it
+    holds on a team iff no member is in that mask.  Literals are flat, and
+    so are ``&`` and ``|`` over flat nodes; a subclass makes a temporal node
+    flat by returning its mask from ``temporal_fails``.  Every other node
+    has ``fails[n]`` None and memoises its verdicts by team in ``memo[n]``.
+
+    A subclass encodes its teams and supplies ``check(team, node)`` (the
+    flat test, else the memo, else ``rules[node](self, team, node)``),
+    ``literal_fails(name, negated)`` (the mask of members falsifying a
+    literal), ``split``, ``gen_atom`` and the name of its ``logic``, and
+    passes the rules of its temporal operators to ``__init__``.  Any other node class is rejected with
+    `UnsupportedNodeError` when it is evaluated.
+    """
+
+    def __init__(self, temporal_rules: dict[type, Callable[..., bool]]):
+        self.formulas: list[Formula] = []
+        self.kinds: list[type] = []
+        self.args: list[tuple[int, ...]] = []
+        self.dc: list[bool] = []
+        self.fails: list[int | None] = []
+        self.rules: list[Callable[..., bool]] = []
+        self.memo: list[dict[int, bool]] = []
+        self.node_keys: dict[tuple, int] = {}
+        self.compiled: dict[int, int] = {}
+        # Rules are functions of the class, called as rule(self, team, node):
+        # bound methods kept on the evaluator would make it a reference
+        # cycle, so its memos would outlive the call until a collection.
+        cls = type(self)
+        self.rule_of = {
+            And: cls._and,
+            BoolOr: cls._bool_or,
+            CNeg: cls._cneg,
+            Split: cls.split,
+            GenAtomApp: cls.gen_atom,
+            **temporal_rules,
+        }
+
+    def compile(self, phi: Formula) -> int:
+        """The node id of ``phi``, interning it and its subformulas."""
+        node = self.compiled.get(id(phi))
+        if node is not None:
+            return node
+        kind = type(phi)
+        args: tuple[int, ...] = ()
+        if kind is Prop or kind is NegProp:
+            key = (kind, phi.name)
+        elif isinstance(phi, (Unary, Binary)):
+            args = tuple(map(self.compile, children(phi)))
+            key = (kind, *args)
+        else:
+            # Atom parameters are evaluated classically, not as nodes.
+            key = (kind, id(phi))
+        node = self.node_keys.get(key)
+        if node is None:
+            node = self.node_keys[key] = len(self.kinds)
+            self.fails.append(self._fails(phi, kind, args))
+            self.formulas.append(phi)
+            self.kinds.append(kind)
+            self.args.append(args)
+            self.dc.append(
+                is_downward_closed(phi) if kind is CNeg or kind is GenAtomApp
+                else all(self.dc[a] for a in args)
+            )
+            self.rules.append(self.rule_of.get(kind, Compiled._unsupported))
+            self.memo.append({})
+        self.compiled[id(phi)] = node
+        return node
+
+    def _fails(self, phi: Formula, kind: type, args: tuple[int, ...]) -> int | None:
+        if kind is Prop or kind is NegProp:
+            return self.literal_fails(phi.name, kind is NegProp)
+        masks = [self.fails[a] for a in args]
+        if not args or None in masks or kind is BoolOr or kind is CNeg:
+            return None
+        if kind is And:
+            return masks[0] | masks[1]
+        if kind is Split:
+            return masks[0] & masks[1]
+        return self.temporal_fails(kind, masks)
+
+    def temporal_fails(self, kind: type, masks: list[int]) -> int | None:
+        """The mask of members falsifying a temporal node whose children
+        are flat with the masks ``masks``, or None if it is not flat."""
+        return None
+
+    def _and(self, team: int, node: int) -> bool:
+        left, right = self.args[node]
+        return self.check(team, left) and self.check(team, right)
+
+    def _bool_or(self, team: int, node: int) -> bool:
+        left, right = self.args[node]
+        return self.check(team, left) or self.check(team, right)
+
+    def _cneg(self, team: int, node: int) -> bool:
+        return not self.check(team, self.args[node][0])
+
+    def _unsupported(self, team: int, node: int) -> bool:
+        raise UnsupportedNodeError(
+            f"{self.logic} evaluation does not support {self.kinds[node].__name__}"
+        )

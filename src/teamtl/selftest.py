@@ -35,10 +35,10 @@ from .formula import (
     Release,
     Split,
     Until,
-    classify,
     dependence_atom,
     expand_shorthand,
     inclusion_atom,
+    is_downward_closed,
 )
 from .kripke import KripkeStructure, MultiTeam, is_successor_team
 from .kripke import enumerate_traces
@@ -364,7 +364,7 @@ def suite_ltl_structural(rng, count) -> SuiteResult:
             result.mismatches.append(f"empty-team property failed on {phi}")
             continue
         team = random_team(rng)
-        if classify(phi).downward_closed_fragment and check_team(team, phi):
+        if is_downward_closed(phi) and check_team(team, phi):
             members = list(team.traces)
             sub = TeamEncoding(
                 frozenset(t for t in members if rng.random() < 0.5)

@@ -39,7 +39,6 @@ from .formula import (
     Release,
     Split,
     Until,
-    classify,
     iter_nodes,
     map_literals,
     propositions,
@@ -160,7 +159,7 @@ def check_model_splitfree(
         raise SplitjunctionPresent(
             "formula contains a splitjunction; use trace enumeration instead"
         )
-    if classify(phi).uses_genatoms:
+    if any(isinstance(node, GenAtomApp) for node in iter_nodes(phi)):
         raise GenAtomPresent(
             "flattening keeps only unanimous-label information, which cannot "
             "evaluate generalised atoms"

@@ -10,7 +10,7 @@ from teamtl.eval_classical import check_ctl_classical, check_ltl_classical
 from teamtl.eval_team_ctl import CtlLimits, mc_ctl, mc_ctl_bruteforce
 from teamtl.eval_team_ltl import check_team, naive_oracle
 from teamtl.fixtures import pinned_checks, worked_qbf
-from teamtl.formula import classify
+from teamtl.formula import is_downward_closed
 from teamtl.kripke import KripkeStructure, MultiTeam, enumerate_traces, is_successor_team
 from teamtl.qbf import (
     QbfInstance,
@@ -48,7 +48,7 @@ def test_acceptance_1_structural_properties():
         phi = random_ltl_formula(rng, rng.randint(1, 8), allow_atoms=True)
         team = random_team(rng, max_traces=3, max_prefix=3, max_loop=3)
         assert check_team(TeamEncoding.of([]), phi), phi
-        if classify(phi).downward_closed_fragment and check_team(team, phi):
+        if is_downward_closed(phi) and check_team(team, phi):
             members = list(team.traces)
             sub = TeamEncoding(frozenset(
                 t for t in members if rng.random() < 0.5

@@ -118,6 +118,20 @@ class TestSuccessorGraphReach:
         assert not mc_ctl(k, MultiTeam.of(["w"]), parse_ctl("A[q U p]"))
 
 
+@pytest.mark.parametrize("text", ["E[!q U p]", "EG !p", "AG !p"])
+def test_bruteforce_unrolls_only_as_deep_as_there_are_multisets(text):
+    # 4 members on a 5-cycle: 70 multisets, so the oracle unrolls 70 steps
+    # deep, where 5^4 = 625 steps would exhaust the recursion limit.
+    worlds = "abcde"
+    k = KripkeStructure.of(
+        list(worlds), [(w, worlds[(i + 1) % 5]) for i, w in enumerate(worlds)],
+        {"a": ["p"]},
+    )
+    team = MultiTeam.of(list("abcd"))
+    phi = parse_ctl(text)
+    assert mc_ctl_bruteforce(k, team, phi) == mc_ctl(k, team, phi)
+
+
 def test_successors_deduplicate_multisets():
     k = KripkeStructure.of(
         ["a", "x", "y"], [("a", "x"), ("a", "y"), ("x", "x"), ("y", "y")]

@@ -22,9 +22,9 @@ from teamtl.formula import (
     Prop,
     Split,
     bot,
-    classify,
     dependence_atom,
     inclusion_atom,
+    is_downward_closed,
 )
 from teamtl.parser import parse_ltl
 from teamtl.selftest import random_ltl_formula, random_team, random_trace
@@ -135,7 +135,7 @@ class TestStrategies:
         rng = random.Random(seed)
         team = random_team(rng)
         phi = random_ltl_formula(rng, rng.randint(1, 5), allow_atoms=True)
-        if not classify(phi).downward_closed_fragment:
+        if not is_downward_closed(phi):
             return
         assert check_team(team, phi, strategy=SplitStrategy.DISJOINT_ONLY) == \
             check_team(team, phi, strategy=SplitStrategy.COVERS)
@@ -189,7 +189,7 @@ class TestOracleAgreement:
             phi = Split(*sides)
         # Disjoint splits are sound only on the downward-closed fragment.
         assume(strategy is SplitStrategy.COVERS
-               or classify(phi).downward_closed_fragment)
+               or is_downward_closed(phi))
         assert check_team(team, phi, strategy=strategy) == naive_oracle(team, phi)
 
     @settings(max_examples=200, deadline=None)
@@ -206,7 +206,7 @@ class TestOracleAgreement:
         rng = random.Random(seed)
         team = random_team(rng)
         phi = random_ltl_formula(rng, rng.randint(1, 6), allow_atoms=True)
-        if not classify(phi).downward_closed_fragment:
+        if not is_downward_closed(phi):
             return
         if check_team(team, phi):
             members = list(team.traces)

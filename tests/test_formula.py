@@ -1,10 +1,14 @@
 import dataclasses
+import itertools
 import random
 import typing
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from teamtl.errors import UnsupportedNodeError
+from teamtl.eval_team_ctl import mc_ctl
+from teamtl.eval_team_ltl import check_team
 from teamtl.formula import (
     AU,
     And,
@@ -23,12 +27,12 @@ from teamtl.formula import (
     Until,
     bot,
     children,
-    classify,
     dependence_atom,
     expand_shorthand,
     formula_length,
     inclusion_atom,
     is_ctl,
+    is_downward_closed,
     is_ltl,
     iter_nodes,
     map_literals,
@@ -36,7 +40,9 @@ from teamtl.formula import (
     rebuild,
     top,
 )
-from teamtl.selftest import random_ctl_formula, random_ltl_formula
+from teamtl.kripke import KripkeStructure, MultiTeam
+from teamtl.selftest import random_ctl_formula, random_ltl_formula, random_pl_formula
+from teamtl.trace import LassoTrace, TeamEncoding
 
 p, q, r = Prop("p"), Prop("q"), Prop("r")
 
@@ -60,19 +66,14 @@ def test_shorthand_expansions():
         expand_shorthand("nope", [p])
 
 
-def test_classify_flags():
-    flags = classify(Split(CNeg(p), BoolOr(q, r)))
-    assert flags.uses_split and flags.uses_cneg and flags.uses_boolor
-    assert not flags.uses_genatoms
-    assert not flags.downward_closed_fragment
-
-
 def test_downward_closed_fragment():
     dep = GenAtomApp(dependence_atom(1, 1), (p, q))
     inc = GenAtomApp(inclusion_atom(1), (p, q))
-    assert classify(And(dep, Split(p, q))).downward_closed_fragment
-    assert not classify(inc).downward_closed_fragment
-    assert not classify(CNeg(p)).downward_closed_fragment
+    assert is_downward_closed(And(dep, Split(p, q)))
+    assert is_downward_closed(Split(p, BoolOr(q, r)))
+    assert not is_downward_closed(inc)
+    assert not is_downward_closed(CNeg(p))
+    assert not is_downward_closed(Split(p, BoolOr(q, CNeg(r))))
 
 
 def test_dependence_evaluator():
@@ -148,6 +149,48 @@ def test_every_node_class_goes_through_children(cls):
     assert type(rebuild(phi, replaced)) is cls
     assert children(rebuild(phi, replaced)) == replaced
     assert set(subformulas) <= set(iter_nodes(phi))
+
+
+@pytest.mark.parametrize("cls", list(_node_classes()), ids=lambda c: c.__name__)
+def test_every_node_class_gets_a_verdict_or_a_clean_rejection(cls):
+    # Both team evaluators dispatch on the node class: each must answer on
+    # every class of its logic and reject the other logic's temporal
+    # operators with UnsupportedNodeError, never with a lookup error.
+    phi, _ = _instance(cls)
+    team = TeamEncoding.of([LassoTrace((), (frozenset({"x0"}),))])
+    k = KripkeStructure.of(["w"], [("w", "w")], {"w": ["x0"]})
+    for decide, admitted in (
+        (lambda: check_team(team, phi), is_ltl(phi)),
+        (lambda: mc_ctl(k, MultiTeam.of(["w"]), phi), is_ctl(phi)),
+    ):
+        if admitted:
+            assert isinstance(decide(), bool)
+        else:
+            with pytest.raises(UnsupportedNodeError):
+                decide()
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.integers(0, 2**32))
+def test_team_ltl_and_team_ctl_agree_on_propositional_formulas(seed):
+    # On a team of one-state loops and a team of self-loop worlds with the
+    # same pairwise distinct labels, sets and multisets coincide and no
+    # temporal operator occurs, so the two evaluators must agree.
+    rng = random.Random(seed)
+    props = ("p", "q", "r")
+    phi = random_pl_formula(rng, rng.randint(0, 5), props)
+    if rng.random() < 0.3:
+        atom = rng.choice(
+            (dependence_atom(1, 1), dependence_atom(0, 1), inclusion_atom(1))
+        )
+        params = tuple(Prop(rng.choice(props)) for _ in range(atom.arity))
+        phi = And(phi, GenAtomApp(atom, params))
+    subsets = [frozenset(c) for n in range(4) for c in itertools.combinations(props, n)]
+    labels = rng.sample(subsets, rng.randint(0, 4))
+    team = TeamEncoding.of(LassoTrace((), (label,)) for label in labels)
+    worlds = [f"w{i}" for i in range(len(labels))]
+    k = KripkeStructure.of(worlds, [(w, w) for w in worlds], dict(zip(worlds, labels)))
+    assert check_team(team, phi) == mc_ctl(k, MultiTeam.of(worlds), phi)
 
 
 def test_map_literals_keeps_shared_subtrees_shared():

@@ -75,6 +75,14 @@ class TestCheckModelSplitfree:
         with pytest.raises(GenAtomPresent):
             check_model_splitfree(diamond(), parse_ltl("dep(p; q)"))
 
+    def test_splitjunction_is_rejected_before_atoms(self):
+        # A formula with both is rejected for its splitjunction; an atom
+        # beside other LTL connectives is rejected as an atom.
+        with pytest.raises(SplitjunctionPresent):
+            check_model_splitfree(diamond(), parse_ltl("dep(p) | q"))
+        with pytest.raises(GenAtomPresent):
+            check_model_splitfree(diamond(), parse_ltl("dep(p) & X q"))
+
     @pytest.mark.parametrize("text, node", [("EX p", "EX"), ("E[p U q]", "EU")])
     def test_rejects_ctl_operators(self, text, node):
         with pytest.raises(UnsupportedNodeError, match=node):
