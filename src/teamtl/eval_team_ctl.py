@@ -33,14 +33,12 @@ a team step independently: a successor team satisfies a flat node iff
 each member's chosen successor does, so ``EX`` asks every member for one
 good successor and ``AX`` for good successors only, and a synchronous
 path of teams avoiding ``fails(ψ)`` is just one such path per member, which
-makes ``EG``/``AG`` the classical greatest fixpoints.  ``AX`` and ``AG``
-are taken pointwise only on left-total structures: a member without
-successors leaves its team no successor team at all, so they hold there
-vacuously for every member.  ``E``/``A[φ U ψ]`` and Release with a
-satisfiable φ are not pointwise, since φ or ψ must hold on the whole
-team at one common step: in ``ef_counterexample`` both ``x1`` and ``y1``
-reach ``p``, but never at the same step, so ``EF p`` fails on the team
-``x1,y1``.  They stay searches over the successor-multiset graph.
+makes ``EG``/``AG`` the classical greatest fixpoints.  ``E``/``A[φ U ψ]``
+and Release with a satisfiable φ are not pointwise, since φ or ψ must
+hold on the whole team at one common step: in ``ef_counterexample``
+both ``x1`` and ``y1`` reach ``p``, but never at the same step, so
+``EF p`` fails on the team ``x1,y1``.  They stay searches over the
+successor-multiset graph.
 
 ``mc_ctl_bruteforce`` is the independent oracle: a bounded-unrolling
 evaluator that enumerates per-member successor functions explicitly.
@@ -74,7 +72,7 @@ from .formula import (
     is_downward_closed,
     is_temporal_free,
 )
-from .kripke import KripkeStructure, MultiTeam, _check_members
+from .kripke import KripkeStructure, MultiTeam, _check_members, reject_dead_ends
 
 TeamKey = tuple[str, ...]
 
@@ -116,7 +114,6 @@ class _CtlEval(Compiled):
         succ = [[self.index[v] for v in k.succ[w]] for w in k.worlds]
         self.succ_steps = [tuple((self.unit[v], 1 << v) for v in vs) for vs in succ]
         self.succ_masks = [sum(1 << v for v in vs) for vs in succ]
-        self.left_total = all(succ)
         self.full = (1 << len(k.worlds)) - 1
         # Worlds whose only successor lies the same distance d further on
         # form a shift class: their digits move together by d digits and
@@ -224,10 +221,9 @@ class _CtlEval(Compiled):
 
     def temporal_fails(self, kind: type, masks: list[int]) -> int | None:
         # EX fails where every successor fails, AX where one does.
-        if kind is EX or kind is AX and self.left_total:
+        if kind is EX or kind is AX:
             return self._pre(masks[0], kind is EX)
-        release = kind is ER or kind is AR and self.left_total
-        if not release or masks[0] != self.full or self.limits.until_from_one:
+        if kind not in (ER, AR) or masks[0] != self.full or self.limits.until_from_one:
             return None
         # EG / AG fail where ψ fails or, from there on, where every
         # successor (EG) or some successor (AG) fails: a least fixpoint.
@@ -411,7 +407,8 @@ def mc_ctl(
     *,
     limits: CtlLimits | None = None,
 ) -> bool:
-    """Team satisfaction of a CTL formula on a multiset team."""
+    """Team satisfaction of a CTL formula on a multiset team.  The
+    structure must be left-total: a dead end raises ValueError."""
     limits = limits or CtlLimits()
     if len(team) > limits.max_team:
         raise ResourceCapError(
@@ -422,6 +419,7 @@ def mc_ctl(
             f"structure size {len(k.worlds)} exceeds the cap {limits.max_worlds}"
         )
     _check_members(k, team)
+    reject_dead_ends(k)
     evaluator = _CtlEval(k, len(team), limits)
     return evaluator.check(evaluator.encode(team.worlds), evaluator.compile(phi))
 
@@ -442,6 +440,7 @@ def mc_ctl_bruteforce(
     multisets of the team's size, C(|W|+|T|-1, |T|), which makes the
     cutoffs exact: a run of that many steps passes through one more team
     than there are multisets, so it revisits one and can be pumped."""
+    reject_dead_ends(k)
     multisets = math.comb(max(len(k.worlds) + len(team) - 1, 0), len(team))
     bound = multisets if depth is None else depth
     memo: dict[tuple[TeamKey, int, int], bool] = {}

@@ -117,6 +117,16 @@ def _check_members(k: KripkeStructure, team: MultiTeam):
             raise ValueError(f"team member {w!r} is not a world of the structure")
 
 
+def reject_dead_ends(k: KripkeStructure):
+    """Raise ValueError if a world has no successor.  Team CTL reads every
+    structure as left-total, as the paper does: on a dead end a team would
+    have no successor team, so ``AX`` and ``AG`` would hold there vacuously
+    and ``AX``, ``AU`` and ``AR`` would not be downward closed."""
+    for w in k.worlds:
+        if not k.succ[w]:
+            raise ValueError(f"world {w!r} has no successor (not left-total)")
+
+
 def is_successor_team(k: KripkeStructure, t1: MultiTeam, t2: MultiTeam) -> bool:
     """True iff t2 arises from t1 by one synchronous step under some
     per-member successor choice (multiset equality, indices ignored)."""

@@ -36,11 +36,24 @@ from .formula import (
     Split,
     Until,
     bot,
+    children,
     dependence_atom,
     expand_shorthand,
     inclusion_atom,
     top,
 )
+
+# The deepest formula the parsers accept, counting both the syntax tree's
+# depth and the brackets and prefix operators around any sub-expression.
+# The evaluators recurse per tree level: from a shallow stack, under
+# Python's default recursion limit of 1000, mc_ctl_bruteforce decides EX
+# nested 247 deep (four frames a level), classical LTL U nested 330 deep,
+# and check_team and mc_ctl about 500.  The parser itself takes up to nine
+# frames per bracket level (an atom in an atom's argument list), which
+# binds first: atoms nested 100 deep need a limit of 910, and 80 levels
+# leave about 270 frames to the caller.  The QBF-to-path-checking
+# reduction of 10 variables and 10 clauses is 57 deep.
+MAX_DEPTH = 80
 
 
 @dataclass(frozen=True)
@@ -107,6 +120,7 @@ class _Parser:
     def __init__(self, text: str, mode: str, atoms: Mapping[str, GenAtomDef]):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.mode = mode
         self.atoms = atoms
         self.keywords = _LTL_KEYWORDS if mode == "ltl" else _CTL_KEYWORDS
@@ -145,20 +159,26 @@ class _Parser:
         return phi
 
     def expr(self) -> Formula:
-        if self.peek().kind == "~":
+        negations = 0
+        while self.peek().kind == "~":
             self.advance()
-            return CNeg(self.expr())
-        if self.mode == "ltl":
-            return self.until_expr()
-        return self.split_expr()
+            negations += 1
+        phi = self.until_expr() if self.mode == "ltl" else self.split_expr()
+        for _ in range(negations):
+            phi = CNeg(phi)
+        return phi
 
     def until_expr(self) -> Formula:
-        left = self.split_expr()
-        if self.at_keyword("U", "R"):
-            op = self.advance().text
-            right = self.until_expr()
-            return Until(left, right) if op == "U" else Release(left, right)
-        return left
+        # Right-associative, folded from the right without recursion.
+        operands, ops = [self.split_expr()], []
+        while self.at_keyword("U", "R"):
+            ops.append(self.advance().text)
+            operands.append(self.split_expr())
+        phi = operands.pop()
+        while ops:
+            left = operands.pop()
+            phi = Until(left, phi) if ops.pop() == "U" else Release(left, phi)
+        return phi
 
     def split_expr(self) -> Formula:
         left = self.boolor_expr()
@@ -182,43 +202,53 @@ class _Parser:
         return left
 
     def unary_expr(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "~":
-            self.advance()
-            return CNeg(self.expr())
-        if tok.kind == "!":
-            self.advance()
-            prop = self.peek()
-            if prop.kind != "ident" or prop.text in self.keywords:
-                raise ParseError(
-                    "negation `!` applies only to propositions "
-                    "(formulas are in negation normal form)",
-                    prop.span,
-                )
-            self.advance()
-            return NegProp(prop.text)
-        if self.mode == "ltl" and tok.kind == "ident":
-            if tok.text == "X":
+        # Every nested sub-expression passes through here: a bracket, an
+        # atom's arguments, and the operand of a prefix operator or `~`.
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(
+                f"formula nested more than {MAX_DEPTH} deep", self.peek().span
+            )
+        try:
+            tok = self.peek()
+            if tok.kind == "~":
                 self.advance()
-                return Next(self.unary_expr())
-            if tok.text in ("F", "G"):
+                return CNeg(self.expr())
+            if tok.kind == "!":
                 self.advance()
-                return expand_shorthand(tok.text, [self.unary_expr()])
-        if self.mode == "ctl" and tok.kind == "ident":
-            if tok.text in ("EX", "AX"):
+                prop = self.peek()
+                if prop.kind != "ident" or prop.text in self.keywords:
+                    raise ParseError(
+                        "negation `!` applies only to propositions "
+                        "(formulas are in negation normal form)",
+                        prop.span,
+                    )
                 self.advance()
-                child = self.unary_expr()
-                return EX(child) if tok.text == "EX" else AX(child)
-            if tok.text in ("EF", "AF", "EG", "AG"):
-                self.advance()
-                return expand_shorthand(tok.text, [self.unary_expr()])
-            if tok.text in ("E", "A"):
-                return self.bracketed_path(tok.text)
-            if tok.text in ("X", "F", "G", "U", "R"):
-                raise ParseError(
-                    f"bare {tok.text} without path quantifier", tok.span
-                )
-        return self.primary()
+                return NegProp(prop.text)
+            if self.mode == "ltl" and tok.kind == "ident":
+                if tok.text == "X":
+                    self.advance()
+                    return Next(self.unary_expr())
+                if tok.text in ("F", "G"):
+                    self.advance()
+                    return expand_shorthand(tok.text, [self.unary_expr()])
+            if self.mode == "ctl" and tok.kind == "ident":
+                if tok.text in ("EX", "AX"):
+                    self.advance()
+                    child = self.unary_expr()
+                    return EX(child) if tok.text == "EX" else AX(child)
+                if tok.text in ("EF", "AF", "EG", "AG"):
+                    self.advance()
+                    return expand_shorthand(tok.text, [self.unary_expr()])
+                if tok.text in ("E", "A"):
+                    return self.bracketed_path(tok.text)
+                if tok.text in ("X", "F", "G", "U", "R"):
+                    raise ParseError(
+                        f"bare {tok.text} without path quantifier", tok.span
+                    )
+            return self.primary()
+        finally:
+            self.depth -= 1
 
     def bracketed_path(self, quantifier: str) -> Formula:
         self.advance()
@@ -308,12 +338,26 @@ class _Parser:
         return GenAtomApp(atom, tuple(params))
 
 
+def _parse(text: str, mode: str, atoms: Mapping[str, GenAtomDef] | None) -> Formula:
+    phi = _Parser(text, mode, atoms or {}).parse()
+    # The tree may be deeper than the nesting the parser counted: binary
+    # operators chain without recursion.  Walk it a level at a time.
+    level = [phi]
+    for _ in range(MAX_DEPTH):
+        level = [kid for node in level for kid in children(node)]
+        if not level:
+            return phi
+    raise ParseError(
+        f"formula nested more than {MAX_DEPTH} deep", SourceSpan(0, len(text))
+    )
+
+
 def parse_ltl(text: str, atoms: Mapping[str, GenAtomDef] | None = None) -> Formula:
-    return _Parser(text, "ltl", atoms or {}).parse()
+    return _parse(text, "ltl", atoms)
 
 
 def parse_ctl(text: str, atoms: Mapping[str, GenAtomDef] | None = None) -> Formula:
-    return _Parser(text, "ctl", atoms or {}).parse()
+    return _parse(text, "ctl", atoms)
 
 
 # ---------------------------------------------------------------------------

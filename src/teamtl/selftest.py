@@ -8,6 +8,7 @@ the pinned fixture verdicts.  A fixed seed reproduces the exact stream.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from collections import Counter
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 from . import fixtures
 from .eval_classical import check_ctl_classical, check_ltl_classical
 from .eval_team_ctl import CtlLimits, mc_ctl, mc_ctl_bruteforce
-from .eval_team_ltl import check_team, naive_oracle
+from .eval_team_ltl import SplitStrategy, check_team, naive_oracle
 from .formula import (
     AR,
     AU,
@@ -35,13 +36,15 @@ from .formula import (
     Release,
     Split,
     Until,
+    children,
     dependence_atom,
     expand_shorthand,
     inclusion_atom,
     is_downward_closed,
+    rebuild,
 )
-from .kripke import KripkeStructure, MultiTeam, is_successor_team
-from .kripke import enumerate_traces
+from .kripke import KripkeStructure, MultiTeam, enumerate_traces, is_successor_team
+from .parser import render
 from .qbf import (
     QbfInstance,
     eval_qbf,
@@ -50,7 +53,7 @@ from .qbf import (
     reduce_to_tmc_ctl,
     reduce_to_tpc,
 )
-from .tmc_splitfree import check_model_splitfree
+from .tmc_splitfree import check_model_splitfree, flatten
 from .trace import LassoTrace, TeamEncoding
 
 # ---------------------------------------------------------------------------
@@ -90,12 +93,7 @@ def _random_literal(rng, props) -> Formula:
 
 
 def _random_atom(rng, props) -> Formula:
-    if rng.random() < 0.5:
-        n_in = rng.randint(0, 1)
-        atom = dependence_atom(n_in, 1)
-    else:
-        atom = inclusion_atom(1)
-        n_in = 1
+    atom = dependence_atom(rng.randint(0, 1), 1) if rng.random() < 0.5 else inclusion_atom(1)
     params = tuple(Prop(rng.choice(props)) for _ in range(atom.arity))
     return GenAtomApp(atom, params)
 
@@ -272,6 +270,25 @@ def random_multiteam(rng: random.Random, k: KripkeStructure, max_size: int = 3) 
     return MultiTeam.of([rng.choice(k.worlds) for _ in range(size)])
 
 
+def random_flat_instance(rng: random.Random) -> tuple[KripkeStructure, MultiTeam, Formula]:
+    """A structure, a team of at most three members (the brute-force
+    oracle unrolls C(|W|+|T|-1, |T|) steps deep) and a formula of the flat
+    CTL fragment.  Half the structures are a rotation of the worlds by a
+    fixed distance plus a few random edges: members on a cycle cannot wait
+    for each other, and most worlds share one successor shift."""
+    k = random_kripke(rng)
+    worlds, labels = k.worlds, dict(k.labels)
+    if rng.random() < 0.5:
+        n, d = len(worlds), rng.choice((1, -1, 2))
+        edges = {(w, worlds[(i + d) % n]) for i, w in enumerate(worlds)}
+        edges |= {e for e in k.edges if rng.random() < 0.1}
+        k = KripkeStructure.of(worlds, edges, labels)
+    team = random_multiteam(rng, k)
+    if len(team) < 3 and rng.random() < 0.5:
+        team = MultiTeam.of(team.worlds + (rng.choice(worlds),))
+    return k, team, random_flat_ctl_formula(rng, rng.randint(0, 2))
+
+
 def random_qbf(rng: random.Random, max_vars: int = 3, max_clauses: int = 2) -> QbfInstance:
     n = rng.randint(1, max_vars)
     variables = tuple(f"x{i}" for i in range(1, n + 1))
@@ -300,6 +317,12 @@ def random_pl_formula(rng: random.Random, budget: int, props=("p", "q")) -> Form
 
 # ---------------------------------------------------------------------------
 # Differential suites
+#
+# Each suite draws ``count`` random instances from ``rng`` (after any
+# pinned instance it leads with) and compares an evaluator with an
+# independent counterpart.  ``run_selftest``, the acceptance tests and the
+# per-module fuzz tests all run these suites; none pairs an instance with
+# an oracle on its own.
 
 
 @dataclass
@@ -327,194 +350,244 @@ class SelfTestReport:
         return not self.mismatches
 
 
-def _describe_team(team: TeamEncoding) -> str:
-    return repr([(t.prefix, t.loop) for t in team])
+def _show(part) -> str:
+    return render(part) if isinstance(part, Formula) else repr(part)
 
 
-def suite_ltl_oracle(rng, count, *, inject_mutant=False) -> SuiteResult:
-    from .parser import render
+def _suite(name: str):
+    """Make a suite ``(rng, count) -> SuiteResult`` named ``name`` from a
+    generator that yields one ``(got, expected, *instance)`` tuple per
+    instance; the instance's parts are shown when the two differ."""
 
-    result = SuiteResult("team LTL vs naive oracle")
+    def make(instances):
+        @functools.wraps(instances)
+        def suite(rng: random.Random, count: int) -> SuiteResult:
+            result = SuiteResult(name)
+            for got, expected, *parts in instances(rng, count):
+                result.instances += 1
+                if got != expected:
+                    result.mismatches.append(
+                        f"{name}: got {got}, expected {expected} on "
+                        + ", ".join(map(_show, parts))
+                    )
+            return result
+
+        return suite
+
+    return make
+
+
+@_suite("check_team vs naive_oracle")
+def suite_ltl_oracle(rng, count):
     for _ in range(count):
         team = random_team(rng)
         phi = random_ltl_formula(
             rng, rng.randint(1, 6),
             allow_cneg=True, allow_boolor=True, allow_atoms=True,
         )
-        fast = check_team(team, phi)
-        if inject_mutant:
-            fast = not fast
-        slow = naive_oracle(team, phi)
-        result.instances += 1
-        if fast != slow:
-            result.mismatches.append(
-                f"check_team={fast} oracle={slow} on {render(phi)} "
-                f"team={_describe_team(team)}"
-            )
-    return result
+        yield check_team(team, phi), naive_oracle(team, phi), phi, team
 
 
-def suite_ltl_structural(rng, count) -> SuiteResult:
-    result = SuiteResult("LTL structural properties")
+@_suite("check_team on the empty team, subteams and singletons")
+def suite_ltl_structural(rng, count):
+    """The empty team satisfies every ``~``-free formula, a downward-closed
+    formula holds on every subteam of a team satisfying it, and a singleton
+    team agrees with classical LTL on its trace."""
     empty = TeamEncoding.of([])
     for _ in range(count):
-        phi = random_ltl_formula(rng, rng.randint(1, 6), allow_atoms=True)
-        result.instances += 1
-        if not check_team(empty, phi):
-            result.mismatches.append(f"empty-team property failed on {phi}")
-            continue
+        phi = random_ltl_formula(rng, rng.randint(1, 8), allow_atoms=True)
+        team = random_team(rng, max_prefix=3, max_loop=3)
+        sub = TeamEncoding.of(t for t in team if rng.random() < 0.5)
+        closed = not (is_downward_closed(phi) and check_team(team, phi)) or \
+            check_team(sub, phi)
+        pure = random_ltl_formula(rng, rng.randint(1, 8))
+        t = random_trace(rng, max_prefix=3, max_loop=3)
+        yield (
+            (check_team(empty, phi), closed, check_team(TeamEncoding.of([t]), pure)),
+            (True, True, check_ltl_classical(t, pure)),
+            phi, team, sub, pure, TeamEncoding.of([t]),
+        )
+
+
+@_suite("disjoint vs cover splits on downward-closed formulas")
+def suite_split_strategies(rng, count):
+    for _ in range(count):
         team = random_team(rng)
-        if is_downward_closed(phi) and check_team(team, phi):
-            members = list(team.traces)
-            sub = TeamEncoding(
-                frozenset(t for t in members if rng.random() < 0.5)
-            )
-            if not check_team(sub, phi):
-                result.mismatches.append(f"downward closure failed on {phi}")
-                continue
-        pure = random_ltl_formula(rng, rng.randint(1, 6))
-        t = random_trace(rng)
-        if check_team(TeamEncoding.of([t]), pure) != check_ltl_classical(t, pure):
-            result.mismatches.append(f"singleton equivalence failed on {pure}")
-    return result
+        phi = random_ltl_formula(rng, rng.randint(1, 5), allow_atoms=True)
+        while not is_downward_closed(phi):
+            phi = random_ltl_formula(rng, rng.randint(1, 5), allow_atoms=True)
+        yield (
+            check_team(team, phi, strategy=SplitStrategy.DISJOINT_ONLY),
+            check_team(team, phi, strategy=SplitStrategy.COVERS),
+            phi, team,
+        )
 
 
-def suite_splitfree(rng, count) -> SuiteResult:
-    result = SuiteResult("splitfree model checking vs trace enumeration")
+@_suite("check_model_splitfree vs trace enumeration")
+def suite_splitfree(rng, count):
+    """Also checks that the flattened characteristic stays within 2^|W|."""
     for _ in range(count):
         k = random_lasso_forest(rng)
         phi = random_ltl_formula(
             rng, rng.randint(1, 5),
             allow_split=False, allow_cneg=True, allow_boolor=True,
         )
-        flat = check_model_splitfree(k, phi)
-        enumerated = check_team(enumerate_traces(k), phi)
-        result.instances += 1
-        if flat != enumerated:
-            result.mismatches.append(
-                f"splitfree={flat} enumerate={enumerated} on {phi} structure={k.edges}"
-            )
-    return result
+        flat = flatten(k)
+        yield (
+            (check_model_splitfree(k, phi), flat.stem + flat.period <= 2 ** len(k.worlds)),
+            (check_team(enumerate_traces(k), phi), True),
+            phi, k,
+        )
 
 
-def suite_ctl_oracle(rng, count) -> SuiteResult:
-    result = SuiteResult("team CTL vs brute force")
+@_suite("check_team vs mc_ctl on propositional formulas")
+def suite_ltl_ctl_agreement(rng, count):
+    """A team of one-state loops and a team of self-loop worlds with the
+    same pairwise distinct labels: sets and multisets coincide and no
+    temporal operator occurs, so the two evaluators must agree."""
+    props = ("p", "q", "r")
+    subsets = [frozenset(c) for n in range(4) for c in itertools.combinations(props, n)]
+    for _ in range(count):
+        phi = random_pl_formula(rng, rng.randint(0, 5), props)
+        if rng.random() < 0.3:
+            phi = And(phi, _random_atom(rng, props))
+        labels = rng.sample(subsets, rng.randint(0, 4))
+        team = TeamEncoding.of(LassoTrace((), (label,)) for label in labels)
+        worlds = [f"w{i}" for i in range(len(labels))]
+        k = KripkeStructure.of(worlds, [(w, w) for w in worlds], dict(zip(worlds, labels)))
+        yield check_team(team, phi), mc_ctl(k, MultiTeam.of(worlds), phi), phi, team
+
+
+@_suite("mc_ctl vs mc_ctl_bruteforce")
+def suite_ctl_oracle(rng, count):
     for _ in range(count):
         k = random_kripke(rng)
         team = random_multiteam(rng, k)
-        if rng.random() < 0.3:
-            phi = random_flat_ctl_formula(rng, rng.randint(0, 2))
-        else:
-            phi = random_ctl_formula(rng, rng.randint(1, 4), allow_cneg=True)
-        fast = mc_ctl(k, team, phi)
-        slow = mc_ctl_bruteforce(k, team, phi)
-        result.instances += 1
-        if fast != slow:
-            result.mismatches.append(
-                f"mc_ctl={fast} bruteforce={slow} on {phi} "
-                f"team={team.worlds} structure={sorted(k.edges)}"
-            )
-    return result
+        phi = random_ctl_formula(rng, rng.randint(1, 5), allow_cneg=True)
+        yield mc_ctl(k, team, phi), mc_ctl_bruteforce(k, team, phi), phi, team, k
 
 
-def suite_ctl_singleton(rng, count) -> SuiteResult:
-    result = SuiteResult("team CTL singleton equivalence")
+def _from_index_zero(phi: Formula) -> Formula:
+    """The until-from-one reading of ``phi`` in the ordinary one: a path
+    satisfies E/A[φ U ψ] or E/A[φ R ψ] from index 1 iff its tail from the
+    next team satisfies it from index 0, so E₁[φ U ψ] ≡ EX E[φ U ψ] and
+    A₁[φ U ψ] ≡ AX A[φ U ψ], applied to every U and R node."""
+    node = rebuild(phi, map(_from_index_zero, children(phi)))
+    if isinstance(node, (EU, ER)):
+        return EX(node)
+    if isinstance(node, (AU, AR)):
+        return AX(node)
+    return node
+
+
+# Deciding E[φ U ψ] over flat operands pointwise, as if each member could
+# reach ψ on its own schedule, is wrong on about one instance in 300; two
+# thousand instances catch that mutant.
+@_suite("flat mc_ctl vs mc_ctl_bruteforce, Until from index 0 and 1")
+def suite_ctl_flat(rng, count):
+    """The flat fragment, which ``mc_ctl`` decides by world masks and by
+    searches that the oracle does not know."""
+    from_one = CtlLimits(until_from_one=True)
+    for _ in range(count):
+        k, team, phi = random_flat_instance(rng)
+        yield (
+            (mc_ctl(k, team, phi), mc_ctl(k, team, phi, limits=from_one)),
+            (mc_ctl_bruteforce(k, team, phi),
+             mc_ctl_bruteforce(k, team, _from_index_zero(phi))),
+            phi, team, k,
+        )
+
+
+@_suite("mc_ctl vs classical CTL on singletons")
+def suite_ctl_singleton(rng, count):
     for _ in range(count):
         k = random_kripke(rng)
         w = rng.choice(k.worlds)
         phi = random_ctl_formula(rng, rng.randint(1, 5))
-        team_verdict = mc_ctl(k, MultiTeam.of([w]), phi)
-        classical = check_ctl_classical(k, w, phi)
-        result.instances += 1
-        if team_verdict != classical:
-            result.mismatches.append(
-                f"team={team_verdict} classical={classical} on {phi} "
-                f"at {w} structure={sorted(k.edges)}"
-            )
-    return result
+        yield mc_ctl(k, MultiTeam.of([w]), phi), check_ctl_classical(k, w, phi), phi, w, k
 
 
-def suite_successor_teams(rng, count) -> SuiteResult:
-    result = SuiteResult("successor teams vs function enumeration")
+@_suite("is_successor_team vs function enumeration")
+def suite_successor_teams(rng, count):
+    """Leads with the pinned case where every member can step into the
+    target but no matching exists."""
+    k = KripkeStructure.of(
+        ["a", "b", "c", "x", "y"],
+        [("a", "x"), ("b", "x"), ("c", "x"), ("c", "y"), ("x", "x"), ("y", "y")],
+    )
+    t1, t2 = MultiTeam.of(["a", "b", "c"]), MultiTeam.of(["x", "y", "y"])
+    yield is_successor_team(k, t1, t2), False, t1, t2, k
     for _ in range(count):
         k = random_kripke(rng, max_worlds=5)
-        t1 = random_multiteam(rng, k, max_size=4)
-        t2 = random_multiteam(rng, k, max_size=4)
-        fast = is_successor_team(k, t1, t2)
-        target = Counter(t2.worlds)
-        slow = any(
-            Counter(choice) == target
+        t1, t2 = random_multiteam(rng, k, max_size=4), random_multiteam(rng, k, max_size=4)
+        expected = len(t1) == len(t2) and any(
+            Counter(choice) == Counter(t2.worlds)
             for choice in itertools.product(*(k.succ[w] for w in t1.worlds))
-        ) and len(t1) == len(t2)
-        result.instances += 1
-        if fast != slow:
-            result.mismatches.append(
-                f"matching={fast} enumeration={slow} for {t1.worlds}->{t2.worlds} "
-                f"structure={sorted(k.edges)}"
-            )
-    return result
+        )
+        yield is_successor_team(k, t1, t2), expected, t1, t2, k
 
 
-def suite_qbf_reductions(rng, count) -> SuiteResult:
-    result = SuiteResult("QBF reductions vs brute force")
+_CLAUSE_VARIABLES = ("x1", "x2", "x3")
+_CLAUSES = [
+    tuple(sorted(c)) for c in itertools.combinations_with_replacement(
+        [(v, s) for v in _CLAUSE_VARIABLES for s in (True, False)], 3
+    )
+]
+
+
+@_suite("both QBF reductions vs eval_qbf")
+def suite_qbf_reductions(rng, count):
+    """Leads with the worked instance.  Every other instance is a random
+    QBF; the rest are the single-clause instances ∃x1 ∀x2 ∃x3 (C), one
+    clause C after another from a random start, so that 112 instances or
+    more try every clause."""
+    instances = [fixtures.worked_qbf()]
+    start = rng.randrange(len(_CLAUSES))
+    for i in range(count):
+        if i % 2:
+            clause = _CLAUSES[(start + i // 2) % len(_CLAUSES)]
+            instances.append(QbfInstance(("e", "a", "e"), _CLAUSE_VARIABLES, (clause,)))
+        else:
+            instances.append(random_qbf(rng, max_vars=3, max_clauses=3))
     limits = CtlLimits(max_worlds=128)
-    for _ in range(count):
-        q = random_qbf(rng)
-        expected = eval_qbf(q)
+    for q in instances:
         team, phi = reduce_to_tpc(q)
-        via_tpc = check_team(team, phi)
         k, ctl_team, ctl_phi = reduce_to_tmc_ctl(q)
-        via_ctl = mc_ctl(k, ctl_team, ctl_phi, limits=limits)
-        result.instances += 1
-        if via_tpc != expected or via_ctl != expected:
-            result.mismatches.append(
-                f"eval={expected} tpc={via_tpc} ctl={via_ctl} on {q}"
-            )
-    return result
+        expected = eval_qbf(q)
+        yield (
+            (check_team(team, phi), mc_ctl(k, ctl_team, ctl_phi, limits=limits)),
+            (expected, expected),
+            q,
+        )
 
 
-def suite_plsim(rng, count) -> SuiteResult:
-    result = SuiteResult("propositional ~-reduction vs brute force")
+@_suite("propositional ~-reduction vs brute force")
+def suite_plsim(rng, count):
     for _ in range(count):
-        phi = random_pl_formula(rng, rng.randint(1, 4))
+        phi = random_pl_formula(rng, rng.randint(1, 5), props=("p", "q", "r"))
         team, goal = reduce_plsim_to_tpc(phi)
-        via_reduction = check_team(team, goal)
-        expected = pl_team_satisfiable_bruteforce(phi)
-        result.instances += 1
-        if via_reduction != expected:
-            result.mismatches.append(
-                f"reduction={via_reduction} bruteforce={expected} on {phi}"
-            )
-    return result
+        yield check_team(team, goal), pl_team_satisfiable_bruteforce(phi), phi
 
 
-def suite_fixtures() -> SuiteResult:
-    result = SuiteResult("pinned fixtures")
+@_suite("pinned fixtures")
+def suite_fixtures(rng, count):
+    """The pinned verdicts; draws nothing and ignores ``count``."""
     for description, passed in fixtures.pinned_checks():
-        result.instances += 1
-        if not passed:
-            result.mismatches.append(f"pinned verdict failed: {description}")
-    return result
+        yield passed, True, description
 
 
-def run_selftest(
-    seed: int = 0,
-    count: int = 50,
-    *,
-    inject_mutant: bool = False,
-) -> SelfTestReport:
+SUITES = (
+    suite_ltl_oracle, suite_ltl_structural, suite_split_strategies, suite_splitfree,
+    suite_ltl_ctl_agreement, suite_ctl_oracle, suite_ctl_flat, suite_ctl_singleton,
+    suite_successor_teams, suite_qbf_reductions, suite_plsim, suite_fixtures,
+)
+# The costlier suites run at a fraction of ``run_selftest``'s count.
+_DIVISORS = {suite_qbf_reductions: 10, suite_plsim: 2}
+
+
+def run_selftest(seed: int = 0, count: int = 50) -> SelfTestReport:
     """Run every differential suite with roughly ``count`` instances each."""
     rng = random.Random(seed)
-    report = SelfTestReport(seed=seed)
-    report.suites.append(
-        suite_ltl_oracle(rng, count, inject_mutant=inject_mutant)
+    return SelfTestReport(
+        seed, [suite(rng, max(1, count // _DIVISORS.get(suite, 1))) for suite in SUITES]
     )
-    report.suites.append(suite_ltl_structural(rng, count))
-    report.suites.append(suite_splitfree(rng, count))
-    report.suites.append(suite_ctl_oracle(rng, count))
-    report.suites.append(suite_ctl_singleton(rng, count))
-    report.suites.append(suite_successor_teams(rng, count))
-    report.suites.append(suite_qbf_reductions(rng, max(1, count // 10)))
-    report.suites.append(suite_plsim(rng, max(1, count // 2)))
-    report.suites.append(suite_fixtures())
-    return report

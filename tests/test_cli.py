@@ -64,11 +64,21 @@ class TestCheckPath:
         assert result.exit_code == 0
         assert "split:" in result.output
 
-    def test_deep_formula_is_an_internal_error(self, runner, workspace):
-        # The recursive parser overflows the stack; that is no UNSAT.
-        result = runner.invoke(
-            main, ["check-path", str(workspace / "team.json"), "X " * 3000 + "p"]
-        )
+    def test_too_deep_formula_exit_2(self, runner, workspace):
+        for depth in (500, 3000):
+            result = runner.invoke(
+                main, ["check-path", str(workspace / "team.json"), "X " * depth + "p"]
+            )
+            assert result.exit_code == 2
+            assert "nested more than" in result.stderr
+
+    def test_internal_error_exit_5(self, runner, workspace, monkeypatch):
+        # An unexpected exception is no UNSAT: exit 5 and one line.
+        def overflow(*args, **kwargs):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr("teamtl.cli.check_team", overflow)
+        result = runner.invoke(main, ["check-path", str(workspace / "team.json"), "p"])
         assert result.exit_code == 5
         assert result.stderr.startswith("error: internal error: RecursionError")
         assert len(result.stderr.splitlines()) == 1
@@ -239,6 +249,10 @@ class TestSelftest:
                                  "--fixtures-dir", str(fdir)])
         assert r.exit_code == 0
         assert "0 mismatches" in r.output
+        for name in ("flat mc_ctl vs mc_ctl_bruteforce",
+                     "check_team vs mc_ctl on propositional formulas",
+                     "disjoint vs cover splits on downward-closed formulas"):
+            assert name in r.output
 
     def test_corrupted_fixture_exit_4(self, runner, tmp_path):
         fdir = tmp_path / "fixtures"

@@ -4,21 +4,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from teamtl.errors import ResourceCapError
-from teamtl.eval_classical import check_ctl_classical
 from teamtl.eval_team_ctl import CtlLimits, _CtlEval, mc_ctl, mc_ctl_bruteforce
 from teamtl.fixtures import af_multiplicity_structure, ef_counterexample_structure
-from teamtl.formula import AR, AU, AX, ER, EU, EX, Prop, Split, children, rebuild
+from teamtl.formula import Prop
 from teamtl.kripke import KripkeStructure, MultiTeam
 from teamtl.parser import parse_ctl
 from teamtl.selftest import (
-    random_ctl_formula,
-    random_flat_body,
-    random_flat_ctl_formula,
-    random_kripke,
-    random_multiteam,
+    _from_index_zero,
+    random_flat_instance,
+    suite_ctl_flat,
+    suite_ctl_oracle,
+    suite_ctl_singleton,
 )
 
 p = Prop("p")
+
+
+def rejected(k, team, phi):
+    for decide in (mc_ctl, mc_ctl_bruteforce):
+        with pytest.raises(ValueError, match="no successor"):
+            decide(k, team, phi)
 
 
 def loops(*worlds, labels=None, extra_edges=()):
@@ -62,16 +67,9 @@ class TestBasics:
         assert not mc_ctl(k, team, parse_ctl("q | q"))
 
     def test_split_with_a_dead_end_member(self):
-        # a has no successor, so the team a,b has no successor team and
-        # AX q holds on it vacuously, while b alone fails it: only the
-        # split {} / {a,b} works.
-        k = KripkeStructure.of(
-            ["a", "b", "c"], [("b", "c"), ("c", "c")], {"a": ["p"]}
-        )
-        team = MultiTeam.of(["a", "b"])
-        phi = parse_ctl("p | AX q")
-        assert mc_ctl_bruteforce(k, team, phi)
-        assert mc_ctl(k, team, phi)
+        # a has no successor: the team a,b would have no successor team.
+        k = KripkeStructure.of(["a", "b", "c"], [("b", "c"), ("c", "c")], {"a": ["p"]})
+        rejected(k, MultiTeam.of(["a", "b"]), parse_ctl("p | AX q"))
 
     def test_caps(self):
         k = loops("a")
@@ -146,100 +144,36 @@ def test_successors_deduplicate_multisets():
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**32))
 def test_agrees_with_bruteforce(seed):
-    rng = random.Random(seed)
-    k = random_kripke(rng)
-    team = random_multiteam(rng, k)
-    phi = random_ctl_formula(rng, rng.randint(1, 4), allow_cneg=True)
-    assert mc_ctl(k, team, phi) == mc_ctl_bruteforce(k, team, phi)
+    assert not suite_ctl_oracle(random.Random(seed), 1).mismatches
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**32))
 def test_singleton_equals_classical(seed):
-    rng = random.Random(seed)
-    k = random_kripke(rng)
-    w = rng.choice(k.worlds)
-    phi = random_ctl_formula(rng, rng.randint(1, 5))
-    assert mc_ctl(k, MultiTeam.of([w]), phi) == check_ctl_classical(k, w, phi)
+    assert not suite_ctl_singleton(random.Random(seed), 1).mismatches
 
 
-# -- the flat fragment against the brute-force oracle -----------------------
-#
-# ``EG``/``AG`` over literals, ``|``, ``&``, ``EX`` and ``AX`` is decided by
-# world masks, and ``E``/``A[φ U/R ψ]`` over such operands by searches; the
-# oracle knows neither shortcut.
-
-
-def _flat_instance(seed):
-    rng = random.Random(seed)
-    k = random_kripke(rng)
-    worlds, labels = k.worlds, dict(k.labels)
-    if rng.random() < 0.5:
-        # A rotation of the worlds by a fixed distance, plus a few of the
-        # random edges: members on a cycle cannot wait for each other, and
-        # most worlds share one successor shift.
-        n, d = len(worlds), rng.choice((1, -1, 2))
-        edges = {(w, worlds[(i + d) % n]) for i, w in enumerate(worlds)}
-        edges |= {e for e in k.edges if rng.random() < 0.1}
-        k = KripkeStructure.of(worlds, edges, labels)
-    if rng.random() < 0.1:
-        # A world without successors ends every synchronous path through it.
-        dead = rng.choice(worlds)
-        k = KripkeStructure.of(worlds, [e for e in k.edges if e[0] != dead], labels)
-    team = random_multiteam(rng, k)
-    if len(team) < 3 and rng.random() < 0.5:
-        # At most three members: the oracle unrolls |W|^|T| steps deep.
-        team = MultiTeam.of(team.worlds + (rng.choice(worlds),))
-    return k, team, random_flat_ctl_formula(rng, rng.randint(0, 2))
-
-
-def _from_index_zero(phi):
-    """The until-from-one reading of ``phi`` in the ordinary one: a path
-    satisfies E/A[φ U ψ] or E/A[φ R ψ] from index 1 iff its tail from the
-    next team satisfies it from index 0, so E₁[φ U ψ] ≡ EX E[φ U ψ] and
-    A₁[φ U ψ] ≡ AX A[φ U ψ], applied to every U and R node."""
-    node = rebuild(phi, map(_from_index_zero, children(phi)))
-    if isinstance(node, (EU, ER)):
-        return EX(node)
-    if isinstance(node, (AU, AR)):
-        return AX(node)
-    return node
-
-
-# Deciding E[φ U ψ] over flat operands pointwise, as if each member could
-# reach ψ on its own schedule, is wrong on about one instance in 300; two
-# thousand examples catch that mutant.
 @settings(max_examples=2000, deadline=None)
 @given(st.integers(0, 2**32))
 def test_flat_fragment_agrees_with_bruteforce(seed):
-    k, team, phi = _flat_instance(seed)
-    assert mc_ctl(k, team, phi) == mc_ctl_bruteforce(k, team, phi)
+    assert not suite_ctl_flat(random.Random(seed), 1).mismatches
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**32))
 def test_flat_fragment_from_one_agrees_with_bruteforce(seed):
-    k, team, phi = _flat_instance(seed)
+    k, team, phi = random_flat_instance(random.Random(seed))
     limits = CtlLimits(until_from_one=True)
     expected = mc_ctl_bruteforce(k, team, _from_index_zero(phi))
     assert mc_ctl(k, team, phi, limits=limits) == expected
 
 
-# Worlds without successors make AX, AU and AR hold vacuously on every team
-# holding them, so a flat side of a split must not decide which members the
-# other side gets (``test_split_with_a_dead_end_member``); a split that did
-# is wrong here on about one instance in 400.
-@settings(max_examples=2000, deadline=None)
-@given(st.integers(0, 2**32))
-def test_splits_over_dead_ends_agree_with_bruteforce(seed):
-    rng = random.Random(seed)
-    k = random_kripke(rng)
-    dead = rng.sample(k.worlds, rng.randint(1, max(1, len(k.worlds) - 1)))
+def test_splits_over_dead_ends_are_rejected():
+    # Read vacuously on the dead ends, AX would not be downward closed:
+    # with a, b -> b2 and c -> c2, the cover {a,b} / {a,c} satisfies this
+    # formula while no disjoint split does.
     k = KripkeStructure.of(
-        k.worlds, [e for e in k.edges if e[0] not in dead], dict(k.labels)
+        ["a", "b", "b2", "c", "c2"], [("b", "b2"), ("c", "c2")],
+        {"b": ["t"], "b2": ["r"], "c": ["s"], "c2": ["q"]},
     )
-    team = MultiTeam.of([rng.choice(k.worlds) for _ in range(rng.randint(0, 3))])
-    flat = random_flat_body(rng, rng.randint(0, 2))
-    other = random_ctl_formula(rng, rng.randint(1, 3))
-    phi = Split(flat, other) if rng.random() < 0.5 else Split(other, flat)
-    assert mc_ctl(k, team, phi) == mc_ctl_bruteforce(k, team, phi)
+    rejected(k, MultiTeam.of(["a", "b", "c"]), parse_ctl("(AX q & !s) | (AX r & !t)"))

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from teamtl.errors import ResourceCapError
-from teamtl.eval_classical import check_ltl_classical
 from teamtl.eval_team_ltl import (
     SplitStrategy,
     check_team,
@@ -17,17 +16,20 @@ from teamtl.fixtures import union_closure_team
 from teamtl.formula import (
     And,
     CNeg,
-    GenAtomApp,
     NegProp,
     Prop,
     Split,
     bot,
     dependence_atom,
-    inclusion_atom,
     is_downward_closed,
 )
 from teamtl.parser import parse_ltl
-from teamtl.selftest import random_ltl_formula, random_team, random_trace
+from teamtl.selftest import (
+    random_ltl_formula,
+    suite_ltl_oracle,
+    suite_ltl_structural,
+    suite_split_strategies,
+)
 from teamtl.trace import LassoTrace, TeamEncoding, lcm_loop, prfx
 
 p, q = Prop("p"), Prop("q")
@@ -132,13 +134,7 @@ class TestStrategies:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**32))
     def test_disjoint_and_cover_splits_agree_on_dc_formulas(self, seed):
-        rng = random.Random(seed)
-        team = random_team(rng)
-        phi = random_ltl_formula(rng, rng.randint(1, 5), allow_atoms=True)
-        if not is_downward_closed(phi):
-            return
-        assert check_team(team, phi, strategy=SplitStrategy.DISJOINT_ONLY) == \
-            check_team(team, phi, strategy=SplitStrategy.COVERS)
+        assert not suite_split_strategies(random.Random(seed), 1).mismatches
 
     def test_cover_splits_needed_under_cneg(self):
         # ~(p-side empty) forces both parts nonempty; with covers the single
@@ -160,13 +156,7 @@ class TestOracleAgreement:
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 2**32))
     def test_matches_naive_oracle(self, seed):
-        rng = random.Random(seed)
-        team = random_team(rng)
-        phi = random_ltl_formula(
-            rng, rng.randint(1, 6),
-            allow_cneg=True, allow_boolor=True, allow_atoms=True,
-        )
-        assert check_team(team, phi) == naive_oracle(team, phi)
+        assert not suite_ltl_oracle(random.Random(seed), 1).mismatches
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -192,28 +182,17 @@ class TestOracleAgreement:
                or is_downward_closed(phi))
         assert check_team(team, phi, strategy=strategy) == naive_oracle(team, phi)
 
+    # The structural suite checks the empty team, downward closure and
+    # singleton equivalence on every instance.
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2**32))
     def test_singleton_equals_classical(self, seed):
-        rng = random.Random(seed)
-        t = random_trace(rng, max_prefix=3, max_loop=3)
-        phi = random_ltl_formula(rng, rng.randint(1, 6))
-        assert check_team(TeamEncoding.of([t]), phi) == check_ltl_classical(t, phi)
+        assert not suite_ltl_structural(random.Random(seed), 1).mismatches
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2**32))
     def test_downward_closure(self, seed):
-        rng = random.Random(seed)
-        team = random_team(rng)
-        phi = random_ltl_formula(rng, rng.randint(1, 6), allow_atoms=True)
-        if not is_downward_closed(phi):
-            return
-        if check_team(team, phi):
-            members = list(team.traces)
-            sub = TeamEncoding(frozenset(
-                t for t in members if rng.random() < 0.5
-            ))
-            assert check_team(sub, phi)
+        assert not suite_ltl_structural(random.Random(seed), 1).mismatches
 
 
 def test_long_horizon_stops_at_first_witness():

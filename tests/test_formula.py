@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import random
 import typing
 
@@ -41,7 +40,7 @@ from teamtl.formula import (
     top,
 )
 from teamtl.kripke import KripkeStructure, MultiTeam
-from teamtl.selftest import random_ctl_formula, random_ltl_formula, random_pl_formula
+from teamtl.selftest import random_ctl_formula, random_ltl_formula, suite_ltl_ctl_agreement
 from teamtl.trace import LassoTrace, TeamEncoding
 
 p, q, r = Prop("p"), Prop("q"), Prop("r")
@@ -173,24 +172,7 @@ def test_every_node_class_gets_a_verdict_or_a_clean_rejection(cls):
 @settings(max_examples=1000, deadline=None)
 @given(st.integers(0, 2**32))
 def test_team_ltl_and_team_ctl_agree_on_propositional_formulas(seed):
-    # On a team of one-state loops and a team of self-loop worlds with the
-    # same pairwise distinct labels, sets and multisets coincide and no
-    # temporal operator occurs, so the two evaluators must agree.
-    rng = random.Random(seed)
-    props = ("p", "q", "r")
-    phi = random_pl_formula(rng, rng.randint(0, 5), props)
-    if rng.random() < 0.3:
-        atom = rng.choice(
-            (dependence_atom(1, 1), dependence_atom(0, 1), inclusion_atom(1))
-        )
-        params = tuple(Prop(rng.choice(props)) for _ in range(atom.arity))
-        phi = And(phi, GenAtomApp(atom, params))
-    subsets = [frozenset(c) for n in range(4) for c in itertools.combinations(props, n)]
-    labels = rng.sample(subsets, rng.randint(0, 4))
-    team = TeamEncoding.of(LassoTrace((), (label,)) for label in labels)
-    worlds = [f"w{i}" for i in range(len(labels))]
-    k = KripkeStructure.of(worlds, [(w, w) for w in worlds], dict(zip(worlds, labels)))
-    assert check_team(team, phi) == mc_ctl(k, MultiTeam.of(worlds), phi)
+    assert not suite_ltl_ctl_agreement(random.Random(seed), 1).mismatches
 
 
 def test_map_literals_keeps_shared_subtrees_shared():

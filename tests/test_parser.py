@@ -20,8 +20,13 @@ from teamtl.formula import (
     bot,
     top,
 )
-from teamtl.parser import ParseError, parse_ctl, parse_ltl, render
+from teamtl.eval_classical import check_ctl_classical, check_ltl_classical
+from teamtl.eval_team_ctl import mc_ctl, mc_ctl_bruteforce
+from teamtl.eval_team_ltl import check_team
+from teamtl.kripke import KripkeStructure, MultiTeam
+from teamtl.parser import MAX_DEPTH, ParseError, parse_ctl, parse_ltl, render
 from teamtl.selftest import random_ctl_formula, random_ltl_formula
+from teamtl.trace import LassoTrace, TeamEncoding
 
 p, q, r = Prop("p"), Prop("q"), Prop("r")
 
@@ -118,6 +123,40 @@ class TestErrors:
     def test_unexpected_character(self):
         with pytest.raises(ParseError):
             parse_ltl("p @ q")
+
+
+# Formulas of each nesting shape, n levels deep.
+DEEP = {
+    "prefix": lambda n: "X " * (n - 1) + "p",
+    "brackets": lambda n: "(" * (n - 1) + "p" + ")" * (n - 1),
+    "atoms": lambda n: "dep(" * (n - 1) + "p" + ")" * (n - 1),
+    "chain": lambda n: " & ".join(["p"] * n),
+    "until": lambda n: " U ".join(["p"] * n),
+    "cneg": lambda n: "~" * (n - 1) + "p",
+}
+
+
+@pytest.mark.parametrize("shape", DEEP)
+def test_nesting_is_bounded(shape):
+    parse_ltl(DEEP[shape](MAX_DEPTH))
+    for depth in (MAX_DEPTH + 1, 5000):
+        with pytest.raises(ParseError, match="nested more than"):
+            parse_ltl(DEEP[shape](depth))
+
+
+def test_evaluators_run_at_the_depth_bound():
+    trace = LassoTrace((), (frozenset({"p"}),))
+    for text in ("X " * (MAX_DEPTH - 1) + "p", DEEP["until"](MAX_DEPTH)):
+        phi = parse_ltl(text)
+        assert check_team(TeamEncoding.of([trace]), phi)
+        assert check_ltl_classical(trace, phi)
+    k = KripkeStructure.of(["a", "b"], [("a", "a"), ("a", "b"), ("b", "a")], {"a": ["p"]})
+    n = MAX_DEPTH - 1
+    for text in ("EX " * n + "p", "E[p U " * n + "p" + "]" * n):
+        phi = parse_ctl(text)
+        assert mc_ctl(k, MultiTeam.of(["a", "b"]), phi) == \
+            mc_ctl_bruteforce(k, MultiTeam.of(["a", "b"]), phi)
+        assert check_ctl_classical(k, "a", phi)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -9,7 +8,6 @@ from teamtl.eval_team_ctl import CtlLimits, mc_ctl
 from teamtl.fixtures import WORKED_QBF_TEXT, worked_qbf
 from teamtl.formula import And, CNeg, Prop, Split
 from teamtl.kripke import validate
-from teamtl.parser import parse_ltl
 from teamtl.qbf import (
     DOLLAR,
     HASH,
@@ -24,7 +22,7 @@ from teamtl.qbf import (
     reduce_to_tmc_ctl,
     reduce_to_tpc,
 )
-from teamtl.selftest import random_pl_formula, random_qbf
+from teamtl.selftest import suite_plsim, suite_qbf_reductions
 from teamtl.trace import trace_at
 
 p, q = Prop("p"), Prop("q")
@@ -120,7 +118,7 @@ class TestTpcReduction:
 
 
 class TestCtlReduction:
-    def test_structure_is_left_total_and_valid(self):
+    def test_structure_is_valid(self):
         k, team, _ = reduce_to_tmc_ctl(worked_qbf())
         assert validate(k) == []
         assert len(team) == len(worked_qbf().variables) + 1
@@ -138,13 +136,7 @@ class TestCtlReduction:
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32))
 def test_reductions_agree_with_eval(seed):
-    rng = random.Random(seed)
-    q = random_qbf(rng)
-    expected = eval_qbf(q)
-    team, phi = reduce_to_tpc(q)
-    assert check_team(team, phi) == expected
-    k, ctl_team, ctl_phi = reduce_to_tmc_ctl(q)
-    assert mc_ctl(k, ctl_team, ctl_phi, limits=CtlLimits(max_worlds=128)) == expected
+    assert not suite_qbf_reductions(random.Random(seed), 1).mismatches
 
 
 class TestPlSim:
@@ -171,7 +163,4 @@ class TestPlSim:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32))
     def test_reduction_matches_bruteforce(self, seed):
-        rng = random.Random(seed)
-        phi = random_pl_formula(rng, rng.randint(1, 4))
-        team, goal = reduce_plsim_to_tpc(phi)
-        assert check_team(team, goal) == pl_team_satisfiable_bruteforce(phi)
+        assert not suite_plsim(random.Random(seed), 1).mismatches

@@ -10,10 +10,9 @@ from teamtl.errors import (
     UnsupportedNodeError,
 )
 from teamtl.eval_classical import check_ltl_classical_extended
-from teamtl.eval_team_ltl import check_team
 from teamtl.kripke import KripkeStructure, enumerate_traces
 from teamtl.parser import parse_ctl, parse_ltl
-from teamtl.selftest import random_lasso_forest, random_ltl_formula
+from teamtl.selftest import suite_splitfree
 from teamtl.tmc_splitfree import check_model_splitfree, flatten, negative_prop
 from teamtl.trace import trace_at
 
@@ -105,10 +104,4 @@ class TestCheckModelSplitfree:
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**32))
 def test_agrees_with_trace_enumeration(seed):
-    rng = random.Random(seed)
-    k = random_lasso_forest(rng)
-    phi = random_ltl_formula(
-        rng, rng.randint(1, 5),
-        allow_split=False, allow_cneg=True, allow_boolor=True,
-    )
-    assert check_model_splitfree(k, phi) == check_team(enumerate_traces(k), phi)
+    assert not suite_splitfree(random.Random(seed), 1).mismatches
