@@ -159,8 +159,10 @@ def check_path(team_file, formula, max_team, strategy, explain, oracle):
                    "e.g. r,a,a.")
 @click.option("--max-team", type=click.IntRange(min=0), default=DEFAULT_MAX_TEAM,
               show_default=True)
-@click.option("--max-subsets", default=DEFAULT_MAX_SUBSETS, show_default=True,
-              help="Cap on the flattened characteristic in splitfree mode.")
+@click.option("--max-subsets", type=click.IntRange(min=1),
+              default=DEFAULT_MAX_SUBSETS, show_default=True,
+              help="In splitfree mode, cap on the successor sets the check "
+                   "actually steps.")
 @click.option("--until-from-one", is_flag=True,
               help="In ctl mode, make until ignore the current team.")
 def check_model(kripke_file, formula, mode, team_arg, max_team, max_subsets,

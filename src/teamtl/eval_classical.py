@@ -34,7 +34,7 @@ from .formula import (
     iter_nodes,
 )
 from .kripke import KripkeStructure
-from .trace import LassoTrace, trace_at
+from .trace import LassoTrace
 
 
 def prop_sat(labels: frozenset[str], phi: Formula) -> bool:
@@ -72,35 +72,35 @@ def _require_nodes(phi: Formula, allowed: tuple[type, ...], logic: str):
 
 
 class _LassoEval:
-    """Positionwise evaluation on one lasso trace with memoization over
-    (reduced position, subformula)."""
+    """Positionwise evaluation on one ultimately periodic trace, with
+    memoization over (reduced position, subformula).
 
-    def __init__(self, t: LassoTrace, extended: bool):
-        self.t = t
+    Positions are read through ``t.at(i)``, the label set at a reduced
+    position, and ``t.reduce(i)``, the position with the same suffix
+    among the first stem + period.  A :class:`LassoTrace` answers both by
+    prefix/loop arithmetic; the splitfree model checker passes its
+    successor-set sequence, which steps only as far as they are read.
+    """
+
+    def __init__(self, t, extended: bool):
+        self.at = t.at
+        self.reduce = t.reduce
         self.extended = extended
         self.memo: dict[tuple[int, int], bool] = {}
 
-    def reduce(self, i: int) -> int:
-        s = len(self.t.prefix)
-        if i < s:
-            return i
-        return s + (i - s) % len(self.t.loop)
-
     def eval(self, i: int, phi: Formula) -> bool:
-        key = (self.reduce(i), id(phi))
-        cached = self.memo.get(key)
-        if cached is not None:
-            return cached
-        verdict = self._eval(self.reduce(i), phi)
-        self.memo[key] = verdict
+        i = self.reduce(i)
+        key = (i, id(phi))
+        verdict = self.memo.get(key)
+        if verdict is None:
+            verdict = self.memo[key] = self._eval(i, phi)
         return verdict
 
     def _eval(self, i: int, phi: Formula) -> bool:
-        t = self.t
         if isinstance(phi, Prop):
-            return phi.name in trace_at(t, i)
+            return phi.name in self.at(i)
         if isinstance(phi, NegProp):
-            return phi.name not in trace_at(t, i)
+            return phi.name not in self.at(i)
         if isinstance(phi, And):
             return self.eval(i, phi.left) and self.eval(i, phi.right)
         if isinstance(phi, Split):
@@ -157,9 +157,10 @@ def check_ltl_classical(t: LassoTrace, phi: Formula) -> bool:
     return _LassoEval(t, extended=False).eval(0, phi)
 
 
-def check_ltl_classical_extended(t: LassoTrace, phi: Formula) -> bool:
+def check_ltl_classical_extended(t, phi: Formula) -> bool:
     """Classical evaluation admitting CNeg (as negation) and BoolOr (as
-    disjunction); used by the flattening-based model checker."""
+    disjunction); used by the flattening-based model checker.  ``t`` is a
+    LassoTrace or any other trace read through ``at`` and ``reduce``."""
     return _LassoEval(t, extended=True).eval(0, phi)
 
 

@@ -72,7 +72,7 @@ from .formula import (
     is_downward_closed,
     is_temporal_free,
 )
-from .kripke import KripkeStructure, MultiTeam, _check_members, reject_dead_ends
+from .kripke import KripkeStructure, MultiTeam, _check_members, check_successors
 
 TeamKey = tuple[str, ...]
 
@@ -408,7 +408,8 @@ def mc_ctl(
     limits: CtlLimits | None = None,
 ) -> bool:
     """Team satisfaction of a CTL formula on a multiset team.  The
-    structure must be left-total: a dead end raises ValueError."""
+    structure must be left-total: a dead end, or an edge to an undeclared
+    world, raises ValueError."""
     limits = limits or CtlLimits()
     if len(team) > limits.max_team:
         raise ResourceCapError(
@@ -419,7 +420,7 @@ def mc_ctl(
             f"structure size {len(k.worlds)} exceeds the cap {limits.max_worlds}"
         )
     _check_members(k, team)
-    reject_dead_ends(k)
+    check_successors(k)
     evaluator = _CtlEval(k, len(team), limits)
     return evaluator.check(evaluator.encode(team.worlds), evaluator.compile(phi))
 
@@ -440,7 +441,7 @@ def mc_ctl_bruteforce(
     multisets of the team's size, C(|W|+|T|-1, |T|), which makes the
     cutoffs exact: a run of that many steps passes through one more team
     than there are multisets, so it revisits one and can be pumped."""
-    reject_dead_ends(k)
+    check_successors(k)
     multisets = math.comb(max(len(k.worlds) + len(team) - 1, 0), len(team))
     bound = multisets if depth is None else depth
     memo: dict[tuple[TeamKey, int, int], bool] = {}

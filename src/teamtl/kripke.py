@@ -117,14 +117,19 @@ def _check_members(k: KripkeStructure, team: MultiTeam):
             raise ValueError(f"team member {w!r} is not a world of the structure")
 
 
-def reject_dead_ends(k: KripkeStructure):
-    """Raise ValueError if a world has no successor.  Team CTL reads every
-    structure as left-total, as the paper does: on a dead end a team would
-    have no successor team, so ``AX`` and ``AG`` would hold there vacuously
-    and ``AX``, ``AU`` and ``AR`` would not be downward closed."""
-    for w in k.worlds:
-        if not k.succ[w]:
+def check_successors(k: KripkeStructure):
+    """Raise ValueError if a world has no successor or an edge leads to an
+    undeclared world.  Team CTL reads every structure as left-total, as
+    the paper does: on a dead end a team would have no successor team, so
+    ``AX`` and ``AG`` would hold there vacuously and ``AX``, ``AU`` and
+    ``AR`` would not be downward closed."""
+    declared = set(k.worlds)
+    for w, successors in k.succ.items():
+        if not successors:
             raise ValueError(f"world {w!r} has no successor (not left-total)")
+        if not declared.issuperset(successors):
+            target = next(s for s in successors if s not in declared)
+            raise ValueError(f"edge target {target!r} is not a declared world")
 
 
 def is_successor_team(k: KripkeStructure, t1: MultiTeam, t2: MultiTeam) -> bool:

@@ -265,6 +265,32 @@ def random_lasso_forest(
     return KripkeStructure.of(all_worlds, edges, labels, initial=worlds[0])
 
 
+# Pairwise coprime cycle lengths: the fan's sequence has period their lcm.
+_COPRIME_LENGTHS = ((2, 3), (2, 5), (3, 4), (3, 5), (4, 5), (2, 3, 5), (3, 4, 5))
+
+
+def cycle_fan(lengths, label) -> KripkeStructure:
+    """A root r with one edge into each of several private cycles; world j
+    of cycle c is ``c{c}_{j}`` and carries ``label(world)``.  Its trace
+    team has one member per cycle, and its successor-set sequence has
+    stem 1 and period lcm(lengths)."""
+    worlds, edges = ["r"], []
+    for c, length in enumerate(lengths):
+        cycle = [f"c{c}_{j}" for j in range(length)]
+        worlds += cycle
+        edges += [("r", cycle[0]), *zip(cycle, cycle[1:] + cycle[:1])]
+    return KripkeStructure.of(worlds, edges, {w: label(w) for w in worlds}, initial="r")
+
+
+def random_cycle_fan(rng: random.Random, props=("p", "q")) -> KripkeStructure:
+    """A cycle fan over two or three cycles of pairwise coprime lengths
+    from 2 to 5: a loop of 6 to 60 positions for walks to come round."""
+    return cycle_fan(
+        rng.choice(_COPRIME_LENGTHS),
+        lambda w: [p for p in props if rng.random() < 0.4],
+    )
+
+
 def random_multiteam(rng: random.Random, k: KripkeStructure, max_size: int = 3) -> MultiTeam:
     size = rng.randint(0, max_size)
     return MultiTeam.of([rng.choice(k.worlds) for _ in range(size)])
@@ -425,9 +451,11 @@ def suite_split_strategies(rng, count):
 
 @_suite("check_model_splitfree vs trace enumeration")
 def suite_splitfree(rng, count):
-    """Also checks that the flattened characteristic stays within 2^|W|."""
+    """Also checks that the flattened characteristic stays within 2^|W|.
+    A quarter of the structures are cycle fans, whose long loops make the
+    check's walks step past the repeat."""
     for _ in range(count):
-        k = random_lasso_forest(rng)
+        k = random_cycle_fan(rng) if rng.random() < 0.25 else random_lasso_forest(rng)
         phi = random_ltl_formula(
             rng, rng.randint(1, 5),
             allow_split=False, allow_cneg=True, allow_boolor=True,

@@ -8,11 +8,14 @@ labeled p, and the companion proposition for "no world labeled p".  Team
 satisfaction then reduces to classical path checking of the rewritten
 formula on that one trace.
 
-The successor-set sequence is built over world bitmasks: each world is a
-bit, with one successor mask per world and one label mask per
+The successor-set sequence is stepped over world bitmasks: each world is
+a bit, with one successor mask per world and one label mask per
 proposition, so a step ORs the successor masks of the current set and a
 unanimity label is one mask test.  The sequence must repeat within 2^|W|
-steps, guarded by a configurable cap.
+steps.  Model checking steps it on demand, only as far as the classical
+walk reads positions, so a formula decided at position 0 costs one step
+however long the sequence is; ``flatten`` steps it to the repeat.  The
+cap ``max_subsets`` counts the subsets actually stepped.
 """
 
 from __future__ import annotations
@@ -66,13 +69,97 @@ class FlattenedTrace:
     period: int
 
 
+class _SubsetSequence:
+    """The successor-set sequence of a structure, stepped on demand.
+
+    Position i is the set of worlds reachable from the initial world in
+    exactly i steps, a world bitmask; ``labels[i]`` is its unanimity label,
+    computed once, when the position is stepped.  The first repeated
+    subset fixes ``stem`` and ``period`` (0 until then), after which
+    ``reduce`` is plain arithmetic.  ``at`` and ``reduce`` are the
+    position reads of the classical LTL evaluator, so a check steps only
+    as far as its walk reads; ``max_subsets`` caps the subsets stepped.
+    """
+
+    def __init__(
+        self, k: KripkeStructure, props: frozenset[str], max_subsets: int
+    ):
+        if max_subsets < 1:
+            raise ValueError(f"max_subsets must be at least 1, not {max_subsets}")
+        if k.initial is None:
+            raise ValueError("flattening requires an initial world")
+        # Edge endpoints get bits too, declared or not, as the edge relation
+        # reaches them.
+        worlds = list(dict.fromkeys([*k.worlds, k.initial, *itertools.chain(*k.edges)]))
+        index = {w: i for i, w in enumerate(worlds)}
+        self.succ = [0] * len(worlds)
+        for a, b in k.edges:
+            self.succ[index[a]] |= 1 << index[b]
+        self.labelled = []
+        for p in sorted(props):
+            mask = sum(1 << i for i, w in enumerate(worlds) if p in k.label(w))
+            self.labelled.append((p, negative_prop(p), mask))
+        self.max_subsets = max_subsets
+        self.stem = self.period = 0
+        self.positions: dict[int, int] = {}
+        self.labels: list[frozenset[str]] = []
+        self.at = self.labels.__getitem__
+        self.pending = 1 << index[k.initial]
+
+    def step(self, n: int):
+        """Step until position ``n`` is stepped or a subset repeats, then
+        label the new positions.  Each subset's image is taken when the
+        subset is stepped, so the repeat is known as soon as the last new
+        subset is."""
+        if self.period:
+            return
+        labels, positions, succ = self.labels, self.positions, self.succ
+        cap, stepped, new = self.max_subsets, len(labels), []
+        subset = self.pending
+        while stepped <= n:
+            if stepped >= cap:
+                raise ResourceCapError(
+                    f"successor-set sequence exceeded {cap} subsets"
+                )
+            positions[subset] = stepped
+            new.append(subset)
+            stepped += 1
+            image, rest = 0, subset
+            while rest:
+                low = rest & -rest
+                image |= succ[low.bit_length() - 1]
+                rest ^= low
+            subset = image
+            if image in positions:
+                self.stem = positions[image]
+                self.period = stepped - self.stem
+                break
+        self.pending = subset
+        for subset in new:
+            position = set()
+            for p, not_p, mask in self.labelled:
+                if not subset & ~mask:
+                    position.add(p)
+                if not subset & mask:
+                    position.add(not_p)
+            labels.append(frozenset(position))
+
+    def reduce(self, i: int) -> int:
+        """The stepped position whose suffix is the one at ``i``."""
+        if i >= len(self.labels):
+            self.step(i)
+            if i >= len(self.labels):
+                return self.stem + (i - self.stem) % self.period
+        return i
+
+
 def flatten(
     k: KripkeStructure,
     *,
     props: frozenset[str] | None = None,
     max_subsets: int = DEFAULT_MAX_SUBSETS,
 ) -> FlattenedTrace:
-    """Iterate successor sets from {initial} until a subset repeats and
+    """Step the successor sets from {initial} until a subset repeats and
     fold the sequence of unanimity labels into a lasso trace.
 
     ``props`` is the proposition universe to record; it defaults to the
@@ -80,47 +167,15 @@ def flatten(
     propositions (a proposition absent everywhere is unanimously false,
     which the flattening has to represent explicitly).
     """
-    if k.initial is None:
-        raise ValueError("flattening requires an initial world")
-    # Edge endpoints get bits too, declared or not, as the edge relation
-    # reaches them.
-    worlds = list(dict.fromkeys([*k.worlds, k.initial, *itertools.chain(*k.edges)]))
-    index = {w: i for i, w in enumerate(worlds)}
-    succ = [0] * len(worlds)
-    for a, b in k.edges:
-        succ[index[a]] |= 1 << index[b]
-    labelled = []
-    for p in sorted(k.prop_universe if props is None else props):
-        mask = sum(1 << i for i, w in enumerate(worlds) if p in k.label(w))
-        labelled.append((p, negative_prop(p), mask))
-    seen: dict[int, int] = {}
-    current = 1 << index[k.initial]
-    while current not in seen:
-        if len(seen) >= max_subsets:
-            raise ResourceCapError(
-                f"successor-set sequence exceeded {max_subsets} subsets"
-            )
-        seen[current] = len(seen)
-        image, rest = 0, current
-        while rest:
-            low = rest & -rest
-            image |= succ[low.bit_length() - 1]
-            rest ^= low
-        current = image
-    stem = seen[current]
-    labels = []
-    for subset in seen:
-        position = set()
-        for p, not_p, mask in labelled:
-            if not subset & ~mask:
-                position.add(p)
-            if not subset & mask:
-                position.add(not_p)
-        labels.append(frozenset(position))
+    sequence = _SubsetSequence(
+        k, k.prop_universe if props is None else props, max_subsets
+    )
+    sequence.step(max_subsets)
+    labels, stem = sequence.labels, sequence.stem
     return FlattenedTrace(
         trace=LassoTrace(tuple(labels[:stem]), tuple(labels[stem:])),
         stem=stem,
-        period=len(seen) - stem,
+        period=sequence.period,
     )
 
 
@@ -147,7 +202,8 @@ def check_model_splitfree(
     """Does the full trace team of the structure satisfy the splitfree
     formula?  CNeg and BoolOr are admitted (they commute with the
     single-trace reduction); splitjunctions, generalised atoms and CTL
-    operators are not.
+    operators are not.  The flattened trace is stepped only as far as the
+    classical check reads it, and ``max_subsets`` caps the subsets stepped.
     """
     for node in iter_nodes(phi):
         if not isinstance(node, _LTL_NODES):
@@ -164,8 +220,9 @@ def check_model_splitfree(
             "flattening keeps only unanimous-label information, which cannot "
             "evaluate generalised atoms"
         )
-    universe = k.prop_universe | propositions(phi)
-    flattened = flatten(k, props=universe, max_subsets=max_subsets)
+    sequence = _SubsetSequence(
+        k, k.prop_universe | propositions(phi), max_subsets
+    )
     return check_ltl_classical_extended(
-        flattened.trace, map_literals(phi, _rewrite_literal)
+        sequence, map_literals(phi, _rewrite_literal)
     )

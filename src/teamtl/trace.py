@@ -32,6 +32,14 @@ class LassoTrace:
             tuple(frozenset(pos) for pos in loop),
         )
 
+    def at(self, i: int) -> PropSet:
+        return trace_at(self, i)
+
+    def reduce(self, i: int) -> int:
+        """The position below |prefix| + |loop| with the suffix at ``i``."""
+        s = len(self.prefix)
+        return i if i < s else s + (i - s) % len(self.loop)
+
 
 def trace_at(t: LassoTrace, i: int) -> PropSet:
     """Proposition set at position i of prefix · loop^ω."""

@@ -110,6 +110,17 @@ def test_negative_max_team_exit_2(runner, workspace, command, extra):
     assert "--max-team" in r.stderr
 
 
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_nonpositive_max_subsets_exit_2(runner, tmp_path, value):
+    k = tmp_path / "k.json"
+    k.write_text(json.dumps({
+        "worlds": ["a"], "edges": [["a", "a"]], "labels": {}, "initial": "a",
+    }))
+    r = runner.invoke(main, ["check-model", str(k), "p", "--max-subsets", value])
+    assert r.exit_code == 2
+    assert "--max-subsets" in r.stderr
+
+
 class TestCheckModel:
     def test_ctl_fixture_verdicts(self, runner, workspace):
         ef = str(workspace / "ef.json")

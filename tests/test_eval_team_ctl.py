@@ -20,9 +20,9 @@ from teamtl.selftest import (
 p = Prop("p")
 
 
-def rejected(k, team, phi):
+def rejected(k, team, phi, match="no successor"):
     for decide in (mc_ctl, mc_ctl_bruteforce):
-        with pytest.raises(ValueError, match="no successor"):
+        with pytest.raises(ValueError, match=match):
             decide(k, team, phi)
 
 
@@ -70,6 +70,10 @@ class TestBasics:
         # a has no successor: the team a,b would have no successor team.
         k = KripkeStructure.of(["a", "b", "c"], [("b", "c"), ("c", "c")], {"a": ["p"]})
         rejected(k, MultiTeam.of(["a", "b"]), parse_ctl("p | AX q"))
+
+    def test_edge_to_an_undeclared_world(self):
+        k = KripkeStructure.of(["a"], [("a", "b")])
+        rejected(k, MultiTeam.of(["a"]), parse_ctl("AX p"), match="'b' is not a declared")
 
     def test_caps(self):
         k = loops("a")

@@ -10,11 +10,17 @@ from teamtl.errors import (
     UnsupportedNodeError,
 )
 from teamtl.eval_classical import check_ltl_classical_extended
+from teamtl.eval_team_ltl import check_team
 from teamtl.kripke import KripkeStructure, enumerate_traces
 from teamtl.parser import parse_ctl, parse_ltl
-from teamtl.selftest import suite_splitfree
-from teamtl.tmc_splitfree import check_model_splitfree, flatten, negative_prop
-from teamtl.trace import trace_at
+from teamtl.selftest import cycle_fan, suite_splitfree
+from teamtl.tmc_splitfree import (
+    FlattenedTrace,
+    check_model_splitfree,
+    flatten,
+    negative_prop,
+)
+from teamtl.trace import LassoTrace, trace_at
 
 
 def diamond():
@@ -27,12 +33,38 @@ def diamond():
     )
 
 
+# 1 + lcm(7, 8, 9, 11) = 5545 subsets.
+HORIZON = cycle_fan((7, 8, 9, 11), lambda w: ["p"])
+
+
 class TestFlatten:
     def test_unanimity_labels(self):
         flat = flatten(diamond(), props={"p"})
         # Position 0: nobody has p.  Position 1 on: split verdict.
         assert trace_at(flat.trace, 0) == {negative_prop("p")}
         assert trace_at(flat.trace, 1) == set()
+
+    def test_lassos_are_pinned(self):
+        not_p, not_q = negative_prop("p"), negative_prop("q")
+        lasso = LassoTrace.of([[not_p]], [[]])
+        assert flatten(diamond(), props={"p"}) == FlattenedTrace(lasso, 1, 1)
+        assert flatten(diamond()) == FlattenedTrace(lasso, 1, 1)
+        assert flatten(diamond(), props={"p", "q"}) == FlattenedTrace(
+            LassoTrace.of([[not_p, not_q]], [[not_q]]), 1, 1
+        )
+        # r -> s, then s into a 2-cycle and a 3-cycle.
+        k = KripkeStructure.of(
+            ["r", "s", "a0", "a1", "b0", "b1", "b2"],
+            [("r", "s"), ("s", "a0"), ("s", "b0"), ("a0", "a1"), ("a1", "a0"),
+             ("b0", "b1"), ("b1", "b2"), ("b2", "b0")],
+            {"s": ["p"], "a0": ["p"], "b0": ["p"], "b1": ["p"]},
+            initial="r",
+        )
+        assert flatten(k) == FlattenedTrace(
+            LassoTrace.of([[not_p], ["p"]], [["p"], [], [], [], ["p"], [not_p]]), 2, 6
+        )
+        flat = flatten(HORIZON)
+        assert (flat.stem, flat.period) == (1, 5544)
 
     def test_characteristic_bound(self):
         flat = flatten(diamond())
@@ -41,6 +73,42 @@ class TestFlatten:
     def test_subset_cap(self):
         with pytest.raises(ResourceCapError):
             flatten(diamond(), max_subsets=1)
+        assert flatten(diamond(), max_subsets=2).period == 1
+
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_cap_below_one_is_rejected(self, cap):
+        with pytest.raises(ValueError, match="max_subsets"):
+            flatten(diamond(), max_subsets=cap)
+        with pytest.raises(ValueError, match="max_subsets"):
+            check_model_splitfree(diamond(), parse_ltl("p"), max_subsets=cap)
+
+
+class TestOnDemand:
+    """Model checking steps the successor-set sequence only as far as the
+    classical walk reads it, and the cap counts the subsets stepped."""
+
+    def test_decided_at_position_0_under_a_small_cap(self):
+        assert check_model_splitfree(HORIZON, parse_ltl("q U p"), max_subsets=4)
+
+    def test_walk_over_the_whole_loop_meets_the_cap(self):
+        phi = parse_ltl("BOT R p")
+        with pytest.raises(ResourceCapError):
+            check_model_splitfree(HORIZON, phi, max_subsets=4)
+        assert check_model_splitfree(HORIZON, phi)
+        assert check_model_splitfree(HORIZON, phi, max_subsets=5545)
+        with pytest.raises(ResourceCapError):
+            check_model_splitfree(HORIZON, phi, max_subsets=5544)
+
+    def test_walks_wrap_around_the_loop(self):
+        # p only at the two cycle heads: unanimous at positions 1, 7, 13,
+        # ..., so F p from position 2 on finds its witness only after the
+        # walk passes the end of the loop (stem 1, period 6).
+        k = cycle_fan((2, 3), lambda w: ["p"] if w.endswith("_0") else [])
+        team = enumerate_traces(k)
+        assert check_model_splitfree(k, parse_ltl("G F p"))
+        for text in ["G F p", "F G p", "G (F p & F !p)", "X X (!p U p)", "X (p R F !p)"]:
+            phi = parse_ltl(text)
+            assert check_model_splitfree(k, phi) == check_team(team, phi), text
 
 
 class TestCheckModelSplitfree:
