@@ -10,6 +10,7 @@ a traceback or in code 1, which means UNSAT.
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -21,12 +22,7 @@ from .errors import (
     TeamTLError,
 )
 from .eval_team_ctl import CtlLimits, mc_ctl
-from .eval_team_ltl import (
-    DEFAULT_MAX_TEAM,
-    SplitStrategy,
-    check_team,
-    naive_oracle,
-)
+from .eval_team_ltl import DEFAULT_MAX_TEAM, check_team, naive_oracle
 from .formula import And, Formula, Next, Split, Until
 from .kripke import MultiTeam, enumerate_traces
 from .parser import ParseError, parse_ctl, parse_ltl, render
@@ -49,6 +45,21 @@ def _fail(code: int, message: str):
 def _internal(exc: Exception):
     detail = " ".join(str(exc).splitlines())
     _fail(EXIT_INTERNAL, f"internal error: {type(exc).__name__}: {detail}")
+
+
+@contextmanager
+def _exit_codes():
+    """Map an exception raised inside the block onto its exit code."""
+    try:
+        yield
+    except ResourceCapError as exc:
+        _fail(EXIT_CAP, str(exc))
+    except LassoForestViolation as exc:
+        _fail(EXIT_INPUT, f"trace team is not finitely enumerable: {exc}")
+    except (ParseError, TeamTLError, OSError, ValueError) as exc:
+        _fail(EXIT_INPUT, str(exc))
+    except Exception as exc:
+        _internal(exc)
 
 
 def _verdict(sat: bool):
@@ -118,21 +129,15 @@ def main():
 @click.option("--max-team", type=click.IntRange(min=0), default=DEFAULT_MAX_TEAM,
               show_default=True,
               help="Cap on team size for splitjunction enumeration.")
-@click.option("--strategy", type=click.Choice(["auto", "disjoint", "covers"]),
-              default="auto", show_default=True,
-              help="Splitjunction enumeration strategy.")
 @click.option("--explain", is_flag=True, help="Print the witness tree.")
 @click.option("--oracle", is_flag=True,
               help="Cross-check against the naive oracle (small inputs only).")
-def check_path(team_file, formula, max_team, strategy, explain, oracle):
+def check_path(team_file, formula, max_team, explain, oracle):
     """Check whether the team in TEAM_FILE satisfies the LTL FORMULA."""
-    try:
+    with _exit_codes():
         team = files.load_team(team_file)
         phi = parse_ltl(_read_formula(formula))
-        kwargs = {"max_team": max_team}
-        if strategy != "auto":
-            kwargs["strategy"] = SplitStrategy(strategy)
-        sat = check_team(team, phi, **kwargs)
+        sat = check_team(team, phi, max_team=max_team)
         if oracle:
             slow = naive_oracle(team, phi)
             click.echo(f"oracle: {'SAT' if slow else 'UNSAT'}")
@@ -140,12 +145,6 @@ def check_path(team_file, formula, max_team, strategy, explain, oracle):
                 _fail(EXIT_SELFTEST, "oracle disagrees with the checker")
         if explain:
             _explain(team, phi, 0, max_team)
-    except ResourceCapError as exc:
-        _fail(EXIT_CAP, str(exc))
-    except (ParseError, TeamTLError, OSError, ValueError) as exc:
-        _fail(EXIT_INPUT, str(exc))
-    except Exception as exc:
-        _internal(exc)
     _verdict(sat)
 
 
@@ -169,7 +168,7 @@ def check_model(kripke_file, formula, mode, team_arg, max_team, max_subsets,
                 until_from_one):
     """Check the trace team (LTL modes) or a multiset team (ctl mode) of
     the structure in KRIPKE_FILE against FORMULA."""
-    try:
+    with _exit_codes():
         k = files.load_kripke(kripke_file)
         if mode == "ctl":
             if team_arg is None:
@@ -189,14 +188,6 @@ def check_model(kripke_file, formula, mode, team_arg, max_team, max_subsets,
             phi = parse_ltl(_read_formula(formula))
             team = enumerate_traces(k)
             sat = check_team(team, phi, max_team=max_team)
-    except ResourceCapError as exc:
-        _fail(EXIT_CAP, str(exc))
-    except LassoForestViolation as exc:
-        _fail(EXIT_INPUT, f"trace team is not finitely enumerable: {exc}")
-    except (ParseError, TeamTLError, OSError, ValueError) as exc:
-        _fail(EXIT_INPUT, str(exc))
-    except Exception as exc:
-        _internal(exc)
     _verdict(sat)
 
 
@@ -212,8 +203,8 @@ def gen(kind, source, out_dir, do_check):
     """Generate a checking instance: qbf-tpc / qbf-ctl take a QBF file,
     plsim takes a propositional formula with ~ (inline or @file)."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    try:
+    with _exit_codes():
+        out.mkdir(parents=True, exist_ok=True)
         if kind == "plsim":
             phi = parse_ltl(_read_formula(source))
             team, goal = qbf.reduce_plsim_to_tpc(phi)
@@ -263,12 +254,6 @@ def gen(kind, source, out_dir, do_check):
             if got != expected:
                 _fail(EXIT_SELFTEST, "reduction verdict mismatch")
             click.echo(f"REDUCTION OK ({'valid' if expected else 'invalid'})")
-    except ResourceCapError as exc:
-        _fail(EXIT_CAP, str(exc))
-    except (ParseError, TeamTLError, OSError, ValueError) as exc:
-        _fail(EXIT_INPUT, str(exc))
-    except Exception as exc:
-        _internal(exc)
 
 
 @main.command("selftest")

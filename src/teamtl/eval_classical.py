@@ -31,6 +31,7 @@ from .formula import (
     Release,
     Split,
     Until,
+    check_depth,
     iter_nodes,
 )
 from .kripke import KripkeStructure
@@ -153,7 +154,7 @@ class _LassoEval:
 
 def check_ltl_classical(t: LassoTrace, phi: Formula) -> bool:
     """Classical satisfaction of a pure-grammar LTL formula on one trace."""
-    _require_nodes(phi, _PURE_LTL, "LTL")
+    _require_nodes(check_depth(phi), _PURE_LTL, "LTL")
     return _LassoEval(t, extended=False).eval(0, phi)
 
 
@@ -161,7 +162,7 @@ def check_ltl_classical_extended(t, phi: Formula) -> bool:
     """Classical evaluation admitting CNeg (as negation) and BoolOr (as
     disjunction); used by the flattening-based model checker.  ``t`` is a
     LassoTrace or any other trace read through ``at`` and ``reduce``."""
-    return _LassoEval(t, extended=True).eval(0, phi)
+    return _LassoEval(t, extended=True).eval(0, check_depth(phi))
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,12 @@ classes, and all members in one class step at once: one mask and one
 shift of the key.
 
 The formula is compiled by the shared core, `formula.Compiled`; here a
-flat node's ``fails`` mask is over worlds, and a flat node holds on a
-team iff its support misses ``fails``, so it needs no memo and no split
-enumeration.  Beyond literals and ``&`` and ``|`` over flat nodes, flat
-are ``EX``/``AX`` over a flat node, and ``E``/``A[φ R ψ]`` over flat
-nodes where every world falsifies φ (``EG``/``AG``), unless Until and
-Release are read from index 1.  Each is pointwise because the members of
+flat node's ``fails`` mask holds the digits of the worlds falsifying it,
+so a flat node holds on a team iff its key misses ``fails``, which needs
+no memo and no split enumeration.  Beyond literals and ``&`` and ``|``
+over flat nodes, flat are ``EX``/``AX`` over a flat node, and
+``E``/``A[φ R ψ]`` over flat nodes where every world falsifies φ
+(``EG``/``AG``).  Each is pointwise because the members of
 a team step independently: a successor team satisfies a flat node iff
 each member's chosen successor does, so ``EX`` asks every member for one
 good successor and ``AX`` for good successors only, and a synchronous
@@ -38,7 +38,13 @@ and Release with a satisfiable φ are not pointwise, since φ or ψ must
 hold on the whole team at one common step: in ``ef_counterexample``
 both ``x1`` and ``y1`` reach ``p``, but never at the same step, so
 ``EF p`` fails on the team ``x1,y1``.  They stay searches over the
-successor-multiset graph.
+successor-multiset graph, two of them, as Release is the dual of
+Until: ``EU`` and ``AR`` are decided by a finite path, found or not by a
+depth-first search, and ``AU`` and ``ER`` by a region of teams that a
+path may stay in, and whether it has a cycle.
+
+Reading Until and Release from index 1 is a rewrite of the formula,
+`_from_index_zero`, after which every operator is decided as above.
 
 ``mc_ctl_bruteforce`` is the independent oracle: a bounded-unrolling
 evaluator that enumerates per-member successor functions explicitly.
@@ -69,8 +75,11 @@ from .formula import (
     NegProp,
     Prop,
     Split,
+    check_depth,
+    children,
     is_downward_closed,
     is_temporal_free,
+    rebuild,
 )
 from .kripke import KripkeStructure, MultiTeam, _check_members, check_successors
 
@@ -84,37 +93,53 @@ class CtlLimits:
     until_from_one: bool = False
 
 
+def _from_index_zero(phi: Formula) -> Formula:
+    """The until-from-one reading of ``phi`` in the ordinary one: a path
+    satisfies E/A[φ U ψ] or E/A[φ R ψ] from index 1 iff its tail from the
+    next team satisfies it from index 0, so E₁[φ U ψ] ≡ EX E[φ U ψ] and
+    A₁[φ U ψ] ≡ AX A[φ U ψ], applied to every U and R node."""
+    node = rebuild(phi, map(_from_index_zero, children(phi)))
+    if isinstance(node, (EU, ER)):
+        return EX(node)
+    if isinstance(node, (AU, AR)):
+        return AX(node)
+    return node
+
+
 class _CtlEval(Compiled):
     """One call's compiled structure, over the shared formula core.
 
     World ``w`` is ``k.worlds[w]``; ``unit[w]`` is the key of the team
-    holding it once, ``succ_steps[w]`` the (unit, world bit) pair of each
-    of its successors, and ``succ_masks[w]`` the mask of its successors.
+    holding it once, ``digits[w]`` the mask of its digit in a key,
+    ``succ_steps[w]`` the (unit, world bit) pair of each of its
+    successors, and ``succ_digits[w]`` the digits of its successors.
     Members on the worlds of a shift class in ``shifts`` step together,
     members on the worlds in ``stepped`` one by one.  ``supports`` and
-    ``succ_cache`` hold every key's support mask and successor keys.
+    ``succ_cache`` hold every key's support mask (the bits of its worlds)
+    and successor keys.
 
-    A flat node's ``fails`` mask holds the worlds falsifying it.
+    A flat node's ``fails`` mask holds the digits of the worlds
+    falsifying it.
     """
 
     logic = "team CTL"
 
-    def __init__(self, k: KripkeStructure, team_size: int, limits: CtlLimits):
+    def __init__(self, k: KripkeStructure, team_size: int):
         super().__init__({
             EX: _CtlEval._step, AX: _CtlEval._step,
-            EU: _CtlEval._e_until, AU: _CtlEval._a_until,
-            ER: _CtlEval._e_release, AR: _CtlEval._a_release,
+            EU: _CtlEval._path, AR: _CtlEval._path,
+            AU: _CtlEval._region, ER: _CtlEval._region,
         })
         self.k = k
-        self.limits = limits
         self.index = {w: i for i, w in enumerate(k.worlds)}
         self.width = max(team_size.bit_length(), 1)
         self.digit = (1 << self.width) - 1
         self.unit = [1 << self.width * i for i in range(len(k.worlds))]
+        self.digits = [self.digit * unit for unit in self.unit]
         succ = [[self.index[v] for v in k.succ[w]] for w in k.worlds]
         self.succ_steps = [tuple((self.unit[v], 1 << v) for v in vs) for vs in succ]
-        self.succ_masks = [sum(1 << v for v in vs) for vs in succ]
-        self.full = (1 << len(k.worlds)) - 1
+        self.succ_digits = [sum(self.digits[v] for v in vs) for vs in succ]
+        self.full = sum(self.digits)
         # Worlds whose only successor lies the same distance d further on
         # form a shift class: their digits move together by d digits and
         # their support bits by d bits.  Only classes of two or more worlds
@@ -129,16 +154,16 @@ class _CtlEval(Compiled):
             (ws for ws in classes.values() if len(ws) > 1), key=len, reverse=True
         )[:max(team_size, 1)]
         self.shifts = []
-        self.stepped = self.full
+        self.stepped = (1 << len(k.worlds)) - 1
         for ws in kept:
             worlds = sum(1 << w for w in ws)
-            digits = sum(self.digit * self.unit[w] for w in ws)
+            digits = sum(self.digits[w] for w in ws)
             self.shifts.append((succ[ws[0]][0] - ws[0], worlds, digits))
             self.stepped ^= worlds
         self.prop_masks: dict[str, int] = {}
         for i, w in enumerate(k.worlds):
             for p in k.label(w):
-                self.prop_masks[p] = self.prop_masks.get(p, 0) | 1 << i
+                self.prop_masks[p] = self.prop_masks.get(p, 0) | self.digits[i]
         self.supports: dict[int, int] = {}
         self.succ_cache: dict[int, tuple[int, ...]] = {}
 
@@ -213,17 +238,17 @@ class _CtlEval(Compiled):
         return holds if negated else self.full ^ holds
 
     def _pre(self, mask: int, every: bool) -> int:
-        """The worlds with a successor in ``mask``, or with only successors
-        in it if ``every``."""
+        """The digits of the worlds with a successor in the digit mask
+        ``mask``, or with only successors in it if ``every``."""
         if every:
-            return sum(1 << w for w, m in enumerate(self.succ_masks) if not m & ~mask)
-        return sum(1 << w for w, m in enumerate(self.succ_masks) if m & mask)
+            return sum(self.digits[w] for w, m in enumerate(self.succ_digits) if not m & ~mask)
+        return sum(self.digits[w] for w, m in enumerate(self.succ_digits) if m & mask)
 
     def temporal_fails(self, kind: type, masks: list[int]) -> int | None:
         # EX fails where every successor fails, AX where one does.
         if kind is EX or kind is AX:
             return self._pre(masks[0], kind is EX)
-        if kind not in (ER, AR) or masks[0] != self.full or self.limits.until_from_one:
+        if kind not in (ER, AR) or masks[0] != self.full:
             return None
         # EG / AG fail where ψ fails or, from there on, where every
         # successor (EG) or some successor (AG) fails: a least fixpoint.
@@ -235,16 +260,6 @@ class _CtlEval(Compiled):
             fails = grown
 
     # -- evaluating --------------------------------------------------------
-
-    def check(self, key: int, node: int) -> bool:
-        fails = self.fails[node]
-        if fails is not None:
-            return not self.support(key) & fails
-        memo = self.memo[node]
-        verdict = memo.get(key)
-        if verdict is None:
-            verdict = memo[key] = self.rules[node](self, key, node)
-        return verdict
 
     def _step(self, key: int, node: int) -> bool:
         quantifier = any if self.kinds[node] is EX else all
@@ -294,83 +309,49 @@ class _CtlEval(Compiled):
 
     # -- temporal searches over the successor-multiset graph --------------
 
-    def _starts(self, key: int) -> tuple[int, ...]:
-        """The teams a path of the search may start from.  The i >= 1
-        reading never inspects the current team: a path satisfies the
-        operator from index 1 iff its tail from the chosen successor team
-        satisfies it from index 0.  Every search below quantifies over its
-        start teams as its path quantifier does (E: some, A: all)."""
-        return self.successors(key) if self.limits.until_from_one else (key,)
+    # Release is the dual of Until, so each search serves one of each:
+    # with ``until`` false it is the Until search for ¬φ and ¬ψ, its
+    # verdict negated.
 
-    def _e_until(self, key: int, node: int) -> bool:
+    def _path(self, key: int, node: int) -> bool:
+        """E[φ U ψ], or A[φ R ψ]: a depth-first search for a path of φ
+        teams to a ψ team, or of ¬φ teams to a ¬ψ team."""
         inv, tgt = self.args[node]
-        stack = list(self._starts(key))
-        visited = set(stack)
+        until = self.kinds[node] is EU
+        stack = [key]
+        visited = {key}
         while stack:
             key = stack.pop()
-            if self.check(key, tgt):
-                return True
-            if not self.check(key, inv):
+            if self.check(key, tgt) == until:
+                return until
+            if self.check(key, inv) != until:
                 continue
             for s in self.successors(key):
                 if s not in visited:
                     visited.add(s)
                     stack.append(s)
-        return False
+        return not until
 
-    def _a_until(self, key: int, node: int) -> bool:
-        # The region holds the teams reached before ψ; φ must hold on all
-        # of them, and a cycle among them is a path that never meets ψ.
+    def _region(self, key: int, node: int) -> bool:
+        """A[φ U ψ], or E[φ R ψ]: the region holds the teams reached
+        before ψ, and φ must hold on all of them; a cycle among them is a
+        path that never meets ψ.  For E[φ R ψ] read ¬φ and ¬ψ."""
         inv, tgt = self.args[node]
+        until = self.kinds[node] is AU
         region: set[int] = set()
         frontier: list[int] = []
-        pending = self._starts(key)
+        pending: tuple[int, ...] = (key,)
         while True:
             for s in pending:
-                if s in region or self.check(s, tgt):
+                if s in region or self.check(s, tgt) == until:
                     continue
-                if not self.check(s, inv):
-                    return False
+                if self.check(s, inv) != until:
+                    return not until
                 region.add(s)
                 frontier.append(s)
             if not frontier:
-                return not self._region_has_cycle(region)
+                return self._region_has_cycle(region) != until
             pending = self.successors(frontier.pop())
-
-    def _e_release(self, key: int, node: int) -> bool:
-        # The region holds teams satisfying ψ but not φ; reaching φ ends
-        # the path well, and a cycle among them is a path kept in ψ forever.
-        inv, tgt = self.args[node]
-        region: set[int] = set()
-        frontier: list[int] = []
-        pending = self._starts(key)
-        while True:
-            for s in pending:
-                if s in region or not self.check(s, tgt):
-                    continue
-                if self.check(s, inv):
-                    return True
-                region.add(s)
-                frontier.append(s)
-            if not frontier:
-                return self._region_has_cycle(region)
-            pending = self.successors(frontier.pop())
-
-    def _a_release(self, key: int, node: int) -> bool:
-        inv, tgt = self.args[node]
-        stack = list(self._starts(key))
-        visited = set(stack)
-        while stack:
-            key = stack.pop()
-            if not self.check(key, tgt):
-                return False
-            if self.check(key, inv):
-                continue
-            for s in self.successors(key):
-                if s not in visited:
-                    visited.add(s)
-                    stack.append(s)
-        return True
 
     def _region_has_cycle(self, region: set[int]) -> bool:
         # Iterative three-color DFS on the subgraph induced by the region.
@@ -409,7 +390,8 @@ def mc_ctl(
 ) -> bool:
     """Team satisfaction of a CTL formula on a multiset team.  The
     structure must be left-total: a dead end, or an edge to an undeclared
-    world, raises ValueError."""
+    world, raises ValueError.  ``limits.until_from_one`` reads Until and
+    Release from index 1, by rewriting ``phi`` with `_from_index_zero`."""
     limits = limits or CtlLimits()
     if len(team) > limits.max_team:
         raise ResourceCapError(
@@ -421,7 +403,10 @@ def mc_ctl(
         )
     _check_members(k, team)
     check_successors(k)
-    evaluator = _CtlEval(k, len(team), limits)
+    check_depth(phi)
+    if limits.until_from_one:
+        phi = _from_index_zero(phi)
+    evaluator = _CtlEval(k, len(team))
     return evaluator.check(evaluator.encode(team.worlds), evaluator.compile(phi))
 
 
@@ -442,6 +427,7 @@ def mc_ctl_bruteforce(
     cutoffs exact: a run of that many steps passes through one more team
     than there are multisets, so it revisits one and can be pumped."""
     check_successors(k)
+    check_depth(phi)
     multisets = math.comb(max(len(k.worlds) + len(team) - 1, 0), len(team))
     bound = multisets if depth is None else depth
     memo: dict[tuple[TeamKey, int, int], bool] = {}

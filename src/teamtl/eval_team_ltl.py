@@ -20,9 +20,10 @@ whole horizon are built only when the formula needs them.  By the
 expansion laws every team on a walk has the walk's verdict, so nested
 temporal operators reuse it.
 
-Splitjunctions are the expensive part.  On downward-closed subformulas it
-suffices to enumerate disjoint subsets, pruned by per-trace feasibility;
-otherwise every ordered cover (each trace goes left, right, or both) must
+Splitjunctions are the expensive part, and the formula alone picks how
+each is enumerated.  On a downward-closed split node it suffices to
+enumerate disjoint subsets, pruned by per-trace feasibility; on any
+other, every ordered cover (each trace goes left, right, or both) must
 be considered.  Covers are decided with a superset closure ("sum over
 subsets") of the subteams satisfying the right side, in O(n·2^n), rather
 than by pairing every left subteam with every right one.
@@ -33,7 +34,6 @@ implementation used for differential testing.
 from __future__ import annotations
 
 import itertools
-from enum import Enum
 
 from .errors import ResourceCapError, UnsupportedNodeError
 from .eval_classical import check_ltl_classical
@@ -50,6 +50,7 @@ from .formula import (
     Release,
     Split,
     Until,
+    check_depth,
     formula_length,
 )
 from .trace import (
@@ -62,17 +63,6 @@ from .trace import (
 )
 
 DEFAULT_MAX_TEAM = 16
-
-
-class SplitStrategy(Enum):
-    """How splitjunctions enumerate team divisions.
-
-    DISJOINT_ONLY is sound only on downward-closed formulas; COVERS is
-    always sound but costs 3^|T| in the worst case.
-    """
-
-    DISJOINT_ONLY = "disjoint"
-    COVERS = "covers"
 
 
 def _least_rotation(seq: list[int]) -> int:
@@ -116,18 +106,11 @@ class _TeamEval(Compiled):
 
     logic = "team LTL"
 
-    def __init__(
-        self,
-        team: TeamEncoding,
-        phi: Formula,
-        max_team: int,
-        strategy: SplitStrategy | None,
-    ):
+    def __init__(self, team: TeamEncoding, phi: Formula, max_team: int):
         super().__init__(
             {Next: _TeamEval._next, Until: _TeamEval._walk, Release: _TeamEval._walk}
         )
         self.max_team = max_team
-        self.strategy = strategy
         self.heads: list[frozenset[str]] = []
         self.succ: list[int] = []
         self.origins: list[tuple[LassoTrace, int]] = []
@@ -182,16 +165,6 @@ class _TeamEval(Compiled):
         return holds if negated else ((1 << len(self.heads)) - 1) ^ holds
 
     # -- evaluating --------------------------------------------------------
-
-    def check(self, mask: int, node: int) -> bool:
-        fails = self.fails[node]
-        if fails is not None:
-            return not mask & fails
-        memo = self.memo[node]
-        verdict = memo.get(mask)
-        if verdict is None:
-            verdict = memo[mask] = self.rules[node](self, mask, node)
-        return verdict
 
     def step(self, mask: int) -> int:
         """The suffix team one position later."""
@@ -254,13 +227,8 @@ class _TeamEval(Compiled):
             raise ResourceCapError(
                 f"team of size {size} exceeds the split cap {self.max_team}"
             )
-        strategy = self.strategy
-        if strategy is None:
-            strategy = (
-                SplitStrategy.DISJOINT_ONLY if self.dc[node] else SplitStrategy.COVERS
-            )
         left, right = self.args[node]
-        if strategy is SplitStrategy.DISJOINT_ONLY:
+        if self.dc[node]:
             return self._split_disjoint(mask, left, right)
         return self._split_covers(mask, left, right)
 
@@ -321,16 +289,15 @@ def check_team(
     phi: Formula,
     *,
     max_team: int = DEFAULT_MAX_TEAM,
-    strategy: SplitStrategy | None = None,
 ) -> bool:
     """Team satisfaction of an LTL formula on a finite trace team.
 
-    ``strategy`` forces the splitjunction enumeration mode; by default it
-    is chosen per split node (disjoint on downward-closed subformulas,
-    covers otherwise).  Raises ResourceCapError instead of guessing when a
-    split would enumerate more than 2^max_team subteams.
+    Each split node enumerates disjoint splits if it is downward closed,
+    covers otherwise.  Raises ResourceCapError instead of guessing when a
+    split would enumerate more than 2^max_team subteams, or when ``phi``
+    is nested deeper than `formula.MAX_DEPTH`.
     """
-    evaluator = _TeamEval(team, phi, max_team, strategy)
+    evaluator = _TeamEval(team, check_depth(phi), max_team)
     return evaluator.check(evaluator.root, evaluator.top)
 
 

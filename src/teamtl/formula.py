@@ -19,9 +19,13 @@ downward-closed fragment.
 `Compiled` is the core both team evaluators build on: it interns a
 formula's nodes once per call, records per node its class, child ids,
 downward closure and, for flat nodes, the mask of team members
-falsifying it, and decides ``&``, Boolean disjunction and ``~``.  The
-evaluators add their team encoding, temporal operators, splits and
-atoms.
+falsifying it, and decides every node through one ``check``: a flat node
+by one mask test, any other by its rule, memoised per team.  It decides
+``&``, Boolean disjunction and ``~`` itself; the evaluators add their
+team encoding, temporal operators, splits and atoms.
+
+`check_depth` bounds how deep a formula may nest, for the parsers and
+for every evaluator entry point.
 """
 
 from __future__ import annotations
@@ -30,11 +34,25 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from .errors import UnsupportedNodeError
+from .errors import ResourceCapError, UnsupportedNodeError
 
 # Reserved proposition used by the TOP/BOT expansions; kept out of user
 # formula namespaces by convention.
 RESERVED_TAUT_PROP = "_taut"
+
+# The deepest formula the parsers and evaluators accept, counting the
+# syntax tree's levels; the parsers also count the brackets and prefix
+# operators around any sub-expression.  The evaluators recurse per tree
+# level: from a shallow stack, under Python's default recursion limit of
+# 1000, mc_ctl_bruteforce decides EX nested 247 deep (four frames a
+# level), classical LTL U nested 330 deep, and check_team and mc_ctl
+# about 500.  The parser itself takes up to nine frames per bracket level
+# (an atom in an atom's argument list), which binds first: atoms nested
+# 100 deep need a limit of 910, and 80 levels leave about 270 frames to
+# the caller.  The QBF-to-path-checking reduction of 10 variables and 10
+# clauses is 57 deep.
+MAX_DEPTH = 80
+
 
 @dataclass(frozen=True)
 class Formula:
@@ -317,6 +335,18 @@ def map_literals(phi: Formula, replace: Callable[[Formula], Formula]) -> Formula
     return walk(phi)
 
 
+def check_depth(phi: Formula) -> Formula:
+    """Return ``phi`` if its tree has at most `MAX_DEPTH` levels, else
+    raise `ResourceCapError`.  The walk goes a level at a time, without
+    recursion, and visits a subtree shared within a level once."""
+    level = {id(phi): phi}
+    for _ in range(MAX_DEPTH):
+        level = {id(kid): kid for node in level.values() for kid in children(node)}
+        if not level:
+            return phi
+    raise ResourceCapError(f"formula nested more than {MAX_DEPTH} deep")
+
+
 def formula_length(phi: Formula) -> int:
     """Number of Boolean and temporal connectives; literals count 0 and a
     generalised atom counts 1 plus its parameter lengths."""
@@ -380,12 +410,14 @@ class Compiled:
     flat by returning its mask from ``temporal_fails``.  Every other node
     has ``fails[n]`` None and memoises its verdicts by team in ``memo[n]``.
 
-    A subclass encodes its teams and supplies ``check(team, node)`` (the
-    flat test, else the memo, else ``rules[node](self, team, node)``),
-    ``literal_fails(name, negated)`` (the mask of members falsifying a
-    literal), ``split``, ``gen_atom`` and the name of its ``logic``, and
-    passes the rules of its temporal operators to ``__init__``.  Any other node class is rejected with
-    `UnsupportedNodeError` when it is evaluated.
+    A team is an int, and a flat node's mask uses the same bits, so
+    ``check(team, node)`` decides every node: a flat one by one mask test,
+    any other from its memo or by ``rules[node](self, team, node)``.  A
+    subclass encodes its teams and supplies ``literal_fails(name,
+    negated)`` (the mask of members falsifying a literal), ``split``,
+    ``gen_atom`` and the name of its ``logic``, and passes the rules of its
+    temporal operators to ``__init__``.  Any other node class is rejected
+    with `UnsupportedNodeError` when it is evaluated.
     """
 
     def __init__(self, temporal_rules: dict[type, Callable[..., bool]]):
@@ -458,6 +490,17 @@ class Compiled:
         """The mask of members falsifying a temporal node whose children
         are flat with the masks ``masks``, or None if it is not flat."""
         return None
+
+    def check(self, team: int, node: int) -> bool:
+        """Whether ``team`` satisfies node ``node``."""
+        fails = self.fails[node]
+        if fails is not None:
+            return not team & fails
+        memo = self.memo[node]
+        verdict = memo.get(team)
+        if verdict is None:
+            verdict = memo[team] = self.rules[node](self, team, node)
+        return verdict
 
     def _and(self, team: int, node: int) -> bool:
         left, right = self.args[node]

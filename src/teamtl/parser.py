@@ -15,8 +15,9 @@ import re
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import TeamTLError
+from .errors import ResourceCapError, TeamTLError
 from .formula import (
+    MAX_DEPTH,
     AR,
     AU,
     And,
@@ -36,24 +37,12 @@ from .formula import (
     Split,
     Until,
     bot,
-    children,
+    check_depth,
     dependence_atom,
     expand_shorthand,
     inclusion_atom,
     top,
 )
-
-# The deepest formula the parsers accept, counting both the syntax tree's
-# depth and the brackets and prefix operators around any sub-expression.
-# The evaluators recurse per tree level: from a shallow stack, under
-# Python's default recursion limit of 1000, mc_ctl_bruteforce decides EX
-# nested 247 deep (four frames a level), classical LTL U nested 330 deep,
-# and check_team and mc_ctl about 500.  The parser itself takes up to nine
-# frames per bracket level (an atom in an atom's argument list), which
-# binds first: atoms nested 100 deep need a limit of 910, and 80 levels
-# leave about 270 frames to the caller.  The QBF-to-path-checking
-# reduction of 10 variables and 10 clauses is 57 deep.
-MAX_DEPTH = 80
 
 
 @dataclass(frozen=True)
@@ -341,15 +330,11 @@ class _Parser:
 def _parse(text: str, mode: str, atoms: Mapping[str, GenAtomDef] | None) -> Formula:
     phi = _Parser(text, mode, atoms or {}).parse()
     # The tree may be deeper than the nesting the parser counted: binary
-    # operators chain without recursion.  Walk it a level at a time.
-    level = [phi]
-    for _ in range(MAX_DEPTH):
-        level = [kid for node in level for kid in children(node)]
-        if not level:
-            return phi
-    raise ParseError(
-        f"formula nested more than {MAX_DEPTH} deep", SourceSpan(0, len(text))
-    )
+    # operators chain without recursion.
+    try:
+        return check_depth(phi)
+    except ResourceCapError as exc:
+        raise ParseError(str(exc), SourceSpan(0, len(text))) from None
 
 
 def parse_ltl(text: str, atoms: Mapping[str, GenAtomDef] | None = None) -> Formula:

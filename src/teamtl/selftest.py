@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 from . import fixtures
 from .eval_classical import check_ctl_classical, check_ltl_classical
-from .eval_team_ctl import CtlLimits, mc_ctl, mc_ctl_bruteforce
-from .eval_team_ltl import SplitStrategy, check_team, naive_oracle
+from .eval_team_ctl import CtlLimits, _from_index_zero, mc_ctl, mc_ctl_bruteforce
+from .eval_team_ltl import check_team, naive_oracle
 from .formula import (
     AR,
     AU,
@@ -36,12 +36,10 @@ from .formula import (
     Release,
     Split,
     Until,
-    children,
     dependence_atom,
     expand_shorthand,
     inclusion_atom,
     is_downward_closed,
-    rebuild,
 )
 from .kripke import KripkeStructure, MultiTeam, enumerate_traces, is_successor_team
 from .parser import render
@@ -435,18 +433,16 @@ def suite_ltl_structural(rng, count):
         )
 
 
-@_suite("disjoint vs cover splits on downward-closed formulas")
-def suite_split_strategies(rng, count):
+@_suite("check_team vs naive_oracle on downward-closed formulas")
+def suite_ltl_downward_closed(rng, count):
+    """Every split here is decided by disjoint splits, which the oracle
+    never tries: it always enumerates covers."""
     for _ in range(count):
         team = random_team(rng)
         phi = random_ltl_formula(rng, rng.randint(1, 5), allow_atoms=True)
         while not is_downward_closed(phi):
             phi = random_ltl_formula(rng, rng.randint(1, 5), allow_atoms=True)
-        yield (
-            check_team(team, phi, strategy=SplitStrategy.DISJOINT_ONLY),
-            check_team(team, phi, strategy=SplitStrategy.COVERS),
-            phi, team,
-        )
+        yield check_team(team, phi), naive_oracle(team, phi), phi, team
 
 
 @_suite("check_model_splitfree vs trace enumeration")
@@ -495,25 +491,12 @@ def suite_ctl_oracle(rng, count):
         yield mc_ctl(k, team, phi), mc_ctl_bruteforce(k, team, phi), phi, team, k
 
 
-def _from_index_zero(phi: Formula) -> Formula:
-    """The until-from-one reading of ``phi`` in the ordinary one: a path
-    satisfies E/A[φ U ψ] or E/A[φ R ψ] from index 1 iff its tail from the
-    next team satisfies it from index 0, so E₁[φ U ψ] ≡ EX E[φ U ψ] and
-    A₁[φ U ψ] ≡ AX A[φ U ψ], applied to every U and R node."""
-    node = rebuild(phi, map(_from_index_zero, children(phi)))
-    if isinstance(node, (EU, ER)):
-        return EX(node)
-    if isinstance(node, (AU, AR)):
-        return AX(node)
-    return node
-
-
 # Deciding E[φ U ψ] over flat operands pointwise, as if each member could
 # reach ψ on its own schedule, is wrong on about one instance in 300; two
 # thousand instances catch that mutant.
 @_suite("flat mc_ctl vs mc_ctl_bruteforce, Until from index 0 and 1")
 def suite_ctl_flat(rng, count):
-    """The flat fragment, which ``mc_ctl`` decides by world masks and by
+    """The flat fragment, which ``mc_ctl`` decides by digit masks and by
     searches that the oracle does not know."""
     from_one = CtlLimits(until_from_one=True)
     for _ in range(count):
@@ -605,7 +588,7 @@ def suite_fixtures(rng, count):
 
 
 SUITES = (
-    suite_ltl_oracle, suite_ltl_structural, suite_split_strategies, suite_splitfree,
+    suite_ltl_oracle, suite_ltl_structural, suite_ltl_downward_closed, suite_splitfree,
     suite_ltl_ctl_agreement, suite_ctl_oracle, suite_ctl_flat, suite_ctl_singleton,
     suite_successor_teams, suite_qbf_reductions, suite_plsim, suite_fixtures,
 )

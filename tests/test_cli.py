@@ -83,6 +83,16 @@ class TestCheckPath:
         assert result.stderr.startswith("error: internal error: RecursionError")
         assert len(result.stderr.splitlines()) == 1
 
+    def test_cover_only_split_is_sat(self, runner, tmp_path):
+        # Only a cover puts the one trace on both sides; the split cannot
+        # be forced to disjoint parts, which would answer UNSAT.
+        team_file = tmp_path / "t.json"
+        team_file.write_text(json.dumps({"traces": [{"prefix": [], "loop": [["p"]]}]}))
+        args = ["check-path", str(team_file), "(~BOT) | (~BOT)"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        assert runner.invoke(main, [*args, "--strategy", "disjoint"]).exit_code == 2
+
     def test_resource_cap_exit_3(self, runner, tmp_path):
         doc = {
             "traces": [
@@ -96,6 +106,27 @@ class TestCheckPath:
             ["check-path", str(team_file), "~p0 | ~p1", "--max-team", "2"],
         )
         assert result.exit_code == 3
+
+
+@pytest.mark.parametrize("patched,args", [
+    ("mc_ctl", ["check-model", "ef.json", "EF p", "--mode", "ctl", "--team", "x1"]),
+    ("check_model_splitfree", ["check-model", "ef.json", "F p"]),
+    ("check_team", ["gen", "qbf-tpc", "worked.qbf", "--check"]),
+    ("mc_ctl", ["gen", "qbf-ctl", "worked.qbf", "--check"]),
+])
+def test_internal_error_exit_5(runner, workspace, monkeypatch, patched, args):
+    # check-path's exit 5 is tested in TestCheckPath.
+    def overflow(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(f"teamtl.cli.{patched}", overflow)
+    args = [str(workspace / a) if "." in a else a for a in args]
+    if args[0] == "gen":
+        args += ["--out-dir", str(workspace / "out")]
+    r = runner.invoke(main, args)
+    assert r.exit_code == 5
+    assert r.stderr.startswith("error: internal error: RecursionError")
+    assert len(r.stderr.splitlines()) == 1
 
 
 @pytest.mark.parametrize("command,extra", [
@@ -245,6 +276,13 @@ class TestGen:
                                  "--out-dir", str(tmp_path / "o")])
         assert r.exit_code == 2
 
+    def test_out_dir_below_a_file_exit_2(self, runner, tmp_path):
+        (tmp_path / "file").write_text("")
+        r = runner.invoke(main, ["gen", "plsim", "~p",
+                                 "--out-dir", str(tmp_path / "file" / "o")])
+        assert r.exit_code == 2
+        assert r.stderr.startswith("error: ")
+
     def test_plsim(self, runner, tmp_path):
         r = runner.invoke(main, ["gen", "plsim", "~p",
                                  "--out-dir", str(tmp_path / "o"), "--check"])
@@ -262,7 +300,7 @@ class TestSelftest:
         assert "0 mismatches" in r.output
         for name in ("flat mc_ctl vs mc_ctl_bruteforce",
                      "check_team vs mc_ctl on propositional formulas",
-                     "disjoint vs cover splits on downward-closed formulas"):
+                     "check_team vs naive_oracle on downward-closed formulas"):
             assert name in r.output
 
     def test_corrupted_fixture_exit_4(self, runner, tmp_path):

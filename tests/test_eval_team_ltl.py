@@ -3,15 +3,10 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from teamtl.errors import ResourceCapError
-from teamtl.eval_team_ltl import (
-    SplitStrategy,
-    check_team,
-    eval_gen_atom,
-    naive_oracle,
-)
+from teamtl.eval_team_ltl import check_team, eval_gen_atom, naive_oracle
 from teamtl.fixtures import union_closure_team
 from teamtl.formula import (
     And,
@@ -21,14 +16,13 @@ from teamtl.formula import (
     Split,
     bot,
     dependence_atom,
-    is_downward_closed,
 )
 from teamtl.parser import parse_ltl
 from teamtl.selftest import (
     random_ltl_formula,
     suite_ltl_oracle,
+    suite_ltl_downward_closed,
     suite_ltl_structural,
-    suite_split_strategies,
 )
 from teamtl.trace import LassoTrace, TeamEncoding, lcm_loop, prfx
 
@@ -134,7 +128,7 @@ class TestStrategies:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**32))
     def test_disjoint_and_cover_splits_agree_on_dc_formulas(self, seed):
-        assert not suite_split_strategies(random.Random(seed), 1).mismatches
+        assert not suite_ltl_downward_closed(random.Random(seed), 1).mismatches
 
     def test_cover_splits_needed_under_cneg(self):
         # ~(p-side empty) forces both parts nonempty; with covers the single
@@ -159,12 +153,8 @@ class TestOracleAgreement:
         assert not suite_ltl_oracle(random.Random(seed), 1).mismatches
 
     @settings(max_examples=300, deadline=None)
-    @given(
-        merging_teams(),
-        st.integers(0, 2**32),
-        st.sampled_from([SplitStrategy.DISJOINT_ONLY, SplitStrategy.COVERS]),
-    )
-    def test_matches_naive_oracle_on_merging_prefixes(self, team, seed, strategy):
+    @given(merging_teams(), st.integers(0, 2**32))
+    def test_matches_naive_oracle_on_merging_prefixes(self, team, seed):
         rng = random.Random(seed)
         phi = random_ltl_formula(
             rng, rng.randint(1, 6),
@@ -177,10 +167,7 @@ class TestOracleAgreement:
                 for _ in range(2)
             ]
             phi = Split(*sides)
-        # Disjoint splits are sound only on the downward-closed fragment.
-        assume(strategy is SplitStrategy.COVERS
-               or is_downward_closed(phi))
-        assert check_team(team, phi, strategy=strategy) == naive_oracle(team, phi)
+        assert check_team(team, phi) == naive_oracle(team, phi)
 
     # The structural suite checks the empty team, downward closure and
     # singleton equivalence on every instance.

@@ -5,7 +5,7 @@ import typing
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from teamtl.errors import UnsupportedNodeError
+from teamtl.errors import ResourceCapError, UnsupportedNodeError
 from teamtl.eval_team_ctl import mc_ctl
 from teamtl.eval_team_ltl import check_team
 from teamtl.formula import (
@@ -24,7 +24,9 @@ from teamtl.formula import (
     Release,
     Split,
     Until,
+    MAX_DEPTH,
     bot,
+    check_depth,
     children,
     dependence_atom,
     expand_shorthand,
@@ -195,3 +197,13 @@ def test_rebuild_round_trips_random_formulas(seed, ctl):
     primed = map_literals(phi, lambda lit: type(lit)(lit.name + "'"))
     assert propositions(primed) == {name + "'" for name in propositions(phi)}
     assert formula_length(primed) == formula_length(phi)
+
+
+def test_check_depth_visits_shared_subtrees_once():
+    # As a tree this formula has 2^MAX_DEPTH - 1 nodes; shared, MAX_DEPTH.
+    phi = p
+    for _ in range(MAX_DEPTH - 1):
+        phi = And(phi, phi)
+    assert check_depth(phi) is phi
+    with pytest.raises(ResourceCapError, match=f"nested more than {MAX_DEPTH} deep"):
+        check_depth(And(phi, phi))

@@ -20,7 +20,12 @@ from teamtl.formula import (
     bot,
     top,
 )
-from teamtl.eval_classical import check_ctl_classical, check_ltl_classical
+from teamtl.errors import ResourceCapError
+from teamtl.eval_classical import (
+    check_ctl_classical,
+    check_ltl_classical,
+    check_ltl_classical_extended,
+)
 from teamtl.eval_team_ctl import mc_ctl, mc_ctl_bruteforce
 from teamtl.eval_team_ltl import check_team
 from teamtl.kripke import KripkeStructure, MultiTeam
@@ -157,6 +162,33 @@ def test_evaluators_run_at_the_depth_bound():
         assert mc_ctl(k, MultiTeam.of(["a", "b"]), phi) == \
             mc_ctl_bruteforce(k, MultiTeam.of(["a", "b"]), phi)
         assert check_ctl_classical(k, "a", phi)
+
+
+def chain(operator, levels):
+    """``operator`` applied to p until the tree has ``levels`` levels."""
+    phi = Prop("p")
+    for _ in range(levels - 1):
+        phi = operator(phi)
+    return phi
+
+
+@pytest.mark.parametrize("levels", [MAX_DEPTH + 1, 1200])
+def test_evaluators_bound_trees_built_in_code(levels):
+    trace = LassoTrace((), (frozenset({"p"}),))
+    team = TeamEncoding.of([trace])
+    k = KripkeStructure.of(["a"], [("a", "a")], {"a": ["p"]})
+    ltl, ctl = chain(Next, levels), chain(EX, levels)
+    for decide in (
+        lambda: check_team(team, ltl),
+        lambda: check_ltl_classical(trace, ltl),
+        lambda: check_ltl_classical_extended(trace, ltl),
+        lambda: mc_ctl(k, MultiTeam.of(["a"]), ctl),
+        lambda: mc_ctl_bruteforce(k, MultiTeam.of(["a"]), ctl),
+    ):
+        with pytest.raises(ResourceCapError, match="nested more than"):
+            decide()
+    assert check_team(team, chain(Next, MAX_DEPTH))
+    assert mc_ctl_bruteforce(k, MultiTeam.of(["a"]), chain(EX, MAX_DEPTH))
 
 
 @settings(max_examples=200, deadline=None)
