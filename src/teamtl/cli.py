@@ -157,7 +157,10 @@ def check_path(team_file, formula, max_team, explain, oracle):
               help="Multiset team for ctl mode: world names with repetition, "
                    "e.g. r,a,a.")
 @click.option("--max-team", type=click.IntRange(min=0), default=DEFAULT_MAX_TEAM,
-              show_default=True)
+              show_default=True,
+              help="Cap on team size for splitjunction enumeration.  It "
+                   "applies to --mode ltl-enumerate only (and to check-path); "
+                   "ctl mode checks teams of any size.")
 @click.option("--max-subsets", type=click.IntRange(min=1),
               default=DEFAULT_MAX_SUBSETS, show_default=True,
               help="In splitfree mode, cap on the successor sets the check "
@@ -176,8 +179,8 @@ def check_model(kripke_file, formula, mode, team_arg, max_team, max_subsets,
             phi = parse_ctl(_read_formula(formula))
             team = MultiTeam.of(team_arg.split(","))
             limits = CtlLimits(
-                max_team=max(max_team, len(team)),
-                max_worlds=max(CtlLimits().max_worlds, len(k.worlds)),
+                max_team=len(team),
+                max_worlds=len(k.worlds),
                 until_from_one=until_from_one,
             )
             sat = mc_ctl(k, team, phi, limits=limits)

@@ -27,12 +27,13 @@ from .formula import (
     Formula,
     NegProp,
     Next,
+    PURE_LTL,
     Prop,
     Release,
     Split,
     Until,
     check_depth,
-    iter_nodes,
+    require_nodes,
 )
 from .kripke import KripkeStructure
 from .trace import LassoTrace
@@ -60,16 +61,7 @@ def prop_sat(labels: frozenset[str], phi: Formula) -> bool:
 # LTL on lasso traces
 
 
-_PURE_LTL = (Prop, NegProp, And, Split, Next, Until, Release)
 _PURE_CTL = (Prop, NegProp, And, Split, EX, AX, EU, AU, ER, AR)
-
-
-def _require_nodes(phi: Formula, allowed: tuple[type, ...], logic: str):
-    for node in iter_nodes(phi):
-        if not isinstance(node, allowed):
-            raise UnsupportedNodeError(
-                f"classical {logic} evaluation does not support {type(node).__name__}"
-            )
 
 
 class _LassoEval:
@@ -81,12 +73,13 @@ class _LassoEval:
     among the first stem + period.  A :class:`LassoTrace` answers both by
     prefix/loop arithmetic; the splitfree model checker passes its
     successor-set sequence, which steps only as far as they are read.
+    ``~`` reads as negation and ``\\|/`` as disjunction, which is their
+    meaning on one trace; `check_ltl_classical` admits neither.
     """
 
-    def __init__(self, t, extended: bool):
+    def __init__(self, t):
         self.at = t.at
         self.reduce = t.reduce
-        self.extended = extended
         self.memo: dict[tuple[int, int], bool] = {}
 
     def eval(self, i: int, phi: Formula) -> bool:
@@ -104,17 +97,14 @@ class _LassoEval:
             return phi.name not in self.at(i)
         if isinstance(phi, And):
             return self.eval(i, phi.left) and self.eval(i, phi.right)
-        if isinstance(phi, Split):
+        if isinstance(phi, (Split, BoolOr)):
             return self.eval(i, phi.left) or self.eval(i, phi.right)
         if isinstance(phi, Next):
             return self.eval(i + 1, phi.child)
         if isinstance(phi, (Until, Release)):
             return self._walk(i, phi, isinstance(phi, Until))
-        if self.extended:
-            if isinstance(phi, CNeg):
-                return not self.eval(i, phi.child)
-            if isinstance(phi, BoolOr):
-                return self.eval(i, phi.left) or self.eval(i, phi.right)
+        if isinstance(phi, CNeg):
+            return not self.eval(i, phi.child)
         raise UnsupportedNodeError(
             f"classical LTL evaluation does not support {type(phi).__name__}"
         )
@@ -154,15 +144,15 @@ class _LassoEval:
 
 def check_ltl_classical(t: LassoTrace, phi: Formula) -> bool:
     """Classical satisfaction of a pure-grammar LTL formula on one trace."""
-    _require_nodes(check_depth(phi), _PURE_LTL, "LTL")
-    return _LassoEval(t, extended=False).eval(0, phi)
+    require_nodes(check_depth(phi), PURE_LTL, "classical LTL evaluation")
+    return _LassoEval(t).eval(0, phi)
 
 
 def check_ltl_classical_extended(t, phi: Formula) -> bool:
     """Classical evaluation admitting CNeg (as negation) and BoolOr (as
     disjunction); used by the flattening-based model checker.  ``t`` is a
     LassoTrace or any other trace read through ``at`` and ``reduce``."""
-    return _LassoEval(t, extended=True).eval(0, check_depth(phi))
+    return _LassoEval(t).eval(0, check_depth(phi))
 
 
 # ---------------------------------------------------------------------------
@@ -185,56 +175,31 @@ def _ctl_sat_sets(k: KripkeStructure, phi: Formula) -> dict[int, frozenset[str]]
             result = sat(node.left) & sat(node.right)
         elif isinstance(node, Split):
             result = sat(node.left) | sat(node.right)
-        elif isinstance(node, EX):
+        elif isinstance(node, (EX, AX)):
             child = sat(node.child)
-            result = frozenset(w for w in worlds if any(s in child for s in k.succ[w]))
-        elif isinstance(node, AX):
-            child = sat(node.child)
-            result = frozenset(w for w in worlds if all(s in child for s in k.succ[w]))
+            every = all if isinstance(node, AX) else any
+            result = frozenset(w for w in worlds if every(s in child for s in k.succ[w]))
         elif isinstance(node, (EU, AU)):
-            left, right = sat(node.left), sat(node.right)
-            universal = isinstance(node, AU)
-            result = right
+            left, result = sat(node.left), sat(node.right)
+            every = all if isinstance(node, AU) else any
             while True:
-                if universal:
-                    grow = frozenset(
-                        w
-                        for w in left - result
-                        if all(s in result for s in k.succ[w])
-                    )
-                else:
-                    grow = frozenset(
-                        w
-                        for w in left - result
-                        if any(s in result for s in k.succ[w])
-                    )
+                grow = frozenset(
+                    w for w in left - result if every(s in result for s in k.succ[w])
+                )
                 if not grow:
                     break
                 result |= grow
-        elif isinstance(node, (ER, AR)):
-            left, right = sat(node.left), sat(node.right)
-            universal = isinstance(node, AR)
-            result = right
+        else:
+            # ER or AR: check_ctl_classical admits no other node.
+            left, result = sat(node.left), sat(node.right)
+            every = all if isinstance(node, AR) else any
             while True:
-                if universal:
-                    keep = frozenset(
-                        w
-                        for w in result
-                        if w in left or all(s in result for s in k.succ[w])
-                    )
-                else:
-                    keep = frozenset(
-                        w
-                        for w in result
-                        if w in left or any(s in result for s in k.succ[w])
-                    )
+                keep = frozenset(
+                    w for w in result if w in left or every(s in result for s in k.succ[w])
+                )
                 if keep == result:
                     break
                 result = keep
-        else:
-            raise UnsupportedNodeError(
-                f"classical CTL evaluation does not support {type(node).__name__}"
-            )
         table[id(node)] = result
         return result
 
@@ -243,8 +208,10 @@ def _ctl_sat_sets(k: KripkeStructure, phi: Formula) -> dict[int, frozenset[str]]
 
 
 def check_ctl_classical(k: KripkeStructure, w: str, phi: Formula) -> bool:
-    """Standard CTL satisfaction at one world, by bottom-up labeling."""
+    """Standard CTL satisfaction at one world, by bottom-up labeling.
+    Raises ResourceCapError when ``phi`` is nested deeper than
+    `formula.MAX_DEPTH`."""
     if w not in k.worlds:
         raise ValueError(f"{w!r} is not a world of the structure")
-    _require_nodes(phi, _PURE_CTL, "CTL")
+    require_nodes(check_depth(phi), _PURE_CTL, "classical CTL evaluation")
     return w in _ctl_sat_sets(k, phi)[id(phi)]

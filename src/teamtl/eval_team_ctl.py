@@ -40,8 +40,10 @@ both ``x1`` and ``y1`` reach ``p``, but never at the same step, so
 ``EF p`` fails on the team ``x1,y1``.  They stay searches over the
 successor-multiset graph, two of them, as Release is the dual of
 Until: ``EU`` and ``AR`` are decided by a finite path, found or not by a
-depth-first search, and ``AU`` and ``ER`` by a region of teams that a
-path may stay in, and whether it has a cycle.
+depth-first search, and ``AU`` and ``ER`` by one depth-first search
+over the teams a path may stay in, which fails at a cycle among them.
+A generalised atom's rows come from its parameters, literals, ``&``,
+``|`` and ``\\|/``, checked on the one-member team of each copy.
 
 Reading Until and Release from index 1 is a rewrite of the formula,
 `_from_index_zero`, after which every operator is decided as above.
@@ -55,7 +57,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import ResourceCapError, UnsupportedNodeError
 from .eval_classical import prop_sat
@@ -78,10 +80,9 @@ from .formula import (
     check_depth,
     children,
     is_downward_closed,
-    is_temporal_free,
     rebuild,
 )
-from .kripke import KripkeStructure, MultiTeam, _check_members, check_successors
+from .kripke import KripkeStructure, MultiTeam, _check_members
 
 TeamKey = tuple[str, ...]
 
@@ -123,6 +124,7 @@ class _CtlEval(Compiled):
     """
 
     logic = "team CTL"
+    param_nodes = (Prop, NegProp, And, Split, BoolOr)
 
     def __init__(self, k: KripkeStructure, team_size: int):
         super().__init__({
@@ -130,7 +132,6 @@ class _CtlEval(Compiled):
             EU: _CtlEval._path, AR: _CtlEval._path,
             AU: _CtlEval._region, ER: _CtlEval._region,
         })
-        self.k = k
         self.index = {w: i for i, w in enumerate(k.worlds)}
         self.width = max(team_size.bit_length(), 1)
         self.digit = (1 << self.width) - 1
@@ -266,18 +267,9 @@ class _CtlEval(Compiled):
         child = self.args[node][0]
         return quantifier(self.check(s, child) for s in self.successors(key))
 
-    def gen_atom(self, key: int, node: int) -> bool:
-        phi = self.formulas[node]
-        for p in phi.params:
-            if not is_temporal_free(p):
-                raise UnsupportedNodeError(
-                    "generalised-atom parameters must be temporal-free in CTL"
-                )
-        rows = []
+    def singletons(self, key: int):
         for w, count in self.members(key):
-            label = self.k.label(self.k.worlds[w])
-            rows += [tuple(prop_sat(label, p) for p in phi.params)] * count
-        return phi.atom.evaluator(rows)
+            yield from [self.unit[w]] * count
 
     def split(self, key: int, node: int) -> bool:
         left, right = self.args[node]
@@ -333,52 +325,34 @@ class _CtlEval(Compiled):
         return not until
 
     def _region(self, key: int, node: int) -> bool:
-        """A[φ U ψ], or E[φ R ψ]: the region holds the teams reached
-        before ψ, and φ must hold on all of them; a cycle among them is a
-        path that never meets ψ.  For E[φ R ψ] read ¬φ and ¬ψ."""
+        """A[φ U ψ], or E[φ R ψ]: a depth-first search over the teams
+        reached before ψ, which fails where φ fails on one of them, or
+        where a successor is still on the search stack: that closes a
+        cycle of them, a path that never meets ψ.  For E[φ R ψ] read ¬φ
+        and ¬ψ."""
         inv, tgt = self.args[node]
         until = self.kinds[node] is AU
-        region: set[int] = set()
-        frontier: list[int] = []
-        pending: tuple[int, ...] = (key,)
+        seen: set[int] = set()
+        # The search stack, in order: each team on it, with its successors
+        # still to try.
+        stack: dict[int, Iterator[int]] = {}
+        pending: Iterator[int] = iter((key,))
         while True:
             for s in pending:
-                if s in region or self.check(s, tgt) == until:
+                if s in stack:
+                    return not until
+                if s in seen or self.check(s, tgt) == until:
                     continue
                 if self.check(s, inv) != until:
                     return not until
-                region.add(s)
-                frontier.append(s)
-            if not frontier:
-                return self._region_has_cycle(region) != until
-            pending = self.successors(frontier.pop())
-
-    def _region_has_cycle(self, region: set[int]) -> bool:
-        # Iterative three-color DFS on the subgraph induced by the region.
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color = {key: WHITE for key in region}
-        for root in region:
-            if color[root] != WHITE:
-                continue
-            stack = [(root, iter(self.successors(root)))]
-            color[root] = GRAY
-            while stack:
-                node, children = stack[-1]
-                advanced = False
-                for child in children:
-                    if child not in region:
-                        continue
-                    if color[child] == GRAY:
-                        return True
-                    if color[child] == WHITE:
-                        color[child] = GRAY
-                        stack.append((child, iter(self.successors(child))))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[node] = BLACK
-                    stack.pop()
-        return False
+                seen.add(s)
+                pending = stack[s] = iter(self.successors(s))
+                break
+            else:
+                if len(stack) <= 1:
+                    return until
+                stack.popitem()
+                pending = stack[next(reversed(stack))]
 
 
 def mc_ctl(
@@ -388,10 +362,9 @@ def mc_ctl(
     *,
     limits: CtlLimits | None = None,
 ) -> bool:
-    """Team satisfaction of a CTL formula on a multiset team.  The
-    structure must be left-total: a dead end, or an edge to an undeclared
-    world, raises ValueError.  ``limits.until_from_one`` reads Until and
-    Release from index 1, by rewriting ``phi`` with `_from_index_zero`."""
+    """Team satisfaction of a CTL formula on a multiset team.
+    ``limits.until_from_one`` reads Until and Release from index 1, by
+    rewriting ``phi`` with `_from_index_zero`."""
     limits = limits or CtlLimits()
     if len(team) > limits.max_team:
         raise ResourceCapError(
@@ -402,7 +375,6 @@ def mc_ctl(
             f"structure size {len(k.worlds)} exceeds the cap {limits.max_worlds}"
         )
     _check_members(k, team)
-    check_successors(k)
     check_depth(phi)
     if limits.until_from_one:
         phi = _from_index_zero(phi)
@@ -426,7 +398,6 @@ def mc_ctl_bruteforce(
     multisets of the team's size, C(|W|+|T|-1, |T|), which makes the
     cutoffs exact: a run of that many steps passes through one more team
     than there are multisets, so it revisits one and can be pumped."""
-    check_successors(k)
     check_depth(phi)
     multisets = math.comb(max(len(k.worlds) + len(team) - 1, 0), len(team))
     bound = multisets if depth is None else depth

@@ -10,7 +10,9 @@ interned as integers across the whole team, with a successor table
 team is then an ``int`` bitmask over states: a literal is one mask test,
 and the suffix team is a bit remap under which members that have become
 equal merge by themselves.  The formula is compiled by the shared core,
-`formula.Compiled`; here a flat node's mask is over states.
+`formula.Compiled`; here a flat node's mask is over states, and a
+generalised atom's rows come from its parameters checked on one-state
+teams, which are pure LTL formulas.
 
 Temporal witnesses: the suffix teams T, T[1,∞), T[2,∞), ... form a
 deterministic sequence, periodic from prfx(T) on with a period dividing
@@ -36,7 +38,6 @@ from __future__ import annotations
 import itertools
 
 from .errors import ResourceCapError, UnsupportedNodeError
-from .eval_classical import check_ltl_classical
 from .formula import (
     And,
     BoolOr,
@@ -46,6 +47,7 @@ from .formula import (
     GenAtomApp,
     NegProp,
     Next,
+    PURE_LTL,
     Prop,
     Release,
     Split,
@@ -53,14 +55,7 @@ from .formula import (
     check_depth,
     formula_length,
 )
-from .trace import (
-    LassoTrace,
-    TeamEncoding,
-    canonicalize,
-    suffix_trace,
-    trace_at,
-    trace_sort_key,
-)
+from .trace import LassoTrace, TeamEncoding, canonicalize, trace_at, trace_sort_key
 
 DEFAULT_MAX_TEAM = 16
 
@@ -98,13 +93,13 @@ class _TeamEval(Compiled):
     """One call's compiled team, over the shared formula core.
 
     State ``s`` is a distinct suffix of some member: ``heads[s]`` is its
-    first position, ``succ[s]`` the bit of the state one position later,
-    and ``origins[s]`` a (member, offset) pair it is the suffix of.  A team
-    is a mask of states, and a flat node's ``fails`` mask holds the states
-    whose first position falsifies it.
+    first position and ``succ[s]`` the bit of the state one position
+    later.  A team is a mask of states, and a flat node's ``fails`` mask
+    holds the states whose first position falsifies it.
     """
 
     logic = "team LTL"
+    param_nodes = PURE_LTL
 
     def __init__(self, team: TeamEncoding, phi: Formula, max_team: int):
         super().__init__(
@@ -113,17 +108,15 @@ class _TeamEval(Compiled):
         self.max_team = max_team
         self.heads: list[frozenset[str]] = []
         self.succ: list[int] = []
-        self.origins: list[tuple[LassoTrace, int]] = []
         self.steps: dict[int, int] = {}
         self.root = self._intern_team(team)
         self.top = self.compile(phi)
 
     # -- compiling ---------------------------------------------------------
 
-    def _add_state(self, head: frozenset[str], origin: tuple[LassoTrace, int]) -> int:
+    def _add_state(self, head: frozenset[str]) -> int:
         self.heads.append(head)
         self.succ.append(0)
-        self.origins.append(origin)
         return len(self.heads) - 1
 
     def _intern_team(self, team: TeamEncoding) -> int:
@@ -146,15 +139,14 @@ class _TeamEval(Compiled):
             if base is None:
                 base = loop_states[least] = len(self.heads)
                 for j in range(n):
-                    r = (first + j) % n
-                    self._add_state(loop[r], (t, stem + r))
+                    self._add_state(loop[(first + j) % n])
                     self.succ[base + j] = 1 << (base + (j + 1) % n)
             state = base + (n - first) % n
             for i in range(stem - 1, -1, -1):
                 key = (t.prefix[i], state)
                 known = prefix_states.get(key)
                 if known is None:
-                    known = prefix_states[key] = self._add_state(t.prefix[i], (t, i))
+                    known = prefix_states[key] = self._add_state(t.prefix[i])
                     self.succ[known] = 1 << state
                 state = known
             mask |= 1 << state
@@ -181,12 +173,8 @@ class _TeamEval(Compiled):
     def _next(self, mask: int, node: int) -> bool:
         return self.check(self.step(mask), self.args[node][0])
 
-    def gen_atom(self, mask: int, node: int) -> bool:
-        members = frozenset(
-            suffix_trace(*self.origins[bit.bit_length() - 1]) for bit in _bits(mask)
-        )
-        phi = self.formulas[node]
-        return bool(eval_gen_atom(TeamEncoding(members), phi.atom, phi.params))
+    def singletons(self, mask: int):
+        return _bits(mask)
 
     def _walk(self, mask: int, node: int) -> bool:
         """Until / Release along the suffix teams of ``mask``.
@@ -299,22 +287,6 @@ def check_team(
     """
     evaluator = _TeamEval(team, check_depth(phi), max_team)
     return evaluator.check(evaluator.root, evaluator.top)
-
-
-def eval_gen_atom(team: TeamEncoding, atom, params) -> bool:
-    """Apply a generalised atom: build one membership row per team member
-    (classical satisfaction of each parameter) and hand the rows to the
-    atom's evaluator."""
-    params = tuple(params)
-    if len(params) != atom.arity:
-        raise ValueError(
-            f"atom {atom.name} has arity {atom.arity}, got {len(params)} parameters"
-        )
-    rows = [
-        tuple(check_ltl_classical(t, p) for p in params)
-        for t in sorted(team.traces, key=trace_sort_key)
-    ]
-    return atom.evaluator(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,13 @@ traversal API: structural walks elsewhere go through them (or through
 downward-closed fragment.
 
 `Compiled` is the core both team evaluators build on: it interns a
-formula's nodes once per call, records per node its class, child ids,
-downward closure and, for flat nodes, the mask of team members
-falsifying it, and decides every node through one ``check``: a flat node
-by one mask test, any other by its rule, memoised per team.  It decides
-``&``, Boolean disjunction and ``~`` itself; the evaluators add their
-team encoding, temporal operators, splits and atoms.
+formula's nodes once per call, generalised-atom parameters included,
+records per node its class, child ids, downward closure and, for flat
+nodes, the mask of team members falsifying it, and decides every node
+through one ``check``: a flat node by one mask test, any other by its
+rule, memoised per team.  It decides ``&``, Boolean disjunction, ``~``
+and generalised atoms itself; the evaluators add their team encoding,
+temporal operators and splits.
 
 `check_depth` bounds how deep a formula may nest, for the parsers and
 for every evaluator entry point.
@@ -115,8 +116,9 @@ class GenAtomDef:
 
     The evaluator receives one membership row per team member (multiplicity
     preserved for multiset teams): row[i] is the classical truth value of
-    the i-th parameter on that member.  ``sep`` records where the parameter
-    list splits for rendering (``dep(p;q)`` / ``inc(p;q)``).
+    the i-th parameter on that member.  The order of the rows is not part
+    of the contract; the built-in atoms ignore it.  ``sep`` records where
+    the parameter list splits for rendering (``dep(p;q)`` / ``inc(p;q)``).
     """
 
     name: str
@@ -187,6 +189,9 @@ class AR(Binary):
 
 _LTL_TEMPORAL = (Next, Until, Release)
 _CTL_TEMPORAL = (EX, AX, EU, AU, ER, AR)
+# Pure LTL, without team connectives or atoms: what classical LTL and the
+# parameters of a team LTL atom admit.
+PURE_LTL = (Prop, NegProp, And, Split, Next, Until, Release)
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +352,15 @@ def check_depth(phi: Formula) -> Formula:
     raise ResourceCapError(f"formula nested more than {MAX_DEPTH} deep")
 
 
+def require_nodes(phi: Formula, allowed: tuple[type, ...], where: str) -> Formula:
+    """Return ``phi`` if each of its nodes is an instance of a class in
+    ``allowed``, else raise `UnsupportedNodeError` naming ``where``."""
+    for node in iter_nodes(phi):
+        if not isinstance(node, allowed):
+            raise UnsupportedNodeError(f"{type(node).__name__} is not supported in {where}")
+    return phi
+
+
 def formula_length(phi: Formula) -> int:
     """Number of Boolean and temporal connectives; literals count 0 and a
     generalised atom counts 1 plus its parameter lengths."""
@@ -361,12 +375,6 @@ def formula_length(phi: Formula) -> int:
 def propositions(phi: Formula) -> frozenset[str]:
     return frozenset(
         node.name for node in iter_nodes(phi) if isinstance(node, (Prop, NegProp))
-    )
-
-
-def is_temporal_free(phi: Formula) -> bool:
-    return not any(
-        isinstance(node, _LTL_TEMPORAL + _CTL_TEMPORAL) for node in iter_nodes(phi)
     )
 
 
@@ -401,23 +409,31 @@ class Compiled:
     team LTL and team CTL evaluators share.
 
     Node ``n`` is a distinct subformula: ``kinds[n]`` is its node class,
-    ``args[n]`` its child node ids, ``dc[n]`` whether it lies in the
-    downward-closed fragment, and ``rules[n]`` the function deciding it on
-    a team.  A node is flat when its truth on a team is decided member by
-    member; then ``fails[n]`` is the mask of members falsifying it, and it
-    holds on a team iff no member is in that mask.  Literals are flat, and
-    so are ``&`` and ``|`` over flat nodes; a subclass makes a temporal node
-    flat by returning its mask from ``temporal_fails``.  Every other node
-    has ``fails[n]`` None and memoises its verdicts by team in ``memo[n]``.
+    ``args[n]`` its child node ids (a generalised atom's children are its
+    parameters), ``dc[n]`` whether it lies in the downward-closed
+    fragment, and ``rules[n]`` the function deciding it on a team.  A node
+    is flat when its truth on a team is decided member by member; then
+    ``fails[n]`` is the mask of members falsifying it, and it holds on a
+    team iff no member is in that mask.  Literals are flat, and so are
+    ``&`` and ``|`` over flat nodes; a subclass makes a temporal node flat
+    by returning its mask from ``temporal_fails``.  Every other node has
+    ``fails[n]`` None and memoises its verdicts by team in ``memo[n]``.
 
     A team is an int, and a flat node's mask uses the same bits, so
     ``check(team, node)`` decides every node: a flat one by one mask test,
-    any other from its memo or by ``rules[node](self, team, node)``.  A
-    subclass encodes its teams and supplies ``literal_fails(name,
-    negated)`` (the mask of members falsifying a literal), ``split``,
-    ``gen_atom`` and the name of its ``logic``, and passes the rules of its
-    temporal operators to ``__init__``.  Any other node class is rejected
-    with `UnsupportedNodeError` when it is evaluated.
+    any other from its memo or by ``rules[node](self, team, node)``.  An
+    atom's row for a member checks each parameter on the member's
+    one-member team, which gives its classical value: parameters admit no
+    ``~`` and no atom, so the empty team satisfies them and ``|`` on one
+    member is plain disjunction.
+
+    A subclass encodes its teams and supplies ``literal_fails(name,
+    negated)`` (the mask of members falsifying a literal), ``singletons``
+    (a team's one-member teams, a member once per copy), ``split``, the
+    node classes ``param_nodes`` admitted in atom parameters and the name
+    of its ``logic``, and passes the rules of its temporal operators to
+    ``__init__``.  Any other class is rejected with `UnsupportedNodeError`,
+    in a parameter when it is compiled, elsewhere when it is evaluated.
     """
 
     def __init__(self, temporal_rules: dict[type, Callable[..., bool]]):
@@ -439,7 +455,7 @@ class Compiled:
             BoolOr: cls._bool_or,
             CNeg: cls._cneg,
             Split: cls.split,
-            GenAtomApp: cls.gen_atom,
+            GenAtomApp: cls._gen_atom,
             **temporal_rules,
         }
 
@@ -449,15 +465,22 @@ class Compiled:
         if node is not None:
             return node
         kind = type(phi)
-        args: tuple[int, ...] = ()
         if kind is Prop or kind is NegProp:
-            key = (kind, phi.name)
-        elif isinstance(phi, (Unary, Binary)):
+            args: tuple[int, ...] = ()
+            key: tuple = (kind, phi.name)
+        elif kind is GenAtomApp:
+            if len(phi.params) != phi.atom.arity:
+                raise ValueError(
+                    f"atom {phi.atom.name} has arity {phi.atom.arity}, "
+                    f"got {len(phi.params)} parameters"
+                )
+            for param in phi.params:
+                require_nodes(param, self.param_nodes, f"{self.logic} atom parameters")
+            args = tuple(map(self.compile, phi.params))
+            key = (kind, id(phi.atom), *args)
+        else:
             args = tuple(map(self.compile, children(phi)))
             key = (kind, *args)
-        else:
-            # Atom parameters are evaluated classically, not as nodes.
-            key = (kind, id(phi))
         node = self.node_keys.get(key)
         if node is None:
             node = self.node_keys[key] = len(self.kinds)
@@ -466,8 +489,9 @@ class Compiled:
             self.kinds.append(kind)
             self.args.append(args)
             self.dc.append(
-                is_downward_closed(phi) if kind is CNeg or kind is GenAtomApp
-                else all(self.dc[a] for a in args)
+                kind is not CNeg
+                and (kind is not GenAtomApp or phi.atom.downward_closed)
+                and all(self.dc[a] for a in args)
             )
             self.rules.append(self.rule_of.get(kind, Compiled._unsupported))
             self.memo.append({})
@@ -478,7 +502,7 @@ class Compiled:
         if kind is Prop or kind is NegProp:
             return self.literal_fails(phi.name, kind is NegProp)
         masks = [self.fails[a] for a in args]
-        if not args or None in masks or kind is BoolOr or kind is CNeg:
+        if None in masks or kind in (BoolOr, CNeg, GenAtomApp):
             return None
         if kind is And:
             return masks[0] | masks[1]
@@ -512,6 +536,13 @@ class Compiled:
 
     def _cneg(self, team: int, node: int) -> bool:
         return not self.check(team, self.args[node][0])
+
+    def _gen_atom(self, team: int, node: int) -> bool:
+        params = self.args[node]
+        rows = [
+            tuple(self.check(one, p) for p in params) for one in self.singletons(team)
+        ]
+        return self.formulas[node].atom.evaluator(rows)
 
     def _unsupported(self, team: int, node: int) -> bool:
         raise UnsupportedNodeError(

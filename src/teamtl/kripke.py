@@ -1,10 +1,18 @@
 """Kripke structures, CTL multiset teams, and the successor-team relation.
 
-The successor-team test is the workhorse of TeamCTL evaluation: T2 is a
-successor team of T1 iff every indexed member of T1 can be stepped to a
-member of T2 along an edge, using each T2 entry exactly once.  That is a
-perfect-matching question on a bipartite graph, decided here with the
-augmenting-path algorithm.
+A structure is checked once, when it is built: every world needs a
+successor, and every edge endpoint, label entry and the initial world
+must be declared.  Every structure is thus left-total, as in the paper;
+on a dead end a team would have no successor team, so ``AX`` and ``AG``
+would hold there vacuously and ``AX``, ``AU`` and ``AR`` would not be
+downward closed.  The evaluators rely on it and check nothing again.
+
+T2 is a successor team of T1 iff every indexed member of T1 can be
+stepped to a member of T2 along an edge, using each T2 entry exactly
+once.  `is_successor_team` decides that as a perfect-matching question on
+a bipartite graph, with the augmenting-path algorithm.  The TeamCTL
+evaluator does not call it, as it builds successor multisets directly;
+the self-test compares the two.
 """
 
 from __future__ import annotations
@@ -19,10 +27,36 @@ from .trace import LassoTrace, TeamEncoding
 
 @dataclass(frozen=True, eq=False)
 class KripkeStructure:
+    """Worlds, edges, labels and an optional initial world.  Building one
+    raises `ValueError` naming every problem: a world without successor,
+    or an edge endpoint, label entry or initial world not declared."""
+
     worlds: tuple[str, ...]
     edges: frozenset[tuple[str, str]]
     labels: dict[str, frozenset[str]]
     initial: str | None = None
+
+    def __post_init__(self):
+        declared = set(self.worlds)
+        problems, has_successor = set(), set()
+        for a, b in self.edges:
+            if a not in declared:
+                problems.add(f"edge source {a!r} is not a declared world")
+            if b in declared:
+                has_successor.add(a)
+            else:
+                problems.add(f"edge target {b!r} is not a declared world")
+        problems.update(
+            f"world {w!r} has no successor (not left-total)"
+            for w in declared - has_successor
+        )
+        problems.update(
+            f"label entry for undeclared world {w!r}" for w in self.labels.keys() - declared
+        )
+        if self.initial is not None and self.initial not in declared:
+            problems.add(f"initial world {self.initial!r} is not declared")
+        if problems:
+            raise ValueError("; ".join(sorted(problems)))
 
     @staticmethod
     def of(
@@ -46,38 +80,12 @@ class KripkeStructure:
     def succ(self) -> dict[str, tuple[str, ...]]:
         table: dict[str, list[str]] = {w: [] for w in self.worlds}
         for a, b in sorted(self.edges):
-            if a in table:
-                table[a].append(b)
+            table[a].append(b)
         return {w: tuple(ss) for w, ss in table.items()}
 
     @cached_property
     def prop_universe(self) -> frozenset[str]:
         return frozenset(p for ps in self.labels.values() for p in ps)
-
-
-def validate(k: KripkeStructure) -> list[str]:
-    """Structural problems as a list of messages; empty means ok."""
-    problems = []
-    declared = set(k.worlds)
-    if not declared:
-        problems.append("structure has no worlds")
-    has_successor = set()
-    for a, b in sorted(k.edges):
-        if a not in declared:
-            problems.append(f"edge source {a!r} is not a declared world")
-        if b not in declared:
-            problems.append(f"edge target {b!r} is not a declared world")
-        else:
-            has_successor.add(a)
-    for w in k.worlds:
-        if w not in has_successor:
-            problems.append(f"world {w!r} has no successor (not left-total)")
-    for w in k.labels:
-        if w not in declared:
-            problems.append(f"label entry for undeclared world {w!r}")
-    if k.initial is not None and k.initial not in declared:
-        problems.append(f"initial world {k.initial!r} is not declared")
-    return problems
 
 
 # ---------------------------------------------------------------------------
@@ -104,9 +112,6 @@ class MultiTeam:
     def worlds(self) -> tuple[str, ...]:
         return tuple(w for _, w in self.entries)
 
-    def support(self) -> frozenset[str]:
-        return frozenset(self.worlds)
-
     def __len__(self):
         return len(self.entries)
 
@@ -115,21 +120,6 @@ def _check_members(k: KripkeStructure, team: MultiTeam):
     for _, w in team.entries:
         if w not in k.worlds:
             raise ValueError(f"team member {w!r} is not a world of the structure")
-
-
-def check_successors(k: KripkeStructure):
-    """Raise ValueError if a world has no successor or an edge leads to an
-    undeclared world.  Team CTL reads every structure as left-total, as
-    the paper does: on a dead end a team would have no successor team, so
-    ``AX`` and ``AG`` would hold there vacuously and ``AX``, ``AU`` and
-    ``AR`` would not be downward closed."""
-    declared = set(k.worlds)
-    for w, successors in k.succ.items():
-        if not successors:
-            raise ValueError(f"world {w!r} has no successor (not left-total)")
-        if not declared.issuperset(successors):
-            target = next(s for s in successors if s not in declared)
-            raise ValueError(f"edge target {target!r} is not a declared world")
 
 
 def is_successor_team(k: KripkeStructure, t1: MultiTeam, t2: MultiTeam) -> bool:

@@ -487,7 +487,7 @@ def suite_ctl_oracle(rng, count):
     for _ in range(count):
         k = random_kripke(rng)
         team = random_multiteam(rng, k)
-        phi = random_ctl_formula(rng, rng.randint(1, 5), allow_cneg=True)
+        phi = random_ctl_formula(rng, rng.randint(1, 5), allow_cneg=True, allow_atoms=True)
         yield mc_ctl(k, team, phi), mc_ctl_bruteforce(k, team, phi), phi, team, k
 
 

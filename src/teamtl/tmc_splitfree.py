@@ -20,14 +20,12 @@ cap ``max_subsets`` counts the subsets actually stepped.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import (
     GenAtomPresent,
     ResourceCapError,
     SplitjunctionPresent,
-    UnsupportedNodeError,
 )
 from .eval_classical import check_ltl_classical_extended
 from .formula import (
@@ -45,6 +43,7 @@ from .formula import (
     iter_nodes,
     map_literals,
     propositions,
+    require_nodes,
     top,
 )
 from .kripke import KripkeStructure
@@ -88,9 +87,7 @@ class _SubsetSequence:
             raise ValueError(f"max_subsets must be at least 1, not {max_subsets}")
         if k.initial is None:
             raise ValueError("flattening requires an initial world")
-        # Edge endpoints get bits too, declared or not, as the edge relation
-        # reaches them.
-        worlds = list(dict.fromkeys([*k.worlds, k.initial, *itertools.chain(*k.edges)]))
+        worlds = k.worlds
         index = {w: i for i, w in enumerate(worlds)}
         self.succ = [0] * len(worlds)
         for a, b in k.edges:
@@ -205,12 +202,7 @@ def check_model_splitfree(
     operators are not.  The flattened trace is stepped only as far as the
     classical check reads it, and ``max_subsets`` caps the subsets stepped.
     """
-    for node in iter_nodes(phi):
-        if not isinstance(node, _LTL_NODES):
-            raise UnsupportedNodeError(
-                "splitfree model checking takes LTL formulas, "
-                f"not {type(node).__name__}"
-            )
+    require_nodes(phi, _LTL_NODES, "splitfree model checking")
     if any(isinstance(node, Split) and node != _TOP for node in iter_nodes(phi)):
         raise SplitjunctionPresent(
             "formula contains a splitjunction; use trace enumeration instead"

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from teamtl.errors import ResourceCapError
+from teamtl.errors import ResourceCapError, UnsupportedNodeError
 from teamtl.eval_team_ctl import CtlLimits, _CtlEval, mc_ctl, mc_ctl_bruteforce
 from teamtl.fixtures import af_multiplicity_structure, ef_counterexample_structure
 from teamtl.formula import Prop
@@ -12,12 +12,6 @@ from teamtl.parser import parse_ctl
 from teamtl.selftest import suite_ctl_flat, suite_ctl_oracle, suite_ctl_singleton
 
 p = Prop("p")
-
-
-def rejected(k, team, phi, match="no successor"):
-    for decide in (mc_ctl, mc_ctl_bruteforce):
-        with pytest.raises(ValueError, match=match):
-            decide(k, team, phi)
 
 
 def loops(*worlds, labels=None, extra_edges=()):
@@ -61,13 +55,13 @@ class TestBasics:
         assert not mc_ctl(k, team, parse_ctl("q | q"))
 
     def test_split_with_a_dead_end_member(self):
-        # a has no successor: the team a,b would have no successor team.
-        k = KripkeStructure.of(["a", "b", "c"], [("b", "c"), ("c", "c")], {"a": ["p"]})
-        rejected(k, MultiTeam.of(["a", "b"]), parse_ctl("p | AX q"))
+        # a has no successor: a team holding a would have no successor team.
+        with pytest.raises(ValueError, match="'a' has no successor"):
+            KripkeStructure.of(["a", "b", "c"], [("b", "c"), ("c", "c")], {"a": ["p"]})
 
     def test_edge_to_an_undeclared_world(self):
-        k = KripkeStructure.of(["a"], [("a", "b")])
-        rejected(k, MultiTeam.of(["a"]), parse_ctl("AX p"), match="'b' is not a declared")
+        with pytest.raises(ValueError, match="'b' is not a declared"):
+            KripkeStructure.of(["a"], [("a", "b")])
 
     def test_caps(self):
         k = loops("a")
@@ -80,6 +74,11 @@ class TestBasics:
             big, MultiTeam.of(["w0"]), parse_ctl("TOP"),
             limits=CtlLimits(max_worlds=20),
         )
+
+    @pytest.mark.parametrize("text", ["dep(EX p)", "inc(p; ~q)", "p \\|/ dep(AG p)"])
+    def test_atom_parameters_are_propositional(self, text):
+        with pytest.raises(UnsupportedNodeError, match="atom parameters"):
+            mc_ctl(loops("a", labels={"a": ["p"]}), MultiTeam.of(["a"]), parse_ctl(text))
 
     def test_unknown_world(self):
         with pytest.raises(ValueError):
@@ -187,10 +186,10 @@ def test_flat_fragment_agrees_with_bruteforce(seed):
 
 def test_splits_over_dead_ends_are_rejected():
     # Read vacuously on the dead ends, AX would not be downward closed:
-    # with a, b -> b2 and c -> c2, the cover {a,b} / {a,c} satisfies this
-    # formula while no disjoint split does.
-    k = KripkeStructure.of(
-        ["a", "b", "b2", "c", "c2"], [("b", "b2"), ("c", "c2")],
-        {"b": ["t"], "b2": ["r"], "c": ["s"], "c2": ["q"]},
-    )
-    rejected(k, MultiTeam.of(["a", "b", "c"]), parse_ctl("(AX q & !s) | (AX r & !t)"))
+    # with a, b -> b2 and c -> c2, the cover {a,b} / {a,c} satisfies
+    # (AX q & !s) | (AX r & !t) while no disjoint split does.
+    with pytest.raises(ValueError, match="'a' has no successor"):
+        KripkeStructure.of(
+            ["a", "b", "b2", "c", "c2"], [("b", "b2"), ("c", "c2")],
+            {"b": ["t"], "b2": ["r"], "c": ["s"], "c2": ["q"]},
+        )

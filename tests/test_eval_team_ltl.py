@@ -5,8 +5,8 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from teamtl.errors import ResourceCapError
-from teamtl.eval_team_ltl import check_team, eval_gen_atom, naive_oracle
+from teamtl.errors import ResourceCapError, UnsupportedNodeError
+from teamtl.eval_team_ltl import check_team, naive_oracle
 from teamtl.fixtures import union_closure_team
 from teamtl.formula import (
     And,
@@ -15,7 +15,6 @@ from teamtl.formula import (
     Prop,
     Split,
     bot,
-    dependence_atom,
 )
 from teamtl.parser import parse_ltl
 from teamtl.selftest import (
@@ -110,11 +109,20 @@ class TestGenAtoms:
         smaller = team_of(([["p"]], [[]]),)
         assert not check_team(smaller, inc)
 
-    def test_eval_gen_atom_uses_classical_rows(self):
+    def test_atom_rows_are_classical(self):
         team = team_of(([["p"]], [[]]), ([[]], [[]]))
-        atom = dependence_atom(0, 1)
-        assert not eval_gen_atom(team, atom, (p,))
-        assert eval_gen_atom(team, atom, (Prop("r"),))
+        assert not check_team(team, parse_ltl("dep(p)"))
+        assert check_team(team, parse_ltl("dep(r)"))
+
+    @pytest.mark.parametrize("text", [
+        "dep(~p)", "dep(p \\|/ q)", "dep(dep(p))",
+        # The atom is rejected where it is compiled, before the left side
+        # would decide the disjunction.
+        "p \\|/ dep(~p)",
+    ])
+    def test_atom_parameters_are_pure_ltl(self, text):
+        with pytest.raises(UnsupportedNodeError, match="atom parameters"):
+            check_team(team_of(([["p"]], [[]]),), parse_ltl(text))
 
     def test_atoms_see_temporal_parameters(self):
         # dep(; F p): eventual satisfaction of p is constant across the team.

@@ -6,7 +6,6 @@ from teamtl.kripke import (
     MultiTeam,
     enumerate_traces,
     is_successor_team,
-    validate,
 )
 from teamtl.qbf import assignment_structure
 from teamtl.trace import LassoTrace
@@ -19,13 +18,20 @@ def chain(*worlds, loop_last=True):
     return KripkeStructure.of(worlds, edges, initial=worlds[0])
 
 
-def test_validate_reports_problems():
-    k = KripkeStructure.of(["a", "b"], [("a", "b")], {"c": ["p"]}, initial="d")
-    problems = validate(k)
-    assert any("no successor" in m for m in problems)  # b is not left-total
-    assert any("undeclared world 'c'" in m for m in problems)
-    assert any("initial world 'd'" in m for m in problems)
-    assert validate(chain("a", "b")) == []
+def test_construction_reports_problems():
+    with pytest.raises(ValueError) as problems:
+        KripkeStructure.of(
+            ["a", "b"], [("a", "b"), ("e", "a"), ("a", "f")], {"c": ["p"]}, initial="d"
+        )
+    message = str(problems.value)
+    assert "world 'b' has no successor" in message  # b is not left-total
+    assert "edge source 'e' is not a declared world" in message
+    assert "edge target 'f' is not a declared world" in message
+    assert "undeclared world 'c'" in message
+    assert "initial world 'd'" in message
+    assert chain("a", "b").succ == {"a": ("b",), "b": ("b",)}
+    # The empty structure is legal: it carries the empty team.
+    assert KripkeStructure.of([], []).worlds == ()
 
 
 class TestSuccessorTeam:

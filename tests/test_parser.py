@@ -184,6 +184,7 @@ def test_evaluators_bound_trees_built_in_code(levels):
         lambda: check_ltl_classical_extended(trace, ltl),
         lambda: mc_ctl(k, MultiTeam.of(["a"]), ctl),
         lambda: mc_ctl_bruteforce(k, MultiTeam.of(["a"]), ctl),
+        lambda: check_ctl_classical(k, "a", ctl),
     ):
         with pytest.raises(ResourceCapError, match="nested more than"):
             decide()

@@ -7,7 +7,6 @@ from teamtl.eval_team_ltl import check_team
 from teamtl.eval_team_ctl import CtlLimits, mc_ctl
 from teamtl.fixtures import WORKED_QBF_TEXT, worked_qbf
 from teamtl.formula import And, CNeg, Prop, Split
-from teamtl.kripke import validate
 from teamtl.qbf import (
     DOLLAR,
     HASH,
@@ -119,8 +118,9 @@ class TestTpcReduction:
 
 class TestCtlReduction:
     def test_structure_is_valid(self):
-        k, team, _ = reduce_to_tmc_ctl(worked_qbf())
-        assert validate(k) == []
+        # Building the structure checks it: a dead end or an undeclared
+        # name would raise ValueError here.
+        _, team, _ = reduce_to_tmc_ctl(worked_qbf())
         assert len(team) == len(worked_qbf().variables) + 1
 
     def test_worked_instance_checks_valid(self):
