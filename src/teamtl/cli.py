@@ -128,7 +128,9 @@ def main():
 @click.argument("formula")
 @click.option("--max-team", type=click.IntRange(min=0), default=DEFAULT_MAX_TEAM,
               show_default=True,
-              help="Cap on team size for splitjunction enumeration.")
+              help="Cap on the traces a splitjunction enumerates parts "
+                   "over: those free to go on either side of a disjoint "
+                   "split, or all of a cover's.")
 @click.option("--explain", is_flag=True, help="Print the witness tree.")
 @click.option("--oracle", is_flag=True,
               help="Cross-check against the naive oracle (small inputs only).")
@@ -158,9 +160,9 @@ def check_path(team_file, formula, max_team, explain, oracle):
                    "e.g. r,a,a.")
 @click.option("--max-team", type=click.IntRange(min=0), default=DEFAULT_MAX_TEAM,
               show_default=True,
-              help="Cap on team size for splitjunction enumeration.  It "
-                   "applies to --mode ltl-enumerate only (and to check-path); "
-                   "ctl mode checks teams of any size.")
+              help="Cap on the traces a splitjunction enumerates parts "
+                   "over, as in check-path.  It applies to --mode "
+                   "ltl-enumerate only; ctl mode checks teams of any size.")
 @click.option("--max-subsets", type=click.IntRange(min=1),
               default=DEFAULT_MAX_SUBSETS, show_default=True,
               help="In splitfree mode, cap on the successor sets the check "

@@ -24,11 +24,16 @@ temporal operators reuse it.
 
 Splitjunctions are the expensive part, and the formula alone picks how
 each is enumerated.  On a downward-closed split node it suffices to
-enumerate disjoint subsets, pruned by per-trace feasibility; on any
-other, every ordered cover (each trace goes left, right, or both) must
-be considered.  Covers are decided with a superset closure ("sum over
-subsets") of the subteams satisfying the right side, in O(n·2^n), rather
-than by pairing every left subteam with every right one.
+enumerate disjoint subsets, pruned by per-trace feasibility, and to try
+the right side only beside a maximal left part, one that no further
+trace can join with the left side still true.  Both sides are downward
+closed, so this is complete: a right side that fails beside a maximal
+part fails beside every part under it, whose complement is larger.  On
+any other node, every ordered cover (each trace goes left, right, or
+both) must be considered.  Covers are decided with a superset closure
+("sum over subsets") of the subteams satisfying the right side, in
+O(n·2^n), rather than by pairing every left subteam with every right
+one.
 ``naive_oracle`` is a deliberately independent and unoptimized second
 implementation used for differential testing.
 """
@@ -210,15 +215,18 @@ class _TeamEval(Compiled):
         return verdict
 
     def split(self, mask: int, node: int) -> bool:
-        size = mask.bit_count()
-        if size > self.max_team:
-            raise ResourceCapError(
-                f"team of size {size} exceeds the split cap {self.max_team}"
-            )
         left, right = self.args[node]
         if self.dc[node]:
             return self._split_disjoint(mask, left, right)
         return self._split_covers(mask, left, right)
+
+    def _check_cap(self, members: int) -> None:
+        """Charge a split that enumerates parts over ``members`` traces
+        against the cap; a split over one trace is always allowed."""
+        if members > 1 and members > self.max_team:
+            raise ResourceCapError(
+                f"split over {members} traces exceeds the split cap {self.max_team}"
+            )
 
     def _split_disjoint(self, mask: int, left: int, right: int) -> bool:
         # Downward closure makes minimal assignments complete: a trace that
@@ -238,16 +246,30 @@ class _TeamEval(Compiled):
             return False
         base = mask & ~can_right
         free = list(_bits(can_left & can_right))
+        self._check_cap(len(free))
+        # It also makes maximal left parts complete, so the right side is
+        # tried only on a part no free trace can join with the left side
+        # still true: if the right side holds beside some part, the traces
+        # added one by one to make it maximal leave a smaller right part,
+        # which still satisfies it.  Parts go from the largest down, so
+        # every part | bit has been checked already and is a memo hit.
         for size in range(len(free), -1, -1):
             for extra in itertools.combinations(free, size):
                 part = base | sum(extra)
-                if self.check(part, left) and self.check(mask ^ part, right):
+                if (
+                    self.check(part, left)
+                    and not any(
+                        self.check(part | bit, left) for bit in free if not part & bit
+                    )
+                    and self.check(mask ^ part, right)
+                ):
                     return True
         return False
 
     def _split_covers(self, mask: int, left: int, right: int) -> bool:
         # subteams[x] holds the members whose index bits are set in x.
         members = list(_bits(mask))
+        self._check_cap(len(members))
         subteams = [0]
         for bit in members:
             subteams += [sub | bit for sub in subteams]
@@ -282,8 +304,11 @@ def check_team(
 
     Each split node enumerates disjoint splits if it is downward closed,
     covers otherwise.  Raises ResourceCapError instead of guessing when a
-    split would enumerate more than 2^max_team subteams, or when ``phi``
-    is nested deeper than `formula.MAX_DEPTH`.
+    split would enumerate its parts over more than ``max_team`` traces
+    (the traces free to go on either side of a disjoint split, every
+    trace of a cover).  A disjoint split with a flat side enumerates no
+    parts, and a split over one trace is always allowed.  Also raises it
+    when ``phi`` is nested deeper than `formula.MAX_DEPTH`.
     """
     evaluator = _TeamEval(team, check_depth(phi), max_team)
     return evaluator.check(evaluator.root, evaluator.top)

@@ -580,6 +580,20 @@ def suite_plsim(rng, count):
         yield check_team(team, goal), pl_team_satisfiable_bruteforce(phi), phi
 
 
+@_suite("check_team vs eval_qbf on 5-7 variable QBF->TPC")
+def suite_qbf_tpc(rng, count):
+    """QBF->TPC teams of 24 to 44 traces, far beyond the naive oracle's
+    four, with the cap lifted.  The clause chain's splits are downward
+    closed, so their free traces make this the suite in which the
+    disjoint split tries many parts before it reaches a verdict."""
+    for _ in range(count):
+        q = random_qbf(rng, max_vars=7, max_clauses=9)
+        while len(q.variables) < 5 or len(q.clauses) < 4:
+            q = random_qbf(rng, max_vars=7, max_clauses=9)
+        team, phi = reduce_to_tpc(q)
+        yield check_team(team, phi, max_team=len(team)), eval_qbf(q), q
+
+
 @_suite("pinned fixtures")
 def suite_fixtures(rng, count):
     """The pinned verdicts; draws nothing and ignores ``count``."""
@@ -590,10 +604,11 @@ def suite_fixtures(rng, count):
 SUITES = (
     suite_ltl_oracle, suite_ltl_structural, suite_ltl_downward_closed, suite_splitfree,
     suite_ltl_ctl_agreement, suite_ctl_oracle, suite_ctl_flat, suite_ctl_singleton,
-    suite_successor_teams, suite_qbf_reductions, suite_plsim, suite_fixtures,
+    suite_successor_teams, suite_qbf_reductions, suite_plsim, suite_qbf_tpc,
+    suite_fixtures,
 )
 # The costlier suites run at a fraction of ``run_selftest``'s count.
-_DIVISORS = {suite_qbf_reductions: 10, suite_plsim: 2}
+_DIVISORS = {suite_qbf_reductions: 10, suite_qbf_tpc: 10, suite_plsim: 2}
 
 
 def run_selftest(seed: int = 0, count: int = 50) -> SelfTestReport:

@@ -153,6 +153,23 @@ class TestStrategies:
         with pytest.raises(ResourceCapError):
             check_team(team, phi, max_team=4)
 
+    def test_cap_charges_only_what_a_split_enumerates(self):
+        # An atom parameter's split runs on one trace and has a flat side.
+        one = team_of(([], [["p"]]))
+        assert check_team(one, parse_ltl("dep(F p | q)"), max_team=0)
+        # Five traces, each able to go on one side only: no free trace.
+        only = TeamEncoding.of(
+            LassoTrace.of([], [[f"p{i % 2}"]]) for i in range(5)
+        )
+        assert check_team(only, parse_ltl("F p0 | F p1"), max_team=0)
+        # Three traces able to go on either side are three free traces.
+        free = TeamEncoding.of(
+            LassoTrace.of([[f"r{i}"]], [["p0", "p1"]]) for i in range(3)
+        )
+        assert check_team(free, parse_ltl("F p0 | F p1"), max_team=3)
+        with pytest.raises(ResourceCapError):
+            check_team(free, parse_ltl("F p0 | F p1"), max_team=2)
+
 
 class TestOracleAgreement:
     @settings(max_examples=300, deadline=None)

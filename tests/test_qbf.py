@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +22,7 @@ from teamtl.qbf import (
     reduce_to_tmc_ctl,
     reduce_to_tpc,
 )
-from teamtl.selftest import suite_plsim, suite_qbf_reductions
+from teamtl.selftest import suite_plsim, suite_qbf_reductions, suite_qbf_tpc
 from teamtl.trace import trace_at
 
 p, q = Prop("p"), Prop("q")
@@ -114,6 +115,36 @@ class TestTpcReduction:
     def test_empty_instance(self):
         team, phi = reduce_to_tpc(QbfInstance((), (), ()))
         assert check_team(team, phi)
+
+
+def frontier_qbf(n: int, m: int) -> QbfInstance:
+    """The QBF->TPC frontier family: n variables quantified alternately
+    from ∃ and m clauses of three literals, drawn from random.Random(2)."""
+    rng = random.Random(2)
+    variables = tuple(f"x{i}" for i in range(1, n + 1))
+    quantifiers = tuple("e" if i % 2 == 0 else "a" for i in range(n))
+    clauses = tuple(
+        tuple((rng.choice(variables), rng.random() < 0.5) for _ in range(3))
+        for _ in range(m)
+    )
+    return QbfInstance(quantifiers, variables, clauses)
+
+
+def test_frontier_instance_decides_in_seconds():
+    # 55 traces and UNSAT, so no early exit helps: trying the right side
+    # beside every left part took about 60 s of CPU time.
+    q = frontier_qbf(10, 10)
+    team, phi = reduce_to_tpc(q)
+    assert len(team) == 55
+    started = time.process_time()
+    assert check_team(team, phi, max_team=len(team)) is eval_qbf(q) is False
+    assert time.process_time() - started < 10
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32))
+def test_tpc_beyond_the_oracle_agrees_with_eval(seed):
+    assert not suite_qbf_tpc(random.Random(seed), 1).mismatches
 
 
 class TestCtlReduction:
