@@ -26,22 +26,39 @@ The formula is compiled by the shared core, `formula.Compiled`; here a
 flat node's ``fails`` mask holds the digits of the worlds falsifying it,
 so a flat node holds on a team iff its key misses ``fails``, which needs
 no memo and no split enumeration.  Beyond literals and ``&`` and ``|``
-over flat nodes, flat are ``EX``/``AX`` over a flat node, and
-``E``/``A[φ R ψ]`` over flat nodes where every world falsifies φ
-(``EG``/``AG``).  Each is pointwise because the members of
-a team step independently: a successor team satisfies a flat node iff
+over flat nodes, flat are ``EX``/``AX`` over a flat node, ``E[φ R ψ]``
+over flat nodes where no world satisfies φ ∧ ψ (such as ``EG``), and
+``AG`` over a flat node.  Each is pointwise because the members of a
+team step independently: a successor team satisfies a flat node iff
 each member's chosen successor does, so ``EX`` asks every member for one
 good successor and ``AX`` for good successors only, and a synchronous
-path of teams avoiding ``fails(ψ)`` is just one such path per member, which
-makes ``EG``/``AG`` the classical greatest fixpoints.  ``E``/``A[φ U ψ]``
-and Release with a satisfiable φ are not pointwise, since φ or ψ must
-hold on the whole team at one common step: in ``ef_counterexample``
-both ``x1`` and ``y1`` reach ``p``, but never at the same step, so
-``EF p`` fails on the team ``x1,y1``.  They stay searches over the
-successor-multiset graph, two of them, as Release is the dual of
-Until: ``EU`` and ``AR`` are decided by a finite path, found or not by a
-depth-first search, and ``AU`` and ``ER`` by one depth-first search
-over the teams a path may stay in, which fails at a cycle among them.
+path of teams avoiding ``fails(ψ)`` is just one such path per member,
+which makes ``EG``/``AG`` the classical greatest fixpoints.  A pre-image of a
+digit mask takes one shift of the mask per distinct edge offset in the
+world order (`_pre_image`).
+
+``E[φ U ψ]`` and ``E[φ R ψ]`` over flat nodes are not pointwise, since φ
+or ψ must hold on the whole team at one common step: in
+``ef_counterexample`` both ``x1`` and ``y1`` reach ``p``, but never at
+the same step, so ``EF p`` fails on the team ``x1,y1``.  Yet the members
+still step independently, which makes each a union of flat masks that
+do not depend on the team.  A team satisfies ``E[φ U ψ]`` iff, for one
+n, every member has a path of n φ-worlds to a ψ-world, that is iff its
+worlds lie inside Rₙ, where R₀ holds the ψ-worlds and Rₙ₊₁ the φ-worlds
+with a successor in Rₙ (`_until_masks`).  ``E[φ R ψ]`` is the ``EG ψ``
+mask and the same sequence from the φ ∧ ψ-worlds through ψ-worlds.  The
+masks are found only as far as a check reads them; a node whose sequence
+has not closed after |W|² + 1 sets decides by the search below for the
+rest of the call.  ``&`` over such nodes and flat nodes is one node, so
+the QBF gadgets' conjunction of ``EF`` goals is one memoised test per
+team.
+
+``A[φ U ψ]`` and ``A[φ R ψ]``, and ``E[φ U ψ]`` and ``E[φ R ψ]`` over
+operands that are not flat, are searches over the successor-multiset
+graph, two of them, as Release is the dual of Until: ``EU`` and ``AR``
+are decided by a finite path, found or not by a depth-first search, and
+``AU`` and ``ER`` by one depth-first search over the teams a path may
+stay in, which fails at a cycle among them.
 A generalised atom's rows come from its parameters, literals, ``&``,
 ``|`` and ``\\|/``, checked on the one-member team of each copy.
 
@@ -57,7 +74,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import ResourceCapError, UnsupportedNodeError
 from .eval_classical import prop_sat
@@ -74,6 +91,7 @@ from .formula import (
     Compiled,
     Formula,
     GenAtomApp,
+    MaskUnion,
     NegProp,
     Prop,
     Split,
@@ -94,6 +112,55 @@ class CtlLimits:
     until_from_one: bool = False
 
 
+def _pre_image(forward: tuple[tuple[int, int], ...], backward: tuple[tuple[int, int], ...]):
+    """The function mapping a digit mask to the digits of the worlds with
+    a successor in it.  Each pair is a shift in bits and the digits of the
+    worlds with an edge that far on in the world order (``forward``) or
+    back (``backward``).  It holds no reference to the evaluator, so the
+    mask sequences that keep it do not make the evaluator a reference
+    cycle."""
+
+    def pre_some(mask: int) -> int:
+        found = 0
+        for shift, worlds in forward:
+            found |= worlds & mask >> shift
+        for shift, worlds in backward:
+            found |= worlds & mask << shift
+        return found
+
+    return pre_some
+
+
+def _least_fixpoint(mask: int, pre: Callable[[int], int]) -> int:
+    """The least superset of ``mask`` closed under ``pre``."""
+    while True:
+        grown = mask | pre(mask)
+        if grown == mask:
+            return mask
+        mask = grown
+
+
+def _until_masks(start: int, inside: int, pre_some, full: int, steps: int):
+    """Yield ``full ^ R`` for each R in R₀ = ``start``, Rₙ₊₁ = ``inside``
+    ∩ pre∃(Rₙ): for ``start`` the ψ-worlds and ``inside`` the φ-worlds, a
+    team satisfies E[φ U ψ] iff it misses one of these masks, as every
+    member then has a path of n φ-worlds to a ψ-world, and the members
+    step independently.  Rₙ ⊆ Rₘ makes Rₙ₊₁ ⊆ Rₘ₊₁, so once a set lies
+    inside its predecessor or repeats an earlier one, every later set lies
+    inside an earlier one, and the masks are all found.  Yield None if
+    that has not happened after ``steps`` sets."""
+    seen = set()
+    reach = start
+    for _ in range(steps):
+        yield full ^ reach
+        seen.add(reach)
+        grown = inside & pre_some(reach)
+        if not grown & ~reach or grown in seen:
+            return
+        reach = grown
+    yield None
+
+
 def _from_index_zero(phi: Formula) -> Formula:
     """The until-from-one reading of ``phi`` in the ordinary one: a path
     satisfies E/A[φ U ψ] or E/A[φ R ψ] from index 1 iff its tail from the
@@ -111,16 +178,19 @@ class _CtlEval(Compiled):
     """One call's compiled structure, over the shared formula core.
 
     World ``w`` is ``k.worlds[w]``; ``unit[w]`` is the key of the team
-    holding it once, ``digits[w]`` the mask of its digit in a key,
-    ``succ_steps[w]`` the (unit, world bit) pair of each of its
-    successors, and ``succ_digits[w]`` the digits of its successors.
+    holding it once, ``digits[w]`` the mask of its digit in a key
+    and ``succ_steps[w]`` the (unit, world bit) pair of each of its
+    successors.
     Members on the worlds of a shift class in ``shifts`` step together,
     members on the worlds in ``stepped`` one by one.  ``supports`` and
     ``succ_cache`` hold every key's support mask (the bits of its worlds)
     and successor keys.
 
     A flat node's ``fails`` mask holds the digits of the worlds
-    falsifying it.
+    falsifying it; ``pre_some`` and ``pre_all`` map such a digit mask to
+    its existential and universal pre-image, and ``cutoff`` is the number
+    of sets an E-Until or E-Release sequence may step before its node
+    gives way to the search.
     """
 
     logic = "team CTL"
@@ -139,8 +209,23 @@ class _CtlEval(Compiled):
         self.digits = [self.digit * unit for unit in self.unit]
         succ = [[self.index[v] for v in k.succ[w]] for w in k.worlds]
         self.succ_steps = [tuple((self.unit[v], 1 << v) for v in vs) for vs in succ]
-        self.succ_digits = [sum(self.digits[v] for v in vs) for vs in succ]
         self.full = sum(self.digits)
+        # Every edge w -> v moves a digit by v - w digits; the worlds with an
+        # edge of one such offset form one group, and the pre-images shift
+        # a whole mask once per group.
+        groups: dict[int, int] = {}
+        for w, vs in enumerate(succ):
+            for v in vs:
+                groups[v - w] = groups.get(v - w, 0) | self.digits[w]
+        self.pre_some = _pre_image(
+            tuple((d * self.width, ws) for d, ws in groups.items() if d >= 0),
+            tuple((-d * self.width, ws) for d, ws in groups.items() if d < 0),
+        )
+        # An E-Until or E-Release sequence still open after this many sets
+        # gives way to the search.  |W|² + 1 sets closed every sequence
+        # measured, on random structures of up to 8 worlds and on the QBF
+        # gadgets; |W| + 1 left about one in 125 of the former open.
+        self.cutoff = len(k.worlds) ** 2 + 1
         # Worlds whose only successor lies the same distance d further on
         # form a shift class: their digits move together by d digits and
         # their support bits by d bits.  Only classes of two or more worlds
@@ -238,27 +323,42 @@ class _CtlEval(Compiled):
         holds = self.prop_masks.get(name, 0)
         return holds if negated else self.full ^ holds
 
-    def _pre(self, mask: int, every: bool) -> int:
-        """The digits of the worlds with a successor in the digit mask
-        ``mask``, or with only successors in it if ``every``."""
-        if every:
-            return sum(self.digits[w] for w, m in enumerate(self.succ_digits) if not m & ~mask)
-        return sum(self.digits[w] for w, m in enumerate(self.succ_digits) if m & mask)
+    def pre_all(self, mask: int) -> int:
+        """The digits of the worlds with only successors in the digit mask
+        ``mask``: the relation is left-total, so those without a successor
+        outside it."""
+        return self.full ^ self.pre_some(self.full ^ mask)
 
     def temporal_fails(self, kind: type, masks: list[int]) -> int | None:
         # EX fails where every successor fails, AX where one does.
-        if kind is EX or kind is AX:
-            return self._pre(masks[0], kind is EX)
-        if kind not in (ER, AR) or masks[0] != self.full:
+        if kind is EX:
+            return self.pre_all(masks[0])
+        if kind is AX:
+            return self.pre_some(masks[0])
+        # E[φ U ψ] with ψ nowhere holds on the empty team only.
+        if kind is EU and masks[1] == self.full:
+            return self.full
+        # E[φ R ψ] with φ ∧ ψ nowhere is EG ψ, and A[⊥ R ψ] is AG ψ; they
+        # fail where ψ fails or, from there on, where every successor (EG)
+        # or some successor (AG) fails: a least fixpoint.
+        if kind is ER and masks[0] | masks[1] == self.full:
+            return _least_fixpoint(masks[1], self.pre_all)
+        if kind is AR and masks[0] == self.full:
+            return _least_fixpoint(masks[1], self.pre_some)
+        return None
+
+    def temporal_union(self, node: int, kind: type, masks: list[int]) -> MaskUnion | None:
+        if kind is not EU and kind is not ER:
             return None
-        # EG / AG fail where ψ fails or, from there on, where every
-        # successor (EG) or some successor (AG) fails: a least fixpoint.
-        fails = masks[1]
-        while True:
-            grown = fails | self._pre(fails, kind is ER)
-            if grown == fails:
-                return fails
-            fails = grown
+        phi, psi = (self.full ^ mask for mask in masks)
+        if kind is EU:
+            rest = _until_masks(psi, phi, self.pre_some, self.full, self.cutoff)
+            return MaskUnion((), rest, _CtlEval._path, node)
+        # The team stays on ψ-worlds forever, which each member does on its
+        # own (EG ψ), or reaches φ ∧ ψ at one step through ψ-worlds.
+        stay = _least_fixpoint(masks[1], self.pre_all)
+        rest = _until_masks(phi & psi, psi, self.pre_some, self.full, self.cutoff)
+        return MaskUnion((stay,), rest, _CtlEval._region, node)
 
     # -- evaluating --------------------------------------------------------
 
@@ -386,6 +486,14 @@ def mc_ctl(
 # Independent oracle
 
 
+# The oracle recurses about four Python frames per unrolling step, and as
+# many per formula level: 120 steps under `formula.MAX_DEPTH` levels stay
+# well below Python's default recursion limit of 1000.  Nested Until and
+# Release can stack their unrollings; the differential suites keep the
+# depth at 20 or less.
+ORACLE_MAX_UNROLL = 120
+
+
 def mc_ctl_bruteforce(
     k: KripkeStructure,
     team: MultiTeam,
@@ -397,10 +505,15 @@ def mc_ctl_bruteforce(
     functions explicitly.  The default depth is the number of distinct
     multisets of the team's size, C(|W|+|T|-1, |T|), which makes the
     cutoffs exact: a run of that many steps passes through one more team
-    than there are multisets, so it revisits one and can be pumped."""
+    than there are multisets, so it revisits one and can be pumped.
+    Raises `ResourceCapError` for a depth above `ORACLE_MAX_UNROLL`."""
     check_depth(phi)
     multisets = math.comb(max(len(k.worlds) + len(team) - 1, 0), len(team))
     bound = multisets if depth is None else depth
+    if bound > ORACLE_MAX_UNROLL:
+        raise ResourceCapError(
+            f"oracle unrolls at most {ORACLE_MAX_UNROLL} steps deep, not {bound}"
+        )
     memo: dict[tuple[TeamKey, int, int], bool] = {}
 
     def step_choices(worlds: TeamKey):

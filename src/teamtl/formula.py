@@ -21,9 +21,10 @@ formula's nodes once per call, generalised-atom parameters included,
 records per node its class, child ids, downward closure and, for flat
 nodes, the mask of team members falsifying it, and decides every node
 through one ``check``: a flat node by one mask test, any other by its
-rule, memoised per team.  It decides ``&``, Boolean disjunction, ``~``
-and generalised atoms itself; the evaluators add their team encoding,
-temporal operators and splits.
+rule, memoised per team; a conjunction of unions of flat masks is one
+node.  It decides ``&``, Boolean disjunction, ``~`` and generalised
+atoms itself; the evaluators add their team encoding, temporal
+operators and splits.
 
 `check_depth` bounds how deep a formula may nest, for the parsers and
 for every evaluator entry point.
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .errors import ResourceCapError, UnsupportedNodeError
 
@@ -404,6 +405,40 @@ def is_ctl(phi: Formula) -> bool:
 # The compiled-formula core shared by the team evaluators
 
 
+class MaskUnion:
+    """A union of flat masks: a team satisfies it iff it misses one of
+    them.  ``masks`` holds the masks found so far; the iterator ``rest``
+    yields the others one at a time and ends when there are no more, or
+    yields None when it gives up before that.  From then on
+    ``search(evaluator, team, node)`` decides the union, which must then
+    be equivalent to node ``node``.  A flat node is the union of its one
+    mask."""
+
+    __slots__ = ("masks", "rest", "search", "node")
+
+    def __init__(self, masks: Iterable[int], rest: Iterable[int | None] = (),
+                 search: Callable[..., bool] | None = None, node: int = -1):
+        self.masks = list(masks)
+        self.rest: Iterator[int | None] | None = iter(rest)
+        self.search = search
+        self.node = node
+
+    def more(self, evaluator: Compiled, team: int) -> bool:
+        """Whether ``team``, which meets every mask in ``masks``, satisfies
+        the union: find masks until ``team`` misses one or none is left."""
+        if self.rest is not None:
+            for mask in self.rest:
+                if mask is None:
+                    break
+                self.masks.append(mask)
+                if not team & mask:
+                    return True
+            else:
+                return False
+            self.masks, self.rest = [], None
+        return self.search(evaluator, team, self.node)
+
+
 class Compiled:
     """One evaluation call's formula, interned once: the core that the
     team LTL and team CTL evaluators share.
@@ -418,6 +453,16 @@ class Compiled:
     ``&`` and ``|`` over flat nodes; a subclass makes a temporal node flat
     by returning its mask from ``temporal_fails``.  Every other node has
     ``fails[n]`` None and memoises its verdicts by team in ``memo[n]``.
+
+    Such a node may still be mask-decided: ``unions[n]`` is then a tuple
+    of `MaskUnion`s, and it holds on a team iff the team misses some mask
+    of each.  A subclass makes a temporal node over flat children
+    mask-decided by returning its union from ``temporal_union``.  ``&``
+    over flat and mask-decided children concatenates their unions at
+    compile time, a flat child giving the union of its one mask, so a
+    conjunction of them is one node, tested with one memoised rule call
+    per team.  A union may find its masks as tests read them, and may
+    give way to a search that decides its node; see `MaskUnion`.
 
     A team is an int, and a flat node's mask uses the same bits, so
     ``check(team, node)`` decides every node: a flat one by one mask test,
@@ -442,6 +487,7 @@ class Compiled:
         self.args: list[tuple[int, ...]] = []
         self.dc: list[bool] = []
         self.fails: list[int | None] = []
+        self.unions: list[tuple[MaskUnion, ...] | None] = []
         self.rules: list[Callable[..., bool]] = []
         self.memo: list[dict[int, bool]] = []
         self.node_keys: dict[tuple, int] = {}
@@ -484,7 +530,10 @@ class Compiled:
         node = self.node_keys.get(key)
         if node is None:
             node = self.node_keys[key] = len(self.kinds)
-            self.fails.append(self._fails(phi, kind, args))
+            fails = self._fails(phi, kind, args)
+            unions = None if fails is not None else self._unions(node, kind, args)
+            self.fails.append(fails)
+            self.unions.append(unions)
             self.formulas.append(phi)
             self.kinds.append(kind)
             self.args.append(args)
@@ -493,7 +542,9 @@ class Compiled:
                 and (kind is not GenAtomApp or phi.atom.downward_closed)
                 and all(self.dc[a] for a in args)
             )
-            self.rules.append(self.rule_of.get(kind, Compiled._unsupported))
+            self.rules.append(
+                Compiled._union if unions else self.rule_of.get(kind, Compiled._unsupported)
+            )
             self.memo.append({})
         self.compiled[id(phi)] = node
         return node
@@ -510,9 +561,26 @@ class Compiled:
             return masks[0] & masks[1]
         return self.temporal_fails(kind, masks)
 
+    def _unions(self, node: int, kind: type, args: tuple[int, ...]) -> tuple[MaskUnion, ...] | None:
+        if kind is And:
+            if any(self.fails[a] is None and self.unions[a] is None for a in args):
+                return None
+            return tuple(u for a in args for u in self.unions[a] or (MaskUnion([self.fails[a]]),))
+        masks = [self.fails[a] for a in args]
+        if None in masks:
+            return None
+        union = self.temporal_union(node, kind, masks)
+        return None if union is None else (union,)
+
     def temporal_fails(self, kind: type, masks: list[int]) -> int | None:
         """The mask of members falsifying a temporal node whose children
         are flat with the masks ``masks``, or None if it is not flat."""
+        return None
+
+    def temporal_union(self, node: int, kind: type, masks: list[int]) -> MaskUnion | None:
+        """The `MaskUnion` deciding node ``node``, a temporal node that is
+        not flat although its children are flat with the masks ``masks``,
+        or None if no union decides it."""
         return None
 
     def check(self, team: int, node: int) -> bool:
@@ -525,6 +593,16 @@ class Compiled:
         if verdict is None:
             verdict = memo[team] = self.rules[node](self, team, node)
         return verdict
+
+    def _union(self, team: int, node: int) -> bool:
+        for union in self.unions[node]:
+            for mask in union.masks:
+                if not team & mask:
+                    break
+            else:
+                if not union.more(self, team):
+                    return False
+        return True
 
     def _and(self, team: int, node: int) -> bool:
         left, right = self.args[node]

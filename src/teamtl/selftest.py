@@ -294,22 +294,28 @@ def random_multiteam(rng: random.Random, k: KripkeStructure, max_size: int = 3) 
     return MultiTeam.of([rng.choice(k.worlds) for _ in range(size)])
 
 
-def random_flat_instance(rng: random.Random) -> tuple[KripkeStructure, MultiTeam, Formula]:
-    """A structure, a team of at most three members (the brute-force
-    oracle unrolls C(|W|+|T|-1, |T|) steps deep) and a formula of the flat
-    CTL fragment.  Half the structures are a rotation of the worlds by a
-    fixed distance plus a few random edges: members on a cycle cannot wait
-    for each other, and most worlds share one successor shift."""
-    k = random_kripke(rng)
+def random_rotation_kripke(rng: random.Random, max_worlds: int = 4) -> KripkeStructure:
+    """A random structure, or, half the time, a rotation of its worlds by
+    a fixed distance plus a few of its edges: members on a cycle cannot
+    wait for each other, and most worlds share one successor shift."""
+    k = random_kripke(rng, max_worlds)
     worlds, labels = k.worlds, dict(k.labels)
     if rng.random() < 0.5:
         n, d = len(worlds), rng.choice((1, -1, 2))
         edges = {(w, worlds[(i + d) % n]) for i, w in enumerate(worlds)}
         edges |= {e for e in k.edges if rng.random() < 0.1}
         k = KripkeStructure.of(worlds, edges, labels)
+    return k
+
+
+def random_flat_instance(rng: random.Random) -> tuple[KripkeStructure, MultiTeam, Formula]:
+    """A `random_rotation_kripke` structure, a team of at most three
+    members (the brute-force oracle unrolls C(|W|+|T|-1, |T|) steps deep)
+    and a formula of the flat CTL fragment."""
+    k = random_rotation_kripke(rng)
     team = random_multiteam(rng, k)
     if len(team) < 3 and rng.random() < 0.5:
-        team = MultiTeam.of(team.worlds + (rng.choice(worlds),))
+        team = MultiTeam.of(team.worlds + (rng.choice(k.worlds),))
     return k, team, random_flat_ctl_formula(rng, rng.randint(0, 2))
 
 
@@ -509,6 +515,28 @@ def suite_ctl_flat(rng, count):
         )
 
 
+@_suite("E-Until/E-Release masks vs the search")
+def suite_ctl_union(rng, count):
+    """E[φ U ψ], E[φ R ψ] and their conjunction over flat operands, which
+    ``mc_ctl`` decides by unions of masks, against the same formulas with
+    ψ read as ψ \\|/ ψ: that is not flat, so they take the searches.  Up
+    to 8 worlds and 6 members, beyond the brute-force oracle's reach."""
+    for _ in range(count):
+        k = random_rotation_kripke(rng, max_worlds=8)
+        team = random_multiteam(rng, k, max_size=6)
+        phi, psi = (random_flat_body(rng, rng.randint(0, 2)) for _ in range(2))
+        until, release = EU(phi, psi), ER(phi, psi)
+        searched = [
+            mc_ctl(k, team, op(phi, BoolOr(psi, psi))) for op in (EU, ER)
+        ]
+        yield (
+            (mc_ctl(k, team, until), mc_ctl(k, team, release),
+             mc_ctl(k, team, And(until, release))),
+            (*searched, all(searched)),
+            until, release, team, k,
+        )
+
+
 @_suite("mc_ctl vs classical CTL on singletons")
 def suite_ctl_singleton(rng, count):
     for _ in range(count):
@@ -603,9 +631,9 @@ def suite_fixtures(rng, count):
 
 SUITES = (
     suite_ltl_oracle, suite_ltl_structural, suite_ltl_downward_closed, suite_splitfree,
-    suite_ltl_ctl_agreement, suite_ctl_oracle, suite_ctl_flat, suite_ctl_singleton,
-    suite_successor_teams, suite_qbf_reductions, suite_plsim, suite_qbf_tpc,
-    suite_fixtures,
+    suite_ltl_ctl_agreement, suite_ctl_oracle, suite_ctl_flat, suite_ctl_union,
+    suite_ctl_singleton, suite_successor_teams, suite_qbf_reductions, suite_plsim,
+    suite_qbf_tpc, suite_fixtures,
 )
 # The costlier suites run at a fraction of ``run_selftest``'s count.
 _DIVISORS = {suite_qbf_reductions: 10, suite_qbf_tpc: 10, suite_plsim: 2}

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,13 @@ from teamtl.fixtures import af_multiplicity_structure, ef_counterexample_structu
 from teamtl.formula import Prop
 from teamtl.kripke import KripkeStructure, MultiTeam
 from teamtl.parser import parse_ctl
-from teamtl.selftest import suite_ctl_flat, suite_ctl_oracle, suite_ctl_singleton
+from teamtl.selftest import (
+    cycle_fan,
+    suite_ctl_flat,
+    suite_ctl_oracle,
+    suite_ctl_singleton,
+    suite_ctl_union,
+)
 
 p = Prop("p")
 
@@ -141,6 +148,53 @@ class TestSuccessorGraphReach:
         assert not mc_ctl(k, MultiTeam.of(["w"]), parse_ctl("A[q U p]"))
 
 
+def decided_by_masks(k, team, text):
+    """The verdict of ``text``, after checking that its root node is
+    decided by unions of masks."""
+    ev = _CtlEval(k, len(team))
+    node = ev.compile(parse_ctl(text))
+    assert ev.fails[node] is None and ev.unions[node] is not None
+    return ev.check(ev.encode(team.worlds), node)
+
+
+class TestMaskUnions:
+    def test_ef_counterexample(self):
+        # Both members reach p, at different steps: deciding EF p member
+        # by member, each on its own schedule, would answer True.
+        k = ef_counterexample_structure()
+        assert not decided_by_masks(k, MultiTeam.of(["x1", "y1"]), "EF p")
+        # x2 and y1 both reach p in one step.
+        assert decided_by_masks(k, MultiTeam.of(["x2", "y1"]), "EF p")
+        assert decided_by_masks(k, MultiTeam.of(["x2", "y1"]), "EF p & E[TOP U !p]")
+        assert not decided_by_masks(k, MultiTeam.of(["x1", "y1"]), "EF p & E[TOP U !p]")
+
+    def test_empty_team(self):
+        k = ef_counterexample_structure()
+        assert decided_by_masks(k, MultiTeam.of([]), "E[q U p]")
+        assert decided_by_masks(k, MultiTeam.of([]), "E[!q R p]")
+
+    def test_conjunction_is_one_node(self):
+        ev = _CtlEval(ef_counterexample_structure(), 2)
+        node = ev.compile(parse_ctl("EF p & (!q & E[!q R p])"))
+        assert len(ev.unions[node]) == 3
+
+    @pytest.mark.parametrize("text", ["EF p", "E[!q U p]"])
+    @pytest.mark.parametrize("team", [["c0_1", "c0_2"], ["c0_1", "c0_2", "c1_0"]])
+    def test_cutoff(self, text, team):
+        # Cycles of 7 to 23 worlds (c0 is the 7-cycle), p at each start:
+        # the worlds n steps before a start repeat only after the lcm of
+        # the lengths, about 5.4e8 steps, so the masks give way to the
+        # search after |W|² + 1 of them.
+        k = cycle_fan((7, 8, 9, 11, 13, 17, 19, 23), lambda w: ["p"] if w.endswith("_0") else [])
+        start = time.process_time()
+        ev = _CtlEval(k, len(team))
+        node = ev.compile(parse_ctl(text))
+        assert not ev.check(ev.encode(team), node)
+        assert time.process_time() - start < 0.2
+        (union,) = ev.unions[node]
+        assert union.rest is None
+
+
 @pytest.mark.parametrize("text", ["E[!q U p]", "EG !p", "AG !p"])
 def test_bruteforce_unrolls_only_as_deep_as_there_are_multisets(text):
     # 4 members on a 5-cycle: 70 multisets, so the oracle unrolls 70 steps
@@ -153,6 +207,16 @@ def test_bruteforce_unrolls_only_as_deep_as_there_are_multisets(text):
     team = MultiTeam.of(list("abcd"))
     phi = parse_ctl(text)
     assert mc_ctl_bruteforce(k, team, phi) == mc_ctl(k, team, phi)
+
+
+def test_bruteforce_refuses_deep_unrolling():
+    # 5 members on a 7-cycle: C(11, 5) = 462 multisets, too deep to unroll.
+    worlds = [f"w{i}" for i in range(7)]
+    k = KripkeStructure.of(worlds, [(w, worlds[(i + 1) % 7]) for i, w in enumerate(worlds)])
+    team = MultiTeam.of(worlds[:5])
+    with pytest.raises(ResourceCapError, match="unroll"):
+        mc_ctl_bruteforce(k, team, parse_ctl("EG !p"))
+    assert mc_ctl(k, team, parse_ctl("EG !p"))
 
 
 def test_successors_deduplicate_multisets():
@@ -182,6 +246,12 @@ def test_singleton_equals_classical(seed):
 @given(st.integers(0, 2**32))
 def test_flat_fragment_agrees_with_bruteforce(seed):
     assert not suite_ctl_flat(random.Random(seed), 1).mismatches
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32))
+def test_masks_agree_with_the_search(seed):
+    assert not suite_ctl_union(random.Random(seed), 1).mismatches
 
 
 def test_splits_over_dead_ends_are_rejected():
