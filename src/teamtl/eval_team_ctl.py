@@ -45,13 +45,15 @@ still step independently, which makes each a union of flat masks that
 do not depend on the team.  A team satisfies ``E[φ U ψ]`` iff, for one
 n, every member has a path of n φ-worlds to a ψ-world, that is iff its
 worlds lie inside Rₙ, where R₀ holds the ψ-worlds and Rₙ₊₁ the φ-worlds
-with a successor in Rₙ (`_until_masks`).  ``E[φ R ψ]`` is the ``EG ψ``
-mask and the same sequence from the φ ∧ ψ-worlds through ψ-worlds.  The
-masks are found only as far as a check reads them; a node whose sequence
-has not closed after |W|² + 1 sets decides by the search below for the
-rest of the call.  ``&`` over such nodes and flat nodes is one node, so
-the QBF gadgets' conjunction of ``EF`` goals is one memoised test per
-team.
+with a successor in Rₙ.  ``E[φ R ψ]`` is the ``EG ψ`` mask and the same
+sequence from the φ ∧ ψ-worlds through ψ-worlds.  The shared core builds
+these unions, by the rule that also decides team LTL Until and Release
+(`formula._until_masks`); this module supplies the pre-images, the
+cutoff and the searches.  The masks are found only as far as a check
+reads them; a node whose sequence has not closed after |W|² + 1 sets
+decides by the search below for the rest of the call.  ``&`` over such
+nodes and flat nodes is one node, so the QBF gadgets' conjunction of
+``EF`` goals is one memoised test per team.
 
 ``A[φ U ψ]`` and ``A[φ R ψ]``, and ``E[φ U ψ]`` and ``E[φ R ψ]`` over
 operands that are not flat, are searches over the successor-multiset
@@ -74,7 +76,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import ResourceCapError, UnsupportedNodeError
 from .eval_classical import prop_sat
@@ -91,10 +93,11 @@ from .formula import (
     Compiled,
     Formula,
     GenAtomApp,
-    MaskUnion,
     NegProp,
     Prop,
     Split,
+    _least_fixpoint,
+    _pre_image,
     check_depth,
     children,
     is_downward_closed,
@@ -110,55 +113,6 @@ class CtlLimits:
     max_team: int = 6
     max_worlds: int = 12
     until_from_one: bool = False
-
-
-def _pre_image(forward: tuple[tuple[int, int], ...], backward: tuple[tuple[int, int], ...]):
-    """The function mapping a digit mask to the digits of the worlds with
-    a successor in it.  Each pair is a shift in bits and the digits of the
-    worlds with an edge that far on in the world order (``forward``) or
-    back (``backward``).  It holds no reference to the evaluator, so the
-    mask sequences that keep it do not make the evaluator a reference
-    cycle."""
-
-    def pre_some(mask: int) -> int:
-        found = 0
-        for shift, worlds in forward:
-            found |= worlds & mask >> shift
-        for shift, worlds in backward:
-            found |= worlds & mask << shift
-        return found
-
-    return pre_some
-
-
-def _least_fixpoint(mask: int, pre: Callable[[int], int]) -> int:
-    """The least superset of ``mask`` closed under ``pre``."""
-    while True:
-        grown = mask | pre(mask)
-        if grown == mask:
-            return mask
-        mask = grown
-
-
-def _until_masks(start: int, inside: int, pre_some, full: int, steps: int):
-    """Yield ``full ^ R`` for each R in R₀ = ``start``, Rₙ₊₁ = ``inside``
-    ∩ pre∃(Rₙ): for ``start`` the ψ-worlds and ``inside`` the φ-worlds, a
-    team satisfies E[φ U ψ] iff it misses one of these masks, as every
-    member then has a path of n φ-worlds to a ψ-world, and the members
-    step independently.  Rₙ ⊆ Rₘ makes Rₙ₊₁ ⊆ Rₘ₊₁, so once a set lies
-    inside its predecessor or repeats an earlier one, every later set lies
-    inside an earlier one, and the masks are all found.  Yield None if
-    that has not happened after ``steps`` sets."""
-    seen = set()
-    reach = start
-    for _ in range(steps):
-        yield full ^ reach
-        seen.add(reach)
-        grown = inside & pre_some(reach)
-        if not grown & ~reach or grown in seen:
-            return
-        reach = grown
-    yield None
 
 
 def _from_index_zero(phi: Formula) -> Formula:
@@ -195,6 +149,7 @@ class _CtlEval(Compiled):
 
     logic = "team CTL"
     param_nodes = (Prop, NegProp, And, Split, BoolOr)
+    until, release = EU, ER
 
     def __init__(self, k: KripkeStructure, team_size: int):
         super().__init__({
@@ -335,30 +290,11 @@ class _CtlEval(Compiled):
             return self.pre_all(masks[0])
         if kind is AX:
             return self.pre_some(masks[0])
-        # E[φ U ψ] with ψ nowhere holds on the empty team only.
-        if kind is EU and masks[1] == self.full:
-            return self.full
-        # E[φ R ψ] with φ ∧ ψ nowhere is EG ψ, and A[⊥ R ψ] is AG ψ; they
-        # fail where ψ fails or, from there on, where every successor (EG)
-        # or some successor (AG) fails: a least fixpoint.
-        if kind is ER and masks[0] | masks[1] == self.full:
-            return _least_fixpoint(masks[1], self.pre_all)
+        # A[⊥ R ψ] is AG ψ: it fails where ψ fails or, from there on, where
+        # some successor fails.
         if kind is AR and masks[0] == self.full:
             return _least_fixpoint(masks[1], self.pre_some)
         return None
-
-    def temporal_union(self, node: int, kind: type, masks: list[int]) -> MaskUnion | None:
-        if kind is not EU and kind is not ER:
-            return None
-        phi, psi = (self.full ^ mask for mask in masks)
-        if kind is EU:
-            rest = _until_masks(psi, phi, self.pre_some, self.full, self.cutoff)
-            return MaskUnion((), rest, _CtlEval._path, node)
-        # The team stays on ψ-worlds forever, which each member does on its
-        # own (EG ψ), or reaches φ ∧ ψ at one step through ψ-worlds.
-        stay = _least_fixpoint(masks[1], self.pre_all)
-        rest = _until_masks(phi & psi, psi, self.pre_some, self.full, self.cutoff)
-        return MaskUnion((stay,), rest, _CtlEval._region, node)
 
     # -- evaluating --------------------------------------------------------
 

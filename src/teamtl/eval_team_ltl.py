@@ -14,26 +14,42 @@ equal merge by themselves.  The formula is compiled by the shared core,
 generalised atom's rows come from its parameters checked on one-state
 teams, which are pure LTL formulas.
 
+Every state has one successor, so the members of a team step
+independently, and ``X`` over a flat node is flat: it fails on the
+pre-image of the child's mask, one shift per distinct successor offset
+in the state order.  Until and Release over flat operands are unions of
+flat masks, decided by the shared core: φ U ψ holds iff for one n every
+member reaches ψ through n φ-states, that is iff the team misses
+``full ^ Rₙ``, where R₀ holds the ψ-states and Rₙ₊₁ the φ-states whose
+successor is in Rₙ; φ R ψ adds the ``G ψ`` mask to the same sequence
+from φ ∧ ψ through ψ.  The masks are found only as far as a check reads
+them, and a node whose sequence is still open after |S| + 1 sets, for
+S the interned states, is walked for the rest of the call.
+
 Temporal witnesses: the suffix teams T, T[1,∞), T[2,∞), ... form a
 deterministic sequence, periodic from prfx(T) on with a period dividing
-lcm(T).  Until and Release walk it lazily and stop at the first verdict
-or at the first repeated team, so the prfx(T) + lcm(T) teams of the
-whole horizon are built only when the formula needs them.  By the
-expansion laws every team on a walk has the walk's verdict, so nested
-temporal operators reuse it.
+lcm(T).  Until and Release over other operands walk it lazily and stop
+at the first verdict or at the first repeated team, so the prfx(T) +
+lcm(T) teams of the whole horizon are built only when the formula needs
+them.  By the expansion laws every team on a walk has the walk's
+verdict, so nested temporal operators reuse it.
 
 Splitjunctions are the expensive part, and the formula alone picks how
 each is enumerated.  On a downward-closed split node it suffices to
 enumerate disjoint subsets, pruned by per-trace feasibility, and to try
-the right side only beside a maximal left part, one that no further
-trace can join with the left side still true.  Both sides are downward
-closed, so this is complete: a right side that fails beside a maximal
-part fails beside every part under it, whose complement is larger.  On
-any other node, every ordered cover (each trace goes left, right, or
-both) must be considered.  Covers are decided with a superset closure
-("sum over subsets") of the subteams satisfying the right side, in
-O(n·2^n), rather than by pairing every left subteam with every right
-one.
+the other side only beside a maximal part, one that no further trace
+can join with its side still true.  Both sides are downward closed, so
+this is complete: a side that fails beside a maximal part fails beside
+every part under it, whose complement is larger.  Where one side is a
+single union whose masks close, its maximal parts are read off the
+masks: ``mask & ~F`` for each mask F that misses the traces that must
+go on that side, and the other side is tried beside them in the order
+the enumeration would try them, but no part is enumerated.  Otherwise
+the left parts are enumerated from the largest down.  On any other
+node, every ordered cover (each trace goes left, right, or both) must
+be considered.  Covers are decided with a superset closure ("sum over
+subsets") of the subteams satisfying the right side, in O(n·2^n),
+rather than by pairing every left subteam with every right one.
 ``naive_oracle`` is a deliberately independent and unoptimized second
 implementation used for differential testing.
 """
@@ -57,6 +73,7 @@ from .formula import (
     Release,
     Split,
     Until,
+    _pre_image,
     check_depth,
     formula_length,
 )
@@ -94,6 +111,22 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _minimal(masks: list[int]) -> list[int]:
+    """The ⊆-minimal masks among ``masks``, each once, in the order in
+    which the parts of a split, enumerated from the largest down, meet
+    their complements: the smallest first, and of two the same size,
+    first the one without the lowest bit in which they differ."""
+    distinct = set(masks)
+    if len(distinct) < 2:
+        return list(distinct)
+    width = max(distinct).bit_length()
+    kept: list[int] = []
+    for mask in sorted(distinct, key=lambda m: (m.bit_count(), f"{m:0{width}b}"[::-1])):
+        if all(k & ~mask for k in kept):
+            kept.append(mask)
+    return kept
+
+
 class _TeamEval(Compiled):
     """One call's compiled team, over the shared formula core.
 
@@ -105,6 +138,7 @@ class _TeamEval(Compiled):
 
     logic = "team LTL"
     param_nodes = PURE_LTL
+    until, release = Until, Release
 
     def __init__(self, team: TeamEncoding, phi: Formula, max_team: int):
         super().__init__(
@@ -115,6 +149,21 @@ class _TeamEval(Compiled):
         self.succ: list[int] = []
         self.steps: dict[int, int] = {}
         self.root = self._intern_team(team)
+        self.full = (1 << len(self.heads)) - 1
+        # Every state has one successor, some offset on in the state order;
+        # the states of one offset form a group, and a pre-image shifts a
+        # whole mask once per group.
+        groups: dict[int, int] = {}
+        for s, bit in enumerate(self.succ):
+            offset = bit.bit_length() - 1 - s
+            groups[offset] = groups.get(offset, 0) | 1 << s
+        self.pre_some = self.pre_all = _pre_image(
+            tuple((d, ss) for d, ss in groups.items() if d >= 0),
+            tuple((-d, ss) for d, ss in groups.items() if d < 0),
+        )
+        # An Until or Release sequence still open after this many sets gives
+        # way to the walk.
+        self.cutoff = len(self.heads) + 1
         self.top = self.compile(phi)
 
     # -- compiling ---------------------------------------------------------
@@ -159,7 +208,11 @@ class _TeamEval(Compiled):
 
     def literal_fails(self, name: str, negated: bool) -> int:
         holds = sum(1 << s for s, head in enumerate(self.heads) if name in head)
-        return holds if negated else ((1 << len(self.heads)) - 1) ^ holds
+        return holds if negated else self.full ^ holds
+
+    def temporal_fails(self, kind: type, masks: list[int]) -> int | None:
+        # X φ fails on the states whose successor fails φ.
+        return self.pre_some(masks[0]) if kind is Next else None
 
     # -- evaluating --------------------------------------------------------
 
@@ -247,12 +300,29 @@ class _TeamEval(Compiled):
         base = mask & ~can_right
         free = list(_bits(can_left & can_right))
         self._check_cap(len(free))
-        # It also makes maximal left parts complete, so the right side is
-        # tried only on a part no free trace can join with the left side
-        # still true: if the right side holds beside some part, the traces
-        # added one by one to make it maximal leave a smaller right part,
-        # which still satisfies it.  Parts go from the largest down, so
-        # every part | bit has been checked already and is a memo hit.
+        # It also makes maximal parts complete.  A side decided by one union
+        # holds on a part iff the part misses one of its masks F, so its
+        # largest parts are mask & ~F, for each F that misses the traces
+        # that must go on that side, and the other side is tried only on
+        # the complements mask & F of the maximal ones: if it holds beside
+        # some part, it holds on the smaller complement of a maximal part
+        # above it.  They are tried in the order of the enumeration below,
+        # which this skips.
+        for side, other, must in ((left, right, base), (right, left, mask & ~can_left)):
+            unions = self.unions[side]
+            if unions is not None and len(unions) == 1:
+                masks = unions[0].force()
+                if masks is not None:
+                    return any(
+                        self.check(rest, other)
+                        for rest in _minimal([mask & f for f in masks if not f & must])
+                    )
+        # Otherwise the right side is tried only on an enumerated left part
+        # that no free trace can join with the left side still true: if
+        # the right side holds beside some part, the traces added one by
+        # one to make it maximal leave a smaller right part, which still
+        # satisfies it.  Parts go from the largest down, so every
+        # part | bit has been checked already and is a memo hit.
         for size in range(len(free), -1, -1):
             for extra in itertools.combinations(free, size):
                 part = base | sum(extra)

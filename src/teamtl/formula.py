@@ -22,9 +22,9 @@ records per node its class, child ids, downward closure and, for flat
 nodes, the mask of team members falsifying it, and decides every node
 through one ``check``: a flat node by one mask test, any other by its
 rule, memoised per team; a conjunction of unions of flat masks is one
-node.  It decides ``&``, Boolean disjunction, ``~`` and generalised
-atoms itself; the evaluators add their team encoding, temporal
-operators and splits.
+node.  It decides ``&``, Boolean disjunction, ``~``, generalised atoms
+and Until and Release over flat operands itself; the evaluators add
+their team encoding, pre-images, temporal searches and splits.
 
 `check_depth` bounds how deep a formula may nest, for the parsers and
 for every evaluator entry point.
@@ -405,6 +405,55 @@ def is_ctl(phi: Formula) -> bool:
 # The compiled-formula core shared by the team evaluators
 
 
+def _pre_image(forward: tuple[tuple[int, int], ...], backward: tuple[tuple[int, int], ...]):
+    """The function mapping a mask to the mask of the members with a
+    successor in it.  Each pair is a shift in bits and the mask of the
+    members with a successor that far on in the member order
+    (``forward``) or back (``backward``).  It holds no reference to the
+    evaluator, so the mask sequences that keep it do not make the
+    evaluator a reference cycle."""
+
+    def pre_some(mask: int) -> int:
+        found = 0
+        for shift, members in forward:
+            found |= members & mask >> shift
+        for shift, members in backward:
+            found |= members & mask << shift
+        return found
+
+    return pre_some
+
+
+def _least_fixpoint(mask: int, pre: Callable[[int], int]) -> int:
+    """The least superset of ``mask`` closed under ``pre``."""
+    while True:
+        grown = mask | pre(mask)
+        if grown == mask:
+            return mask
+        mask = grown
+
+
+def _until_masks(start: int, inside: int, pre_some, full: int, steps: int):
+    """Yield ``full ^ R`` for each R in R₀ = ``start``, Rₙ₊₁ = ``inside``
+    ∩ pre∃(Rₙ): for ``start`` the ψ-members and ``inside`` the
+    φ-members, a team satisfies φ U ψ iff it misses one of these masks,
+    as every member then has a path of n φ-members to a ψ-member, and
+    the members step independently.  Rₙ ⊆ Rₘ makes Rₙ₊₁ ⊆ Rₘ₊₁, so once
+    a set lies inside its predecessor or repeats an earlier one, every
+    later set lies inside an earlier one, and the masks are all found.
+    Yield None if that has not happened after ``steps`` sets."""
+    seen = set()
+    reach = start
+    for _ in range(steps):
+        yield full ^ reach
+        seen.add(reach)
+        grown = inside & pre_some(reach)
+        if not grown & ~reach or grown in seen:
+            return
+        reach = grown
+    yield None
+
+
 class MaskUnion:
     """A union of flat masks: a team satisfies it iff it misses one of
     them.  ``masks`` holds the masks found so far; the iterator ``rest``
@@ -412,7 +461,9 @@ class MaskUnion:
     yields None when it gives up before that.  From then on
     ``search(evaluator, team, node)`` decides the union, which must then
     be equivalent to node ``node``.  A flat node is the union of its one
-    mask."""
+    mask.  Both team evaluators decide Until and Release over flat
+    operands by one: checks read its masks one at a time (`more`), and
+    the team LTL disjoint split reads them all at once (`force`)."""
 
     __slots__ = ("masks", "rest", "search", "node")
 
@@ -438,6 +489,18 @@ class MaskUnion:
             self.masks, self.rest = [], None
         return self.search(evaluator, team, self.node)
 
+    def force(self) -> list[int] | None:
+        """Every mask of the union, found now, or None if it gives up
+        before it has them all."""
+        if self.rest is None:
+            return None
+        for mask in self.rest:
+            if mask is None:
+                self.masks, self.rest = [], None
+                return None
+            self.masks.append(mask)
+        return self.masks
+
 
 class Compiled:
     """One evaluation call's formula, interned once: the core that the
@@ -450,19 +513,27 @@ class Compiled:
     is flat when its truth on a team is decided member by member; then
     ``fails[n]`` is the mask of members falsifying it, and it holds on a
     team iff no member is in that mask.  Literals are flat, and so are
-    ``&`` and ``|`` over flat nodes; a subclass makes a temporal node flat
-    by returning its mask from ``temporal_fails``.  Every other node has
-    ``fails[n]`` None and memoises its verdicts by team in ``memo[n]``.
+    ``&`` and ``|`` over flat nodes; a subclass makes any other temporal
+    node flat by returning its mask from ``temporal_fails``.  Every other
+    node has ``fails[n]`` None and memoises its verdicts by team in
+    ``memo[n]``.
 
     Such a node may still be mask-decided: ``unions[n]`` is then a tuple
     of `MaskUnion`s, and it holds on a team iff the team misses some mask
-    of each.  A subclass makes a temporal node over flat children
-    mask-decided by returning its union from ``temporal_union``.  ``&``
-    over flat and mask-decided children concatenates their unions at
-    compile time, a flat child giving the union of its one mask, so a
+    of each.  The members of a team step independently in both logics,
+    so Until and Release over flat children are decided here, once for
+    both evaluators.  φ U ψ holds iff, for one n, every member reaches a
+    ψ-member through n φ-members (`_until_masks`), and is flat where ψ
+    holds nowhere (it then holds on the empty team only).  φ R ψ is the
+    G ψ mask and the same sequence from φ ∧ ψ through ψ, and is flat,
+    G ψ, where φ ∧ ψ holds nowhere; G ψ fails where ψ fails or, from
+    there on, where every successor fails, a least fixpoint.  ``&`` over
+    flat and mask-decided children concatenates their unions at compile
+    time, a flat child giving the union of its one mask, so a
     conjunction of them is one node, tested with one memoised rule call
-    per team.  A union may find its masks as tests read them, and may
-    give way to a search that decides its node; see `MaskUnion`.
+    per team.  A union finds its masks as tests read them, and a node
+    whose sequence is still open after ``cutoff`` sets gives way to its
+    own rule, the evaluator's search; see `MaskUnion`.
 
     A team is an int, and a flat node's mask uses the same bits, so
     ``check(team, node)`` decides every node: a flat one by one mask test,
@@ -477,9 +548,20 @@ class Compiled:
     (a team's one-member teams, a member once per copy), ``split``, the
     node classes ``param_nodes`` admitted in atom parameters and the name
     of its ``logic``, and passes the rules of its temporal operators to
-    ``__init__``.  Any other class is rejected with `UnsupportedNodeError`,
-    in a parameter when it is compiled, elsewhere when it is evaluated.
+    ``__init__``.  For its ``until`` and ``release`` classes it also sets,
+    before it compiles, ``full`` (the mask of every member), ``cutoff``
+    and the pre-images of a mask: ``pre_some`` (the members with a
+    successor in it) and ``pre_all`` (with only successors in it).  Any
+    other class is rejected with `UnsupportedNodeError`, in a parameter
+    when it is compiled, elsewhere when it is evaluated.
     """
+
+    until: type
+    release: type
+    full: int
+    cutoff: int
+    pre_some: Callable[[int], int]
+    pre_all: Callable[[int], int]
 
     def __init__(self, temporal_rules: dict[type, Callable[..., bool]]):
         self.formulas: list[Formula] = []
@@ -559,6 +641,10 @@ class Compiled:
             return masks[0] | masks[1]
         if kind is Split:
             return masks[0] & masks[1]
+        if kind is self.until and masks[1] == self.full:
+            return self.full
+        if kind is self.release and masks[0] | masks[1] == self.full:
+            return _least_fixpoint(masks[1], self.pre_all)
         return self.temporal_fails(kind, masks)
 
     def _unions(self, node: int, kind: type, args: tuple[int, ...]) -> tuple[MaskUnion, ...] | None:
@@ -566,21 +652,26 @@ class Compiled:
             if any(self.fails[a] is None and self.unions[a] is None for a in args):
                 return None
             return tuple(u for a in args for u in self.unions[a] or (MaskUnion([self.fails[a]]),))
+        if kind is not self.until and kind is not self.release:
+            return None
         masks = [self.fails[a] for a in args]
         if None in masks:
             return None
-        union = self.temporal_union(node, kind, masks)
-        return None if union is None else (union,)
+        phi, psi = (self.full ^ mask for mask in masks)
+        if kind is self.until:
+            stay, start, inside = (), psi, phi
+        else:
+            # The team stays on ψ forever, which each member does on its
+            # own (G ψ), or reaches φ ∧ ψ at one step through ψ.
+            stay = (_least_fixpoint(masks[1], self.pre_all),)
+            start, inside = phi & psi, psi
+        rest = _until_masks(start, inside, self.pre_some, self.full, self.cutoff)
+        return (MaskUnion(stay, rest, self.rule_of[kind], node),)
 
     def temporal_fails(self, kind: type, masks: list[int]) -> int | None:
         """The mask of members falsifying a temporal node whose children
-        are flat with the masks ``masks``, or None if it is not flat."""
-        return None
-
-    def temporal_union(self, node: int, kind: type, masks: list[int]) -> MaskUnion | None:
-        """The `MaskUnion` deciding node ``node``, a temporal node that is
-        not flat although its children are flat with the masks ``masks``,
-        or None if no union decides it."""
+        are flat with the masks ``masks``, or None if it is not flat;
+        called for what the shared Until and Release cases leave."""
         return None
 
     def check(self, team: int, node: int) -> bool:

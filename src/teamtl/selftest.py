@@ -40,6 +40,7 @@ from .formula import (
     expand_shorthand,
     inclusion_atom,
     is_downward_closed,
+    top,
 )
 from .kripke import KripkeStructure, MultiTeam, enumerate_traces, is_successor_team
 from .parser import render
@@ -184,20 +185,22 @@ def random_ctl_formula(
     return ctor[kind](left, right)
 
 
-def random_flat_body(rng: random.Random, budget: int, props=("p", "q")) -> Formula:
-    """A random formula over literals, ``TOP``, ``BOT``, ``|``, ``&``,
-    ``EX`` and ``AX``: on these, team satisfaction is pointwise."""
+def random_flat_body(
+    rng: random.Random, budget: int, props=("p", "q"), steps: tuple[type, ...] = (EX, AX)
+) -> Formula:
+    """A random formula over literals, ``TOP``, ``BOT``, ``|``, ``&`` and
+    the one-step operators ``steps`` (``EX`` and ``AX``, or ``X`` for
+    team LTL): on these, team satisfaction is pointwise."""
     if budget <= 0:
         if rng.random() < 0.2:
             return expand_shorthand(rng.choice(("TOP", "BOT")))
         return _random_literal(rng, props)
-    kind = rng.choice(("split", "and", "ex", "ax"))
-    if kind in ("ex", "ax"):
-        child = random_flat_body(rng, budget - 1, props)
-        return EX(child) if kind == "ex" else AX(child)
+    kind = rng.choice(("split", "and", *steps))
+    if kind in steps:
+        return kind(random_flat_body(rng, budget - 1, props, steps))
     b1 = rng.randint(0, budget - 1)
-    left = random_flat_body(rng, b1, props)
-    right = random_flat_body(rng, budget - 1 - b1, props)
+    left = random_flat_body(rng, b1, props, steps)
+    right = random_flat_body(rng, budget - 1 - b1, props, steps)
     return Split(left, right) if kind == "split" else And(left, right)
 
 
@@ -451,6 +454,39 @@ def suite_ltl_downward_closed(rng, count):
         yield check_team(team, phi), naive_oracle(team, phi), phi, team
 
 
+@_suite("Until/Release masks vs the walk")
+def suite_ltl_union(rng, count):
+    """φ U ψ, φ R ψ, their conjunction and a disjoint split of two such
+    nodes, over flat operands, which ``check_team`` decides by unions of
+    masks, against the same formulas with each ψ read as ψ \\|/ ψ: that
+    is not flat, so they take the walk and part enumeration.  About 30 %
+    of the teams are cycle fans, whose long loops keep some sequences
+    open past the cutoff, so that those nodes give way to the walk."""
+    for _ in range(count):
+        if rng.random() < 0.3:
+            team = enumerate_traces(random_cycle_fan(rng))
+        else:
+            team = random_team(rng, max_traces=8, max_prefix=3, max_loop=4)
+        phi, psi, chi, omega = (
+            random_flat_body(rng, rng.randint(0, 2), steps=(Next,)) for _ in range(4)
+        )
+        # An F goal has a mask for each step until its sequence closes, so
+        # a split beside it has more maximal parts to choose from.
+        first, second = (top() if rng.random() < 0.5 else body for body in (phi, chi))
+        other = rng.choice((Until, Release))
+        formulas = []
+        for a, b in ((psi, omega), (BoolOr(psi, psi), BoolOr(omega, omega))):
+            until, release = Until(phi, a), Release(phi, a)
+            formulas.append(
+                [until, release, And(until, release), Split(Until(first, a), other(second, b))]
+            )
+        yield (
+            tuple(check_team(team, f, max_team=len(team)) for f in formulas[0]),
+            tuple(check_team(team, f, max_team=len(team)) for f in formulas[1]),
+            *formulas[0][2:], team,
+        )
+
+
 @_suite("check_model_splitfree vs trace enumeration")
 def suite_splitfree(rng, count):
     """Also checks that the flattened characteristic stays within 2^|W|.
@@ -622,6 +658,19 @@ def suite_qbf_tpc(rng, count):
         yield check_team(team, phi, max_team=len(team)), eval_qbf(q), q
 
 
+@_suite("check_team vs eval_qbf on many-clause QBF->TPC")
+def suite_qbf_tpc_clauses(rng, count):
+    """QBF->TPC teams of 3 to 5 variables and 10 to 20 clauses (37 to 72
+    traces), with the cap lifted: long chains of ``F`` goals split over
+    many free traces, each split beside the masks of one goal."""
+    for _ in range(count):
+        q = random_qbf(rng, max_vars=5, max_clauses=20)
+        while len(q.variables) < 3 or len(q.clauses) < 10:
+            q = random_qbf(rng, max_vars=5, max_clauses=20)
+        team, phi = reduce_to_tpc(q)
+        yield check_team(team, phi, max_team=len(team)), eval_qbf(q), q
+
+
 @_suite("pinned fixtures")
 def suite_fixtures(rng, count):
     """The pinned verdicts; draws nothing and ignores ``count``."""
@@ -630,13 +679,15 @@ def suite_fixtures(rng, count):
 
 
 SUITES = (
-    suite_ltl_oracle, suite_ltl_structural, suite_ltl_downward_closed, suite_splitfree,
-    suite_ltl_ctl_agreement, suite_ctl_oracle, suite_ctl_flat, suite_ctl_union,
-    suite_ctl_singleton, suite_successor_teams, suite_qbf_reductions, suite_plsim,
-    suite_qbf_tpc, suite_fixtures,
+    suite_ltl_oracle, suite_ltl_structural, suite_ltl_downward_closed, suite_ltl_union,
+    suite_splitfree, suite_ltl_ctl_agreement, suite_ctl_oracle, suite_ctl_flat,
+    suite_ctl_union, suite_ctl_singleton, suite_successor_teams, suite_qbf_reductions,
+    suite_plsim, suite_qbf_tpc, suite_qbf_tpc_clauses, suite_fixtures,
 )
 # The costlier suites run at a fraction of ``run_selftest``'s count.
-_DIVISORS = {suite_qbf_reductions: 10, suite_qbf_tpc: 10, suite_plsim: 2}
+_DIVISORS = {
+    suite_qbf_reductions: 10, suite_qbf_tpc: 10, suite_qbf_tpc_clauses: 10, suite_plsim: 2,
+}
 
 
 def run_selftest(seed: int = 0, count: int = 50) -> SelfTestReport:

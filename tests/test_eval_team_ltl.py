@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from teamtl.errors import ResourceCapError, UnsupportedNodeError
-from teamtl.eval_team_ltl import check_team, naive_oracle
+from teamtl.eval_team_ltl import _TeamEval, check_team, naive_oracle
 from teamtl.fixtures import union_closure_team
 from teamtl.formula import (
     And,
@@ -22,6 +22,7 @@ from teamtl.selftest import (
     suite_ltl_oracle,
     suite_ltl_downward_closed,
     suite_ltl_structural,
+    suite_ltl_union,
 )
 from teamtl.trace import LassoTrace, TeamEncoding, lcm_loop, prfx
 
@@ -171,7 +172,40 @@ class TestStrategies:
             check_team(free, parse_ltl("F p0 | F p1"), max_team=2)
 
 
+class TestMaskUnions:
+    def compiled(self, team, text):
+        ev = _TeamEval(team, parse_ltl(text), len(team))
+        return ev, ev.top
+
+    @pytest.mark.parametrize("text", ["X p", "G p", "p U BOT", "F BOT", "X (p | X q)"])
+    def test_flat_temporal_nodes(self, text):
+        ev, node = self.compiled(union_closure_team(), text)
+        assert ev.fails[node] is not None
+        assert ev.check(ev.root, node) == naive_oracle(union_closure_team(), parse_ltl(text))
+
+    @pytest.mark.parametrize(
+        "text", ["F p", "!q U p", "(p | q) R p", "F p & G !q", "F p & !q & ((p | q) R p)"]
+    )
+    def test_until_and_release_are_mask_decided(self, text):
+        ev, node = self.compiled(union_closure_team(), text)
+        assert ev.fails[node] is None and ev.unions[node]
+        assert ev.check(ev.root, node) == naive_oracle(union_closure_team(), parse_ltl(text))
+
+    def test_split_beside_a_mask_union_reads_every_mask(self):
+        # Each trace reaches p on its own, at a different step: the split
+        # holds, and it has found every mask of its left side.
+        ev, node = self.compiled(union_closure_team(), "F p | F p")
+        assert ev.check(ev.root, node)
+        (union,) = ev.unions[ev.args[node][0]]
+        assert union.force() == union.masks and union.masks
+
+
 class TestOracleAgreement:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_masks_agree_with_the_walk(self, seed):
+        assert not suite_ltl_union(random.Random(seed), 1).mismatches
+
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 2**32))
     def test_matches_naive_oracle(self, seed):

@@ -4,10 +4,12 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from teamtl.eval_team_ltl import check_team
+from teamtl.eval_team_ltl import _TeamEval, check_team
 from teamtl.eval_team_ctl import CtlLimits, mc_ctl
 from teamtl.fixtures import WORKED_QBF_TEXT, worked_qbf
 from teamtl.formula import And, CNeg, Prop, Split
+from teamtl.kripke import enumerate_traces
+from teamtl.parser import parse_ltl
 from teamtl.qbf import (
     DOLLAR,
     HASH,
@@ -22,7 +24,13 @@ from teamtl.qbf import (
     reduce_to_tmc_ctl,
     reduce_to_tpc,
 )
-from teamtl.selftest import suite_plsim, suite_qbf_reductions, suite_qbf_tpc
+from teamtl.selftest import (
+    cycle_fan,
+    suite_plsim,
+    suite_qbf_reductions,
+    suite_qbf_tpc,
+    suite_qbf_tpc_clauses,
+)
 from teamtl.trace import trace_at
 
 p, q = Prop("p"), Prop("q")
@@ -141,10 +149,53 @@ def test_frontier_instance_decides_in_seconds():
     assert time.process_time() - started < 10
 
 
+def test_many_clause_frontier_instance_decides_in_a_second():
+    # 85 traces and UNSAT; enumerating the parts of each split of the
+    # clause chain, even beside maximal left parts only, took minutes.
+    q = frontier_qbf(4, 25)
+    team, phi = reduce_to_tpc(q)
+    assert len(team) == 85
+    started = time.process_time()
+    assert check_team(team, phi, max_team=len(team)) is eval_qbf(q) is False
+    assert time.process_time() - started < 1
+
+
+@pytest.mark.parametrize(
+    "lengths, goals, verdict",
+    [
+        # p on the last world of each cycle: first together after lcm =
+        # 2310 steps.
+        ((2, 3, 5, 7, 11), (1, 2, 4, 6, 10), True),
+        # p on odd steps only in the 2-cycle, on even ones in the 4-cycle.
+        ((2, 4, 3, 5, 7), (0, 1, 0, 0, 0), False),
+    ],
+)
+def test_open_until_sequence_gives_way_to_the_walk(lengths, goals, verdict):
+    # The masks of F p repeat only after the lcm of the lengths, far
+    # past the |S| + 1 sets (S the states of the team) after which the
+    # node is decided by walking the suffix teams.
+    def label(world):
+        cycle, _, j = world[1:].partition("_")
+        return ["p"] if j and int(j) == goals[int(cycle)] else []
+
+    team = enumerate_traces(cycle_fan(lengths, label))
+    ev = _TeamEval(team, parse_ltl("F p"), len(team))
+    assert ev.check(ev.root, ev.top) is verdict
+    (union,) = ev.unions[ev.top]
+    assert union.rest is None
+    assert check_team(team, parse_ltl("F (p \\|/ p)")) is verdict
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32))
 def test_tpc_beyond_the_oracle_agrees_with_eval(seed):
     assert not suite_qbf_tpc(random.Random(seed), 1).mismatches
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32))
+def test_many_clause_tpc_agrees_with_eval(seed):
+    assert not suite_qbf_tpc_clauses(random.Random(seed), 1).mismatches
 
 
 class TestCtlReduction:
