@@ -9,11 +9,14 @@ C(|W|+|T|-1, |T|) distinct multisets of size |T| over the worlds W, so a
 long enough evolution revisits one and can be pumped; the searches below
 use exactly that cutoff.
 
-Each call compiles the structure and the formula once.  Worlds are ints
-and a multiset team is one int: digit w, in a base 2^b above the team
-size, is the multiplicity of world w.  A power-of-two base lets the
-worlds of a key be read off its lowest set bits, one step per distinct
-member.  Every key's support mask (the worlds it contains) is cached.
+Each call compiles the structure and the formula once.  Worlds are the
+ints of the structure's own numbering (``k.index`` and ``k.succ_ids``,
+made where the structure is built), from which one pass over the worlds
+sets up the evaluator's tables.  A multiset team is one int: digit w, in
+a base 2^b above the team size, is the multiplicity of world w.  A
+power-of-two base lets the worlds of a key be read off its lowest set
+bits, one step per distinct member.  Every key's support mask (the
+worlds it contains) is cached.
 Successor multisets come from a per-member dynamic program over sums of
 digit units, which merges equal multisets by itself and carries each
 sum's support along; a member with one successor only adds a fixed
@@ -103,7 +106,7 @@ from .formula import (
     is_downward_closed,
     rebuild,
 )
-from .kripke import KripkeStructure, MultiTeam, _check_members
+from .kripke import KripkeStructure, MultiTeam, world_ids
 
 TeamKey = tuple[str, ...]
 
@@ -131,9 +134,9 @@ def _from_index_zero(phi: Formula) -> Formula:
 class _CtlEval(Compiled):
     """One call's compiled structure, over the shared formula core.
 
-    World ``w`` is ``k.worlds[w]``; ``unit[w]`` is the key of the team
-    holding it once, ``digits[w]`` the mask of its digit in a key
-    and ``succ_steps[w]`` the (unit, world bit) pair of each of its
+    World ``w`` is ``k.worlds[w]``, for ``k`` the ``structure``, numbered
+    as in ``k.succ_ids``; ``unit[w]`` is the key of the team holding it
+    once and ``succ_steps[w]`` the (unit, world bit) pair of each of its
     successors.
     Members on the worlds of a shift class in ``shifts`` step together,
     members on the worlds in ``stepped`` one by one.  ``supports`` and
@@ -157,62 +160,76 @@ class _CtlEval(Compiled):
             EU: _CtlEval._path, AR: _CtlEval._path,
             AU: _CtlEval._region, ER: _CtlEval._region,
         })
-        self.index = {w: i for i, w in enumerate(k.worlds)}
-        self.width = max(team_size.bit_length(), 1)
-        self.digit = (1 << self.width) - 1
-        self.unit = [1 << self.width * i for i in range(len(k.worlds))]
-        self.digits = [self.digit * unit for unit in self.unit]
-        succ = [[self.index[v] for v in k.succ[w]] for w in k.worlds]
-        self.succ_steps = [tuple((self.unit[v], 1 << v) for v in vs) for vs in succ]
-        self.full = sum(self.digits)
-        # Every edge w -> v moves a digit by v - w digits; the worlds with an
-        # edge of one such offset form one group, and the pre-images shift
-        # a whole mask once per group.
-        groups: dict[int, int] = {}
-        for w, vs in enumerate(succ):
-            for v in vs:
-                groups[v - w] = groups.get(v - w, 0) | self.digits[w]
+        self.structure = k
+        n = len(k.worlds)
+        width = self.width = max(team_size.bit_length(), 1)
+        self.digit = (1 << width) - 1
+        unit = self.unit = [1 << width * w for w in range(n)]
+        digits = [self.digit << width * w for w in range(n)]
+        self.full = (1 << width * n) - 1
+        # One pass over the worlds, in the structure's integer form.  Every
+        # edge w -> v moves a digit by v - w digits; the worlds with an edge
+        # of one such offset form one group, and the pre-images shift a
+        # whole mask once per group.  Worlds whose only successor lies the
+        # same distance d further on form a shift class: their digits move
+        # together by d digits and their support bits by d bits.
+        pairs = [(u, 1 << v) for v, u in enumerate(unit)]
+        self.succ_steps = []
+        classes: dict[int, list[int]] = {}
+        branching: dict[int, list[int]] = {}
+        for w, vs in enumerate(k.succ_ids):
+            self.succ_steps.append(tuple(map(pairs.__getitem__, vs)))
+            if len(vs) == 1:
+                classes.setdefault(vs[0] - w, []).append(w)
+            else:
+                for v in vs:
+                    branching.setdefault(v - w, []).append(w)
+        groups = {
+            d: sum(digits[w] for w in classes.get(d, []) + branching.get(d, []))
+            for d in classes.keys() | branching.keys()
+        }
         self.pre_some = _pre_image(
-            tuple((d * self.width, ws) for d, ws in groups.items() if d >= 0),
-            tuple((-d * self.width, ws) for d, ws in groups.items() if d < 0),
+            tuple((d * width, ws) for d, ws in groups.items() if d >= 0),
+            tuple((-d * width, ws) for d, ws in groups.items() if d < 0),
         )
         # An E-Until or E-Release sequence still open after this many sets
         # gives way to the search.  |W|² + 1 sets closed every sequence
         # measured, on random structures of up to 8 worlds and on the QBF
         # gadgets; |W| + 1 left about one in 125 of the former open.
-        self.cutoff = len(k.worlds) ** 2 + 1
-        # Worlds whose only successor lies the same distance d further on
-        # form a shift class: their digits move together by d digits and
-        # their support bits by d bits.  Only classes of two or more worlds
-        # are kept, at most one per team member, the largest first, so
-        # that testing them costs no more than stepping the members; every
-        # other world is stepped member by member.
-        classes: dict[int, list[int]] = {}
-        for w, vs in enumerate(succ):
-            if len(vs) == 1:
-                classes.setdefault(vs[0] - w, []).append(w)
+        self.cutoff = n ** 2 + 1
+        # Only shift classes of two or more worlds are kept, at most one per
+        # team member, the largest first, so that testing them costs no
+        # more than stepping the members; every other world is stepped
+        # member by member.
         kept = sorted(
-            (ws for ws in classes.values() if len(ws) > 1), key=len, reverse=True
+            ((d, ws) for d, ws in classes.items() if len(ws) > 1),
+            key=lambda item: len(item[1]), reverse=True,
         )[:max(team_size, 1)]
         self.shifts = []
-        self.stepped = (1 << len(k.worlds)) - 1
-        for ws in kept:
+        self.stepped = (1 << n) - 1
+        for d, ws in kept:
             worlds = sum(1 << w for w in ws)
-            digits = sum(self.digits[w] for w in ws)
-            self.shifts.append((succ[ws[0]][0] - ws[0], worlds, digits))
+            self.shifts.append((d, worlds, sum(digits[w] for w in ws)))
             self.stepped ^= worlds
+        # Worlds with equal label sets are summed once per set.
+        by_label: dict[frozenset[str], list[int]] = {}
+        index = k.index
+        for w, ps in k.labels.items():
+            by_label.setdefault(ps, []).append(digits[index[w]])
         self.prop_masks: dict[str, int] = {}
-        for i, w in enumerate(k.worlds):
-            for p in k.label(w):
-                self.prop_masks[p] = self.prop_masks.get(p, 0) | self.digits[i]
+        for ps, ds in by_label.items():
+            holds = sum(ds)
+            for p in ps:
+                self.prop_masks[p] = self.prop_masks.get(p, 0) | holds
         self.supports: dict[int, int] = {}
         self.succ_cache: dict[int, tuple[int, ...]] = {}
 
     # -- multiset keys -----------------------------------------------------
 
     def encode(self, worlds: Iterable[str]) -> int:
-        """The key of the multiset of ``worlds``."""
-        return sum(self.unit[self.index[w]] for w in worlds)
+        """The key of the multiset of ``worlds``; `ValueError` names the
+        first that is no world of the structure."""
+        return sum(map(self.unit.__getitem__, world_ids(self.structure, worlds)))
 
     def support(self, key: int) -> int:
         """The mask of the worlds in the multiset."""
@@ -410,12 +427,12 @@ def mc_ctl(
         raise ResourceCapError(
             f"structure size {len(k.worlds)} exceeds the cap {limits.max_worlds}"
         )
-    _check_members(k, team)
+    evaluator = _CtlEval(k, len(team))
+    key = evaluator.encode(team.worlds)
     check_depth(phi)
     if limits.until_from_one:
         phi = _from_index_zero(phi)
-    evaluator = _CtlEval(k, len(team))
-    return evaluator.check(evaluator.encode(team.worlds), evaluator.compile(phi))
+    return evaluator.check(key, evaluator.compile(phi))
 
 
 # ---------------------------------------------------------------------------

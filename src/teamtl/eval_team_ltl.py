@@ -44,7 +44,9 @@ every part under it, whose complement is larger.  Where one side is a
 single union whose masks close, its maximal parts are read off the
 masks: ``mask & ~F`` for each mask F that misses the traces that must
 go on that side, and the other side is tried beside them in the order
-the enumeration would try them, but no part is enumerated.  Otherwise
+the enumeration would try them, but no part is enumerated.  The traces
+that can go on that side are read off the masks too, so only the other
+side is checked trace by trace.  Otherwise
 the left parts are enumerated from the largest down.  On any other
 node, every ordered cover (each trace goes left, right, or both) must
 be considered.  Covers are decided with a superset closure ("sum over
@@ -289,34 +291,50 @@ class _TeamEval(Compiled):
             return self.check(mask & self.fails[left], right)
         if self.fails[right] is not None:
             return self.check(mask & self.fails[right], left)
-        can_left = can_right = 0
-        for bit in _bits(mask):
-            if self.check(bit, left):
-                can_left |= bit
-            if self.check(bit, right):
-                can_right |= bit
-        if can_left | can_right != mask:
-            return False
-        base = mask & ~can_right
-        free = list(_bits(can_left & can_right))
-        self._check_cap(len(free))
-        # It also makes maximal parts complete.  A side decided by one union
-        # holds on a part iff the part misses one of its masks F, so its
-        # largest parts are mask & ~F, for each F that misses the traces
-        # that must go on that side, and the other side is tried only on
-        # the complements mask & F of the maximal ones: if it holds beside
-        # some part, it holds on the smaller complement of a maximal part
-        # above it.  They are tried in the order of the enumeration below,
-        # which this skips.
-        for side, other, must in ((left, right, base), (right, left, mask & ~can_left)):
+        # A side decided by one union whose masks all close holds on a trace
+        # iff the trace misses one of them, so only the other side is
+        # checked trace by trace; the left side is taken if both are such.
+        closed = None
+        for side, other in ((left, right), (right, left)):
             unions = self.unions[side]
             if unions is not None and len(unions) == 1:
-                masks = unions[0].force()
-                if masks is not None:
-                    return any(
-                        self.check(rest, other)
-                        for rest in _minimal([mask & f for f in masks if not f & must])
-                    )
+                closed = unions[0].force()
+                if closed is not None:
+                    break
+        if closed is None:
+            can_left = can_right = 0
+            for bit in _bits(mask):
+                if self.check(bit, left):
+                    can_left |= bit
+                if self.check(bit, right):
+                    can_right |= bit
+        else:
+            blocked = mask
+            for f in closed:
+                blocked &= f
+            can_side = mask ^ blocked
+            can_other = sum(bit for bit in _bits(mask) if self.check(bit, other))
+            can_left, can_right = (
+                (can_side, can_other) if side == left else (can_other, can_side)
+            )
+        if can_left | can_right != mask:
+            return False
+        free = list(_bits(can_left & can_right))
+        self._check_cap(len(free))
+        # It also makes maximal parts complete.  Beside a closed union the
+        # largest parts of its side are mask & ~F, for each of its masks F
+        # that misses the traces that must go on that side, and the other
+        # side is tried only on the complements mask & F of the maximal
+        # ones: if it holds beside some part, it holds on the smaller
+        # complement of a maximal part above it.  They are tried in the
+        # order of the enumeration below, which this skips.
+        if closed is not None:
+            must = mask & ~can_other
+            return any(
+                self.check(rest, other)
+                for rest in _minimal([mask & f for f in closed if not f & must])
+            )
+        base = mask & ~can_right
         # Otherwise the right side is tried only on an enumerated left part
         # that no free trace can join with the left side still true: if
         # the right side holds beside some part, the traces added one by

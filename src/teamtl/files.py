@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import json
 import re
+from itertools import chain
 from pathlib import Path
+from typing import Iterable
 
 from .errors import TeamTLError
 from .kripke import KripkeStructure
@@ -27,26 +29,31 @@ _MALFORMED = (json.JSONDecodeError, KeyError, TypeError, ValueError, RecursionEr
 
 
 def _strip_comments(text: str) -> str:
-    return _COMMENT_RE.sub("", text)
+    return _COMMENT_RE.sub("", text) if "#" in text else text
 
 
-def _strings(value, what: str) -> list[str]:
-    """``value`` itself if it is a JSON array of strings."""
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise TypeError(f"{what} must be a list of strings")
-    return value
+def _lists_of_strings(values: Iterable, message: str, length: int | None = None) -> None:
+    """Raise `TypeError` with ``message`` unless every item of ``values``
+    is a JSON array of strings, each of ``length`` items if that is given.
+    JSON values have exact types, so one set of types per level checks
+    them all."""
+    if not (
+        set(map(type, values)) <= {list}
+        and (length is None or set(map(len, values)) <= {length})
+        and set(map(type, chain.from_iterable(values))) <= {str}
+    ):
+        raise TypeError(message)
 
 
 def loads_team(text: str) -> TeamEncoding:
     try:
         doc = json.loads(_strip_comments(text))
-        traces = [
-            LassoTrace.of(
-                [_strings(pos, "a trace position") for pos in entry["prefix"]],
-                [_strings(pos, "a trace position") for pos in entry["loop"]],
-            )
-            for entry in doc["traces"]
-        ]
+        traces = []
+        for entry in doc["traces"]:
+            prefix, loop = entry["prefix"], entry["loop"]
+            for positions in (prefix, loop):
+                _lists_of_strings(positions, "a trace position must be a list of strings")
+            traces.append(LassoTrace.of(prefix, loop))
     except _MALFORMED as exc:
         raise FileFormatError(f"malformed team file: {exc}") from exc
     return TeamEncoding.of(traces)
@@ -72,15 +79,17 @@ def loads_kripke(text: str) -> KripkeStructure:
     try:
         doc = json.loads(_strip_comments(text))
         # Indexing a document that is no JSON object raises TypeError.
-        worlds = _strings(doc["worlds"], "worlds")
-        edges = [tuple(_strings(edge, "an edge")) for edge in doc["edges"]]
+        worlds, edges = doc["worlds"], doc["edges"]
+        _lists_of_strings((worlds,), "worlds must be a list of strings")
+        _lists_of_strings(edges, "an edge must be a list of two strings", 2)
         labels = doc.get("labels") or {}
         if not isinstance(labels, dict):
             raise TypeError("labels must be an object")
-        structure = KripkeStructure.of(
-            worlds,
-            edges,
-            {w: _strings(ps, "a label") for w, ps in labels.items()},
+        _lists_of_strings(labels.values(), "a label must be a list of strings")
+        structure = KripkeStructure(
+            tuple(worlds),
+            frozenset(map(tuple, edges)),
+            {w: frozenset(ps) for w, ps in labels.items()},
             doc.get("initial"),
         )
     except _MALFORMED as exc:

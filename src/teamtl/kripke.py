@@ -6,6 +6,12 @@ must be declared.  Every structure is thus left-total, as in the paper;
 on a dead end a team would have no successor team, so ``AX`` and ``AG``
 would hold there vacuously and ``AX``, ``AU`` and ``AR`` would not be
 downward closed.  The evaluators rely on it and check nothing again.
+The structure is indexed once, where it is built, in the same pass: its
+worlds are numbered, and each world's successors listed by number in
+name order, so that the order follows neither the order of the edges
+nor the string hash seed.  Every reader of world numbers, the TeamCTL
+evaluator, splitfree model checking and the team-member checks, reads
+these.
 
 T2 is a successor team of T1 iff every indexed member of T1 can be
 stepped to a member of T2 along an edge, using each T2 entry exactly
@@ -17,7 +23,7 @@ the self-test compares the two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -29,15 +35,48 @@ from .trace import LassoTrace, TeamEncoding
 class KripkeStructure:
     """Worlds, edges, labels and an optional initial world.  Building one
     raises `ValueError` naming every problem: a world without successor,
-    or an edge endpoint, label entry or initial world not declared."""
+    or an edge endpoint, label entry or initial world not declared.
+
+    The same pass numbers the worlds: ``index[w]`` is the position of
+    world ``w`` in ``worlds`` (the last one, for a name declared twice),
+    and ``succ_ids[i]`` holds the positions of the successors of
+    ``worlds[i]``, in the name order of ``succ``."""
 
     worlds: tuple[str, ...]
     edges: frozenset[tuple[str, str]]
     labels: dict[str, frozenset[str]]
     initial: str | None = None
+    index: dict[str, int] = field(init=False, repr=False)
+    succ_ids: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        declared = set(self.worlds)
+        worlds = self.worlds
+        index = dict(zip(worlds, range(len(worlds))))
+        succ: list[list[int]] = [[] for _ in worlds]
+        # A valid structure is read once; `_reject` reads an invalid one
+        # again, to name every problem.
+        try:
+            for a, b in self.edges:
+                succ[index[a]].append(index[b])
+        except KeyError:
+            self._reject(index)
+        if len(index) < len(worlds):
+            succ = [succ[index[w]] for w in worlds]
+        if (
+            not all(succ)
+            or not self.labels.keys() <= index.keys()
+            or self.initial is not None and self.initial not in index
+        ):
+            self._reject(index)
+        name = worlds.__getitem__
+        for ids in succ:
+            if len(ids) > 1:
+                ids.sort(key=name)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "succ_ids", tuple(map(tuple, succ)))
+
+    def _reject(self, declared: dict[str, int]):
+        """Raise the `ValueError` that names every problem."""
         problems, has_successor = set(), set()
         for a, b in self.edges:
             if a not in declared:
@@ -48,15 +87,14 @@ class KripkeStructure:
                 problems.add(f"edge target {b!r} is not a declared world")
         problems.update(
             f"world {w!r} has no successor (not left-total)"
-            for w in declared - has_successor
+            for w in declared.keys() - has_successor
         )
         problems.update(
-            f"label entry for undeclared world {w!r}" for w in self.labels.keys() - declared
+            f"label entry for undeclared world {w!r}" for w in self.labels.keys() - declared.keys()
         )
         if self.initial is not None and self.initial not in declared:
             problems.add(f"initial world {self.initial!r} is not declared")
-        if problems:
-            raise ValueError("; ".join(sorted(problems)))
+        raise ValueError("; ".join(sorted(problems))) from None
 
     @staticmethod
     def of(
@@ -78,10 +116,8 @@ class KripkeStructure:
 
     @cached_property
     def succ(self) -> dict[str, tuple[str, ...]]:
-        table: dict[str, list[str]] = {w: [] for w in self.worlds}
-        for a, b in sorted(self.edges):
-            table[a].append(b)
-        return {w: tuple(ss) for w, ss in table.items()}
+        name = self.worlds.__getitem__
+        return {w: tuple(map(name, ids)) for w, ids in zip(self.worlds, self.succ_ids)}
 
     @cached_property
     def prop_universe(self) -> frozenset[str]:
@@ -116,17 +152,23 @@ class MultiTeam:
         return len(self.entries)
 
 
-def _check_members(k: KripkeStructure, team: MultiTeam):
-    for _, w in team.entries:
-        if w not in k.worlds:
-            raise ValueError(f"team member {w!r} is not a world of the structure")
+def world_ids(k: KripkeStructure, worlds: Iterable[str]) -> list[int]:
+    """The positions of ``worlds`` in ``k.worlds``; `ValueError` names the
+    first one that is no world of the structure."""
+    index = k.index
+    try:
+        return [index[w] for w in worlds]
+    except KeyError as missing:
+        raise ValueError(
+            f"team member {missing.args[0]!r} is not a world of the structure"
+        ) from None
 
 
 def is_successor_team(k: KripkeStructure, t1: MultiTeam, t2: MultiTeam) -> bool:
     """True iff t2 arises from t1 by one synchronous step under some
     per-member successor choice (multiset equality, indices ignored)."""
-    _check_members(k, t1)
-    _check_members(k, t2)
+    world_ids(k, t1.worlds)
+    world_ids(k, t2.worlds)
     left = t1.worlds
     right = t2.worlds
     if len(left) != len(right):

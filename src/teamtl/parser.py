@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import ResourceCapError, TeamTLError
 from .formula import (
@@ -75,33 +75,32 @@ _CTL_KEYWORDS = {
 }
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # symbol text, "ident", "boolor", or "eof"
     text: str
-    span: SourceSpan
+    start: int
+    end: int
+
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan(self.start, self.end)
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
     pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(
-                f"unexpected character {text[pos]!r}", SourceSpan(pos, pos + 1)
-            )
-        span = SourceSpan(m.start(), m.end())
-        if m.lastgroup == "ws":
-            pass
-        elif m.lastgroup == "boolor":
-            tokens.append(_Token("boolor", m.group(), span))
-        elif m.lastgroup == "sym":
-            tokens.append(_Token(m.group(), m.group(), span))
-        else:
-            tokens.append(_Token("ident", m.group(), span))
-        pos = m.end()
-    tokens.append(_Token("eof", "", SourceSpan(len(text), len(text))))
+    for m in _TOKEN_RE.finditer(text):
+        start, end = m.span()
+        if start != pos:
+            break
+        pos = end
+        group = m.lastgroup
+        if group != "ws":
+            word = m.group()
+            tokens.append(_Token(word if group == "sym" else group, word, start, end))
+    if pos != len(text):
+        raise ParseError(f"unexpected character {text[pos]!r}", SourceSpan(pos, pos + 1))
+    tokens.append(_Token("eof", "", pos, pos))
     return tokens
 
 

@@ -86,6 +86,25 @@ def random_team(
     )
 
 
+def random_phase_team(rng: random.Random, max_traces: int = 6) -> TeamEncoding:
+    """Three to ``max_traces`` traces, each a loop of 2, 3, 4 or 6
+    positions behind an unlabelled prefix of up to 2, in which ``p`` holds
+    at one position and ``q`` at one, each at a random phase.  Loops that
+    reach ``p`` at different phases make the steps at which ``F p`` holds
+    on a subteam incomparable, so a split beside it has several maximal
+    parts."""
+    traces = []
+    for _ in range(rng.randint(3, max_traces)):
+        n = rng.choice((2, 3, 4, 6))
+        p_at, q_at = rng.randrange(n), rng.randrange(n)
+        loop = tuple(
+            frozenset(name for name, at in (("p", p_at), ("q", q_at)) if at == j)
+            for j in range(n)
+        )
+        traces.append(LassoTrace((frozenset(),) * rng.randint(0, 2), loop))
+    return TeamEncoding.of(traces)
+
+
 def _random_literal(rng, props) -> Formula:
     name = rng.choice(props)
     return Prop(name) if rng.random() < 0.5 else NegProp(name)
@@ -459,11 +478,17 @@ def suite_ltl_union(rng, count):
     """φ U ψ, φ R ψ, their conjunction and a disjoint split of two such
     nodes, over flat operands, which ``check_team`` decides by unions of
     masks, against the same formulas with each ψ read as ψ \\|/ ψ: that
-    is not flat, so they take the walk and part enumeration.  About 30 %
-    of the teams are cycle fans, whose long loops keep some sequences
-    open past the cutoff, so that those nodes give way to the walk."""
+    is not flat, so they take the walk and part enumeration.  Half of the
+    teams are phase teams, under ψ = p and the split F p | F q, which then
+    has one maximal left part per step at which p holds on a subteam, and
+    often several complements to try.  About 30 % of the others are cycle
+    fans, whose long loops keep some sequences open past the cutoff, so
+    that those nodes give way to the walk."""
     for _ in range(count):
-        if rng.random() < 0.3:
+        phased = rng.random() < 0.5
+        if phased:
+            team = random_phase_team(rng)
+        elif rng.random() < 0.3:
             team = enumerate_traces(random_cycle_fan(rng))
         else:
             team = random_team(rng, max_traces=8, max_prefix=3, max_loop=4)
@@ -474,6 +499,8 @@ def suite_ltl_union(rng, count):
         # a split beside it has more maximal parts to choose from.
         first, second = (top() if rng.random() < 0.5 else body for body in (phi, chi))
         other = rng.choice((Until, Release))
+        if phased:
+            psi, omega, first, second, other = Prop("p"), Prop("q"), top(), top(), Until
         formulas = []
         for a, b in ((psi, omega), (BoolOr(psi, psi), BoolOr(omega, omega))):
             until, release = Until(phi, a), Release(phi, a)

@@ -87,21 +87,18 @@ class _SubsetSequence:
             raise ValueError(f"max_subsets must be at least 1, not {max_subsets}")
         if k.initial is None:
             raise ValueError("flattening requires an initial world")
-        worlds = k.worlds
-        index = {w: i for i, w in enumerate(worlds)}
-        self.succ = [0] * len(worlds)
-        for a, b in k.edges:
-            self.succ[index[a]] |= 1 << index[b]
+        bits = [1 << i for i in range(len(k.worlds))]
+        self.succ = [sum(map(bits.__getitem__, ids)) for ids in k.succ_ids]
         self.labelled = []
         for p in sorted(props):
-            mask = sum(1 << i for i, w in enumerate(worlds) if p in k.label(w))
+            mask = sum(1 << k.index[w] for w, ps in k.labels.items() if p in ps)
             self.labelled.append((p, negative_prop(p), mask))
         self.max_subsets = max_subsets
         self.stem = self.period = 0
         self.positions: dict[int, int] = {}
         self.labels: list[frozenset[str]] = []
         self.at = self.labels.__getitem__
-        self.pending = 1 << index[k.initial]
+        self.pending = 1 << k.index[k.initial]
 
     def step(self, n: int):
         """Step until position ``n`` is stepped or a subset repeats, then

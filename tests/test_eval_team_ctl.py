@@ -1,8 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import teamtl
 
 from teamtl.errors import ResourceCapError, UnsupportedNodeError
 from teamtl.eval_team_ctl import CtlLimits, _CtlEval, mc_ctl, mc_ctl_bruteforce
@@ -10,8 +16,11 @@ from teamtl.fixtures import af_multiplicity_structure, ef_counterexample_structu
 from teamtl.formula import Prop
 from teamtl.kripke import KripkeStructure, MultiTeam
 from teamtl.parser import parse_ctl
+from teamtl.qbf import reduce_to_tmc_ctl
 from teamtl.selftest import (
     cycle_fan,
+    random_kripke,
+    random_qbf,
     suite_ctl_flat,
     suite_ctl_oracle,
     suite_ctl_singleton,
@@ -263,3 +272,59 @@ def test_splits_over_dead_ends_are_rejected():
             ["a", "b", "b2", "c", "c2"], [("b", "b2"), ("c", "c2")],
             {"b": ["t"], "b2": ["r"], "c": ["s"], "c2": ["q"]},
         )
+
+
+def test_unknown_team_member_is_named():
+    k = ef_counterexample_structure()
+    with pytest.raises(ValueError, match="team member 'z' is not a world of the structure"):
+        mc_ctl(k, MultiTeam.of(["x1", "z"]), parse_ctl("EF p"))
+
+
+def _successor_walk(k, worlds, limit=300):
+    """Every successor tuple met on a walk of up to ``limit`` keys."""
+    ev = _CtlEval(k, len(worlds))
+    frontier, seen, found = [ev.encode(worlds)], set(), []
+    while frontier and len(seen) < limit:
+        key = frontier.pop()
+        seen.add(key)
+        found.append(ev.successors(key))
+        frontier += [s for s in found[-1] if s not in seen]
+    return ev.succ_steps, found
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_successor_order_does_not_follow_the_edge_order(seed):
+    # A QBF gadget and a dense random structure, each built again from its
+    # edges in a shuffled order, list the same successors in the same
+    # order: the name order, whatever order the edge set iterates in.
+    rng = random.Random(seed)
+    gadget, team, _ = reduce_to_tmc_ctl(random_qbf(rng, max_vars=4, max_clauses=4))
+    dense = random_kripke(rng, max_worlds=7)
+    for k, worlds in ((gadget, team.worlds), (dense, dense.worlds[:3])):
+        assert all(list(ss) == sorted(ss) for ss in k.succ.values())
+        edges = sorted(k.edges)
+        rng.shuffle(edges)
+        other = KripkeStructure.of(k.worlds, edges, k.labels, k.initial)
+        assert other.succ == k.succ and other.succ_ids == k.succ_ids
+        assert _successor_walk(other, worlds) == _successor_walk(k, worlds)
+
+
+def test_successor_order_does_not_follow_the_hash_seed():
+    # The edge set iterates in an order that follows the string hash seed.
+    code = (
+        "import random\n"
+        "from teamtl.qbf import reduce_to_tmc_ctl\n"
+        "from teamtl.selftest import random_qbf\n"
+        "from test_eval_team_ctl import _successor_walk\n"
+        "k, team, _ = reduce_to_tmc_ctl(random_qbf(random.Random(3), 4, 4))\n"
+        "print(_successor_walk(k, team.worlds))\n"
+    )
+    paths = os.pathsep.join([str(Path(teamtl.__file__).parents[1]), str(Path(__file__).parent)])
+    runs = {
+        subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=paths),
+        ).stdout
+        for seed in (0, 1, 2)
+    }
+    assert len(runs) == 1

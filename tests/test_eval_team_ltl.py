@@ -199,6 +199,15 @@ class TestMaskUnions:
         (union,) = ev.unions[ev.args[node][0]]
         assert union.force() == union.masks and union.masks
 
+    def test_split_beside_a_closed_union_checks_the_other_side_per_trace(self):
+        # The traces that can go left are read off the masks of F p: no
+        # one-trace team is checked against it, only against F !p.
+        ev, node = self.compiled(union_closure_team(), "F p | F !p")
+        left, right = ev.args[node]
+        assert ev.check(ev.root, node)
+        assert [team.bit_count() for team in ev.memo[left]] == []
+        assert [team.bit_count() for team in ev.memo[right]] == [1, 1]
+
 
 class TestOracleAgreement:
     @settings(max_examples=300, deadline=None)

@@ -34,6 +34,17 @@ def test_construction_reports_problems():
     assert KripkeStructure.of([], []).worlds == ()
 
 
+def test_world_numbering():
+    k = KripkeStructure.of(["b", "c", "a"], [("b", "c"), ("b", "a"), ("c", "c"), ("a", "b")])
+    assert k.index == {"b": 0, "c": 1, "a": 2}
+    # Successors are listed by number in name order: a before c.
+    assert k.succ_ids == ((2, 1), (1,), (0,))
+    assert k.succ == {"b": ("a", "c"), "c": ("c",), "a": ("b",)}
+    # A name declared twice is numbered by its last position.
+    k = KripkeStructure.of(["a", "b", "a"], [("a", "b"), ("b", "a")])
+    assert k.index == {"a": 2, "b": 1} and k.succ_ids == ((1,), (2,), (1,))
+
+
 class TestSuccessorTeam:
     def test_simple_step(self):
         k = chain("a", "b")

@@ -126,8 +126,13 @@ class TestErrors:
             parse_ltl("p q")
 
     def test_unexpected_character(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as e:
             parse_ltl("p @ q")
+        assert (e.value.span.start, e.value.span.end) == (2, 3)
+        for text, offset in (("p & q @", 6), ("@", 0), ("p # note\n& q@", 12)):
+            with pytest.raises(ParseError) as e:
+                parse_ltl(text)
+            assert (e.value.span.start, e.value.span.end) == (offset, offset + 1)
 
 
 # Formulas of each nesting shape, n levels deep.
