@@ -130,7 +130,8 @@ def main():
               show_default=True,
               help="Cap on the traces a splitjunction enumerates parts "
                    "over: those free to go on either side of a disjoint "
-                   "split, or all of a cover's.")
+                   "split (one with a downward-closed side), or all of a "
+                   "cover's (neither side downward closed).")
 @click.option("--explain", is_flag=True, help="Print the witness tree.")
 @click.option("--oracle", is_flag=True,
               help="Cross-check against the naive oracle (small inputs only).")

@@ -326,9 +326,11 @@ class _CtlEval(Compiled):
 
     def split(self, key: int, node: int) -> bool:
         left, right = self.args[node]
-        if self.dc[node]:
-            # Disjoint index splits; verdicts only depend on multisets, so
-            # enumerate per-world count assignments instead of index sets.
+        if self.dc[left] or self.dc[right]:
+            # Disjoint index splits: a downward-closed side may shrink to the
+            # complement of the other side's part.  Verdicts only depend on
+            # multisets, so enumerate per-world count assignments instead of
+            # index sets.
             options = [
                 [(n * self.unit[w], (count - n) * self.unit[w]) for n in range(count + 1)]
                 for w, count in self.members(key)

@@ -47,11 +47,17 @@ go on that side, and the other side is tried beside them in the order
 the enumeration would try them, but no part is enumerated.  The traces
 that can go on that side are read off the masks too, so only the other
 side is checked trace by trace.  Otherwise
-the left parts are enumerated from the largest down.  On any other
-node, every ordered cover (each trace goes left, right, or both) must
-be considered.  Covers are decided with a superset closure ("sum over
-subsets") of the subteams satisfying the right side, in O(n·2^n),
-rather than by pairing every left subteam with every right one.
+the left parts are enumerated from the largest down.  If only one side
+is downward closed, partitions still suffice: that side may shrink to
+the complement of the other side's part (the strict and lax readings of
+the split agree).  A trace on which it fails alone must go on the other
+side, so only the other side's parts that hold those traces are
+enumerated, with the closed side checked first on each complement.
+Only where neither side is downward closed must every ordered cover
+(each trace goes left, right, or both) be considered.  Covers are
+decided with a superset closure ("sum over subsets") of the subteams
+satisfying the right side, in O(n·2^n), rather than by pairing every
+left subteam with every right one.
 ``naive_oracle`` is a deliberately independent and unoptimized second
 implementation used for differential testing.
 """
@@ -273,6 +279,10 @@ class _TeamEval(Compiled):
         left, right = self.args[node]
         if self.dc[node]:
             return self._split_disjoint(mask, left, right)
+        if self.dc[left]:
+            return self._split_one_closed(mask, left, right)
+        if self.dc[right]:
+            return self._split_one_closed(mask, right, left)
         return self._split_covers(mask, left, right)
 
     def _check_cap(self, members: int) -> None:
@@ -354,6 +364,24 @@ class _TeamEval(Compiled):
                     return True
         return False
 
+    def _split_one_closed(self, mask: int, closed: int, other: int) -> bool:
+        # The downward-closed side may shrink to the complement of the other
+        # side's part, so partitions suffice.  A trace on which it fails
+        # alone can be on no part of it, so it goes on the other side.
+        fails = self.fails[closed]
+        if fails is None:
+            fails = sum(bit for bit in _bits(mask) if not self.check(bit, closed))
+        must = mask & fails
+        free = list(_bits(mask ^ must))
+        self._check_cap(len(free))
+        # The closed side is checked first: it is cheaper, and memoised.
+        for size in range(len(free) + 1):
+            for extra in itertools.combinations(free, size):
+                part = must | sum(extra)
+                if self.check(mask ^ part, closed) and self.check(part, other):
+                    return True
+        return False
+
     def _split_covers(self, mask: int, left: int, right: int) -> bool:
         # subteams[x] holds the members whose index bits are set in x.
         members = list(_bits(mask))
@@ -390,13 +418,14 @@ def check_team(
 ) -> bool:
     """Team satisfaction of an LTL formula on a finite trace team.
 
-    Each split node enumerates disjoint splits if it is downward closed,
-    covers otherwise.  Raises ResourceCapError instead of guessing when a
-    split would enumerate its parts over more than ``max_team`` traces
-    (the traces free to go on either side of a disjoint split, every
-    trace of a cover).  A disjoint split with a flat side enumerates no
-    parts, and a split over one trace is always allowed.  Also raises it
-    when ``phi`` is nested deeper than `formula.MAX_DEPTH`.
+    Each split node enumerates disjoint splits if either side is
+    downward closed, covers only if neither is.  Raises ResourceCapError
+    instead of guessing when a split would enumerate its parts over more
+    than ``max_team`` traces (the traces free to go on either side of a
+    disjoint split, every trace of a cover).  A split whose sides are
+    both downward closed, one of them flat, enumerates no parts, and a
+    split over one trace is always allowed.  Also raises it when ``phi``
+    is nested deeper than `formula.MAX_DEPTH`.
     """
     evaluator = _TeamEval(team, check_depth(phi), max_team)
     return evaluator.check(evaluator.root, evaluator.top)

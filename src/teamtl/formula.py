@@ -26,8 +26,9 @@ node.  It decides ``&``, Boolean disjunction, ``~``, generalised atoms
 and Until and Release over flat operands itself; the evaluators add
 their team encoding, pre-images, temporal searches and splits.
 
-`check_depth` bounds how deep a formula may nest, for the parsers and
-for every evaluator entry point.
+`check_depth` bounds how deep a formula may nest, at every evaluator
+entry point, for trees built in code; the parsers bound the depth of
+each node as they build it.
 """
 
 from __future__ import annotations

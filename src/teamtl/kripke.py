@@ -1,11 +1,11 @@
 """Kripke structures, CTL multiset teams, and the successor-team relation.
 
-A structure is checked once, when it is built: every world needs a
-successor, and every edge endpoint, label entry and the initial world
-must be declared.  Every structure is thus left-total, as in the paper;
-on a dead end a team would have no successor team, so ``AX`` and ``AG``
-would hold there vacuously and ``AX``, ``AU`` and ``AR`` would not be
-downward closed.  The evaluators rely on it and check nothing again.
+A structure is checked once, when it is built: every world is declared
+once and needs a successor, and every edge endpoint, label entry and the
+initial world must be declared.  Every structure is thus left-total, as
+in the paper; on a dead end a team would have no successor team, so
+``AX`` and ``AG`` would hold there vacuously and ``AX``, ``AU`` and
+``AR`` would not be downward closed.  The evaluators rely on it and check nothing again.
 The structure is indexed once, where it is built, in the same pass: its
 worlds are numbered, and each world's successors listed by number in
 name order, so that the order follows neither the order of the edges
@@ -23,6 +23,7 @@ the self-test compares the two.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -34,13 +35,13 @@ from .trace import LassoTrace, TeamEncoding
 @dataclass(frozen=True, eq=False)
 class KripkeStructure:
     """Worlds, edges, labels and an optional initial world.  Building one
-    raises `ValueError` naming every problem: a world without successor,
-    or an edge endpoint, label entry or initial world not declared.
+    raises `ValueError` naming every problem: a world declared more than
+    once, a world without successor, or an edge endpoint, label entry or
+    initial world not declared.
 
     The same pass numbers the worlds: ``index[w]`` is the position of
-    world ``w`` in ``worlds`` (the last one, for a name declared twice),
-    and ``succ_ids[i]`` holds the positions of the successors of
-    ``worlds[i]``, in the name order of ``succ``."""
+    world ``w`` in ``worlds``, and ``succ_ids[i]`` holds the positions of
+    the successors of ``worlds[i]``, in the name order of ``succ``."""
 
     worlds: tuple[str, ...]
     edges: frozenset[tuple[str, str]]
@@ -60,10 +61,9 @@ class KripkeStructure:
                 succ[index[a]].append(index[b])
         except KeyError:
             self._reject(index)
-        if len(index) < len(worlds):
-            succ = [succ[index[w]] for w in worlds]
         if (
-            not all(succ)
+            len(index) < len(worlds)
+            or not all(succ)
             or not self.labels.keys() <= index.keys()
             or self.initial is not None and self.initial not in index
         ):
@@ -78,6 +78,10 @@ class KripkeStructure:
     def _reject(self, declared: dict[str, int]):
         """Raise the `ValueError` that names every problem."""
         problems, has_successor = set(), set()
+        problems.update(
+            f"world {w!r} is declared more than once"
+            for w, n in Counter(self.worlds).items() if n > 1
+        )
         for a, b in self.edges:
             if a not in declared:
                 problems.add(f"edge source {a!r} is not a declared world")

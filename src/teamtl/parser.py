@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
-from .errors import ResourceCapError, TeamTLError
+from .errors import TeamTLError
 from .formula import (
     MAX_DEPTH,
     AR,
@@ -37,7 +37,6 @@ from .formula import (
     Split,
     Until,
     bot,
-    check_depth,
     dependence_atom,
     expand_shorthand,
     inclusion_atom,
@@ -104,11 +103,15 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+# The depth of TOP and BOT: each is a connective over two literals.
+_CONSTANT_DEPTH = 2
+
+
 class _Parser:
     def __init__(self, text: str, mode: str, atoms: Mapping[str, GenAtomDef]):
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.depth = 0
+        self.nesting = 0
         self.mode = mode
         self.atoms = atoms
         self.keywords = _LTL_KEYWORDS if mode == "ltl" else _CTL_KEYWORDS
@@ -134,9 +137,24 @@ class _Parser:
         return tok.kind == "ident" and tok.text in names
 
     # -- grammar ----------------------------------------------------------
+    #
+    # Each rule returns the formula it built and the number of levels of its
+    # tree, so that no walk over the finished tree is needed to bound it.
+
+    def node(self, phi: Formula, *depths: int) -> tuple[Formula, int]:
+        """``phi`` with its depth, one more than the deepest of ``depths``
+        (its subformulas'); a tree deeper than `MAX_DEPTH` is an error."""
+        depth = 1 + max(depths, default=0)
+        if depth > MAX_DEPTH:
+            raise ParseError(f"formula nested more than {MAX_DEPTH} deep", self.peek().span)
+        return phi, depth
+
+    def shorthand(self, name: str, child: tuple[Formula, int]) -> tuple[Formula, int]:
+        # F, G and their CTL forms put TOP or BOT beside the operand.
+        return self.node(expand_shorthand(name, [child[0]]), _CONSTANT_DEPTH, child[1])
 
     def parse(self) -> Formula:
-        phi = self.expr()
+        phi, _ = self.expr()
         tok = self.peek()
         if tok.kind != "eof":
             if self.mode == "ctl" and tok.kind == "ident" and tok.text in ("U", "R", "X", "F", "G"):
@@ -146,54 +164,61 @@ class _Parser:
             raise ParseError(f"unexpected {tok.text!r}", tok.span)
         return phi
 
-    def expr(self) -> Formula:
+    def expr(self) -> tuple[Formula, int]:
         negations = 0
         while self.peek().kind == "~":
             self.advance()
             negations += 1
-        phi = self.until_expr() if self.mode == "ltl" else self.split_expr()
+        phi, depth = self.until_expr() if self.mode == "ltl" else self.split_expr()
         for _ in range(negations):
-            phi = CNeg(phi)
-        return phi
+            phi, depth = self.node(CNeg(phi), depth)
+        return phi, depth
 
-    def until_expr(self) -> Formula:
+    def until_expr(self) -> tuple[Formula, int]:
         # Right-associative, folded from the right without recursion.
         operands, ops = [self.split_expr()], []
         while self.at_keyword("U", "R"):
             ops.append(self.advance().text)
             operands.append(self.split_expr())
-        phi = operands.pop()
+        phi, depth = operands.pop()
         while ops:
-            left = operands.pop()
-            phi = Until(left, phi) if ops.pop() == "U" else Release(left, phi)
-        return phi
+            left, left_depth = operands.pop()
+            op = Until if ops.pop() == "U" else Release
+            phi, depth = self.node(op(left, phi), left_depth, depth)
+        return phi, depth
 
-    def split_expr(self) -> Formula:
-        left = self.boolor_expr()
+    # The three infix levels are written out: a shared helper would add a
+    # frame to each, and the stack holds these per bracket level.
+
+    def split_expr(self) -> tuple[Formula, int]:
+        left, depth = self.boolor_expr()
         while self.peek().kind == "|":
             self.advance()
-            left = Split(left, self.boolor_expr())
-        return left
+            right, right_depth = self.boolor_expr()
+            left, depth = self.node(Split(left, right), depth, right_depth)
+        return left, depth
 
-    def boolor_expr(self) -> Formula:
-        left = self.and_expr()
+    def boolor_expr(self) -> tuple[Formula, int]:
+        left, depth = self.and_expr()
         while self.peek().kind == "boolor":
             self.advance()
-            left = BoolOr(left, self.and_expr())
-        return left
+            right, right_depth = self.and_expr()
+            left, depth = self.node(BoolOr(left, right), depth, right_depth)
+        return left, depth
 
-    def and_expr(self) -> Formula:
-        left = self.unary_expr()
+    def and_expr(self) -> tuple[Formula, int]:
+        left, depth = self.unary_expr()
         while self.peek().kind == "&":
             self.advance()
-            left = And(left, self.unary_expr())
-        return left
+            right, right_depth = self.unary_expr()
+            left, depth = self.node(And(left, right), depth, right_depth)
+        return left, depth
 
-    def unary_expr(self) -> Formula:
+    def unary_expr(self) -> tuple[Formula, int]:
         # Every nested sub-expression passes through here: a bracket, an
         # atom's arguments, and the operand of a prefix operator or `~`.
-        self.depth += 1
-        if self.depth > MAX_DEPTH:
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
             raise ParseError(
                 f"formula nested more than {MAX_DEPTH} deep", self.peek().span
             )
@@ -201,7 +226,8 @@ class _Parser:
             tok = self.peek()
             if tok.kind == "~":
                 self.advance()
-                return CNeg(self.expr())
+                phi, depth = self.expr()
+                return self.node(CNeg(phi), depth)
             if tok.kind == "!":
                 self.advance()
                 prop = self.peek()
@@ -212,22 +238,23 @@ class _Parser:
                         prop.span,
                     )
                 self.advance()
-                return NegProp(prop.text)
+                return NegProp(prop.text), 1
             if self.mode == "ltl" and tok.kind == "ident":
                 if tok.text == "X":
                     self.advance()
-                    return Next(self.unary_expr())
+                    phi, depth = self.unary_expr()
+                    return self.node(Next(phi), depth)
                 if tok.text in ("F", "G"):
                     self.advance()
-                    return expand_shorthand(tok.text, [self.unary_expr()])
+                    return self.shorthand(tok.text, self.unary_expr())
             if self.mode == "ctl" and tok.kind == "ident":
                 if tok.text in ("EX", "AX"):
                     self.advance()
-                    child = self.unary_expr()
-                    return EX(child) if tok.text == "EX" else AX(child)
+                    phi, depth = self.unary_expr()
+                    return self.node(EX(phi) if tok.text == "EX" else AX(phi), depth)
                 if tok.text in ("EF", "AF", "EG", "AG"):
                     self.advance()
-                    return expand_shorthand(tok.text, [self.unary_expr()])
+                    return self.shorthand(tok.text, self.unary_expr())
                 if tok.text in ("E", "A"):
                     return self.bracketed_path(tok.text)
                 if tok.text in ("X", "F", "G", "U", "R"):
@@ -236,23 +263,25 @@ class _Parser:
                     )
             return self.primary()
         finally:
-            self.depth -= 1
+            self.nesting -= 1
 
-    def bracketed_path(self, quantifier: str) -> Formula:
+    def bracketed_path(self, quantifier: str) -> tuple[Formula, int]:
         self.advance()
         self.expect("[")
-        left = self.expr()
+        left, left_depth = self.expr()
         op = self.peek()
         if not self.at_keyword("U", "R"):
             raise ParseError("expected U or R inside path brackets", op.span)
         self.advance()
-        right = self.expr()
+        right, right_depth = self.expr()
         self.expect("]")
         if quantifier == "E":
-            return EU(left, right) if op.text == "U" else ER(left, right)
-        return AU(left, right) if op.text == "U" else AR(left, right)
+            kind = EU if op.text == "U" else ER
+        else:
+            kind = AU if op.text == "U" else AR
+        return self.node(kind(left, right), left_depth, right_depth)
 
-    def primary(self) -> Formula:
+    def primary(self) -> tuple[Formula, int]:
         tok = self.peek()
         if tok.kind == "(":
             self.advance()
@@ -262,10 +291,10 @@ class _Parser:
         if tok.kind == "ident":
             if tok.text == "TOP":
                 self.advance()
-                return top()
+                return top(), _CONSTANT_DEPTH
             if tok.text == "BOT":
                 self.advance()
-                return bot()
+                return bot(), _CONSTANT_DEPTH
             if tok.text in ("dep", "inc"):
                 return self.builtin_atom(tok.text)
             if tok.text in self.atoms:
@@ -273,12 +302,12 @@ class _Parser:
             if tok.text in self.keywords:
                 raise ParseError(f"unexpected keyword {tok.text!r}", tok.span)
             self.advance()
-            return Prop(tok.text)
+            return Prop(tok.text), 1
         raise ParseError(
             f"expected a formula, found {tok.text or 'end of input'!r}", tok.span
         )
 
-    def builtin_atom(self, name: str) -> Formula:
+    def builtin_atom(self, name: str) -> tuple[Formula, int]:
         start = self.advance()
         self.expect("(")
         first, second = self.param_lists()
@@ -296,9 +325,9 @@ class _Parser:
                     "inc needs two parameter lists of equal length", start.span
                 )
             atom = inclusion_atom(len(first))
-        return GenAtomApp(atom, tuple(first + second))
+        return self.atom(atom, first + second)
 
-    def param_lists(self) -> tuple[list[Formula], list[Formula] | None]:
+    def param_lists(self) -> tuple[list[tuple[Formula, int]], list[tuple[Formula, int]] | None]:
         first = [self.expr()]
         while self.peek().kind == ",":
             self.advance()
@@ -312,7 +341,7 @@ class _Parser:
             second.append(self.expr())
         return first, second
 
-    def registered_atom(self, atom: GenAtomDef) -> Formula:
+    def registered_atom(self, atom: GenAtomDef) -> tuple[Formula, int]:
         start = self.advance()
         self.expect("(")
         first, second = self.param_lists()
@@ -323,17 +352,16 @@ class _Parser:
                 f"atom {atom.name} expects {atom.arity} parameters, got {len(params)}",
                 start.span,
             )
-        return GenAtomApp(atom, tuple(params))
+        return self.atom(atom, params)
+
+    def atom(self, atom: GenAtomDef, params: list[tuple[Formula, int]]) -> tuple[Formula, int]:
+        return self.node(
+            GenAtomApp(atom, tuple(phi for phi, _ in params)), *(depth for _, depth in params)
+        )
 
 
 def _parse(text: str, mode: str, atoms: Mapping[str, GenAtomDef] | None) -> Formula:
-    phi = _Parser(text, mode, atoms or {}).parse()
-    # The tree may be deeper than the nesting the parser counted: binary
-    # operators chain without recursion.
-    try:
-        return check_depth(phi)
-    except ResourceCapError as exc:
-        raise ParseError(str(exc), SourceSpan(0, len(text))) from None
+    return _Parser(text, mode, atoms or {}).parse()
 
 
 def parse_ltl(text: str, atoms: Mapping[str, GenAtomDef] | None = None) -> Formula:

@@ -473,6 +473,42 @@ def suite_ltl_downward_closed(rng, count):
         yield check_team(team, phi), naive_oracle(team, phi), phi, team
 
 
+def _random_wrap(rng: random.Random, phi: Formula, props=("p", "q")) -> Formula:
+    """``phi`` under one random connective, on either side of a literal
+    where the connective needs a second operand."""
+    wrap = rng.choice((Next, CNeg, And, BoolOr, Split, Until, Release))
+    if wrap is Next or wrap is CNeg:
+        return wrap(phi)
+    literal = _random_literal(rng, props)
+    return wrap(phi, literal) if rng.random() < 0.5 else wrap(literal, phi)
+
+
+# Enumerating the downward-closed side's parts in place of the other
+# side's gives mismatches on 39 to 50 of 300 instances of this suite, and
+# leaving out the traces that must go on the other side on 129 to 139,
+# for each of the seeds 0 to 4; `suite_ltl_oracle` finds 1 to 9.
+@_suite("check_team vs naive_oracle on splits with one downward-closed side")
+def suite_split_one_dc(rng, count):
+    """A split of a downward-closed side and a side that is not, in either
+    order, alone or under one more connective, on one to four traces.
+    ``check_team`` decides it by partitions, with every trace on which the
+    downward-closed side fails alone on the other side; the oracle
+    enumerates covers."""
+    for _ in range(count):
+        team = TeamEncoding.of(random_trace(rng) for _ in range(rng.randint(1, 4)))
+        closed = random_ltl_formula(rng, rng.randint(0, 2), allow_atoms=True)
+        while not is_downward_closed(closed):
+            closed = random_ltl_formula(rng, rng.randint(0, 2), allow_atoms=True)
+        mixed = dict(allow_cneg=True, allow_boolor=True, allow_atoms=True)
+        other = random_ltl_formula(rng, rng.randint(1, 3), **mixed)
+        while is_downward_closed(other):
+            other = random_ltl_formula(rng, rng.randint(1, 3), **mixed)
+        phi = Split(closed, other) if rng.random() < 0.5 else Split(other, closed)
+        if rng.random() < 0.5:
+            phi = _random_wrap(rng, phi)
+        yield check_team(team, phi), naive_oracle(team, phi), phi, team
+
+
 @_suite("Until/Release masks vs the walk")
 def suite_ltl_union(rng, count):
     """φ U ψ, φ R ψ, their conjunction and a disjoint split of two such
@@ -706,8 +742,8 @@ def suite_fixtures(rng, count):
 
 
 SUITES = (
-    suite_ltl_oracle, suite_ltl_structural, suite_ltl_downward_closed, suite_ltl_union,
-    suite_splitfree, suite_ltl_ctl_agreement, suite_ctl_oracle, suite_ctl_flat,
+    suite_ltl_oracle, suite_ltl_structural, suite_ltl_downward_closed, suite_split_one_dc,
+    suite_ltl_union, suite_splitfree, suite_ltl_ctl_agreement, suite_ctl_oracle, suite_ctl_flat,
     suite_ctl_union, suite_ctl_singleton, suite_successor_teams, suite_qbf_reductions,
     suite_plsim, suite_qbf_tpc, suite_qbf_tpc_clauses, suite_fixtures,
 )

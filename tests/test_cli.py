@@ -103,7 +103,7 @@ class TestCheckPath:
         team_file.write_text(json.dumps(doc))
         result = runner.invoke(
             main,
-            ["check-path", str(team_file), "~p0 | ~p1", "--max-team", "2"],
+            ["check-path", str(team_file), "(~p0) | (~p1)", "--max-team", "2"],
         )
         assert result.exit_code == 3
 
@@ -210,6 +210,21 @@ class TestCheckModel:
         r = runner.invoke(main, args)
         assert r.exit_code == 2
         assert "'b' has no successor" in r.stderr
+
+    @pytest.mark.parametrize("mode", ["ctl", "ltl-splitfree"])
+    def test_world_declared_twice_exit_2(self, runner, tmp_path, mode):
+        k = tmp_path / "k.json"
+        k.write_text(json.dumps({
+            "worlds": ["a", "b", "a"], "edges": [["a", "b"], ["b", "a"]],
+            "labels": {}, "initial": "a",
+        }))
+        formula = "EX p" if mode == "ctl" else "X p"
+        args = ["check-model", str(k), formula, "--mode", mode]
+        if mode == "ctl":
+            args += ["--team", "a"]
+        r = runner.invoke(main, args)
+        assert r.exit_code == 2
+        assert "world 'a' is declared more than once" in r.stderr
 
     def test_enumerate_mode_rejects_branching_cycles(self, runner, tmp_path):
         k = tmp_path / "k.json"

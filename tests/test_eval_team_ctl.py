@@ -239,6 +239,28 @@ def test_successors_deduplicate_multisets():
     )
 
 
+@pytest.mark.parametrize("text,team,expected", [
+    ("p | ~q", ["a", "a", "c"], True),
+    ("p | ~q", ["b", "b"], False),
+    ("(~!q) | !p", ["a", "a", "b"], True),
+    ("(~!q) | !p", ["a", "a", "c"], False),
+    ("(~AX p) | EX q", ["b", "b"], True),
+    ("(~AX p) | EX q", ["a", "a"], False),
+    # Neither side is downward closed: only a cover puts the one member on
+    # both sides.
+    ("(~BOT) | (~BOT)", ["a"], True),
+])
+def test_splits_with_negated_sides(text, team, expected):
+    # Where one side is downward closed, mc_ctl splits the counts of each
+    # world between the sides; the oracle tries every cover.
+    k = KripkeStructure.of(
+        ["a", "b", "c"], [("a", "a"), ("b", "b"), ("c", "c"), ("c", "a")],
+        {"a": ["p"], "b": ["q"]},
+    )
+    phi, team = parse_ctl(text), MultiTeam.of(team)
+    assert mc_ctl(k, team, phi) == mc_ctl_bruteforce(k, team, phi) == expected
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**32))
 def test_agrees_with_bruteforce(seed):

@@ -21,6 +21,8 @@ from teamtl.selftest import (
     random_ltl_formula,
     suite_ltl_oracle,
     suite_ltl_downward_closed,
+    suite_plsim,
+    suite_split_one_dc,
     suite_ltl_structural,
     suite_ltl_union,
 )
@@ -139,6 +141,11 @@ class TestStrategies:
     def test_disjoint_and_cover_splits_agree_on_dc_formulas(self, seed):
         assert not suite_ltl_downward_closed(random.Random(seed), 1).mismatches
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_splits_with_one_closed_side_match_naive_oracle(self, seed):
+        assert not suite_split_one_dc(random.Random(seed), 1).mismatches
+
     def test_cover_splits_needed_under_cneg(self):
         # ~(p-side empty) forces both parts nonempty; with covers the single
         # trace can sit on both sides.
@@ -147,12 +154,47 @@ class TestStrategies:
         assert check_team(team, phi)
 
     def test_team_cap(self):
+        # A cover of two sides that are not downward closed counts every
+        # trace.
         team = TeamEncoding.of(
             LassoTrace.of([], [[f"p{i}"]]) for i in range(5)
         )
-        phi = parse_ltl("~p0 | ~p1")
+        phi = parse_ltl("(~p0) | (~p1)")
         with pytest.raises(ResourceCapError):
             check_team(team, phi, max_team=4)
+
+    def test_split_with_one_closed_side_counts_its_free_traces(self):
+        # ~p0 | ~p1 reads ~(p0 | ~p1): the split's left side is flat, so
+        # only the one trace with p0 is free to go on either side.
+        team = TeamEncoding.of(
+            LassoTrace.of([], [[f"p{i}"]]) for i in range(4)
+        )
+        phi = parse_ltl("~p0 | ~p1")
+        assert check_team(team, phi, max_team=2) == naive_oracle(team, phi)
+        with pytest.raises(ResourceCapError):
+            check_team(team, parse_ltl("(~p0) | (~p1)"), max_team=2)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_covers_only_when_neither_side_is_closed(self, seed, monkeypatch):
+        reached = {"covers": [], "one closed": 0}
+        covers, one_closed = _TeamEval._split_covers, _TeamEval._split_one_closed
+
+        def spy_covers(self, mask, left, right):
+            reached["covers"].append(self.dc[left] or self.dc[right])
+            return covers(self, mask, left, right)
+
+        def spy_one_closed(self, mask, closed, other):
+            assert self.dc[closed] and not self.dc[other]
+            reached["one closed"] += 1
+            return one_closed(self, mask, closed, other)
+
+        monkeypatch.setattr(_TeamEval, "_split_covers", spy_covers)
+        monkeypatch.setattr(_TeamEval, "_split_one_closed", spy_one_closed)
+        for suite in (suite_split_one_dc, suite_ltl_oracle, suite_plsim):
+            assert not suite(random.Random(seed), 100).mismatches
+        assert check_team(union_closure_team(), parse_ltl("(~p) | (~q)"))
+        assert reached["covers"] and not any(reached["covers"])
+        assert reached["one closed"]
 
     def test_cap_charges_only_what_a_split_enumerates(self):
         # An atom parameter's split runs on one trace and has a flat side.

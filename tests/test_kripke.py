@@ -40,9 +40,9 @@ def test_world_numbering():
     # Successors are listed by number in name order: a before c.
     assert k.succ_ids == ((2, 1), (1,), (0,))
     assert k.succ == {"b": ("a", "c"), "c": ("c",), "a": ("b",)}
-    # A name declared twice is numbered by its last position.
-    k = KripkeStructure.of(["a", "b", "a"], [("a", "b"), ("b", "a")])
-    assert k.index == {"a": 2, "b": 1} and k.succ_ids == ((1,), (2,), (1,))
+    # A name declared twice is rejected, not numbered twice.
+    with pytest.raises(ValueError, match="world 'a' is declared more than once"):
+        KripkeStructure.of(["a", "b", "a"], [("a", "b"), ("b", "a")])
 
 
 class TestSuccessorTeam:
