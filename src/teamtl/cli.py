@@ -76,7 +76,9 @@ def _read_formula(text: str) -> str:
 
 def _explain(team: TeamEncoding, phi: Formula, indent: int, max_team: int):
     """Print a verdict tree, with the found partition for splitjunctions
-    and the witness offset for until subformulas."""
+    and the witness offset for until subformulas.  A split tries every
+    partition of its team, so one over more than ``max_team`` traces
+    raises `ResourceCapError`, as the evaluator's cap does."""
     sat = check_team(team, phi, max_team=max_team)
     pad = "  " * indent
     click.echo(f"{pad}{render(phi)}  [{len(team)} traces]  "
@@ -88,6 +90,11 @@ def _explain(team: TeamEncoding, phi: Formula, indent: int, max_team: int):
         _explain(team, phi.right, indent + 1, max_team)
     elif isinstance(phi, Split):
         members = list(team)
+        if len(members) > max(max_team, 1):
+            raise ResourceCapError(
+                f"--explain: split over {len(members)} traces exceeds "
+                f"the split cap {max_team}"
+            )
         for mask in range(1 << len(members)):
             left = TeamEncoding.of(
                 t for i, t in enumerate(members) if mask >> i & 1
@@ -117,7 +124,7 @@ def _explain(team: TeamEncoding, phi: Formula, indent: int, max_team: int):
                 return
 
 
-@click.group(context_settings={"auto_envvar_prefix": "TEAMTL"})
+@click.group()
 def main():
     """Synchronous team semantics for LTL and CTL: path checking, model
     checking, reduction generators, and a differential self-test."""

@@ -85,7 +85,7 @@ from .formula import (
     check_depth,
     formula_length,
 )
-from .trace import LassoTrace, TeamEncoding, canonicalize, trace_at, trace_sort_key
+from .trace import LassoTrace, TeamEncoding, trace_at, trace_sort_key
 
 DEFAULT_MAX_TEAM = 16
 
@@ -192,7 +192,6 @@ class _TeamEval(Compiled):
         prefix_states: dict[tuple[frozenset[str], int], int] = {}
         mask = 0
         for t in team.traces:
-            t = canonicalize(t)
             loop, stem, n = t.loop, len(t.prefix), len(t.loop)
             ids = [label_ids.setdefault(head, len(label_ids)) for head in loop]
             first = _least_rotation(ids)

@@ -9,12 +9,15 @@ team satisfies one side" disjunction.
 All node classes are frozen dataclasses, so formulas are immutable,
 hashable, and compared structurally.  A connective with one subformula
 derives from `Unary` (field ``child``), one with two from `Binary`
-(``left``, ``right``); a generalised atom's subformulas are its
-``params``.  `children`, `rebuild` and `iter_nodes` are the one
-traversal API: structural walks elsewhere go through them (or through
-`map_literals`, built on them) rather than reading those fields.
-`is_downward_closed` tells whether a formula is in the syntactic
-downward-closed fragment.
+(``left``, ``right``), and inherits its fields and methods: equality
+also compares the class, so ``And(p, q) != Split(p, q)``.  A
+generalised atom's subformulas are its ``params``.  `SHORTHANDS` holds
+the derived temporal operators (F, G and their CTL forms), each a
+connective with a constant ⊤ or ⊥ left operand.  `children`, `rebuild`
+and `iter_nodes` are the one traversal API: structural walks elsewhere
+go through them (or through `map_literals`, built on them) rather than
+reading those fields.  `is_downward_closed` tells whether a formula is
+in the syntactic downward-closed fragment.
 
 `Compiled` is the core both team evaluators build on: it interns a
 formula's nodes once per call, generalised-atom parameters included,
@@ -49,9 +52,9 @@ RESERVED_TAUT_PROP = "_taut"
 # level: from a shallow stack, under Python's default recursion limit of
 # 1000, mc_ctl_bruteforce decides EX nested 247 deep (four frames a
 # level), classical LTL U nested 330 deep, and check_team and mc_ctl
-# about 500.  The parser itself takes up to nine frames per bracket level
+# about 500.  The parser itself takes up to six frames per bracket level
 # (an atom in an atom's argument list), which binds first: atoms nested
-# 100 deep need a limit of 910, and 80 levels leave about 270 frames to
+# 100 deep need a limit of 612, and 80 levels leave about 500 frames to
 # the caller.  The QBF-to-path-checking reduction of 10 variables and 10
 # clauses is 57 deep.
 MAX_DEPTH = 80
@@ -91,22 +94,18 @@ class NegProp(Formula):
     name: str
 
 
-@dataclass(frozen=True)
 class And(Binary):
-    pass
+    """Conjunction: the team satisfies both sides."""
 
 
-@dataclass(frozen=True)
 class Split(Binary):
     """Team splitjunction: T = T1 ∪ T2 with T1 satisfying left, T2 right."""
 
 
-@dataclass(frozen=True)
 class BoolOr(Binary):
     """Boolean (classical) disjunction: the whole team satisfies a side."""
 
 
-@dataclass(frozen=True)
 class CNeg(Unary):
     """Contradictory negation: T satisfies ~φ iff T does not satisfy φ."""
 
@@ -140,53 +139,44 @@ class GenAtomApp(Formula):
 # LTL temporal operators
 
 
-@dataclass(frozen=True)
 class Next(Unary):
-    pass
+    """X φ: the team one step on satisfies φ."""
 
 
-@dataclass(frozen=True)
 class Until(Binary):
-    pass
+    """φ U ψ: the team reaches ψ at one offset, through φ before it."""
 
 
-@dataclass(frozen=True)
 class Release(Binary):
-    pass
+    """φ R ψ: ψ holds forever, or up to an offset where φ ∧ ψ holds."""
 
 
 # ---------------------------------------------------------------------------
 # CTL temporal operators (every temporal operator carries a path quantifier)
 
 
-@dataclass(frozen=True)
 class EX(Unary):
-    pass
+    """EX φ: some successor team satisfies φ."""
 
 
-@dataclass(frozen=True)
 class AX(Unary):
-    pass
+    """AX φ: every successor team satisfies φ."""
 
 
-@dataclass(frozen=True)
 class EU(Binary):
-    pass
+    """E[φ U ψ]: some successor-team evolution satisfies φ U ψ."""
 
 
-@dataclass(frozen=True)
 class AU(Binary):
-    pass
+    """A[φ U ψ]: every successor-team evolution satisfies φ U ψ."""
 
 
-@dataclass(frozen=True)
 class ER(Binary):
-    pass
+    """E[φ R ψ]: some successor-team evolution satisfies φ R ψ."""
 
 
-@dataclass(frozen=True)
 class AR(Binary):
-    pass
+    """A[φ R ψ]: every successor-team evolution satisfies φ R ψ."""
 
 
 _LTL_TEMPORAL = (Next, Until, Release)
@@ -261,31 +251,32 @@ def bot() -> Formula:
     return And(Prop(RESERVED_TAUT_PROP), NegProp(RESERVED_TAUT_PROP))
 
 
-def expand_shorthand(name: str, args: list[Formula] | tuple[Formula, ...] = ()) -> Formula:
-    """Expand TOP/BOT and the derived temporal operators.
+# The derived temporal operators: each is its class with ⊤ or ⊥ on the
+# left of its operand.  G φ = ⊥ R φ, as in CTL; see README for why the
+# Until variant is rejected.  `parser.render` folds them back by this table.
+SHORTHANDS: dict[str, tuple[type, Formula]] = {
+    "F": (Until, top()),
+    "G": (Release, bot()),
+    "EF": (EU, top()),
+    "EG": (ER, bot()),
+    "AF": (AU, top()),
+    "AG": (AR, bot()),
+}
 
-    The LTL "always" shorthand expands via Release (G φ = ⊥ R φ), matching
-    the CTL definition; see README for why the Until variant is rejected.
-    """
+
+def expand_shorthand(name: str, args: list[Formula] | tuple[Formula, ...] = ()) -> Formula:
+    """Expand TOP/BOT and the derived temporal operators of `SHORTHANDS`."""
     args = tuple(args)
-    nullary = {"TOP": top, "BOT": bot}
-    unary = {
-        "F": lambda a: Until(top(), a),
-        "G": lambda a: Release(bot(), a),
-        "EF": lambda a: EU(top(), a),
-        "EG": lambda a: ER(bot(), a),
-        "AF": lambda a: AU(top(), a),
-        "AG": lambda a: AR(bot(), a),
-    }
-    if name in nullary:
+    if name in ("TOP", "BOT"):
         if args:
             raise ValueError(f"shorthand {name} takes no arguments")
-        return nullary[name]()
-    if name in unary:
-        if len(args) != 1:
-            raise ValueError(f"shorthand {name} takes exactly one argument")
-        return unary[name](args[0])
-    raise ValueError(f"unknown shorthand name: {name}")
+        return top() if name == "TOP" else bot()
+    if name not in SHORTHANDS:
+        raise ValueError(f"unknown shorthand name: {name}")
+    if len(args) != 1:
+        raise ValueError(f"shorthand {name} takes exactly one argument")
+    kind, constant = SHORTHANDS[name]
+    return kind(constant, args[0])
 
 
 # ---------------------------------------------------------------------------

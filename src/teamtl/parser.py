@@ -1,12 +1,21 @@
 """Concrete text syntax for LTL and CTL formulas.
 
+The syntax of each operator is declared once, in the tables below:
+`_INFIX` holds the infix operators with their precedence, and
+`_SYNTAX` each logic's words: its prefix operators (``X``; ``EX``,
+``AX``), the shorthands of `formula.SHORTHANDS` it admits (``F``,
+``G``; ``EF``, ``AF``, ``EG``, ``AG``), and its path operators, a
+quantifier ``E`` or ``A`` with ``U`` or ``R`` inside brackets.  The
+parser reads these tables and `render` reads them backwards.
+
 Precedence, loosest to tightest: the prefix `~` (contradictory negation,
 greedy: it swallows the longest expression starting at its position);
 binary `U`/`R` (right-associative, LTL only); `|` (splitjunction); `\\|/`
-(Boolean disjunction); `&`; the prefix operators `X`/`F`/`G` (LTL) and
-`EX`/`AX`/`EF`/... (CTL); `!` directly before a proposition.  Atoms:
-`dep(p1,..;q1,..)`, `inc(p1,..;q1,..)`, `TOP`, `BOT`, and registered
-generalised atoms.  `#` starts a comment; whitespace is insignificant.
+(Boolean disjunction); `&`; the prefix operators; `!` directly before a
+proposition.  In CTL a bare ``X``, ``F``, ``G``, ``U`` or ``R`` is an
+error.  Atoms: `dep(p1,..;q1,..)`, `inc(p1,..;q1,..)`, `TOP`, `BOT`,
+and registered generalised atoms.  `#` starts a comment; whitespace is
+insignificant.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ from .formula import (
     EU,
     AX,
     EX,
+    SHORTHANDS,
     Formula,
     GenAtomApp,
     GenAtomDef,
@@ -38,7 +48,6 @@ from .formula import (
     Until,
     bot,
     dependence_atom,
-    expand_shorthand,
     inclusion_atom,
     top,
 )
@@ -67,10 +76,54 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-_LTL_KEYWORDS = {"U", "R", "X", "F", "G", "TOP", "BOT", "dep", "inc"}
-_CTL_KEYWORDS = {
-    "E", "A", "EX", "AX", "EF", "AF", "EG", "AG", "U", "R", "X", "F", "G",
-    "TOP", "BOT", "dep", "inc",
+# ---------------------------------------------------------------------------
+# The syntax tables
+
+_TOP = top()
+_BOT = bot()
+_CONSTANTS = {"TOP": _TOP, "BOT": _BOT}
+# Infix operators by class: their text and precedence, loosest first.
+# U and R, at precedence `_RIGHT`, group to the right, the others to the
+# left; prefix operators bind tighter than all of them.
+_INFIX = {
+    Until: ("U", 1), Release: ("R", 1), Split: ("|", 2), BoolOr: ("\\|/", 3), And: ("&", 4),
+}
+_RIGHT = 1
+_PREFIX = 5
+
+
+class _Syntax:
+    """One logic's words.  ``prefix`` maps a prefix operator to its
+    class, ``shorthands`` names the `formula.SHORTHANDS` the logic admits,
+    ``paths`` maps a quantifier and the ``U`` or ``R`` in its brackets to
+    a class, ``infix`` maps the text of each of its infix operators
+    (given by class) to the class and its precedence, and ``bare`` holds
+    the words it rejects without a path quantifier.  ``keywords`` are all
+    its reserved words, which name no proposition."""
+
+    def __init__(self, prefix, shorthands, infix, paths=None, bare=()):
+        self.prefix = prefix
+        self.shorthands = frozenset(shorthands)
+        self.infix = {_INFIX[kind][0]: (kind, _INFIX[kind][1]) for kind in infix}
+        self.paths = paths or {}
+        self.quantifiers = {quantifier for quantifier, _ in self.paths}
+        self.bare = frozenset(bare)
+        self.keywords = {
+            *prefix, *shorthands, *(text for text in self.infix if text.isalpha()),
+            *self.quantifiers, *(op for _, op in self.paths), *bare,
+            *_CONSTANTS, "dep", "inc",
+        }
+
+
+_SYNTAX = {
+    "ltl": _Syntax({"X": Next}, ("F", "G"), (Until, Release, Split, BoolOr, And)),
+    "ctl": _Syntax(
+        {"EX": EX, "AX": AX},
+        ("EF", "AF", "EG", "AG"),
+        (Split, BoolOr, And),
+        paths={("E", "U"): EU, ("E", "R"): ER, ("A", "U"): AU, ("A", "R"): AR},
+        bare=("X", "F", "G", "U", "R"),
+    ),
 }
 
 
@@ -112,9 +165,8 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.nesting = 0
-        self.mode = mode
+        self.syntax = _SYNTAX[mode]
         self.atoms = atoms
-        self.keywords = _LTL_KEYWORDS if mode == "ltl" else _CTL_KEYWORDS
 
     # -- token helpers ----------------------------------------------------
 
@@ -132,10 +184,6 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.span)
         return self.advance()
 
-    def at_keyword(self, *names: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and tok.text in names
-
     # -- grammar ----------------------------------------------------------
     #
     # Each rule returns the formula it built and the number of levels of its
@@ -149,18 +197,12 @@ class _Parser:
             raise ParseError(f"formula nested more than {MAX_DEPTH} deep", self.peek().span)
         return phi, depth
 
-    def shorthand(self, name: str, child: tuple[Formula, int]) -> tuple[Formula, int]:
-        # F, G and their CTL forms put TOP or BOT beside the operand.
-        return self.node(expand_shorthand(name, [child[0]]), _CONSTANT_DEPTH, child[1])
-
     def parse(self) -> Formula:
         phi, _ = self.expr()
         tok = self.peek()
         if tok.kind != "eof":
-            if self.mode == "ctl" and tok.kind == "ident" and tok.text in ("U", "R", "X", "F", "G"):
-                raise ParseError(
-                    f"bare {tok.text} without path quantifier", tok.span
-                )
+            if tok.kind == "ident" and tok.text in self.syntax.bare:
+                raise ParseError(f"bare {tok.text} without path quantifier", tok.span)
             raise ParseError(f"unexpected {tok.text!r}", tok.span)
         return phi
 
@@ -169,50 +211,30 @@ class _Parser:
         while self.peek().kind == "~":
             self.advance()
             negations += 1
-        phi, depth = self.until_expr() if self.mode == "ltl" else self.split_expr()
+        phi, depth = self.infix_expr()
         for _ in range(negations):
             phi, depth = self.node(CNeg(phi), depth)
         return phi, depth
 
-    def until_expr(self) -> tuple[Formula, int]:
-        # Right-associative, folded from the right without recursion.
-        operands, ops = [self.split_expr()], []
-        while self.at_keyword("U", "R"):
-            ops.append(self.advance().text)
-            operands.append(self.split_expr())
-        phi, depth = operands.pop()
-        while ops:
-            left, left_depth = operands.pop()
-            op = Until if ops.pop() == "U" else Release
-            phi, depth = self.node(op(left, phi), left_depth, depth)
-        return phi, depth
-
-    # The three infix levels are written out: a shared helper would add a
-    # frame to each, and the stack holds these per bracket level.
-
-    def split_expr(self) -> tuple[Formula, int]:
-        left, depth = self.boolor_expr()
-        while self.peek().kind == "|":
+    def infix_expr(self) -> tuple[Formula, int]:
+        # Operator precedence without a frame per level: an operator waits
+        # until one arrives that binds no tighter (for U and R, looser), or
+        # the expression ends, and then takes the two operands before it.
+        operands, waiting = [self.unary_expr()], []
+        infix = self.syntax.infix
+        while True:
+            op = infix.get(self.peek().text)
+            prec = op[1] if op else 0
+            while waiting and (waiting[-1][1] > prec or waiting[-1][1] == prec != _RIGHT):
+                kind, _ = waiting.pop()
+                right, right_depth = operands.pop()
+                left, left_depth = operands.pop()
+                operands.append(self.node(kind(left, right), left_depth, right_depth))
+            if op is None:
+                return operands[0]
             self.advance()
-            right, right_depth = self.boolor_expr()
-            left, depth = self.node(Split(left, right), depth, right_depth)
-        return left, depth
-
-    def boolor_expr(self) -> tuple[Formula, int]:
-        left, depth = self.and_expr()
-        while self.peek().kind == "boolor":
-            self.advance()
-            right, right_depth = self.and_expr()
-            left, depth = self.node(BoolOr(left, right), depth, right_depth)
-        return left, depth
-
-    def and_expr(self) -> tuple[Formula, int]:
-        left, depth = self.unary_expr()
-        while self.peek().kind == "&":
-            self.advance()
-            right, right_depth = self.unary_expr()
-            left, depth = self.node(And(left, right), depth, right_depth)
-        return left, depth
+            waiting.append(op)
+            operands.append(self.unary_expr())
 
     def unary_expr(self) -> tuple[Formula, int]:
         # Every nested sub-expression passes through here: a bracket, an
@@ -231,7 +253,7 @@ class _Parser:
             if tok.kind == "!":
                 self.advance()
                 prop = self.peek()
-                if prop.kind != "ident" or prop.text in self.keywords:
+                if prop.kind != "ident" or prop.text in self.syntax.keywords:
                     raise ParseError(
                         "negation `!` applies only to propositions "
                         "(formulas are in negation normal form)",
@@ -239,28 +261,22 @@ class _Parser:
                     )
                 self.advance()
                 return NegProp(prop.text), 1
-            if self.mode == "ltl" and tok.kind == "ident":
-                if tok.text == "X":
+            if tok.kind == "ident":
+                syntax, word = self.syntax, tok.text
+                if word in syntax.prefix:
                     self.advance()
                     phi, depth = self.unary_expr()
-                    return self.node(Next(phi), depth)
-                if tok.text in ("F", "G"):
+                    return self.node(syntax.prefix[word](phi), depth)
+                if word in syntax.shorthands:
+                    # F, G and their CTL forms put TOP or BOT beside the operand.
                     self.advance()
-                    return self.shorthand(tok.text, self.unary_expr())
-            if self.mode == "ctl" and tok.kind == "ident":
-                if tok.text in ("EX", "AX"):
-                    self.advance()
+                    kind, constant = SHORTHANDS[word]
                     phi, depth = self.unary_expr()
-                    return self.node(EX(phi) if tok.text == "EX" else AX(phi), depth)
-                if tok.text in ("EF", "AF", "EG", "AG"):
-                    self.advance()
-                    return self.shorthand(tok.text, self.unary_expr())
-                if tok.text in ("E", "A"):
-                    return self.bracketed_path(tok.text)
-                if tok.text in ("X", "F", "G", "U", "R"):
-                    raise ParseError(
-                        f"bare {tok.text} without path quantifier", tok.span
-                    )
+                    return self.node(kind(constant, phi), _CONSTANT_DEPTH, depth)
+                if word in syntax.quantifiers:
+                    return self.bracketed_path(word)
+                if word in syntax.bare:
+                    raise ParseError(f"bare {word} without path quantifier", tok.span)
             return self.primary()
         finally:
             self.nesting -= 1
@@ -270,15 +286,12 @@ class _Parser:
         self.expect("[")
         left, left_depth = self.expr()
         op = self.peek()
-        if not self.at_keyword("U", "R"):
+        kind = self.syntax.paths.get((quantifier, op.text))
+        if kind is None:
             raise ParseError("expected U or R inside path brackets", op.span)
         self.advance()
         right, right_depth = self.expr()
         self.expect("]")
-        if quantifier == "E":
-            kind = EU if op.text == "U" else ER
-        else:
-            kind = AU if op.text == "U" else AR
         return self.node(kind(left, right), left_depth, right_depth)
 
     def primary(self) -> tuple[Formula, int]:
@@ -289,17 +302,12 @@ class _Parser:
             self.expect(")")
             return phi
         if tok.kind == "ident":
-            if tok.text == "TOP":
+            if tok.text in _CONSTANTS:
                 self.advance()
-                return top(), _CONSTANT_DEPTH
-            if tok.text == "BOT":
-                self.advance()
-                return bot(), _CONSTANT_DEPTH
-            if tok.text in ("dep", "inc"):
-                return self.builtin_atom(tok.text)
-            if tok.text in self.atoms:
-                return self.registered_atom(self.atoms[tok.text])
-            if tok.text in self.keywords:
+                return _CONSTANTS[tok.text], _CONSTANT_DEPTH
+            if tok.text in ("dep", "inc") or tok.text in self.atoms:
+                return self.atom(tok.text)
+            if tok.text in self.syntax.keywords:
                 raise ParseError(f"unexpected keyword {tok.text!r}", tok.span)
             self.advance()
             return Prop(tok.text), 1
@@ -307,10 +315,13 @@ class _Parser:
             f"expected a formula, found {tok.text or 'end of input'!r}", tok.span
         )
 
-    def builtin_atom(self, name: str) -> tuple[Formula, int]:
+    def atom(self, name: str) -> tuple[Formula, int]:
         start = self.advance()
         self.expect("(")
-        first, second = self.param_lists()
+        first, second = self.param_list(), None
+        if self.peek().kind == ";":
+            self.advance()
+            second = self.param_list()
         self.expect(")")
         if name == "dep":
             if second is None:
@@ -319,45 +330,31 @@ class _Parser:
             if not second:
                 raise ParseError("dep needs at least one determined parameter", start.span)
             atom = dependence_atom(len(first), len(second))
-        else:
+        elif name == "inc":
             if second is None or len(first) != len(second):
                 raise ParseError(
                     "inc needs two parameter lists of equal length", start.span
                 )
             atom = inclusion_atom(len(first))
-        return self.atom(atom, first + second)
-
-    def param_lists(self) -> tuple[list[tuple[Formula, int]], list[tuple[Formula, int]] | None]:
-        first = [self.expr()]
-        while self.peek().kind == ",":
-            self.advance()
-            first.append(self.expr())
-        if self.peek().kind != ";":
-            return first, None
-        self.advance()
-        second = [self.expr()]
-        while self.peek().kind == ",":
-            self.advance()
-            second.append(self.expr())
-        return first, second
-
-    def registered_atom(self, atom: GenAtomDef) -> tuple[Formula, int]:
-        start = self.advance()
-        self.expect("(")
-        first, second = self.param_lists()
+        else:
+            atom = self.atoms[name]
+            given = len(first) + len(second or ())
+            if given != atom.arity:
+                raise ParseError(
+                    f"atom {atom.name} expects {atom.arity} parameters, got {given}",
+                    start.span,
+                )
         params = first + (second or [])
-        self.expect(")")
-        if len(params) != atom.arity:
-            raise ParseError(
-                f"atom {atom.name} expects {atom.arity} parameters, got {len(params)}",
-                start.span,
-            )
-        return self.atom(atom, params)
-
-    def atom(self, atom: GenAtomDef, params: list[tuple[Formula, int]]) -> tuple[Formula, int]:
         return self.node(
             GenAtomApp(atom, tuple(phi for phi, _ in params)), *(depth for _, depth in params)
         )
+
+    def param_list(self) -> list[tuple[Formula, int]]:
+        params = [self.expr()]
+        while self.peek().kind == ",":
+            self.advance()
+            params.append(self.expr())
+        return params
 
 
 def _parse(text: str, mode: str, atoms: Mapping[str, GenAtomDef] | None) -> Formula:
@@ -376,21 +373,10 @@ def parse_ctl(text: str, atoms: Mapping[str, GenAtomDef] | None = None) -> Formu
 # Rendering
 
 
-_TOP = top()
-_BOT = bot()
-
-
-def _binary(phi: Formula):
-    """(operator text, precedence) for infix nodes, else None."""
-    if isinstance(phi, (Until, Release)):
-        return ("U" if isinstance(phi, Until) else "R", 1)
-    if isinstance(phi, Split):
-        return ("|", 2)
-    if isinstance(phi, BoolOr):
-        return ("\\|/", 3)
-    if isinstance(phi, And):
-        return ("&", 4)
-    return None
+# The syntax tables backwards, by node class.
+_PREFIX_WORDS = {kind: word for syn in _SYNTAX.values() for word, kind in syn.prefix.items()}
+_PATH_WORDS = {kind: words for syn in _SYNTAX.values() for words, kind in syn.paths.items()}
+_FOLDS = {kind: (name, constant) for name, (kind, constant) in SHORTHANDS.items()}
 
 
 def render(phi: Formula) -> str:
@@ -406,37 +392,22 @@ def render(phi: Formula) -> str:
 
 
 def _render(phi: Formula, parent_prec: int, tail: bool) -> str:
+    # The constants are found by equality, not by hashing: a hash would
+    # walk the whole subtree at every node.
     if phi == _TOP:
         return "TOP"
     if phi == _BOT:
         return "BOT"
-    if isinstance(phi, Prop):
+    kind = type(phi)
+    if kind is Prop:
         return phi.name
-    if isinstance(phi, NegProp):
+    if kind is NegProp:
         return f"!{phi.name}"
-    if isinstance(phi, CNeg):
+    if kind is CNeg:
         inner = _render(phi.child, 0, tail=True)
         # In CTL the path-operator keywords already stop the greedy `~`.
-        if tail:
-            return f"~{inner}"
-        return f"(~{inner})"
-    shorthand = _shorthand_name(phi)
-    if shorthand is not None:
-        name, child = shorthand
-        return f"{name} {_render(child, 5, tail)}"
-    if isinstance(phi, Next):
-        return f"X {_render(phi.child, 5, tail)}"
-    if isinstance(phi, EX):
-        return f"EX {_render(phi.child, 5, tail)}"
-    if isinstance(phi, AX):
-        return f"AX {_render(phi.child, 5, tail)}"
-    if isinstance(phi, (EU, AU, ER, AR)):
-        quantifier = "E" if isinstance(phi, (EU, ER)) else "A"
-        op = "U" if isinstance(phi, (EU, AU)) else "R"
-        left = _render(phi.left, 0, tail=True)
-        right = _render(phi.right, 0, tail=True)
-        return f"{quantifier}[{left} {op} {right}]"
-    if isinstance(phi, GenAtomApp):
+        return f"~{inner}" if tail else f"(~{inner})"
+    if kind is GenAtomApp:
         sep = phi.atom.sep
         parts = [_render(p, 0, tail=True) for p in phi.params]
         if sep is None:
@@ -446,34 +417,27 @@ def _render(phi: Formula, parent_prec: int, tail: bool) -> str:
             if sep == 0:
                 inner = inner[2:]  # constancy: no leading "; "
         return f"{phi.atom.name}({inner})"
-    binary = _binary(phi)
-    if binary is not None:
-        op, prec = binary
-        parenthesize = prec < parent_prec
-        child_tail = tail and not parenthesize
-        if op in ("U", "R"):
-            # Right-associative: the left operand must bind tighter.
-            left = _render(phi.left, prec + 1, tail=False)
-            right = _render(phi.right, prec, child_tail or parenthesize)
-        else:
-            left = _render(phi.left, prec, tail=False)
-            right = _render(phi.right, prec + 1, child_tail or parenthesize)
-        text = f"{left} {op} {right}"
-        return f"({text})" if parenthesize else text
-    raise ValueError(f"cannot render {type(phi).__name__}")
-
-
-def _shorthand_name(phi: Formula):
-    if isinstance(phi, Until) and phi.left == _TOP:
-        return ("F", phi.right)
-    if isinstance(phi, Release) and phi.left == _BOT:
-        return ("G", phi.right)
-    if isinstance(phi, EU) and phi.left == _TOP:
-        return ("EF", phi.right)
-    if isinstance(phi, AU) and phi.left == _TOP:
-        return ("AF", phi.right)
-    if isinstance(phi, ER) and phi.left == _BOT:
-        return ("EG", phi.right)
-    if isinstance(phi, AR) and phi.left == _BOT:
-        return ("AG", phi.right)
-    return None
+    fold = _FOLDS.get(kind)
+    if fold is not None and phi.left == fold[1]:
+        return f"{fold[0]} {_render(phi.right, _PREFIX, tail)}"
+    if kind in _PREFIX_WORDS:
+        return f"{_PREFIX_WORDS[kind]} {_render(phi.child, _PREFIX, tail)}"
+    if kind in _PATH_WORDS:
+        quantifier, op = _PATH_WORDS[kind]
+        left = _render(phi.left, 0, tail=True)
+        right = _render(phi.right, 0, tail=True)
+        return f"{quantifier}[{left} {op} {right}]"
+    if kind not in _INFIX:
+        raise ValueError(f"cannot render {kind.__name__}")
+    op, prec = _INFIX[kind]
+    parenthesize = prec < parent_prec
+    right_tail = tail or parenthesize
+    # The operand on the side an operator does not group to must bind tighter.
+    if prec == _RIGHT:
+        left = _render(phi.left, prec + 1, tail=False)
+        right = _render(phi.right, prec, right_tail)
+    else:
+        left = _render(phi.left, prec, tail=False)
+        right = _render(phi.right, prec + 1, right_tail)
+    text = f"{left} {op} {right}"
+    return f"({text})" if parenthesize else text

@@ -106,13 +106,17 @@ def trace_sort_key(t: LassoTrace):
 
 @dataclass(frozen=True)
 class TeamEncoding:
-    """A finite team of traces; members are stored in canonical form."""
+    """A finite team of traces; members are stored in canonical form,
+    however the team is built."""
 
     traces: frozenset[LassoTrace]
 
+    def __post_init__(self):
+        object.__setattr__(self, "traces", frozenset(map(canonicalize, self.traces)))
+
     @staticmethod
     def of(traces: Iterable[LassoTrace]) -> "TeamEncoding":
-        return TeamEncoding(frozenset(canonicalize(t) for t in traces))
+        return TeamEncoding(frozenset(traces))
 
     def __iter__(self):
         return iter(sorted(self.traces, key=trace_sort_key))

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -64,6 +65,22 @@ class TestCheckPath:
         assert result.exit_code == 0
         assert "split:" in result.output
 
+    def test_explain_split_over_the_cap_exit_3(self, runner, tmp_path):
+        # The check answers at once; --explain would try 2^22 partitions.
+        doc = {"traces": [
+            {"prefix": [[f"{side}{i:02}"]], "loop": [[loop]]}
+            for side, loop in (("a", "q"), ("z", "p")) for i in range(11)
+        ]}
+        team_file = tmp_path / "t.json"
+        team_file.write_text(json.dumps(doc))
+        args = ["check-path", str(team_file), "F p | F q"]
+        assert runner.invoke(main, args).exit_code == 0
+        start = time.perf_counter()
+        result = runner.invoke(main, [*args, "--explain"])
+        assert time.perf_counter() - start < 5
+        assert result.exit_code == 3
+        assert "split over 22 traces" in result.stderr
+
     def test_too_deep_formula_exit_2(self, runner, workspace):
         for depth in (500, 3000):
             result = runner.invoke(
@@ -106,6 +123,17 @@ class TestCheckPath:
             ["check-path", str(team_file), "(~p0) | (~p1)", "--max-team", "2"],
         )
         assert result.exit_code == 3
+
+    def test_environment_sets_no_flag(self, runner, tmp_path):
+        doc = {"traces": [{"prefix": [[f"p{i}"]], "loop": [[]]} for i in range(2)]}
+        team_file = tmp_path / "t.json"
+        team_file.write_text(json.dumps(doc))
+        args = ["check-path", str(team_file), "(~p0) | (~p1)"]
+        plain = runner.invoke(main, args)
+        assert plain.exit_code == 0
+        env = {"TEAMTL_CHECK_PATH_MAX_TEAM": "0", "TEAMTL_CHECK_PATH_EXPLAIN": "1"}
+        with_env = runner.invoke(main, args, env=env)
+        assert (with_env.exit_code, with_env.output) == (plain.exit_code, plain.output)
 
 
 @pytest.mark.parametrize("patched,args", [

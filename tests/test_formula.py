@@ -9,9 +9,14 @@ from teamtl.errors import ResourceCapError, UnsupportedNodeError
 from teamtl.eval_team_ctl import mc_ctl
 from teamtl.eval_team_ltl import check_team
 from teamtl.formula import (
+    AR,
     AU,
+    AX,
+    EX,
+    SHORTHANDS,
     And,
     BoolOr,
+    Binary,
     CNeg,
     ER,
     EU,
@@ -23,6 +28,7 @@ from teamtl.formula import (
     Prop,
     Release,
     Split,
+    Unary,
     Until,
     MAX_DEPTH,
     bot,
@@ -52,6 +58,35 @@ def test_nodes_are_hashable_and_structural():
     assert And(p, q) == And(Prop("p"), Prop("q"))
     assert And(p, q) != And(q, p)
     assert len({Split(p, q), Split(p, q)}) == 1
+
+
+CONNECTIVES = [And, Split, BoolOr, CNeg, Next, Until, Release, EX, AX, EU, AU, ER, AR]
+
+
+@pytest.mark.parametrize("cls", CONNECTIVES, ids=lambda c: c.__name__)
+def test_connectives_inherit_a_frozen_dataclass(cls):
+    # A connective adds no field: it takes its fields, equality, hash and
+    # repr from Unary or Binary, and equality still tells the classes apart.
+    assert "__dataclass_fields__" not in vars(cls)
+    base, kids, names = (Unary, (p,), ("child",)) if issubclass(cls, Unary) \
+        else (Binary, (p, q), ("left", "right"))
+    phi = cls(*kids)
+    assert children(phi) == kids
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(phi, name, r)
+    assert repr(phi).startswith(f"{cls.__name__}(")
+    assert hash(phi) == hash(cls(*kids))
+    assert all(phi != other(*kids) for other in CONNECTIVES
+               if other is not cls and issubclass(other, base))
+
+
+def test_shorthand_table():
+    for name, (kind, constant) in SHORTHANDS.items():
+        assert issubclass(kind, Binary)
+        assert constant == (top() if name.endswith("F") else bot())
+        assert expand_shorthand(name, [p]) == kind(constant, p)
+    assert expand_shorthand("AG", [p]) == AR(bot(), p)
 
 
 def test_shorthand_expansions():

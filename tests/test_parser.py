@@ -4,10 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from teamtl.formula import (
+    AR,
     AU,
+    AX,
     And,
     BoolOr,
     CNeg,
+    ER,
     EU,
     EX,
     GenAtomApp,
@@ -18,6 +21,8 @@ from teamtl.formula import (
     Split,
     Until,
     bot,
+    dependence_atom,
+    inclusion_atom,
     top,
 )
 from teamtl.errors import ResourceCapError
@@ -29,6 +34,7 @@ from teamtl.eval_classical import (
 from teamtl.eval_team_ctl import mc_ctl, mc_ctl_bruteforce
 from teamtl.eval_team_ltl import check_team
 from teamtl.kripke import KripkeStructure, MultiTeam
+from teamtl.qbf import QbfInstance, reduce_to_tmc_ctl
 from teamtl.parser import MAX_DEPTH, ParseError, parse_ctl, parse_ltl, render
 from teamtl.selftest import random_ctl_formula, random_ltl_formula
 from teamtl.trace import LassoTrace, TeamEncoding
@@ -217,3 +223,63 @@ def test_ctl_round_trip(seed):
         allow_cneg=True, allow_boolor=True, allow_atoms=True,
     )
     assert parse_ctl(render(phi)) == phi
+
+
+def _tmc_ctl_goal():
+    clause = (("x", True), ("y", False), ("x", False))
+    return reduce_to_tmc_ctl(QbfInstance(("e", "a"), ("x", "y"), (clause,)))[2]
+
+
+# Text pinned literally, so that a change to how any operator is written
+# shows here and not only as a change to the benchmark's formula pools.
+RENDERED_LTL = [
+    (Until(top(), p), "F p"),
+    (Release(bot(), p), "G p"),
+    (Next(p), "X p"),
+    (Until(bot(), p), "BOT U p"),
+    (Release(top(), p), "TOP R p"),
+    (Until(top(), And(p, q)), "F (p & q)"),
+    (Release(p, Until(q, r)), "p R q U r"),
+    (Until(Until(p, q), r), "(p U q) U r"),
+    (And(Split(p, q), BoolOr(p, NegProp("q"))), "(p | q) & (p \\|/ !q)"),
+    (Split(CNeg(p), q), "(~p) | q"),
+    (Split(p, CNeg(q)), "p | ~q"),
+    (CNeg(Until(p, q)), "~p U q"),
+    (And(Next(CNeg(p)), q), "X (~p) & q"),
+    (Next(Until(top(), CNeg(p))), "X F ~p"),
+    (GenAtomApp(dependence_atom(1, 1), (p, q)), "dep(p; q)"),
+    (GenAtomApp(dependence_atom(0, 1), (Next(p),)), "dep(X p)"),
+    (GenAtomApp(inclusion_atom(2), (p, q, Until(top(), r), NegProp("p"))),
+     "inc(p, q; F r, !p)"),
+    (Split(GenAtomApp(dependence_atom(1, 1), (p, q)), CNeg(top())), "dep(p; q) | ~TOP"),
+]
+RENDERED_CTL = [
+    (EX(p), "EX p"),
+    (AX(p), "AX p"),
+    (EU(top(), p), "EF p"),
+    (AU(top(), p), "AF p"),
+    (ER(bot(), p), "EG p"),
+    (AR(bot(), p), "AG p"),
+    (EU(p, q), "E[p U q]"),
+    (AU(p, q), "A[p U q]"),
+    (ER(p, q), "E[p R q]"),
+    (AR(p, q), "A[p R q]"),
+    (ER(top(), p), "E[TOP R p]"),
+    (EU(CNeg(p), CNeg(q)), "E[~p U ~q]"),
+    (And(CNeg(EX(p)), q), "(~EX p) & q"),
+    (BoolOr(AR(bot(), Split(p, q)), AX(CNeg(q))), "AG (p | q) \\|/ AX ~q"),
+    (GenAtomApp(inclusion_atom(1), (p, And(q, r))), "inc(p; q & r)"),
+    (_tmc_ctl_goal(), "EX AX AX EX (EF x & EF y)"),
+]
+
+
+@pytest.mark.parametrize("phi,text", RENDERED_LTL, ids=[t for _, t in RENDERED_LTL])
+def test_render_ltl_text_is_pinned(phi, text):
+    assert render(phi) == text
+    assert parse_ltl(text) == phi
+
+
+@pytest.mark.parametrize("phi,text", RENDERED_CTL, ids=[t for _, t in RENDERED_CTL])
+def test_render_ctl_text_is_pinned(phi, text):
+    assert render(phi) == text
+    assert parse_ctl(text) == phi

@@ -97,6 +97,14 @@ def test_team_deduplicates_by_denotation():
     assert len(team) == 1
 
 
+def test_team_built_directly_is_canonical():
+    a, b = frozenset("a"), frozenset("b")
+    assert TeamEncoding(frozenset({LassoTrace((), (a, a))})) == \
+        TeamEncoding.of([LassoTrace((), (a,))])
+    team = TeamEncoding(frozenset({LassoTrace((a,), (b, a)), LassoTrace((), (a, b))}))
+    assert team.traces == {LassoTrace((), (a, b))}
+
+
 @given(st.lists(traces, max_size=3))
 def test_suffix_team_is_periodic_after_prefix(ts):
     team = TeamEncoding.of(ts)
