@@ -20,7 +20,7 @@ from .eval_classical import (
     check_ltl_classical,
     check_ltl_classical_extended,
 )
-from .eval_team_ctl import CtlLimits, mc_ctl, mc_ctl_bruteforce
+from .eval_team_ctl import CtlLimits, from_index_zero, mc_ctl, mc_ctl_bruteforce
 from .eval_team_ltl import DEFAULT_MAX_TEAM, check_team, naive_oracle
 from .files import (
     FileFormatError,

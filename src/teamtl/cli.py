@@ -21,7 +21,7 @@ from .errors import (
     ResourceCapError,
     TeamTLError,
 )
-from .eval_team_ctl import CtlLimits, mc_ctl
+from .eval_team_ctl import CtlLimits, from_index_zero, mc_ctl
 from .eval_team_ltl import DEFAULT_MAX_TEAM, check_team, naive_oracle
 from .formula import And, Formula, Next, Split, Until
 from .kripke import MultiTeam, enumerate_traces
@@ -175,10 +175,10 @@ def check_path(team_file, formula, max_team, explain, oracle):
               default=DEFAULT_MAX_SUBSETS, show_default=True,
               help="In splitfree mode, cap on the successor sets the check "
                    "actually steps.")
-@click.option("--until-from-one", is_flag=True,
+@click.option("--until-from-one", "from_one", is_flag=True,
               help="In ctl mode, make until ignore the current team.")
 def check_model(kripke_file, formula, mode, team_arg, max_team, max_subsets,
-                until_from_one):
+                from_one):
     """Check the trace team (LTL modes) or a multiset team (ctl mode) of
     the structure in KRIPKE_FILE against FORMULA."""
     with _exit_codes():
@@ -188,11 +188,9 @@ def check_model(kripke_file, formula, mode, team_arg, max_team, max_subsets,
                 _fail(EXIT_INPUT, "ctl mode requires --team")
             phi = parse_ctl(_read_formula(formula))
             team = MultiTeam.of(team_arg.split(","))
-            limits = CtlLimits(
-                max_team=len(team),
-                max_worlds=len(k.worlds),
-                until_from_one=until_from_one,
-            )
+            if from_one:
+                phi = from_index_zero(phi)
+            limits = CtlLimits(max_team=len(team), max_worlds=len(k.worlds))
             sat = mc_ctl(k, team, phi, limits=limits)
         elif mode == "ltl-splitfree":
             phi = parse_ltl(_read_formula(formula))

@@ -6,8 +6,8 @@ therefore become searches over the graph whose nodes are the reachable
 multisets — which, up to permutation of indices, is finite — instead of
 quantification over infinite per-member path assignments.  There are
 C(|W|+|T|-1, |T|) distinct multisets of size |T| over the worlds W, so a
-long enough evolution revisits one and can be pumped; the searches below
-use exactly that cutoff.
+long enough evolution revisits one and can be pumped; the searches use
+exactly that cutoff.
 
 Each call compiles the structure and the formula once.  Worlds are the
 ints of the structure's own numbering (``k.index`` and ``k.succ_ids``,
@@ -25,20 +25,24 @@ further on in the world order (the chains of the QBF gadgets) form shift
 classes, and all members in one class step at once: one mask and one
 shift of the key.
 
-The formula is compiled by the shared core, `formula.Compiled`; here a
-flat node's ``fails`` mask holds the digits of the worlds falsifying it,
-so a flat node holds on a team iff its key misses ``fails``, which needs
-no memo and no split enumeration.  Beyond literals and ``&`` and ``|``
-over flat nodes, flat are ``EX``/``AX`` over a flat node, ``E[φ R ψ]``
-over flat nodes where no world satisfies φ ∧ ψ (such as ``EG``), and
-``AG`` over a flat node.  Each is pointwise because the members of a
-team step independently: a successor team satisfies a flat node iff
-each member's chosen successor does, so ``EX`` asks every member for one
-good successor and ``AX`` for good successors only, and a synchronous
-path of teams avoiding ``fails(ψ)`` is just one such path per member,
-which makes ``EG``/``AG`` the classical greatest fixpoints.  A pre-image of a
-digit mask takes one shift of the mask per distinct edge offset in the
-world order (`_pre_image`).
+The formula is compiled and decided by the shared core,
+`formula.Compiled`, which also decides team LTL: the ``temporal`` table
+declares each operator with its path quantifier, and ``successors``
+gives a team's successor multisets.  Here a flat node's ``fails`` mask
+holds the digits of the worlds falsifying it, so a flat node holds on a
+team iff its key misses ``fails``, which needs no memo and no split
+enumeration.  Beyond literals and ``&`` and ``|`` over flat nodes, flat
+are ``EX``/``AX`` over a flat node, ``E[φ R ψ]`` and ``A[φ R ψ]`` over
+flat nodes where no world satisfies φ ∧ ψ (such as ``EG`` and ``AG``),
+and ``E[φ U ψ]`` and ``A[φ U ψ]`` where no world satisfies ψ.  Each is
+pointwise because the members of a team step independently: a successor
+team satisfies a flat node iff each member's chosen successor does, so
+``EX`` asks every member for one good successor and ``AX`` for good
+successors only, and a synchronous path of teams avoiding ``fails(ψ)``
+is just one such path per member, which makes ``EG``/``AG`` the
+classical greatest fixpoints.  A pre-image of a digit mask takes one
+shift of the mask per distinct edge offset in the world order
+(`_pre_image`).
 
 ``E[φ U ψ]`` and ``E[φ R ψ]`` over flat nodes are not pointwise, since φ
 or ψ must hold on the whole team at one common step: in
@@ -51,24 +55,25 @@ worlds lie inside Rₙ, where R₀ holds the ψ-worlds and Rₙ₊₁ the φ-wor
 with a successor in Rₙ.  ``E[φ R ψ]`` is the ``EG ψ`` mask and the same
 sequence from the φ ∧ ψ-worlds through ψ-worlds.  The shared core builds
 these unions, by the rule that also decides team LTL Until and Release
-(`formula._until_masks`); this module supplies the pre-images, the
-cutoff and the searches.  The masks are found only as far as a check
-reads them; a node whose sequence has not closed after |W|² + 1 sets
-decides by the search below for the rest of the call.  ``&`` over such
-nodes and flat nodes is one node, so the QBF gadgets' conjunction of
-``EF`` goals is one memoised test per team.
+(`formula._until_masks`); this module supplies the pre-images and the
+cutoff.  The masks are found only as far as a check reads them; a node
+whose sequence has not closed after |W|² + 1 sets decides by a search
+for the rest of the call.  ``&`` over such nodes and flat nodes is one
+node, so the QBF gadgets' conjunction of ``EF`` goals is one memoised
+test per team.
 
 ``A[φ U ψ]`` and ``A[φ R ψ]``, and ``E[φ U ψ]`` and ``E[φ R ψ]`` over
-operands that are not flat, are searches over the successor-multiset
-graph, two of them, as Release is the dual of Until: ``EU`` and ``AR``
-are decided by a finite path, found or not by a depth-first search, and
-``AU`` and ``ER`` by one depth-first search over the teams a path may
-stay in, which fails at a cycle among them.
+operands that are not flat, are the shared core's searches over the
+successor-multiset graph, two of them, as Release is the dual of Until:
+``EU`` and ``AR`` are decided by a finite path, found or not by a
+depth-first search, and ``AU`` and ``ER`` by one depth-first search over
+the teams a path may stay in, which fails at a cycle among them.
 A generalised atom's rows come from its parameters, literals, ``&``,
 ``|`` and ``\\|/``, checked on the one-member team of each copy.
 
-Reading Until and Release from index 1 is a rewrite of the formula,
-`_from_index_zero`, after which every operator is decided as above.
+Reading Until and Release from index 1 is a rewrite of the formula that
+callers apply, `from_index_zero`, after which every operator is decided
+as above.
 
 ``mc_ctl_bruteforce`` is the independent oracle: a bounded-unrolling
 evaluator that enumerates per-member successor functions explicitly.
@@ -79,7 +84,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import ResourceCapError, UnsupportedNodeError
 from .eval_classical import prop_sat
@@ -99,7 +104,6 @@ from .formula import (
     NegProp,
     Prop,
     Split,
-    _least_fixpoint,
     _pre_image,
     check_depth,
     children,
@@ -115,20 +119,25 @@ TeamKey = tuple[str, ...]
 class CtlLimits:
     max_team: int = 6
     max_worlds: int = 12
-    until_from_one: bool = False
 
 
-def _from_index_zero(phi: Formula) -> Formula:
+def from_index_zero(phi: Formula) -> Formula:
     """The until-from-one reading of ``phi`` in the ordinary one: a path
     satisfies E/A[φ U ψ] or E/A[φ R ψ] from index 1 iff its tail from the
     next team satisfies it from index 0, so E₁[φ U ψ] ≡ EX E[φ U ψ] and
-    A₁[φ U ψ] ≡ AX A[φ U ψ], applied to every U and R node."""
-    node = rebuild(phi, map(_from_index_zero, children(phi)))
-    if isinstance(node, (EU, ER)):
-        return EX(node)
-    if isinstance(node, (AU, AR)):
-        return AX(node)
-    return node
+    A₁[φ U ψ] ≡ AX A[φ U ψ], applied to every U and R node.  Raises
+    `ResourceCapError` when ``phi`` is nested deeper than
+    `formula.MAX_DEPTH`."""
+
+    def rewrite(phi: Formula) -> Formula:
+        node = rebuild(phi, map(rewrite, children(phi)))
+        if isinstance(node, (EU, ER)):
+            return EX(node)
+        if isinstance(node, (AU, AR)):
+            return AX(node)
+        return node
+
+    return rewrite(check_depth(phi))
 
 
 class _CtlEval(Compiled):
@@ -147,19 +156,20 @@ class _CtlEval(Compiled):
     falsifying it; ``pre_some`` and ``pre_all`` map such a digit mask to
     its existential and universal pre-image, and ``cutoff`` is the number
     of sets an E-Until or E-Release sequence may step before its node
-    gives way to the search.
+    gives way to the search.  The core decides every temporal class of
+    ``temporal`` by its path quantifier, over ``successors``.
     """
 
     logic = "team CTL"
     param_nodes = (Prop, NegProp, And, Split, BoolOr)
-    until, release = EU, ER
+    temporal = {
+        EX: ("X", "E"), AX: ("X", "A"),
+        EU: ("U", "E"), AU: ("U", "A"),
+        ER: ("R", "E"), AR: ("R", "A"),
+    }
 
     def __init__(self, k: KripkeStructure, team_size: int):
-        super().__init__({
-            EX: _CtlEval._step, AX: _CtlEval._step,
-            EU: _CtlEval._path, AR: _CtlEval._path,
-            AU: _CtlEval._region, ER: _CtlEval._region,
-        })
+        super().__init__()
         self.structure = k
         n = len(k.worlds)
         width = self.width = max(team_size.bit_length(), 1)
@@ -301,24 +311,7 @@ class _CtlEval(Compiled):
         outside it."""
         return self.full ^ self.pre_some(self.full ^ mask)
 
-    def temporal_fails(self, kind: type, masks: list[int]) -> int | None:
-        # EX fails where every successor fails, AX where one does.
-        if kind is EX:
-            return self.pre_all(masks[0])
-        if kind is AX:
-            return self.pre_some(masks[0])
-        # A[⊥ R ψ] is AG ψ: it fails where ψ fails or, from there on, where
-        # some successor fails.
-        if kind is AR and masks[0] == self.full:
-            return _least_fixpoint(masks[1], self.pre_some)
-        return None
-
     # -- evaluating --------------------------------------------------------
-
-    def _step(self, key: int, node: int) -> bool:
-        quantifier = any if self.kinds[node] is EX else all
-        child = self.args[node][0]
-        return quantifier(self.check(s, child) for s in self.successors(key))
 
     def singletons(self, key: int):
         for w, count in self.members(key):
@@ -354,61 +347,6 @@ class _CtlEval(Compiled):
                 return True
         return False
 
-    # -- temporal searches over the successor-multiset graph --------------
-
-    # Release is the dual of Until, so each search serves one of each:
-    # with ``until`` false it is the Until search for ¬φ and ¬ψ, its
-    # verdict negated.
-
-    def _path(self, key: int, node: int) -> bool:
-        """E[φ U ψ], or A[φ R ψ]: a depth-first search for a path of φ
-        teams to a ψ team, or of ¬φ teams to a ¬ψ team."""
-        inv, tgt = self.args[node]
-        until = self.kinds[node] is EU
-        stack = [key]
-        visited = {key}
-        while stack:
-            key = stack.pop()
-            if self.check(key, tgt) == until:
-                return until
-            if self.check(key, inv) != until:
-                continue
-            for s in self.successors(key):
-                if s not in visited:
-                    visited.add(s)
-                    stack.append(s)
-        return not until
-
-    def _region(self, key: int, node: int) -> bool:
-        """A[φ U ψ], or E[φ R ψ]: a depth-first search over the teams
-        reached before ψ, which fails where φ fails on one of them, or
-        where a successor is still on the search stack: that closes a
-        cycle of them, a path that never meets ψ.  For E[φ R ψ] read ¬φ
-        and ¬ψ."""
-        inv, tgt = self.args[node]
-        until = self.kinds[node] is AU
-        seen: set[int] = set()
-        # The search stack, in order: each team on it, with its successors
-        # still to try.
-        stack: dict[int, Iterator[int]] = {}
-        pending: Iterator[int] = iter((key,))
-        while True:
-            for s in pending:
-                if s in stack:
-                    return not until
-                if s in seen or self.check(s, tgt) == until:
-                    continue
-                if self.check(s, inv) != until:
-                    return not until
-                seen.add(s)
-                pending = stack[s] = iter(self.successors(s))
-                break
-            else:
-                if len(stack) <= 1:
-                    return until
-                stack.popitem()
-                pending = stack[next(reversed(stack))]
-
 
 def mc_ctl(
     k: KripkeStructure,
@@ -417,9 +355,8 @@ def mc_ctl(
     *,
     limits: CtlLimits | None = None,
 ) -> bool:
-    """Team satisfaction of a CTL formula on a multiset team.
-    ``limits.until_from_one`` reads Until and Release from index 1, by
-    rewriting ``phi`` with `_from_index_zero`."""
+    """Team satisfaction of a CTL formula on a multiset team.  To read
+    Until and Release from index 1, pass `from_index_zero` of ``phi``."""
     limits = limits or CtlLimits()
     if len(team) > limits.max_team:
         raise ResourceCapError(
@@ -432,8 +369,6 @@ def mc_ctl(
     evaluator = _CtlEval(k, len(team))
     key = evaluator.encode(team.worlds)
     check_depth(phi)
-    if limits.until_from_one:
-        phi = _from_index_zero(phi)
     return evaluator.check(key, evaluator.compile(phi))
 
 

@@ -14,25 +14,30 @@ equal merge by themselves.  The formula is compiled by the shared core,
 generalised atom's rows come from its parameters checked on one-state
 teams, which are pure LTL formulas.
 
-Every state has one successor, so the members of a team step
-independently, and ``X`` over a flat node is flat: it fails on the
-pre-image of the child's mask, one shift per distinct successor offset
-in the state order.  Until and Release over flat operands are unions of
-flat masks, decided by the shared core: φ U ψ holds iff for one n every
-member reaches ψ through n φ-states, that is iff the team misses
-``full ^ Rₙ``, where R₀ holds the ψ-states and Rₙ₊₁ the φ-states whose
-successor is in Rₙ; φ R ψ adds the ``G ψ`` mask to the same sequence
-from φ ∧ ψ through ψ.  The masks are found only as far as a check reads
-them, and a node whose sequence is still open after |S| + 1 sets, for
-S the interned states, is walked for the rest of the call.
+A team has one successor team, its suffix team (``successors``), so
+``X``, ``U`` and ``R`` are TeamCTL's rules on a graph where every team
+has one successor: the ``temporal`` table declares them without a path
+quantifier, and the shared core decides them.  Every state has one
+successor, so the members of a team step independently, and ``X`` over
+a flat node is flat: it fails on the pre-image of the child's mask, one
+shift per distinct successor offset in the state order.  Until and
+Release over flat operands are unions of flat masks: φ U ψ holds iff
+for one n every member reaches ψ through n φ-states, that is iff the
+team misses ``full ^ Rₙ``, where R₀ holds the ψ-states and Rₙ₊₁ the
+φ-states whose successor is in Rₙ; φ R ψ adds the ``G ψ`` mask to the
+same sequence from φ ∧ ψ through ψ.  The masks are found only as far as
+a check reads them, and a node whose sequence is still open after
+|S| + 1 sets, for S the interned states, is searched for the rest of
+the call.
 
 Temporal witnesses: the suffix teams T, T[1,∞), T[2,∞), ... form a
 deterministic sequence, periodic from prfx(T) on with a period dividing
-lcm(T).  Until and Release over other operands walk it lazily and stop
-at the first verdict or at the first repeated team, so the prfx(T) +
-lcm(T) teams of the whole horizon are built only when the formula needs
-them.  By the expansion laws every team on a walk has the walk's
-verdict, so nested temporal operators reuse it.
+lcm(T).  Until and Release over other operands search it as the
+one-successor case of the TeamCTL path search (`formula.Compiled._path`),
+lazily, and stop at the first verdict or at the first repeated team, so
+the prfx(T) + lcm(T) teams of the whole horizon are built only when the
+formula needs them.  By the expansion laws every team passed has the
+search's verdict, so nested temporal operators reuse it.
 
 Splitjunctions are the expensive part, and the formula alone picks how
 each is enumerated.  On a downward-closed split node it suffices to
@@ -141,21 +146,21 @@ class _TeamEval(Compiled):
     State ``s`` is a distinct suffix of some member: ``heads[s]`` is its
     first position and ``succ[s]`` the bit of the state one position
     later.  A team is a mask of states, and a flat node's ``fails`` mask
-    holds the states whose first position falsifies it.
+    holds the states whose first position falsifies it.  ``steps`` caches
+    each team's one successor team, as `successors` returns it.
     """
 
     logic = "team LTL"
     param_nodes = PURE_LTL
-    until, release = Until, Release
+    # Each team has one successor team, its suffix team.
+    temporal = {Next: ("X", ""), Until: ("U", ""), Release: ("R", "")}
 
     def __init__(self, team: TeamEncoding, phi: Formula, max_team: int):
-        super().__init__(
-            {Next: _TeamEval._next, Until: _TeamEval._walk, Release: _TeamEval._walk}
-        )
+        super().__init__()
         self.max_team = max_team
         self.heads: list[frozenset[str]] = []
         self.succ: list[int] = []
-        self.steps: dict[int, int] = {}
+        self.steps: dict[int, tuple[int]] = {}
         self.root = self._intern_team(team)
         self.full = (1 << len(self.heads)) - 1
         # Every state has one successor, some offset on in the state order;
@@ -170,7 +175,7 @@ class _TeamEval(Compiled):
             tuple((-d, ss) for d, ss in groups.items() if d < 0),
         )
         # An Until or Release sequence still open after this many sets gives
-        # way to the walk.
+        # way to the search along the suffix teams.
         self.cutoff = len(self.heads) + 1
         self.top = self.compile(phi)
 
@@ -217,62 +222,22 @@ class _TeamEval(Compiled):
         holds = sum(1 << s for s, head in enumerate(self.heads) if name in head)
         return holds if negated else self.full ^ holds
 
-    def temporal_fails(self, kind: type, masks: list[int]) -> int | None:
-        # X φ fails on the states whose successor fails φ.
-        return self.pre_some(masks[0]) if kind is Next else None
-
     # -- evaluating --------------------------------------------------------
 
-    def step(self, mask: int) -> int:
-        """The suffix team one position later."""
+    def successors(self, mask: int) -> tuple[int]:
+        """The one successor team: the suffix team one position later."""
         image = self.steps.get(mask)
         if image is None:
-            image, rest, succ = 0, mask, self.succ
+            stepped, rest, succ = 0, mask, self.succ
             while rest:
                 low = rest & -rest
-                image |= succ[low.bit_length() - 1]
+                stepped |= succ[low.bit_length() - 1]
                 rest ^= low
-            self.steps[mask] = image
+            image = self.steps[mask] = (stepped,)
         return image
-
-    def _next(self, mask: int, node: int) -> bool:
-        return self.check(self.step(mask), self.args[node][0])
 
     def singletons(self, mask: int):
         return _bits(mask)
-
-    def _walk(self, mask: int, node: int) -> bool:
-        """Until / Release along the suffix teams of ``mask``.
-
-        The walk goes on only while the expansion law U = ψ ∨ (φ ∧ X U),
-        or R = ψ ∧ (φ ∨ X R), leaves the verdict equal to the next team's,
-        so every team walked gets the verdict it ends with.  A repeated
-        team means the sequence has come round without a witness.
-        """
-        left, right = self.args[node]
-        until = self.kinds[node] is Until
-        memo = self.memo[node]
-        walked = set()
-        while True:
-            verdict = memo.get(mask)
-            if verdict is not None:
-                break
-            if mask in walked:
-                verdict = not until
-                break
-            walked.add(mask)
-            # Until ends true where ψ holds and false where φ fails;
-            # Release ends false where ψ fails and true where φ holds.
-            if self.check(mask, right) == until:
-                verdict = until
-                break
-            if self.check(mask, left) != until:
-                verdict = not until
-                break
-            mask = self.step(mask)
-        for team in walked:
-            memo[team] = verdict
-        return verdict
 
     def split(self, mask: int, node: int) -> bool:
         left, right = self.args[node]

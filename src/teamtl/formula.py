@@ -26,8 +26,9 @@ nodes, the mask of team members falsifying it, and decides every node
 through one ``check``: a flat node by one mask test, any other by its
 rule, memoised per team; a conjunction of unions of flat masks is one
 node.  It decides ``&``, Boolean disjunction, ``~``, generalised atoms
-and Until and Release over flat operands itself; the evaluators add
-their team encoding, pre-images, temporal searches and splits.
+and the temporal operators of both logics itself, each temporal class
+declared by its operator and path quantifier; the evaluators add their
+team encoding, successor teams, pre-images and splits.
 
 `check_depth` bounds how deep a formula may nest, at every evaluator
 entry point, for trees built in code; the parsers bound the depth of
@@ -505,27 +506,37 @@ class Compiled:
     is flat when its truth on a team is decided member by member; then
     ``fails[n]`` is the mask of members falsifying it, and it holds on a
     team iff no member is in that mask.  Literals are flat, and so are
-    ``&`` and ``|`` over flat nodes; a subclass makes any other temporal
-    node flat by returning its mask from ``temporal_fails``.  Every other
-    node has ``fails[n]`` None and memoises its verdicts by team in
-    ``memo[n]``.
+    ``&`` and ``|`` over flat nodes and the temporal nodes named below.
+    Every other node has ``fails[n]`` None and memoises its verdicts by
+    team in ``memo[n]``.
 
-    Such a node may still be mask-decided: ``unions[n]`` is then a tuple
-    of `MaskUnion`s, and it holds on a team iff the team misses some mask
-    of each.  The members of a team step independently in both logics,
-    so Until and Release over flat children are decided here, once for
-    both evaluators.  φ U ψ holds iff, for one n, every member reaches a
-    ψ-member through n φ-members (`_until_masks`), and is flat where ψ
-    holds nowhere (it then holds on the empty team only).  φ R ψ is the
-    G ψ mask and the same sequence from φ ∧ ψ through ψ, and is flat,
-    G ψ, where φ ∧ ψ holds nowhere; G ψ fails where ψ fails or, from
-    there on, where every successor fails, a least fixpoint.  ``&`` over
-    flat and mask-decided children concatenates their unions at compile
-    time, a flat child giving the union of its one mask, so a
+    Both logics step a team synchronously, to a successor team: a team of
+    traces has one, its suffix team, and a multiset of worlds may have
+    many.  So team LTL's X, U and R are TeamCTL's EX, EU and ER (equally
+    AX, AU and AR) where every team has one successor, and one set of
+    rules decides both, read off a subclass's table ``temporal`` of each
+    temporal class's operator and path quantifier.  ``X`` steps once
+    (`_step`).  E-Until and A-Release look for one path (`_path`), and so
+    do Until and Release on one successor; A-Until and E-Release search
+    the region every path must leave (`_region`).  As a team's members
+    step independently, some temporal nodes over flat children are flat:
+    ``X`` fails where every successor fails, under A where one does;
+    ``U`` fails everywhere where ψ holds nowhere; ``R`` where φ ∧ ψ holds
+    nowhere is G ψ, which fails where ψ fails or, from there on, where
+    every successor fails, under A where one does, a least fixpoint.
+
+    A node that is not flat may still be mask-decided: ``unions[n]`` is
+    then a tuple of `MaskUnion`s, and it holds on a team iff the team
+    misses some mask of each.  So are Until and Release over flat
+    children under E or on one successor: φ U ψ holds iff, for one n,
+    every member reaches a ψ-member through n φ-members (`_until_masks`),
+    and φ R ψ is the G ψ mask and the same sequence from φ ∧ ψ through ψ.
+    ``&`` over flat and mask-decided children concatenates their unions
+    at compile time, a flat child giving the union of its one mask, so a
     conjunction of them is one node, tested with one memoised rule call
     per team.  A union finds its masks as tests read them, and a node
     whose sequence is still open after ``cutoff`` sets gives way to its
-    own rule, the evaluator's search; see `MaskUnion`.
+    own rule, a search; see `MaskUnion`.
 
     A team is an int, and a flat node's mask uses the same bits, so
     ``check(team, node)`` decides every node: a flat one by one mask test,
@@ -537,25 +548,26 @@ class Compiled:
 
     A subclass encodes its teams and supplies ``literal_fails(name,
     negated)`` (the mask of members falsifying a literal), ``singletons``
-    (a team's one-member teams, a member once per copy), ``split``, the
-    node classes ``param_nodes`` admitted in atom parameters and the name
-    of its ``logic``, and passes the rules of its temporal operators to
-    ``__init__``.  For its ``until`` and ``release`` classes it also sets,
-    before it compiles, ``full`` (the mask of every member), ``cutoff``
-    and the pre-images of a mask: ``pre_some`` (the members with a
-    successor in it) and ``pre_all`` (with only successors in it).  Any
-    other class is rejected with `UnsupportedNodeError`, in a parameter
-    when it is compiled, elsewhere when it is evaluated.
+    (a team's one-member teams, a member once per copy), ``successors``
+    (a team's distinct successor teams), ``split``, the node classes
+    ``param_nodes`` admitted in atom parameters, the name of its ``logic``
+    and ``temporal``, which maps each temporal class to its operator
+    (``"X"``, ``"U"`` or ``"R"``) and path quantifier (``"E"``, ``"A"``,
+    or ``""`` where every team has one successor).  Before it compiles it
+    also sets ``full`` (the mask of every member), ``cutoff`` and the
+    pre-images of a mask: ``pre_some`` (the members with a successor in
+    it) and ``pre_all`` (with only successors in it).  Any other class is
+    rejected with `UnsupportedNodeError`, in a parameter when it is
+    compiled, elsewhere when it is evaluated.
     """
 
-    until: type
-    release: type
+    temporal: dict[type, tuple[str, str]]
     full: int
     cutoff: int
     pre_some: Callable[[int], int]
     pre_all: Callable[[int], int]
 
-    def __init__(self, temporal_rules: dict[type, Callable[..., bool]]):
+    def __init__(self):
         self.formulas: list[Formula] = []
         self.kinds: list[type] = []
         self.args: list[tuple[int, ...]] = []
@@ -576,8 +588,14 @@ class Compiled:
             CNeg: cls._cneg,
             Split: cls.split,
             GenAtomApp: cls._gen_atom,
-            **temporal_rules,
         }
+        for kind, (op, quantifier) in self.temporal.items():
+            if op == "X":
+                self.rule_of[kind] = Compiled._step
+            elif (op, quantifier) in (("U", "A"), ("R", "E")):
+                self.rule_of[kind] = Compiled._region
+            else:
+                self.rule_of[kind] = Compiled._path
 
     def compile(self, phi: Formula) -> int:
         """The node id of ``phi``, interning it and its subformulas."""
@@ -627,30 +645,38 @@ class Compiled:
         if kind is Prop or kind is NegProp:
             return self.literal_fails(phi.name, kind is NegProp)
         masks = [self.fails[a] for a in args]
-        if None in masks or kind in (BoolOr, CNeg, GenAtomApp):
+        if None in masks:
             return None
         if kind is And:
             return masks[0] | masks[1]
         if kind is Split:
             return masks[0] & masks[1]
-        if kind is self.until and masks[1] == self.full:
+        if kind not in self.temporal:
+            return None
+        op, quantifier = self.temporal[kind]
+        # X φ fails where every successor fails φ, AX φ where one does;
+        # G ψ fails where ψ fails or, from there on, where every successor
+        # fails, or under A where one does: a least fixpoint.
+        pre = self.pre_some if quantifier == "A" else self.pre_all
+        if op == "X":
+            return pre(masks[0])
+        if op == "U" and masks[1] == self.full:
             return self.full
-        if kind is self.release and masks[0] | masks[1] == self.full:
-            return _least_fixpoint(masks[1], self.pre_all)
-        return self.temporal_fails(kind, masks)
+        if op == "R" and masks[0] | masks[1] == self.full:
+            return _least_fixpoint(masks[1], pre)
+        return None
 
     def _unions(self, node: int, kind: type, args: tuple[int, ...]) -> tuple[MaskUnion, ...] | None:
         if kind is And:
             if any(self.fails[a] is None and self.unions[a] is None for a in args):
                 return None
             return tuple(u for a in args for u in self.unions[a] or (MaskUnion([self.fails[a]]),))
-        if kind is not self.until and kind is not self.release:
-            return None
+        op, quantifier = self.temporal.get(kind, ("", ""))
         masks = [self.fails[a] for a in args]
-        if None in masks:
+        if op not in ("U", "R") or quantifier == "A" or None in masks:
             return None
         phi, psi = (self.full ^ mask for mask in masks)
-        if kind is self.until:
+        if op == "U":
             stay, start, inside = (), psi, phi
         else:
             # The team stays on ψ forever, which each member does on its
@@ -659,12 +685,6 @@ class Compiled:
             start, inside = phi & psi, psi
         rest = _until_masks(start, inside, self.pre_some, self.full, self.cutoff)
         return (MaskUnion(stay, rest, self.rule_of[kind], node),)
-
-    def temporal_fails(self, kind: type, masks: list[int]) -> int | None:
-        """The mask of members falsifying a temporal node whose children
-        are flat with the masks ``masks``, or None if it is not flat;
-        called for what the shared Until and Release cases leave."""
-        return None
 
     def check(self, team: int, node: int) -> bool:
         """Whether ``team`` satisfies node ``node``."""
@@ -709,3 +729,86 @@ class Compiled:
         raise UnsupportedNodeError(
             f"{self.logic} evaluation does not support {self.kinds[node].__name__}"
         )
+
+    # -- temporal searches over the successor-team graph ------------------
+
+    # Release is the dual of Until, so each search serves one of each:
+    # with ``until`` false it is the Until search for ¬φ and ¬ψ, its
+    # verdict negated.  A team with one successor is a team of traces,
+    # where the E and A readings agree and `_path` serves both.
+
+    def _step(self, team: int, node: int) -> bool:
+        """X φ: some successor team satisfies φ, or under A every one."""
+        child = self.args[node][0]
+        every = self.temporal[self.kinds[node]][1] == "A"
+        for s in self.successors(team):
+            if self.check(s, child) != every:
+                return not every
+        return every
+
+    def _path(self, team: int, node: int) -> bool:
+        """E[φ U ψ], or A[φ R ψ]: a depth-first search for a path of φ
+        teams to a ψ team, or of ¬φ teams to a ¬ψ team.
+
+        By the expansion law U = ψ ∨ (φ ∧ X U) every team on the path
+        found shares its verdict, and where none is found every team
+        visited has the other one; both go to the memo, where the search
+        also stops, so nested temporal nodes read each team once."""
+        inv, tgt = self.args[node]
+        until = self.temporal[self.kinds[node]][0] == "U"
+        memo, check, successors = self.memo[node], self.check, self.successors
+        # The search tree: each team visited, with the team it came from.
+        parent: dict[int, int | None] = {team: None}
+        stack = [team]
+        while stack:
+            team = stack.pop()
+            verdict = memo.get(team)
+            if verdict is None:
+                if check(team, tgt) == until:
+                    verdict = until
+                elif check(team, inv) != until:
+                    verdict = not until
+                else:
+                    for s in successors(team):
+                        if s not in parent:
+                            parent[s] = team
+                            stack.append(s)
+                    continue
+            if verdict == until:
+                while team is not None:
+                    memo[team] = until
+                    team = parent[team]
+                return until
+        for team in parent:
+            memo[team] = not until
+        return not until
+
+    def _region(self, team: int, node: int) -> bool:
+        """A[φ U ψ], or E[φ R ψ]: a depth-first search over the teams
+        reached before ψ, which fails where φ fails on one of them, or
+        where a successor is still on the search stack: that closes a
+        cycle of them, a path that never meets ψ.  For E[φ R ψ] read ¬φ
+        and ¬ψ."""
+        inv, tgt = self.args[node]
+        until = self.temporal[self.kinds[node]][0] == "U"
+        seen: set[int] = set()
+        # The search stack, in order: each team on it, with its successors
+        # still to try.
+        stack: dict[int, Iterator[int]] = {}
+        pending: Iterator[int] = iter((team,))
+        while True:
+            for s in pending:
+                if s in stack:
+                    return not until
+                if s in seen or self.check(s, tgt) == until:
+                    continue
+                if self.check(s, inv) != until:
+                    return not until
+                seen.add(s)
+                pending = stack[s] = iter(self.successors(s))
+                break
+            else:
+                if len(stack) <= 1:
+                    return until
+                stack.popitem()
+                pending = stack[next(reversed(stack))]

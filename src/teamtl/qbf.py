@@ -33,6 +33,7 @@ from .formula import (
     Split,
     Until,
     bot,
+    check_depth,
     expand_shorthand,
     iter_nodes,
     map_literals,
@@ -412,8 +413,9 @@ def pl_variables(phi: Formula) -> list[str]:
 def reduce_plsim_to_tpc(phi: Formula) -> tuple[TeamEncoding, Formula]:
     """Team-satisfiability of a propositional ~-formula as a path-checking
     instance: the full assignment team must satisfy "some nonempty subteam
-    satisfies the rewritten formula"."""
-    variables = sorted(set(pl_variables(phi)))
+    satisfies the rewritten formula".  Raises `ResourceCapError` when
+    ``phi`` is nested deeper than `formula.MAX_DEPTH`."""
+    variables = sorted(set(pl_variables(check_depth(phi))))
     if len(variables) > 10:
         raise ResourceCapError("at most 10 propositional variables supported")
     team = enumerate_traces(assignment_structure(variables))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from . import fixtures
 from .eval_classical import check_ctl_classical, check_ltl_classical
-from .eval_team_ctl import CtlLimits, _from_index_zero, mc_ctl, mc_ctl_bruteforce
+from .eval_team_ctl import CtlLimits, from_index_zero, mc_ctl, mc_ctl_bruteforce
 from .eval_team_ltl import check_team, naive_oracle
 from .formula import (
     AR,
@@ -35,6 +35,7 @@ from .formula import (
     Prop,
     Release,
     Split,
+    Unary,
     Until,
     dependence_atom,
     expand_shorthand,
@@ -116,6 +117,23 @@ def _random_atom(rng, props) -> Formula:
     return GenAtomApp(atom, params)
 
 
+def _random_tree(rng: random.Random, budget: int, props, kinds: list) -> Formula:
+    """A random formula with at most ``budget`` connectives, each node
+    drawn from ``kinds``: node classes, ``"literal"`` and ``"atom"``."""
+    if budget <= 0:
+        return _random_literal(rng, props)
+    kind = rng.choice(kinds)
+    if kind == "literal":
+        return _random_literal(rng, props)
+    if kind == "atom":
+        return _random_atom(rng, props)
+    if issubclass(kind, Unary):
+        return kind(_random_tree(rng, budget - 1, props, kinds))
+    b1 = rng.randint(0, budget - 1)
+    left = _random_tree(rng, b1, props, kinds)
+    return kind(left, _random_tree(rng, budget - 1 - b1, props, kinds))
+
+
 def random_ltl_formula(
     rng: random.Random,
     budget: int,
@@ -127,36 +145,9 @@ def random_ltl_formula(
     allow_atoms: bool = False,
 ) -> Formula:
     """A random NNF LTL formula with at most ``budget`` connectives."""
-    if budget <= 0:
-        return _random_literal(rng, props)
-    kinds = ["and", "next", "until", "release", "literal"]
-    if allow_split:
-        kinds += ["split", "split"]
-    if allow_cneg:
-        kinds.append("cneg")
-    if allow_boolor:
-        kinds.append("boolor")
-    if allow_atoms:
-        kinds.append("atom")
-    kind = rng.choice(kinds)
-    if kind == "literal":
-        return _random_literal(rng, props)
-    if kind == "atom":
-        return _random_atom(rng, props)
-    sub = dict(
-        allow_split=allow_split,
-        allow_cneg=allow_cneg,
-        allow_boolor=allow_boolor,
-        allow_atoms=allow_atoms,
-    )
-    if kind in ("next", "cneg"):
-        child = random_ltl_formula(rng, budget - 1, props, **sub)
-        return Next(child) if kind == "next" else CNeg(child)
-    b1 = rng.randint(0, budget - 1)
-    left = random_ltl_formula(rng, b1, props, **sub)
-    right = random_ltl_formula(rng, budget - 1 - b1, props, **sub)
-    ctor = {"and": And, "split": Split, "until": Until, "release": Release, "boolor": BoolOr}
-    return ctor[kind](left, right)
+    kinds = [And, Next, Until, Release, "literal"] + [Split, Split] * allow_split
+    kinds += [CNeg] * allow_cneg + [BoolOr] * allow_boolor + ["atom"] * allow_atoms
+    return _random_tree(rng, budget, props, kinds)
 
 
 def random_ctl_formula(
@@ -169,39 +160,10 @@ def random_ctl_formula(
     allow_boolor: bool = False,
     allow_atoms: bool = False,
 ) -> Formula:
-    if budget <= 0:
-        return _random_literal(rng, props)
-    kinds = ["and", "ex", "ax", "eu", "au", "er", "ar", "literal"]
-    if allow_split:
-        kinds.append("split")
-    if allow_cneg:
-        kinds.append("cneg")
-    if allow_boolor:
-        kinds.append("boolor")
-    if allow_atoms:
-        kinds.append("atom")
-    kind = rng.choice(kinds)
-    if kind == "literal":
-        return _random_literal(rng, props)
-    if kind == "atom":
-        return _random_atom(rng, props)
-    sub = dict(
-        allow_split=allow_split,
-        allow_cneg=allow_cneg,
-        allow_boolor=allow_boolor,
-        allow_atoms=allow_atoms,
-    )
-    if kind in ("ex", "ax", "cneg"):
-        child = random_ctl_formula(rng, budget - 1, props, **sub)
-        return {"ex": EX, "ax": AX, "cneg": CNeg}[kind](child)
-    b1 = rng.randint(0, budget - 1)
-    left = random_ctl_formula(rng, b1, props, **sub)
-    right = random_ctl_formula(rng, budget - 1 - b1, props, **sub)
-    ctor = {
-        "and": And, "split": Split, "boolor": BoolOr,
-        "eu": EU, "au": AU, "er": ER, "ar": AR,
-    }
-    return ctor[kind](left, right)
+    """A random NNF CTL formula with at most ``budget`` connectives."""
+    kinds = [And, EX, AX, EU, AU, ER, AR, "literal"] + [Split] * allow_split
+    kinds += [CNeg] * allow_cneg + [BoolOr] * allow_boolor + ["atom"] * allow_atoms
+    return _random_tree(rng, budget, props, kinds)
 
 
 def random_flat_body(
@@ -354,17 +316,8 @@ def random_qbf(rng: random.Random, max_vars: int = 3, max_clauses: int = 2) -> Q
 
 def random_pl_formula(rng: random.Random, budget: int, props=("p", "q")) -> Formula:
     """A random propositional team formula with contradictory negation."""
-    if budget <= 0:
-        return _random_literal(rng, props)
-    kind = rng.choice(["and", "split", "split", "boolor", "cneg", "cneg", "literal"])
-    if kind == "literal":
-        return _random_literal(rng, props)
-    if kind == "cneg":
-        return CNeg(random_pl_formula(rng, budget - 1, props))
-    b1 = rng.randint(0, budget - 1)
-    left = random_pl_formula(rng, b1, props)
-    right = random_pl_formula(rng, budget - 1 - b1, props)
-    return {"and": And, "split": Split, "boolor": BoolOr}[kind](left, right)
+    kinds = [And, Split, Split, BoolOr, CNeg, CNeg, "literal"]
+    return _random_tree(rng, budget, props, kinds)
 
 
 # ---------------------------------------------------------------------------
@@ -603,13 +556,12 @@ def suite_ctl_oracle(rng, count):
 def suite_ctl_flat(rng, count):
     """The flat fragment, which ``mc_ctl`` decides by digit masks and by
     searches that the oracle does not know."""
-    from_one = CtlLimits(until_from_one=True)
     for _ in range(count):
         k, team, phi = random_flat_instance(rng)
+        from_one = from_index_zero(phi)
         yield (
-            (mc_ctl(k, team, phi), mc_ctl(k, team, phi, limits=from_one)),
-            (mc_ctl_bruteforce(k, team, phi),
-             mc_ctl_bruteforce(k, team, _from_index_zero(phi))),
+            (mc_ctl(k, team, phi), mc_ctl(k, team, from_one)),
+            (mc_ctl_bruteforce(k, team, phi), mc_ctl_bruteforce(k, team, from_one)),
             phi, team, k,
         )
 

@@ -40,6 +40,7 @@ from .formula import (
     Release,
     Split,
     Until,
+    check_depth,
     iter_nodes,
     map_literals,
     propositions,
@@ -198,8 +199,10 @@ def check_model_splitfree(
     single-trace reduction); splitjunctions, generalised atoms and CTL
     operators are not.  The flattened trace is stepped only as far as the
     classical check reads it, and ``max_subsets`` caps the subsets stepped.
+    Raises `ResourceCapError` when ``phi`` is nested deeper than
+    `formula.MAX_DEPTH`.
     """
-    require_nodes(phi, _LTL_NODES, "splitfree model checking")
+    require_nodes(check_depth(phi), _LTL_NODES, "splitfree model checking")
     if any(isinstance(node, Split) and node != _TOP for node in iter_nodes(phi)):
         raise SplitjunctionPresent(
             "formula contains a splitjunction; use trace enumeration instead"

@@ -209,6 +209,17 @@ class TestCheckModel:
         r = runner.invoke(main, ["check-model", str(k), "p | p"])
         assert r.exit_code == 2  # splitjunction rejected in splitfree mode
 
+    def test_until_from_one(self, runner, tmp_path):
+        # Only w has p, and w is never reached again.
+        k = tmp_path / "k.json"
+        k.write_text(json.dumps({
+            "worlds": ["w", "v"], "edges": [["w", "v"], ["v", "v"]],
+            "labels": {"w": ["p"]},
+        }))
+        args = ["check-model", str(k), "EF p", "--mode", "ctl", "--team", "w"]
+        assert runner.invoke(main, args).exit_code == 0
+        assert runner.invoke(main, args + ["--until-from-one"]).exit_code == 1
+
     def test_edge_to_undeclared_world_exit_2(self, runner, tmp_path):
         k = tmp_path / "k.json"
         k.write_text(json.dumps({

@@ -11,7 +11,13 @@ from hypothesis import given, settings, strategies as st
 import teamtl
 
 from teamtl.errors import ResourceCapError, UnsupportedNodeError
-from teamtl.eval_team_ctl import CtlLimits, _CtlEval, mc_ctl, mc_ctl_bruteforce
+from teamtl.eval_team_ctl import (
+    CtlLimits,
+    _CtlEval,
+    from_index_zero,
+    mc_ctl,
+    mc_ctl_bruteforce,
+)
 from teamtl.fixtures import af_multiplicity_structure, ef_counterexample_structure
 from teamtl.formula import Prop
 from teamtl.kripke import KripkeStructure, MultiTeam
@@ -20,6 +26,7 @@ from teamtl.qbf import reduce_to_tmc_ctl
 from teamtl.selftest import (
     cycle_fan,
     random_kripke,
+    random_multiteam,
     random_qbf,
     suite_ctl_flat,
     suite_ctl_oracle,
@@ -107,7 +114,7 @@ class TestBasics:
         team = MultiTeam.of(["w"])
         phi = parse_ctl("EF p")
         assert mc_ctl(k, team, phi)
-        assert not mc_ctl(k, team, phi, limits=CtlLimits(until_from_one=True))
+        assert not mc_ctl(k, team, from_index_zero(phi))
         # a steps to b or to c, and both loop; only b has q, only c has p.
         # From index 1 the team a itself is never inspected.
         k = KripkeStructure.of(
@@ -133,9 +140,7 @@ class TestBasics:
             for team in (MultiTeam.of(["a"]), MultiTeam.of(["a", "a"])):
                 phi = parse_ctl(text)
                 assert mc_ctl(k, team, phi) == from_zero, text
-                assert mc_ctl(
-                    k, team, phi, limits=CtlLimits(until_from_one=True)
-                ) == from_one, text
+                assert mc_ctl(k, team, from_index_zero(phi)) == from_one, text
 
 
 class TestSuccessorGraphReach:
@@ -350,3 +355,38 @@ def test_successor_order_does_not_follow_the_hash_seed():
         for seed in (0, 1, 2)
     }
     assert len(runs) == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "E[(p \\|/ q) U E[(q \\|/ !p) U (p \\|/ p)]]",
+        "A[(p \\|/ q) R (q \\|/ !p)]",
+        "A[(p \\|/ p) R E[(q \\|/ q) U (p \\|/ p)]]",
+        "E[A[(p \\|/ p) R (q \\|/ q)] U (p \\|/ q)]",
+    ],
+)
+def test_nested_searches_over_non_flat_operands(text):
+    # \\|/ keeps every operand off the masks, so each node is decided by
+    # a search that memoises the teams it passes, and the outer search
+    # reads those verdicts.
+    phi = parse_ctl(text)
+    rng = random.Random(text)
+    for _ in range(60):
+        k = random_kripke(rng)
+        team = random_multiteam(rng, k)
+        assert mc_ctl(k, team, phi) == mc_ctl_bruteforce(k, team, phi), (k, team)
+
+
+def test_path_search_memoises_only_the_path_found():
+    # From a the search for E[q U p] visits b and c and finds the path
+    # a, c.  Team b never reaches p, so EX ~E[q U p] holds at a; it reads
+    # the verdict on b that the first search left in the memo.
+    k = KripkeStructure.of(
+        ["a", "b", "c"], [("a", "b"), ("a", "c"), ("b", "b"), ("c", "c")],
+        {"a": ["q"], "b": ["q"], "c": ["p"]},
+    )
+    eu = "E[(q \\|/ q) U (p \\|/ p)]"
+    phi = parse_ctl(f"{eu} & EX ~{eu}")
+    assert mc_ctl(k, MultiTeam.of(["a"]), phi)
+    assert mc_ctl_bruteforce(k, MultiTeam.of(["a"]), phi)

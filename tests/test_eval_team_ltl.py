@@ -16,8 +16,10 @@ from teamtl.formula import (
     Split,
     bot,
 )
+from teamtl.kripke import enumerate_traces
 from teamtl.parser import parse_ltl
 from teamtl.selftest import (
+    cycle_fan,
     random_ltl_formula,
     suite_ltl_oracle,
     suite_ltl_downward_closed,
@@ -318,3 +320,32 @@ def test_long_loop_interning_is_linear():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize(
+    "text, verdict",
+    [
+        ("G F (p \\|/ q)", True),
+        ("F G F (p \\|/ p)", True),
+        ("G F (p \\|/ q) & F G (p \\|/ q)", False),
+    ],
+)
+def test_nested_searches_are_linear_in_the_horizon(monkeypatch, text, verdict):
+    # The team has 5544 suffix teams (lcm of 7, 8, 9, 11), and p holds
+    # on one of them; \\|/ keeps every operand off the masks.  Each search
+    # memoises every team it passes, so the nested ones step each suffix
+    # team a bounded number of times, not once per outer team.
+    team = enumerate_traces(
+        cycle_fan((7, 8, 9, 11), lambda w: ["p"] if w.endswith("_0") else [])
+    )
+    successors = _TeamEval.successors
+    calls = []
+
+    def spy(self, mask):
+        calls.append(mask)
+        return successors(self, mask)
+
+    monkeypatch.setattr(_TeamEval, "successors", spy)
+    assert check_team(team, parse_ltl(text)) is verdict
+    assert len(set(calls)) == 5544
+    assert len(calls) <= 3 * 5544

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from teamtl.errors import ResourceCapError, UnsupportedNodeError
-from teamtl.eval_team_ctl import mc_ctl
-from teamtl.eval_team_ltl import check_team
+from teamtl.eval_team_ctl import _CtlEval, mc_ctl
+from teamtl.eval_team_ltl import _TeamEval, check_team
 from teamtl.formula import (
     AR,
     AU,
@@ -18,6 +18,7 @@ from teamtl.formula import (
     BoolOr,
     Binary,
     CNeg,
+    Compiled,
     ER,
     EU,
     Formula,
@@ -242,3 +243,24 @@ def test_check_depth_visits_shared_subtrees_once():
     assert check_depth(phi) is phi
     with pytest.raises(ResourceCapError, match=f"nested more than {MAX_DEPTH} deep"):
         check_depth(And(phi, phi))
+
+
+def test_temporal_rules_come_from_the_path_quantifier():
+    # Neither evaluator writes a temporal rule: each declares its classes
+    # by operator and quantifier, and the shared core picks the rule.
+    trace = LassoTrace((), (frozenset({"p"}),))
+    k = KripkeStructure.of(["a"], [("a", "a")], {"a": ["p"]})
+    evaluators = (
+        _TeamEval(TeamEncoding.of([trace]), p, 1),
+        _CtlEval(k, 1),
+    )
+    step, path, region = Compiled._step, Compiled._path, Compiled._region
+    expected = {
+        Next: step, Until: path, Release: path,
+        EX: step, AX: step, EU: path, AR: path, AU: region, ER: region,
+    }
+    for ev in evaluators:
+        assert {kind: ev.rule_of[kind] for kind in ev.temporal} == {
+            kind: expected[kind] for kind in ev.temporal
+        }
+        assert not {"_step", "_path", "_region"} & vars(type(ev)).keys()

@@ -31,12 +31,13 @@ from teamtl.eval_classical import (
     check_ltl_classical,
     check_ltl_classical_extended,
 )
-from teamtl.eval_team_ctl import mc_ctl, mc_ctl_bruteforce
+from teamtl.eval_team_ctl import from_index_zero, mc_ctl, mc_ctl_bruteforce
 from teamtl.eval_team_ltl import check_team
 from teamtl.kripke import KripkeStructure, MultiTeam
-from teamtl.qbf import QbfInstance, reduce_to_tmc_ctl
+from teamtl.qbf import QbfInstance, reduce_plsim_to_tpc, reduce_to_tmc_ctl
 from teamtl.parser import MAX_DEPTH, ParseError, parse_ctl, parse_ltl, render
 from teamtl.selftest import random_ctl_formula, random_ltl_formula
+from teamtl.tmc_splitfree import check_model_splitfree
 from teamtl.trace import LassoTrace, TeamEncoding
 
 p, q, r = Prop("p"), Prop("q"), Prop("r")
@@ -187,12 +188,17 @@ def chain(operator, levels):
 def test_evaluators_bound_trees_built_in_code(levels):
     trace = LassoTrace((), (frozenset({"p"}),))
     team = TeamEncoding.of([trace])
-    k = KripkeStructure.of(["a"], [("a", "a")], {"a": ["p"]})
+    k = KripkeStructure.of(["a"], [("a", "a")], {"a": ["p"]}, initial="a")
     ltl, ctl = chain(Next, levels), chain(EX, levels)
+    # The reduction, the rewrite and the splitfree check rebuild the tree
+    # by recursion before they decide anything.
     for decide in (
         lambda: check_team(team, ltl),
         lambda: check_ltl_classical(trace, ltl),
         lambda: check_ltl_classical_extended(trace, ltl),
+        lambda: check_model_splitfree(k, ltl),
+        lambda: reduce_plsim_to_tpc(chain(CNeg, levels)),
+        lambda: from_index_zero(ctl),
         lambda: mc_ctl(k, MultiTeam.of(["a"]), ctl),
         lambda: mc_ctl_bruteforce(k, MultiTeam.of(["a"]), ctl),
         lambda: check_ctl_classical(k, "a", ctl),
