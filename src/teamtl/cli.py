@@ -5,6 +5,9 @@ exceeded, 4 = self-test failure, 5 = internal error.  All verdicts come
 straight from the library; the CLI only parses inputs and formats output.
 An unexpected exception ends in code 5 with a one-line message, never in
 a traceback or in code 1, which means UNSAT.
+
+Each subcommand imports the evaluators, reductions and self-test it runs
+in its own body, so a call loads and compiles only those modules.
 """
 
 from __future__ import annotations
@@ -12,22 +15,22 @@ from __future__ import annotations
 import sys
 from contextlib import contextmanager
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
 
-from . import files, fixtures, qbf, selftest
+from . import files
 from .errors import (
     LassoForestViolation,
     ResourceCapError,
     TeamTLError,
 )
-from .eval_team_ctl import CtlLimits, from_index_zero, mc_ctl
-from .eval_team_ltl import DEFAULT_MAX_TEAM, check_team, naive_oracle
-from .formula import And, Formula, Next, Split, Until
-from .kripke import MultiTeam, enumerate_traces
+from .formula import DEFAULT_MAX_SUBSETS, DEFAULT_MAX_TEAM, And, Next, Split, Until
 from .parser import ParseError, parse_ctl, parse_ltl, render
-from .tmc_splitfree import DEFAULT_MAX_SUBSETS, check_model_splitfree
-from .trace import TeamEncoding, lcm_loop, prfx, suffix_team
+
+if TYPE_CHECKING:
+    from .formula import Formula
+    from .trace import TeamEncoding
 
 EXIT_SAT = 0
 EXIT_UNSAT = 1
@@ -79,6 +82,9 @@ def _explain(team: TeamEncoding, phi: Formula, indent: int, max_team: int):
     and the witness offset for until subformulas.  A split tries every
     partition of its team, so one over more than ``max_team`` traces
     raises `ResourceCapError`, as the evaluator's cap does."""
+    from .eval_team_ltl import check_team
+    from .trace import TeamEncoding, lcm_loop, prfx, suffix_team
+
     sat = check_team(team, phi, max_team=max_team)
     pad = "  " * indent
     click.echo(f"{pad}{render(phi)}  [{len(team)} traces]  "
@@ -144,6 +150,8 @@ def main():
               help="Cross-check against the naive oracle (small inputs only).")
 def check_path(team_file, formula, max_team, explain, oracle):
     """Check whether the team in TEAM_FILE satisfies the LTL FORMULA."""
+    from .eval_team_ltl import check_team, naive_oracle
+
     with _exit_codes():
         team = files.load_team(team_file)
         phi = parse_ltl(_read_formula(formula))
@@ -184,6 +192,9 @@ def check_model(kripke_file, formula, mode, team_arg, max_team, max_subsets,
     with _exit_codes():
         k = files.load_kripke(kripke_file)
         if mode == "ctl":
+            from .eval_team_ctl import CtlLimits, from_index_zero, mc_ctl
+            from .kripke import MultiTeam
+
             if team_arg is None:
                 _fail(EXIT_INPUT, "ctl mode requires --team")
             phi = parse_ctl(_read_formula(formula))
@@ -193,9 +204,14 @@ def check_model(kripke_file, formula, mode, team_arg, max_team, max_subsets,
             limits = CtlLimits(max_team=len(team), max_worlds=len(k.worlds))
             sat = mc_ctl(k, team, phi, limits=limits)
         elif mode == "ltl-splitfree":
+            from .tmc_splitfree import check_model_splitfree
+
             phi = parse_ltl(_read_formula(formula))
             sat = check_model_splitfree(k, phi, max_subsets=max_subsets)
         else:
+            from .eval_team_ltl import check_team
+            from .kripke import enumerate_traces
+
             phi = parse_ltl(_read_formula(formula))
             team = enumerate_traces(k)
             sat = check_team(team, phi, max_team=max_team)
@@ -213,6 +229,9 @@ def check_model(kripke_file, formula, mode, team_arg, max_team, max_subsets,
 def gen(kind, source, out_dir, do_check):
     """Generate a checking instance: qbf-tpc / qbf-ctl take a QBF file,
     plsim takes a propositional formula with ~ (inline or @file)."""
+    from . import qbf
+    from .eval_team_ltl import check_team
+
     out = Path(out_dir)
     with _exit_codes():
         out.mkdir(parents=True, exist_ok=True)
@@ -246,6 +265,8 @@ def gen(kind, source, out_dir, do_check):
             click.echo(f"wrote {out / 'team.json'} and {out / 'formula.txt'}")
             got = check_team(team, goal) if do_check else None
         else:
+            from .eval_team_ctl import CtlLimits, mc_ctl
+
             k, team, goal = qbf.reduce_to_tmc_ctl(instance)
             (out / "kripke.json").write_text(files.dumps_kripke(k))
             (out / "team.txt").write_text(",".join(team.worlds) + "\n")
@@ -276,6 +297,8 @@ def gen(kind, source, out_dir, do_check):
               help="Directory holding the pinned fixture files.")
 def selftest_cmd(seed, count, fixtures_dir):
     """Run the differential self-test and verify the pinned fixtures."""
+    from . import fixtures, selftest
+
     report = selftest.run_selftest(seed=seed, count=count)
     for suite in report.suites:
         status = "ok" if not suite.mismatches else "FAIL"

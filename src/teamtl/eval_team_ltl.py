@@ -77,6 +77,7 @@ from .formula import (
     BoolOr,
     CNeg,
     Compiled,
+    DEFAULT_MAX_TEAM,
     Formula,
     GenAtomApp,
     NegProp,
@@ -91,8 +92,6 @@ from .formula import (
     formula_length,
 )
 from .trace import LassoTrace, TeamEncoding, trace_at, trace_sort_key
-
-DEFAULT_MAX_TEAM = 16
 
 
 def _least_rotation(seq: list[int]) -> int:

@@ -1,7 +1,10 @@
 """Readers and writers for the instance file formats.
 
 All formats are JSON documents; `#` line comments are stripped before
-parsing so fixture files can carry commentary.
+parsing so fixture files can carry commentary.  The writers put each
+top-level key on a line of its own, and each trace of a team file, and
+write every line with `json.dumps` without ``indent``: the C encoder,
+where ``indent`` would take the pure-Python one.
 """
 
 from __future__ import annotations
@@ -10,11 +13,13 @@ import json
 import re
 from itertools import chain
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import TeamTLError
-from .kripke import KripkeStructure
 from .trace import LassoTrace, TeamEncoding
+
+if TYPE_CHECKING:
+    from .kripke import KripkeStructure
 
 _COMMENT_RE = re.compile(r'^\s*#.*$', re.MULTILINE)
 
@@ -59,23 +64,30 @@ def loads_team(text: str) -> TeamEncoding:
     return TeamEncoding.of(traces)
 
 
+def _lines(doc: dict[str, str]) -> str:
+    """A JSON object of the keys of ``doc``, one line each, whose values
+    are already JSON text."""
+    body = ",\n".join(f"  {json.dumps(key)}: {value}" for key, value in doc.items())
+    return "{\n" + body + "\n}\n"
+
+
 def dumps_team(team: TeamEncoding) -> str:
-    doc = {
-        "traces": [
-            {
-                "prefix": [sorted(pos) for pos in t.prefix],
-                "loop": [sorted(pos) for pos in t.loop],
-            }
-            for t in team
-        ]
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    traces = ",\n".join(
+        "    " + json.dumps({
+            "prefix": [sorted(pos) for pos in t.prefix],
+            "loop": [sorted(pos) for pos in t.loop],
+        })
+        for t in team
+    )
+    return _lines({"traces": f"[\n{traces}\n  ]" if traces else "[]"})
 
 
 def loads_kripke(text: str) -> KripkeStructure:
     """Read a structure with at least one world.  Every problem that
     building it finds, such as an edge to an undeclared world or a world
     without successor, is a `FileFormatError`."""
+    from .kripke import KripkeStructure
+
     try:
         doc = json.loads(_strip_comments(text))
         # Indexing a document that is no JSON object raises TypeError.
@@ -106,7 +118,7 @@ def dumps_kripke(k: KripkeStructure) -> str:
         "labels": {w: sorted(ps) for w, ps in sorted(k.labels.items()) if ps},
         "initial": k.initial,
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return _lines({key: json.dumps(value) for key, value in doc.items()})
 
 
 def load_team(path: str | Path) -> TeamEncoding:

@@ -60,6 +60,14 @@ RESERVED_TAUT_PROP = "_taut"
 # clauses is 57 deep.
 MAX_DEPTH = 80
 
+# The default resource caps of the evaluators, kept here beside the depth
+# bound so that the CLI reads them without importing an evaluator: the
+# traces a team-LTL split may enumerate its parts over (`check_team`),
+# and the successor sets a splitfree model check may step
+# (`check_model_splitfree`).
+DEFAULT_MAX_TEAM = 16
+DEFAULT_MAX_SUBSETS = 2**20
+
 
 @dataclass(frozen=True)
 class Formula:
@@ -788,9 +796,15 @@ class Compiled:
         reached before ψ, which fails where φ fails on one of them, or
         where a successor is still on the search stack: that closes a
         cycle of them, a path that never meets ψ.  For E[φ R ψ] read ¬φ
-        and ¬ψ."""
+        and ¬ψ.
+
+        Where it holds, it holds on every team the search entered, and
+        where it fails, on every team of the search stack; both go to
+        the memo, where the search also stops, so nested temporal nodes
+        read each team a bounded number of times."""
         inv, tgt = self.args[node]
         until = self.temporal[self.kinds[node]][0] == "U"
+        memo, check, successors = self.memo[node], self.check, self.successors
         seen: set[int] = set()
         # The search stack, in order: each team on it, with its successors
         # still to try.
@@ -798,17 +812,26 @@ class Compiled:
         pending: Iterator[int] = iter((team,))
         while True:
             for s in pending:
-                if s in stack:
+                verdict = memo.get(s)
+                if verdict is None:
+                    if s in stack:
+                        verdict = not until
+                    elif s in seen or check(s, tgt) == until:
+                        continue
+                    elif check(s, inv) != until:
+                        verdict = not until
+                    else:
+                        seen.add(s)
+                        pending = stack[s] = iter(successors(s))
+                        break
+                if verdict != until:
+                    for s in stack:
+                        memo[s] = not until
                     return not until
-                if s in seen or self.check(s, tgt) == until:
-                    continue
-                if self.check(s, inv) != until:
-                    return not until
-                seen.add(s)
-                pending = stack[s] = iter(self.successors(s))
-                break
             else:
                 if len(stack) <= 1:
+                    for s in seen:
+                        memo[s] = until
                     return until
                 stack.popitem()
                 pending = stack[next(reversed(stack))]

@@ -32,6 +32,7 @@ from .formula import (
     And,
     BoolOr,
     CNeg,
+    DEFAULT_MAX_SUBSETS,
     Formula,
     GenAtomApp,
     NegProp,
@@ -49,8 +50,6 @@ from .formula import (
 )
 from .kripke import KripkeStructure
 from .trace import LassoTrace
-
-DEFAULT_MAX_SUBSETS = 2**20
 
 
 def negative_prop(p: str) -> str:

@@ -94,7 +94,7 @@ class TestCheckPath:
         def overflow(*args, **kwargs):
             raise RecursionError("maximum recursion depth exceeded")
 
-        monkeypatch.setattr("teamtl.cli.check_team", overflow)
+        monkeypatch.setattr("teamtl.eval_team_ltl.check_team", overflow)
         result = runner.invoke(main, ["check-path", str(workspace / "team.json"), "p"])
         assert result.exit_code == 5
         assert result.stderr.startswith("error: internal error: RecursionError")
@@ -136,6 +136,15 @@ class TestCheckPath:
         assert (with_env.exit_code, with_env.output) == (plain.exit_code, plain.output)
 
 
+# The home module of each patched function: the CLI imports it there
+# when the subcommand runs.
+HOMES = {
+    "check_team": "teamtl.eval_team_ltl",
+    "check_model_splitfree": "teamtl.tmc_splitfree",
+    "mc_ctl": "teamtl.eval_team_ctl",
+}
+
+
 @pytest.mark.parametrize("patched,args", [
     ("mc_ctl", ["check-model", "ef.json", "EF p", "--mode", "ctl", "--team", "x1"]),
     ("check_model_splitfree", ["check-model", "ef.json", "F p"]),
@@ -147,7 +156,7 @@ def test_internal_error_exit_5(runner, workspace, monkeypatch, patched, args):
     def overflow(*args, **kwargs):
         raise RecursionError("maximum recursion depth exceeded")
 
-    monkeypatch.setattr(f"teamtl.cli.{patched}", overflow)
+    monkeypatch.setattr(f"{HOMES[patched]}.{patched}", overflow)
     args = [str(workspace / a) if "." in a else a for a in args]
     if args[0] == "gen":
         args += ["--out-dir", str(workspace / "out")]

@@ -32,6 +32,7 @@ from teamtl.selftest import (
     suite_ctl_oracle,
     suite_ctl_singleton,
     suite_ctl_union,
+    suite_shared_temporal,
 )
 
 p = Prop("p")
@@ -290,6 +291,12 @@ def test_masks_agree_with_the_search(seed):
     assert not suite_ctl_union(random.Random(seed), 1).mismatches
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32))
+def test_shared_searches_agree_with_the_oracles(seed):
+    assert not suite_shared_temporal(random.Random(seed), 1).mismatches
+
+
 def test_splits_over_dead_ends_are_rejected():
     # Read vacuously on the dead ends, AX would not be downward closed:
     # with a, b -> b2 and c -> c2, the cover {a,b} / {a,c} satisfies
@@ -390,3 +397,26 @@ def test_path_search_memoises_only_the_path_found():
     phi = parse_ctl(f"{eu} & EX ~{eu}")
     assert mc_ctl(k, MultiTeam.of(["a"]), phi)
     assert mc_ctl_bruteforce(k, MultiTeam.of(["a"]), phi)
+
+
+def test_region_search_memoises_the_teams_it_decides(monkeypatch):
+    # AG AF (p \\|/ p) on one member of a 250-cycle with p on one world:
+    # each AF search from the next team stops at the team the previous
+    # one memoised, so the nested searches step each team about twice.
+    # With the start team memoised alone it takes n(n+1)/2 = 31375 steps.
+    n = 250
+    worlds = [f"w{i}" for i in range(n)]
+    k = KripkeStructure.of(
+        worlds, [(w, worlds[(i + 1) % n]) for i, w in enumerate(worlds)], {"w0": ["p"]}
+    )
+    successors = _CtlEval.successors
+    calls = []
+
+    def spy(self, team):
+        calls.append(team)
+        return successors(self, team)
+
+    monkeypatch.setattr(_CtlEval, "successors", spy)
+    phi = parse_ctl("AG AF (p \\|/ p)")
+    assert mc_ctl(k, MultiTeam.of(["w1"]), phi, limits=CtlLimits(max_worlds=n))
+    assert len(calls) <= 2 * n
