@@ -2,7 +2,8 @@
 
 Teams of ultimately periodic traces with splitjunction, contradictory
 negation, Boolean disjunction, and generalised atoms; splitjunction-free
-model checking over Kripke structures via flattening; multiset-team CTL
+model checking over Kripke structures on their successor-set sequence,
+with the paper's flattening construction; multiset-team CTL
 model checking; QBF-reduction instance generators; and brute-force
 oracles for differential testing.
 

@@ -70,14 +70,13 @@ class _LassoEval:
 
     Positions are read through ``t.at(i)``, the label set at a reduced
     position, and ``t.reduce(i)``, the position with the same suffix
-    among the first stem + period.  A :class:`LassoTrace` answers both by
-    prefix/loop arithmetic; the splitfree model checker passes its
-    successor-set sequence, which steps only as far as they are read.
-    ``~`` reads as negation and ``\\|/`` as disjunction, which is their
-    meaning on one trace; `check_ltl_classical` admits neither.
+    among the first |prefix| + |loop|, which the `LassoTrace` answers by
+    prefix/loop arithmetic.  ``~`` reads as negation and ``\\|/`` as
+    disjunction, which is their meaning on one trace;
+    `check_ltl_classical` admits neither.
     """
 
-    def __init__(self, t):
+    def __init__(self, t: LassoTrace):
         self.at = t.at
         self.reduce = t.reduce
         self.memo: dict[tuple[int, int], bool] = {}
@@ -148,10 +147,10 @@ def check_ltl_classical(t: LassoTrace, phi: Formula) -> bool:
     return _LassoEval(t).eval(0, phi)
 
 
-def check_ltl_classical_extended(t, phi: Formula) -> bool:
+def check_ltl_classical_extended(t: LassoTrace, phi: Formula) -> bool:
     """Classical evaluation admitting CNeg (as negation) and BoolOr (as
-    disjunction); used by the flattening-based model checker.  ``t`` is a
-    LassoTrace or any other trace read through ``at`` and ``reduce``."""
+    disjunction): on the trace of `tmc_splitfree.flatten`, the paper's
+    reference for splitfree model checking."""
     return _LassoEval(t).eval(0, check_depth(phi))
 
 

@@ -177,31 +177,18 @@ class _CtlEval(Compiled):
         unit = self.unit = [1 << width * w for w in range(n)]
         digits = [self.digit << width * w for w in range(n)]
         self.full = (1 << width * n) - 1
-        # One pass over the worlds, in the structure's integer form.  Every
-        # edge w -> v moves a digit by v - w digits; the worlds with an edge
-        # of one such offset form one group, and the pre-images shift a
-        # whole mask once per group.  Worlds whose only successor lies the
-        # same distance d further on form a shift class: their digits move
-        # together by d digits and their support bits by d bits.
+        # One pass over the worlds, in the structure's integer form.  Worlds
+        # whose only successor lies the same distance d further on form a
+        # shift class: their digits move together by d digits and their
+        # support bits by d bits.
         pairs = [(u, 1 << v) for v, u in enumerate(unit)]
         self.succ_steps = []
         classes: dict[int, list[int]] = {}
-        branching: dict[int, list[int]] = {}
         for w, vs in enumerate(k.succ_ids):
             self.succ_steps.append(tuple(map(pairs.__getitem__, vs)))
             if len(vs) == 1:
                 classes.setdefault(vs[0] - w, []).append(w)
-            else:
-                for v in vs:
-                    branching.setdefault(v - w, []).append(w)
-        groups = {
-            d: sum(digits[w] for w in classes.get(d, []) + branching.get(d, []))
-            for d in classes.keys() | branching.keys()
-        }
-        self.pre_some = _pre_image(
-            tuple((d * width, ws) for d, ws in groups.items() if d >= 0),
-            tuple((-d * width, ws) for d, ws in groups.items() if d < 0),
-        )
+        self.pre_some = _pre_image(k.succ_ids, width)
         # An E-Until or E-Release sequence still open after this many sets
         # gives way to the search.  |W|² + 1 sets closed every sequence
         # measured, on random structures of up to 8 worlds and on the QBF

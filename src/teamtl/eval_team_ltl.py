@@ -87,6 +87,7 @@ from .formula import (
     Release,
     Split,
     Until,
+    _image,
     _pre_image,
     check_depth,
     formula_length,
@@ -162,16 +163,8 @@ class _TeamEval(Compiled):
         self.steps: dict[int, tuple[int]] = {}
         self.root = self._intern_team(team)
         self.full = (1 << len(self.heads)) - 1
-        # Every state has one successor, some offset on in the state order;
-        # the states of one offset form a group, and a pre-image shifts a
-        # whole mask once per group.
-        groups: dict[int, int] = {}
-        for s, bit in enumerate(self.succ):
-            offset = bit.bit_length() - 1 - s
-            groups[offset] = groups.get(offset, 0) | 1 << s
         self.pre_some = self.pre_all = _pre_image(
-            tuple((d, ss) for d, ss in groups.items() if d >= 0),
-            tuple((-d, ss) for d, ss in groups.items() if d < 0),
+            (bit.bit_length() - 1,) for bit in self.succ
         )
         # An Until or Release sequence still open after this many sets gives
         # way to the search along the suffix teams.
@@ -227,12 +220,7 @@ class _TeamEval(Compiled):
         """The one successor team: the suffix team one position later."""
         image = self.steps.get(mask)
         if image is None:
-            stepped, rest, succ = 0, mask, self.succ
-            while rest:
-                low = rest & -rest
-                stepped |= succ[low.bit_length() - 1]
-                rest ^= low
-            image = self.steps[mask] = (stepped,)
+            image = self.steps[mask] = (_image(mask, self.succ),)
         return image
 
     def singletons(self, mask: int):
@@ -448,12 +436,7 @@ def _osat(traces: tuple[LassoTrace, ...], off: int, phi: Formula) -> bool:
         return False
     if isinstance(phi, Next):
         return _osat(traces, off + 1, phi.child)
-    if isinstance(phi, Until):
-        short = _otemporal(traces, off, phi, _obound(traces, off, 1))
-        long = _otemporal(traces, off, phi, _obound(traces, off, 2))
-        assert short == long, "temporal verdict not stable across period bounds"
-        return short
-    if isinstance(phi, Release):
+    if isinstance(phi, (Until, Release)):
         short = _otemporal(traces, off, phi, _obound(traces, off, 1))
         long = _otemporal(traces, off, phi, _obound(traces, off, 2))
         assert short == long, "temporal verdict not stable across period bounds"

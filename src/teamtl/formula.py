@@ -19,16 +19,17 @@ go through them (or through `map_literals`, built on them) rather than
 reading those fields.  `is_downward_closed` tells whether a formula is
 in the syntactic downward-closed fragment.
 
-`Compiled` is the core both team evaluators build on: it interns a
-formula's nodes once per call, generalised-atom parameters included,
-records per node its class, child ids, downward closure and, for flat
-nodes, the mask of team members falsifying it, and decides every node
-through one ``check``: a flat node by one mask test, any other by its
-rule, memoised per team; a conjunction of unions of flat masks is one
-node.  It decides ``&``, Boolean disjunction, ``~``, generalised atoms
-and the temporal operators of both logics itself, each temporal class
-declared by its operator and path quantifier; the evaluators add their
-team encoding, successor teams, pre-images and splits.
+`Compiled` is the core that the team LTL, TeamCTL and splitfree model
+checking evaluators build on: it interns a formula's nodes once per
+call, generalised-atom parameters included, records per node its class,
+child ids, downward closure and, for flat nodes, the mask of team
+members falsifying it, and decides every node through one ``check``: a
+flat node by one mask test, any other by its rule, memoised per team; a
+conjunction of unions of flat masks is one node.  It decides ``&``,
+Boolean disjunction, ``~``, generalised atoms and every temporal
+operator itself, each temporal class declared by its operator and path
+quantifier; the evaluators add their team encoding, successor teams,
+pre-images and splits.
 
 `check_depth` bounds how deep a formula may nest, at every evaluator
 entry point, for trees built in code; the parsers bound the depth of
@@ -406,13 +407,32 @@ def is_ctl(phi: Formula) -> bool:
 # The compiled-formula core shared by the team evaluators
 
 
-def _pre_image(forward: tuple[tuple[int, int], ...], backward: tuple[tuple[int, int], ...]):
+def _image(mask: int, succ: list[int]) -> int:
+    """The union of ``succ[i]`` over the members ``i`` in ``mask``: for
+    ``succ[i]`` the mask of member i's successors, those of the mask."""
+    found = 0
+    while mask:
+        low = mask & -mask
+        found |= succ[low.bit_length() - 1]
+        mask ^= low
+    return found
+
+
+def _pre_image(succ_ids: Iterable[Iterable[int]], width: int = 1):
     """The function mapping a mask to the mask of the members with a
-    successor in it.  Each pair is a shift in bits and the mask of the
-    members with a successor that far on in the member order
-    (``forward``) or back (``backward``).  It holds no reference to the
+    successor in it, for ``succ_ids[i]`` the successors of member i and
+    each member ``width`` bits of a mask.  The members with an edge of
+    one offset in the member order form a group, and the function shifts
+    a whole mask once per group.  It holds no reference to the
     evaluator, so the mask sequences that keep it do not make the
     evaluator a reference cycle."""
+    digit = (1 << width) - 1
+    groups: dict[int, int] = {}
+    for i, vs in enumerate(succ_ids):
+        for v in vs:
+            groups[v - i] = groups.get(v - i, 0) | digit << width * i
+    forward = tuple((d * width, ms) for d, ms in groups.items() if d >= 0)
+    backward = tuple((-d * width, ms) for d, ms in groups.items() if d < 0)
 
     def pre_some(mask: int) -> int:
         found = 0
@@ -505,7 +525,7 @@ class MaskUnion:
 
 class Compiled:
     """One evaluation call's formula, interned once: the core that the
-    team LTL and team CTL evaluators share.
+    team LTL, TeamCTL and splitfree model checking evaluators share.
 
     Node ``n`` is a distinct subformula: ``kinds[n]`` is its node class,
     ``args[n]`` its child node ids (a generalised atom's children are its
@@ -518,12 +538,15 @@ class Compiled:
     Every other node has ``fails[n]`` None and memoises its verdicts by
     team in ``memo[n]``.
 
-    Both logics step a team synchronously, to a successor team: a team of
-    traces has one, its suffix team, and a multiset of worlds may have
-    many.  So team LTL's X, U and R are TeamCTL's EX, EU and ER (equally
-    AX, AU and AR) where every team has one successor, and one set of
-    rules decides both, read off a subclass's table ``temporal`` of each
-    temporal class's operator and path quantifier.  ``X`` steps once
+    Every evaluator steps a team synchronously, to a successor team: a
+    team of traces has one, its suffix team, a multiset of worlds may
+    have many, and the set of worlds a structure's trace team has reached
+    has one, its image.  So team LTL's X, U and R are TeamCTL's EX, EU
+    and ER (equally AX, AU and AR) where every team has one successor,
+    and one set of rules decides all three, read off a subclass's table
+    ``temporal`` of each temporal class's operator and path quantifier.
+    Splitfree model checking declares A: its masks are over worlds, each
+    of which steps to all of its successors at once.  ``X`` steps once
     (`_step`).  E-Until and A-Release look for one path (`_path`), and so
     do Until and Release on one successor; A-Until and E-Release search
     the region every path must leave (`_region`).  As a team's members
@@ -555,18 +578,20 @@ class Compiled:
     member is plain disjunction.
 
     A subclass encodes its teams and supplies ``literal_fails(name,
-    negated)`` (the mask of members falsifying a literal), ``singletons``
-    (a team's one-member teams, a member once per copy), ``successors``
-    (a team's distinct successor teams), ``split``, the node classes
-    ``param_nodes`` admitted in atom parameters, the name of its ``logic``
-    and ``temporal``, which maps each temporal class to its operator
-    (``"X"``, ``"U"`` or ``"R"``) and path quantifier (``"E"``, ``"A"``,
-    or ``""`` where every team has one successor).  Before it compiles it
-    also sets ``full`` (the mask of every member), ``cutoff`` and the
-    pre-images of a mask: ``pre_some`` (the members with a successor in
-    it) and ``pre_all`` (with only successors in it).  Any other class is
-    rejected with `UnsupportedNodeError`, in a parameter when it is
-    compiled, elsewhere when it is evaluated.
+    negated)`` (the mask of members falsifying a literal), ``successors``
+    (a team's distinct successor teams), ``split``, the name of its
+    ``logic`` and ``temporal``, which maps each temporal class to its
+    operator (``"X"``, ``"U"`` or ``"R"``) and path quantifier (``"E"``,
+    ``"A"``, or ``""`` where every team has one successor); where it
+    admits atoms, also ``singletons`` (a team's one-member teams, a
+    member once per copy) and the node classes ``param_nodes`` admitted
+    in their parameters.  Before it compiles it sets ``full`` (the mask
+    of every member) and ``pre_some``, the pre-image of a mask (the
+    members with a successor in it), and where a temporal class is not
+    under A, ``cutoff`` and ``pre_all`` (the members with only
+    successors in it).  Any other class is rejected with
+    `UnsupportedNodeError`, in a parameter when it is compiled, elsewhere
+    when it is evaluated.
     """
 
     temporal: dict[type, tuple[str, str]]

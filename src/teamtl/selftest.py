@@ -15,7 +15,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import fixtures
-from .eval_classical import check_ctl_classical, check_ltl_classical
+from .eval_classical import (
+    check_ctl_classical,
+    check_ltl_classical,
+    check_ltl_classical_extended,
+)
 from .eval_team_ctl import CtlLimits, from_index_zero, mc_ctl, mc_ctl_bruteforce
 from .eval_team_ltl import check_team, naive_oracle
 from .formula import (
@@ -42,6 +46,8 @@ from .formula import (
     expand_shorthand,
     inclusion_atom,
     is_downward_closed,
+    map_literals,
+    propositions,
     top,
 )
 from .kripke import KripkeStructure, MultiTeam, enumerate_traces, is_successor_team
@@ -54,7 +60,7 @@ from .qbf import (
     reduce_to_tmc_ctl,
     reduce_to_tpc,
 )
-from .tmc_splitfree import check_model_splitfree, flatten
+from .tmc_splitfree import check_model_splitfree, flatten, negative_prop
 from .trace import LassoTrace, TeamEncoding
 
 # ---------------------------------------------------------------------------
@@ -504,21 +510,36 @@ def suite_ltl_union(rng, count):
         )
 
 
-@_suite("check_model_splitfree vs trace enumeration")
+def _companion(literal: Formula) -> Formula:
+    """A negated proposition read as its flattening companion."""
+    if isinstance(literal, NegProp):
+        return Prop(negative_prop(literal.name))
+    return literal
+
+
+@_suite("check_model_splitfree vs trace enumeration and the flattened trace")
 def suite_splitfree(rng, count):
-    """Also checks that the flattened characteristic stays within 2^|W|.
-    A quarter of the structures are cycle fans, whose long loops make the
-    check's walks step past the repeat."""
+    """Both ``check_model_splitfree`` and ``check_team`` run on the shared
+    core, so the paper's construction is the third reference: classical
+    path checking on the trace of ``flatten``, each !p read as its
+    companion proposition.  Also checks that the flattened characteristic
+    stays within 2^|W|.  A quarter of the structures are cycle fans, whose
+    long loops make the searches step past the repeat."""
     for _ in range(count):
         k = random_cycle_fan(rng) if rng.random() < 0.25 else random_lasso_forest(rng)
         phi = random_ltl_formula(
             rng, rng.randint(1, 5),
             allow_split=False, allow_cneg=True, allow_boolor=True,
         )
-        flat = flatten(k)
+        flat = flatten(k, props=k.prop_universe | propositions(phi))
+        expected = check_team(enumerate_traces(k), phi)
         yield (
-            (check_model_splitfree(k, phi), flat.stem + flat.period <= 2 ** len(k.worlds)),
-            (check_team(enumerate_traces(k), phi), True),
+            (
+                check_model_splitfree(k, phi),
+                check_ltl_classical_extended(flat.trace, map_literals(phi, _companion)),
+                flat.stem + flat.period <= 2 ** len(k.worlds),
+            ),
+            (expected, expected, True),
             phi, k,
         )
 

@@ -1,37 +1,40 @@
 """Splitjunction-free team model checking over Kripke structures.
 
-A splitfree formula cannot distinguish which traces of the structure carry
-which labels beyond unanimity, so the whole (possibly infinite) trace team
-collapses to a single "flattened" lasso trace over an extended alphabet:
-position i carries p when every world reachable in exactly i steps is
-labeled p, and the companion proposition for "no world labeled p".  Team
-satisfaction then reduces to classical path checking of the rewritten
-formula on that one trace.
+The full trace team of a structure, i steps on, is the team of every
+path from S_i, the set of worlds reachable from the initial world in
+exactly i steps.  A splitfree formula reads it only through unanimity
+(p holds iff every world of S_i is labeled p, !p iff none is), and its
+one successor team starts from S_i+1, the image of S_i.  So the check
+runs on the shared core, `formula.Compiled`, with a team a world bitmask
+whose one successor is its image.  A world steps to all of its
+successors at once, so the temporal operators carry the A path
+quantifier: X φ over a flat φ fails on the worlds with a successor that
+fails φ, G ψ on those that reach a world failing ψ, and Until and
+Release otherwise are the core's searches.  The subsets repeat within
+2^|W| steps, so every search ends, and images are computed only as the
+searches reach them; the cap ``max_subsets`` counts them.
 
-The successor-set sequence is stepped over world bitmasks: each world is
-a bit, with one successor mask per world and one label mask per
-proposition, so a step ORs the successor masks of the current set and a
-unanimity label is one mask test.  The sequence must repeat within 2^|W|
-steps.  Model checking steps it on demand, only as far as the classical
-walk reads positions, so a formula decided at position 0 costs one step
-however long the sequence is; ``flatten`` steps it to the repeat.  The
-cap ``max_subsets`` counts the subsets actually stepped.
+``flatten`` is the paper's construction, the reference of the self-test:
+the subsets stepped to their repeat and folded into one lasso trace,
+where position i carries p when every world of S_i is labeled p, and
+the companion proposition `negative_prop` of p when none is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     GenAtomPresent,
     ResourceCapError,
     SplitjunctionPresent,
 )
-from .eval_classical import check_ltl_classical_extended
 from .formula import (
     And,
     BoolOr,
     CNeg,
+    Compiled,
     DEFAULT_MAX_SUBSETS,
     Formula,
     GenAtomApp,
@@ -41,10 +44,10 @@ from .formula import (
     Release,
     Split,
     Until,
+    _image,
+    _pre_image,
     check_depth,
     iter_nodes,
-    map_literals,
-    propositions,
     require_nodes,
     top,
 )
@@ -68,83 +71,60 @@ class FlattenedTrace:
     period: int
 
 
-class _SubsetSequence:
-    """The successor-set sequence of a structure, stepped on demand.
+class _SubsetEval(Compiled):
+    """One call's structure, over the shared formula core.
 
-    Position i is the set of worlds reachable from the initial world in
-    exactly i steps, a world bitmask; ``labels[i]`` is its unanimity label,
-    computed once, when the position is stepped.  The first repeated
-    subset fixes ``stem`` and ``period`` (0 until then), after which
-    ``reduce`` is plain arithmetic.  ``at`` and ``reduce`` are the
-    position reads of the classical LTL evaluator, so a check steps only
-    as far as its walk reads; ``max_subsets`` caps the subsets stepped.
+    A team is the mask of the worlds its paths start from, bit ``w`` for
+    world ``k.worlds[w]``, and a flat node's ``fails`` mask holds the
+    worlds falsifying it.  ``root`` is {initial}, ``succ[w]`` the mask of
+    the successors of world ``w``, and ``images`` caches each team's one
+    successor team, as `successors` returns it; it holds at most
+    ``max_subsets``.
     """
 
-    def __init__(
-        self, k: KripkeStructure, props: frozenset[str], max_subsets: int
-    ):
+    logic = "splitfree model checking"
+    # A world steps to all of its successors at once.
+    temporal = {Next: ("X", "A"), Until: ("U", "A"), Release: ("R", "A")}
+    # Only ⊤ is admitted, and ⊤ is flat.
+    split = Compiled._unsupported
+
+    def __init__(self, k: KripkeStructure, max_subsets: int):
         if max_subsets < 1:
             raise ValueError(f"max_subsets must be at least 1, not {max_subsets}")
         if k.initial is None:
-            raise ValueError("flattening requires an initial world")
-        bits = [1 << i for i in range(len(k.worlds))]
-        self.succ = [sum(map(bits.__getitem__, ids)) for ids in k.succ_ids]
-        self.labelled = []
-        for p in sorted(props):
-            mask = sum(1 << k.index[w] for w, ps in k.labels.items() if p in ps)
-            self.labelled.append((p, negative_prop(p), mask))
+            raise ValueError("splitfree model checking requires an initial world")
+        super().__init__()
+        self.structure = k
         self.max_subsets = max_subsets
-        self.stem = self.period = 0
-        self.positions: dict[int, int] = {}
-        self.labels: list[frozenset[str]] = []
-        self.at = self.labels.__getitem__
-        self.pending = 1 << k.index[k.initial]
+        self.root = 1 << k.index[k.initial]
+        self.full = (1 << len(k.worlds)) - 1
+        self.images: dict[int, tuple[int]] = {}
 
-    def step(self, n: int):
-        """Step until position ``n`` is stepped or a subset repeats, then
-        label the new positions.  Each subset's image is taken when the
-        subset is stepped, so the repeat is known as soon as the last new
-        subset is."""
-        if self.period:
-            return
-        labels, positions, succ = self.labels, self.positions, self.succ
-        cap, stepped, new = self.max_subsets, len(labels), []
-        subset = self.pending
-        while stepped <= n:
-            if stepped >= cap:
+    # Built on first use: many checks step no subset, and only X and G
+    # over flat nodes take a pre-image.
+    @cached_property
+    def succ(self) -> list[int]:
+        return [sum(1 << v for v in vs) for vs in self.structure.succ_ids]
+
+    @cached_property
+    def pre_some(self):
+        return _pre_image(self.structure.succ_ids)
+
+    def literal_fails(self, name: str, negated: bool) -> int:
+        index = self.structure.index
+        holds = sum(1 << index[w] for w, ps in self.structure.labels.items() if name in ps)
+        return holds if negated else self.full ^ holds
+
+    def successors(self, team: int) -> tuple[int]:
+        """The one successor team: the image of ``team``."""
+        image = self.images.get(team)
+        if image is None:
+            if len(self.images) >= self.max_subsets:
                 raise ResourceCapError(
-                    f"successor-set sequence exceeded {cap} subsets"
+                    f"successor-set sequence exceeded {self.max_subsets} subsets"
                 )
-            positions[subset] = stepped
-            new.append(subset)
-            stepped += 1
-            image, rest = 0, subset
-            while rest:
-                low = rest & -rest
-                image |= succ[low.bit_length() - 1]
-                rest ^= low
-            subset = image
-            if image in positions:
-                self.stem = positions[image]
-                self.period = stepped - self.stem
-                break
-        self.pending = subset
-        for subset in new:
-            position = set()
-            for p, not_p, mask in self.labelled:
-                if not subset & ~mask:
-                    position.add(p)
-                if not subset & mask:
-                    position.add(not_p)
-            labels.append(frozenset(position))
-
-    def reduce(self, i: int) -> int:
-        """The stepped position whose suffix is the one at ``i``."""
-        if i >= len(self.labels):
-            self.step(i)
-            if i >= len(self.labels):
-                return self.stem + (i - self.stem) % self.period
-        return i
+            image = self.images[team] = (_image(team, self.succ),)
+        return image
 
 
 def flatten(
@@ -161,30 +141,33 @@ def flatten(
     propositions (a proposition absent everywhere is unanimously false,
     which the flattening has to represent explicitly).
     """
-    sequence = _SubsetSequence(
-        k, k.prop_universe if props is None else props, max_subsets
-    )
-    sequence.step(max_subsets)
-    labels, stem = sequence.labels, sequence.stem
+    evaluator = _SubsetEval(k, max_subsets)
+    literals = [
+        (name, evaluator.literal_fails(p, negated))
+        for p in sorted(k.prop_universe if props is None else props)
+        for name, negated in ((p, False), (negative_prop(p), True))
+    ]
+    positions: dict[int, int] = {}
+    subset = evaluator.root
+    while subset not in positions:
+        positions[subset] = len(positions)
+        (subset,) = evaluator.successors(subset)
+    labels = [
+        frozenset(name for name, fails in literals if not s & fails) for s in positions
+    ]
+    stem = positions[subset]
     return FlattenedTrace(
         trace=LassoTrace(tuple(labels[:stem]), tuple(labels[stem:])),
         stem=stem,
-        period=sequence.period,
+        period=len(labels) - stem,
     )
 
 
 # The ⊤ expansion over the reserved proposition is the only splitjunction
-# admitted here: every team satisfies it, and its rewritten literals make
-# a classical disjunction that holds at every flattened position.
+# admitted here: every team satisfies it, and it is flat, with no world
+# falsifying it.
 _TOP = top()
 _LTL_NODES = (Prop, NegProp, And, Split, BoolOr, CNeg, GenAtomApp, Next, Until, Release)
-
-
-def _rewrite_literal(literal: Formula) -> Formula:
-    """A negated proposition becomes its positive companion."""
-    if isinstance(literal, NegProp):
-        return Prop(negative_prop(literal.name))
-    return literal
 
 
 def check_model_splitfree(
@@ -194,12 +177,11 @@ def check_model_splitfree(
     max_subsets: int = DEFAULT_MAX_SUBSETS,
 ) -> bool:
     """Does the full trace team of the structure satisfy the splitfree
-    formula?  CNeg and BoolOr are admitted (they commute with the
-    single-trace reduction); splitjunctions, generalised atoms and CTL
-    operators are not.  The flattened trace is stepped only as far as the
-    classical check reads it, and ``max_subsets`` caps the subsets stepped.
-    Raises `ResourceCapError` when ``phi`` is nested deeper than
-    `formula.MAX_DEPTH`.
+    formula?  CNeg and BoolOr are admitted; splitjunctions other than ⊤,
+    generalised atoms and CTL operators are not.  The successor-set
+    sequence is stepped only as far as the check's searches reach, and
+    ``max_subsets`` caps the subsets stepped.  Raises `ResourceCapError`
+    when ``phi`` is nested deeper than `formula.MAX_DEPTH`.
     """
     require_nodes(check_depth(phi), _LTL_NODES, "splitfree model checking")
     if any(isinstance(node, Split) and node != _TOP for node in iter_nodes(phi)):
@@ -211,9 +193,5 @@ def check_model_splitfree(
             "flattening keeps only unanimous-label information, which cannot "
             "evaluate generalised atoms"
         )
-    sequence = _SubsetSequence(
-        k, k.prop_universe | propositions(phi), max_subsets
-    )
-    return check_ltl_classical_extended(
-        sequence, map_literals(phi, _rewrite_literal)
-    )
+    evaluator = _SubsetEval(k, max_subsets)
+    return evaluator.check(evaluator.root, evaluator.compile(phi))

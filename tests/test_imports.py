@@ -90,6 +90,18 @@ def test_ctl_check_model_loads_the_ctl_evaluator_only():
     )
 
 
+def test_splitfree_check_model_loads_no_classical_evaluator(tmp_path):
+    k = tmp_path / "k.json"
+    k.write_text(json.dumps(
+        {"worlds": ["a", "b"], "edges": [["a", "b"], ["b", "a"]],
+         "labels": {"a": ["p"]}, "initial": "a"}
+    ))
+    args = ["check-model", str(k), "G F p", "--mode", "ltl-splitfree"]
+    assert loaded_by(args) == modules(
+        "cli", "errors", "files", "formula", "parser", "trace", "kripke", "tmc_splitfree"
+    )
+
+
 def test_all_is_unchanged():
     assert teamtl.__all__ == ALL
 

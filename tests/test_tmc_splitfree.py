@@ -11,11 +11,13 @@ from teamtl.errors import (
 )
 from teamtl.eval_classical import check_ltl_classical_extended
 from teamtl.eval_team_ltl import check_team
+from teamtl.formula import iter_nodes
 from teamtl.kripke import KripkeStructure, enumerate_traces
 from teamtl.parser import parse_ctl, parse_ltl
 from teamtl.selftest import cycle_fan, suite_splitfree
 from teamtl.tmc_splitfree import (
     FlattenedTrace,
+    _SubsetEval,
     check_model_splitfree,
     flatten,
     negative_prop,
@@ -84,20 +86,43 @@ class TestFlatten:
 
 
 class TestOnDemand:
-    """Model checking steps the successor-set sequence only as far as the
-    classical walk reads it, and the cap counts the subsets stepped."""
+    """Model checking steps the successor-set sequence only as far as its
+    searches reach, and the cap counts the subsets stepped."""
 
     def test_decided_at_position_0_under_a_small_cap(self):
         assert check_model_splitfree(HORIZON, parse_ltl("q U p"), max_subsets=4)
 
     def test_walk_over_the_whole_loop_meets_the_cap(self):
-        phi = parse_ltl("BOT R p")
+        # G p over a flat p is flat: one mask test, no subset stepped.
+        assert check_model_splitfree(HORIZON, parse_ltl("BOT R p"), max_subsets=1)
+        phi = parse_ltl("BOT R (p \\|/ p)")
         with pytest.raises(ResourceCapError):
             check_model_splitfree(HORIZON, phi, max_subsets=4)
         assert check_model_splitfree(HORIZON, phi)
         assert check_model_splitfree(HORIZON, phi, max_subsets=5545)
         with pytest.raises(ResourceCapError):
             check_model_splitfree(HORIZON, phi, max_subsets=5544)
+
+    @pytest.mark.parametrize("text", ["G F (p \\|/ p)", "G (q \\|/ F (p \\|/ p))"])
+    def test_nested_temporal_operators_are_linear(self, text, monkeypatch):
+        # HORIZON's cycles with p at their heads only: p is unanimous once
+        # per loop, so an inner F that starts afresh walks up to the whole
+        # loop of 5544 subsets from each position of the outer G.
+        k = cycle_fan((7, 8, 9, 11), lambda w: ["p"] if w.endswith("_0") else [])
+        phi = parse_ltl(text)
+        bound = 2 * 5545 * sum(1 for _ in iter_nodes(phi))
+        calls = 0
+        successors = _SubsetEval.successors
+
+        def counted(self, team):
+            nonlocal calls
+            calls += 1
+            assert calls <= bound
+            return successors(self, team)
+
+        monkeypatch.setattr(_SubsetEval, "successors", counted)
+        assert check_model_splitfree(k, phi)
+        assert calls >= 5545
 
     def test_walks_wrap_around_the_loop(self):
         # p only at the two cycle heads: unanimous at positions 1, 7, 13,
