@@ -86,7 +86,7 @@ _EXPORTS = {
     ),
     "selftest": ("run_selftest",),
     "tmc_splitfree": ("check_model_splitfree", "flatten"),
-    "trace": ("LassoTrace", "TeamEncoding", "canonicalize", "lcm_loop", "prfx", "suffix_team"),
+    "trace": ("LassoTrace", "TeamEncoding", "canonicalize", "lcm_loop", "prfx"),
 }
 # The submodules exported by name; `cli` is not one of them.
 _SUBMODULES = (*_EXPORTS, "fixtures")

@@ -15,7 +15,6 @@ from __future__ import annotations
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import click
 
@@ -25,12 +24,8 @@ from .errors import (
     ResourceCapError,
     TeamTLError,
 )
-from .formula import DEFAULT_MAX_SUBSETS, DEFAULT_MAX_TEAM, And, Next, Split, Until
+from .formula import DEFAULT_MAX_SUBSETS, DEFAULT_MAX_TEAM
 from .parser import ParseError, parse_ctl, parse_ltl, render
-
-if TYPE_CHECKING:
-    from .formula import Formula
-    from .trace import TeamEncoding
 
 EXIT_SAT = 0
 EXIT_UNSAT = 1
@@ -77,59 +72,6 @@ def _read_formula(text: str) -> str:
     return text
 
 
-def _explain(team: TeamEncoding, phi: Formula, indent: int, max_team: int):
-    """Print a verdict tree, with the found partition for splitjunctions
-    and the witness offset for until subformulas.  A split tries every
-    partition of its team, so one over more than ``max_team`` traces
-    raises `ResourceCapError`, as the evaluator's cap does."""
-    from .eval_team_ltl import check_team
-    from .trace import TeamEncoding, lcm_loop, prfx, suffix_team
-
-    sat = check_team(team, phi, max_team=max_team)
-    pad = "  " * indent
-    click.echo(f"{pad}{render(phi)}  [{len(team)} traces]  "
-               f"{'SAT' if sat else 'UNSAT'}")
-    if not sat:
-        return
-    if isinstance(phi, And):
-        _explain(team, phi.left, indent + 1, max_team)
-        _explain(team, phi.right, indent + 1, max_team)
-    elif isinstance(phi, Split):
-        members = list(team)
-        if len(members) > max(max_team, 1):
-            raise ResourceCapError(
-                f"--explain: split over {len(members)} traces exceeds "
-                f"the split cap {max_team}"
-            )
-        for mask in range(1 << len(members)):
-            left = TeamEncoding.of(
-                t for i, t in enumerate(members) if mask >> i & 1
-            )
-            right = TeamEncoding.of(
-                t for i, t in enumerate(members) if not mask >> i & 1
-            )
-            if check_team(left, phi.left, max_team=max_team) and check_team(
-                right, phi.right, max_team=max_team
-            ):
-                click.echo(f"{pad}  split: {len(left)} | {len(right)} traces")
-                _explain(left, phi.left, indent + 1, max_team)
-                _explain(right, phi.right, indent + 1, max_team)
-                return
-    elif isinstance(phi, Next):
-        _explain(suffix_team(team, 1), phi.child, indent + 1, max_team)
-    elif isinstance(phi, Until):
-        bound = prfx(team) + lcm_loop(team)
-        for k in range(bound + 1):
-            shifted = suffix_team(team, k)
-            if check_team(shifted, phi.right, max_team=max_team) and all(
-                check_team(suffix_team(team, i), phi.left, max_team=max_team)
-                for i in range(k)
-            ):
-                click.echo(f"{pad}  witness offset: {k}")
-                _explain(shifted, phi.right, indent + 1, max_team)
-                return
-
-
 @click.group()
 def main():
     """Synchronous team semantics for LTL and CTL: path checking, model
@@ -145,24 +87,26 @@ def main():
                    "over: those free to go on either side of a disjoint "
                    "split (one with a downward-closed side), or all of a "
                    "cover's (neither side downward closed).")
-@click.option("--explain", is_flag=True, help="Print the witness tree.")
+@click.option("--explain", is_flag=True, help="Print the witness tree the check found.")
 @click.option("--oracle", is_flag=True,
               help="Cross-check against the naive oracle (small inputs only).")
 def check_path(team_file, formula, max_team, explain, oracle):
     """Check whether the team in TEAM_FILE satisfies the LTL FORMULA."""
-    from .eval_team_ltl import check_team, naive_oracle
+    from .eval_team_ltl import check_team, explain_team, naive_oracle
 
     with _exit_codes():
         team = files.load_team(team_file)
         phi = parse_ltl(_read_formula(formula))
-        sat = check_team(team, phi, max_team=max_team)
+        if explain:
+            sat, lines = explain_team(team, phi, max_team=max_team)
+            click.echo("\n".join(lines))
+        else:
+            sat = check_team(team, phi, max_team=max_team)
         if oracle:
             slow = naive_oracle(team, phi)
             click.echo(f"oracle: {'SAT' if slow else 'UNSAT'}")
             if slow != sat:
                 _fail(EXIT_SELFTEST, "oracle disagrees with the checker")
-        if explain:
-            _explain(team, phi, 0, max_team)
     _verdict(sat)
 
 

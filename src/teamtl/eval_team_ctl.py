@@ -304,7 +304,7 @@ class _CtlEval(Compiled):
         for w, count in self.members(key):
             yield from [self.unit[w]] * count
 
-    def split(self, key: int, node: int) -> bool:
+    def split(self, key: int, node: int) -> tuple[int, int] | None:
         left, right = self.args[node]
         if self.dc[left] or self.dc[right]:
             # Disjoint index splits: a downward-closed side may shrink to the
@@ -331,8 +331,8 @@ class _CtlEval(Compiled):
             left_key = sum(part for part, _ in assignment)
             right_key = sum(part for _, part in assignment)
             if self.check(left_key, left) and self.check(right_key, right):
-                return True
-        return False
+                return left_key, right_key
+        return None
 
 
 def mc_ctl(

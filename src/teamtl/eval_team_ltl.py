@@ -70,6 +70,7 @@ implementation used for differential testing.
 from __future__ import annotations
 
 import itertools
+from typing import Iterator
 
 from .errors import ResourceCapError, UnsupportedNodeError
 from .formula import (
@@ -92,7 +93,7 @@ from .formula import (
     check_depth,
     formula_length,
 )
-from .trace import LassoTrace, TeamEncoding, trace_at, trace_sort_key
+from .trace import LassoTrace, TeamEncoding, trace_at
 
 
 def _least_rotation(seq: list[int]) -> int:
@@ -188,7 +189,7 @@ class _TeamEval(Compiled):
         loop_states: dict[tuple[int, ...], int] = {}
         prefix_states: dict[tuple[frozenset[str], int], int] = {}
         mask = 0
-        for t in team.traces:
+        for t in team:
             loop, stem, n = t.loop, len(t.prefix), len(t.loop)
             ids = [label_ids.setdefault(head, len(label_ids)) for head in loop]
             first = _least_rotation(ids)
@@ -226,14 +227,15 @@ class _TeamEval(Compiled):
     def singletons(self, mask: int):
         return _bits(mask)
 
-    def split(self, mask: int, node: int) -> bool:
+    def split(self, mask: int, node: int) -> tuple[int, int] | None:
         left, right = self.args[node]
         if self.dc[node]:
             return self._split_disjoint(mask, left, right)
         if self.dc[left]:
             return self._split_one_closed(mask, left, right)
         if self.dc[right]:
-            return self._split_one_closed(mask, right, left)
+            parts = self._split_one_closed(mask, right, left)
+            return parts and parts[::-1]
         return self._split_covers(mask, left, right)
 
     def _check_cap(self, members: int) -> None:
@@ -244,14 +246,16 @@ class _TeamEval(Compiled):
                 f"split over {members} traces exceeds the split cap {self.max_team}"
             )
 
-    def _split_disjoint(self, mask: int, left: int, right: int) -> bool:
+    def _split_disjoint(self, mask: int, left: int, right: int) -> tuple[int, int] | None:
         # Downward closure makes minimal assignments complete: a trace that
         # can only live on one side must go there, and when one side is flat
         # the other side's part can be taken as small as possible.
         if self.fails[left] is not None:
-            return self.check(mask & self.fails[left], right)
+            part = mask & self.fails[left]
+            return (mask ^ part, part) if self.check(part, right) else None
         if self.fails[right] is not None:
-            return self.check(mask & self.fails[right], left)
+            part = mask & self.fails[right]
+            return (part, mask ^ part) if self.check(part, left) else None
         # A side decided by one union whose masks all close holds on a trace
         # iff the trace misses one of them, so only the other side is
         # checked trace by trace; the left side is taken if both are such.
@@ -279,7 +283,7 @@ class _TeamEval(Compiled):
                 (can_side, can_other) if side == left else (can_other, can_side)
             )
         if can_left | can_right != mask:
-            return False
+            return None
         free = list(_bits(can_left & can_right))
         self._check_cap(len(free))
         # It also makes maximal parts complete.  Beside a closed union the
@@ -291,10 +295,10 @@ class _TeamEval(Compiled):
         # order of the enumeration below, which this skips.
         if closed is not None:
             must = mask & ~can_other
-            return any(
-                self.check(rest, other)
-                for rest in _minimal([mask & f for f in closed if not f & must])
-            )
+            for rest in _minimal([mask & f for f in closed if not f & must]):
+                if self.check(rest, other):
+                    return (mask ^ rest, rest) if side == left else (rest, mask ^ rest)
+            return None
         base = mask & ~can_right
         # Otherwise the right side is tried only on an enumerated left part
         # that no free trace can join with the left side still true: if
@@ -312,10 +316,10 @@ class _TeamEval(Compiled):
                     )
                     and self.check(mask ^ part, right)
                 ):
-                    return True
-        return False
+                    return part, mask ^ part
+        return None
 
-    def _split_one_closed(self, mask: int, closed: int, other: int) -> bool:
+    def _split_one_closed(self, mask: int, closed: int, other: int) -> tuple[int, int] | None:
         # The downward-closed side may shrink to the complement of the other
         # side's part, so partitions suffice.  A trace on which it fails
         # alone can be on no part of it, so it goes on the other side.
@@ -330,10 +334,10 @@ class _TeamEval(Compiled):
             for extra in itertools.combinations(free, size):
                 part = must | sum(extra)
                 if self.check(mask ^ part, closed) and self.check(part, other):
-                    return True
-        return False
+                    return mask ^ part, part
+        return None
 
-    def _split_covers(self, mask: int, left: int, right: int) -> bool:
+    def _split_covers(self, mask: int, left: int, right: int) -> tuple[int, int] | None:
         # subteams[x] holds the members whose index bits are set in x.
         members = list(_bits(mask))
         self._check_cap(len(members))
@@ -353,12 +357,59 @@ class _TeamEval(Compiled):
             step = 1 << i
             without_i = every // ((1 << 2 * step) - 1) * ((1 << step) - 1)
             covered |= (covered >> step) & without_i
-        # A cover exists iff some left subteam's complement is covered.
+        # A cover exists iff some left subteam's complement is covered; its
+        # right part is the first superset of the complement, in index
+        # order, that satisfies the right side.
         full = len(subteams) - 1
-        return any(
-            covered >> (full ^ x) & 1 and self.check(sub, left)
-            for x, sub in enumerate(subteams)
-        )
+        for x, sub in enumerate(subteams):
+            if covered >> (full ^ x) & 1 and self.check(sub, left):
+                extra = 0
+                while not self.check(subteams[full ^ x | extra], right):
+                    extra = (extra - x) & x
+                return sub, subteams[full ^ x | extra]
+        return None
+
+    # -- explaining --------------------------------------------------------
+
+    def explain(self, team: int, node: int, pad: str = "") -> Iterator[str]:
+        """Yield the witness tree of node ``node`` on ``team``, one line per
+        node indented by depth, read after the check off this evaluator's
+        own witnesses.  A split opens the parts `split` returns and ``X``
+        its one successor; ``U`` opens ψ on the first suffix team where it
+        holds, ``R`` φ on the first where it releases ψ, or else ψ on the
+        first repeated one.  ``&``, ``\\|/`` and ``~`` open their children
+        on the same team, ``\\|/`` its right one only where its left one
+        fails; literals, atoms and UNSAT nodes are leaves."""
+        from .parser import render
+
+        sat = self.check(team, node)
+        yield (f"{pad}{render(self.formulas[node])}  [{team.bit_count()} traces]  "
+               f"{'SAT' if sat else 'UNSAT'}")
+        kind, kids = self.kinds[node], self.args[node]
+        op = self.temporal.get(kind, ("",))[0]
+        # The check reads the right side of \|/ only where the left one fails.
+        parts = (team,) * (1 if kind is BoolOr and self.check(team, kids[0]) else len(kids))
+        if not sat or kind is GenAtomApp:
+            return
+        if kind is Split:
+            parts = self.split(team, node)
+            yield f"{pad}  split: {parts[0].bit_count()} | {parts[1].bit_count()} traces"
+        elif op == "X":
+            parts = self.successors(team)
+        elif op:
+            # The suffix teams repeat after at most prfx + lcm steps.
+            goal = kids[1] if op == "U" else kids[0]
+            seen: set[int] = set()
+            while team not in seen and not self.check(team, goal):
+                seen.add(team)
+                (team,) = self.successors(team)
+            note = f"{'witness' if op == 'U' else 'release'} offset: {len(seen)}"
+            if team in seen:
+                note, goal = f"never released in {len(seen)} suffix teams", kids[1]
+            yield f"{pad}  {note}"
+            parts, kids = (team,), (goal,)
+        for part, kid in zip(parts, kids):
+            yield from self.explain(part, kid, pad + "  ")
 
 
 def check_team(
@@ -382,6 +433,15 @@ def check_team(
     return evaluator.check(evaluator.root, evaluator.top)
 
 
+def explain_team(team: TeamEncoding, phi: Formula, *,
+                 max_team: int = DEFAULT_MAX_TEAM) -> tuple[bool, Iterator[str]]:
+    """`check_team`'s verdict, and the lines of the witness tree that the
+    same run found for it (`_TeamEval.explain`), produced as they are read."""
+    evaluator = _TeamEval(team, check_depth(phi), max_team)
+    sat = evaluator.check(evaluator.root, evaluator.top)
+    return sat, evaluator.explain(evaluator.root, evaluator.top)
+
+
 # ---------------------------------------------------------------------------
 # Independent oracle
 
@@ -402,8 +462,7 @@ def naive_oracle(team: TeamEncoding, phi: Formula) -> bool:
         raise ResourceCapError("oracle supports teams of at most 4 traces")
     if formula_length(phi) > ORACLE_MAX_LEN:
         raise ResourceCapError("oracle supports formulas of length at most 8")
-    traces = tuple(sorted(team.traces, key=trace_sort_key))
-    return _osat(traces, 0, phi)
+    return _osat(tuple(team), 0, phi)
 
 
 def _obound(traces: tuple[LassoTrace, ...], off: int, periods: int) -> int:

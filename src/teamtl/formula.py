@@ -579,19 +579,19 @@ class Compiled:
 
     A subclass encodes its teams and supplies ``literal_fails(name,
     negated)`` (the mask of members falsifying a literal), ``successors``
-    (a team's distinct successor teams), ``split``, the name of its
-    ``logic`` and ``temporal``, which maps each temporal class to its
-    operator (``"X"``, ``"U"`` or ``"R"``) and path quantifier (``"E"``,
-    ``"A"``, or ``""`` where every team has one successor); where it
-    admits atoms, also ``singletons`` (a team's one-member teams, a
-    member once per copy) and the node classes ``param_nodes`` admitted
-    in their parameters.  Before it compiles it sets ``full`` (the mask
-    of every member) and ``pre_some``, the pre-image of a mask (the
-    members with a successor in it), and where a temporal class is not
-    under A, ``cutoff`` and ``pre_all`` (the members with only
-    successors in it).  Any other class is rejected with
-    `UnsupportedNodeError`, in a parameter when it is compiled, elsewhere
-    when it is evaluated.
+    (a team's distinct successor teams), ``split`` (the two parts that
+    satisfy a split's sides, or None), the name of its ``logic`` and
+    ``temporal``, which maps each temporal class to its operator (``"X"``,
+    ``"U"`` or ``"R"``) and path quantifier (``"E"``, ``"A"``, or ``""``
+    where every team has one successor); where it admits atoms, also
+    ``singletons`` (a team's one-member teams, a member once per copy) and
+    the node classes ``param_nodes`` admitted in their parameters.  Before
+    it compiles it sets ``full`` (the mask of every member) and
+    ``pre_some``, the pre-image of a mask (the members with a successor in
+    it), and where a temporal class is not under A, ``cutoff`` and
+    ``pre_all`` (the members with only successors in it).  Any other class
+    is rejected with `UnsupportedNodeError`, in a parameter when it is
+    compiled, elsewhere when it is evaluated.
     """
 
     temporal: dict[type, tuple[str, str]]
@@ -619,7 +619,7 @@ class Compiled:
             And: cls._and,
             BoolOr: cls._bool_or,
             CNeg: cls._cneg,
-            Split: cls.split,
+            Split: cls._split,
             GenAtomApp: cls._gen_atom,
         }
         for kind, (op, quantifier) in self.temporal.items():
@@ -750,6 +750,9 @@ class Compiled:
 
     def _cneg(self, team: int, node: int) -> bool:
         return not self.check(team, self.args[node][0])
+
+    def _split(self, team: int, node: int) -> bool:
+        return self.split(team, node) is not None
 
     def _gen_atom(self, team: int, node: int) -> bool:
         params = self.args[node]

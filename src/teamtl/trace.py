@@ -10,7 +10,7 @@ never count as distinct team members.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 PropSet = frozenset[str]
@@ -95,38 +95,31 @@ def canonicalize(t: LassoTrace) -> LassoTrace:
 
 
 def trace_sort_key(t: LassoTrace):
-    """Deterministic ordering key for traces (used for stable iteration)."""
-    return (
-        len(t.prefix),
-        len(t.loop),
-        tuple(tuple(sorted(pos)) for pos in t.prefix),
-        tuple(tuple(sorted(pos)) for pos in t.loop),
-    )
+    """A total order on canonical traces that follows no string hash seed."""
+    return (len(t.prefix), len(t.loop), *map(sorted, t.prefix + t.loop))
 
 
 @dataclass(frozen=True)
 class TeamEncoding:
     """A finite team of traces; members are stored in canonical form,
-    however the team is built."""
+    however the team is built, and iterated in `trace_sort_key` order."""
 
     traces: frozenset[LassoTrace]
+    order: tuple[LassoTrace, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "traces", frozenset(map(canonicalize, self.traces)))
+        object.__setattr__(self, "order", tuple(sorted(self.traces, key=trace_sort_key)))
 
     @staticmethod
     def of(traces: Iterable[LassoTrace]) -> "TeamEncoding":
         return TeamEncoding(frozenset(traces))
 
     def __iter__(self):
-        return iter(sorted(self.traces, key=trace_sort_key))
+        return iter(self.order)
 
     def __len__(self):
         return len(self.traces)
-
-
-def suffix_team(team: TeamEncoding, i: int) -> TeamEncoding:
-    return TeamEncoding.of(suffix_trace(t, i) for t in team.traces)
 
 
 def prfx(team: TeamEncoding) -> int:

@@ -65,8 +65,58 @@ class TestCheckPath:
         assert result.exit_code == 0
         assert "split:" in result.output
 
-    def test_explain_split_over_the_cap_exit_3(self, runner, tmp_path):
-        # The check answers at once; --explain would try 2^22 partitions.
+    @pytest.mark.parametrize(
+        "formula, tree",
+        [
+            ("p & X q", ["p & X q  [2 traces]  SAT", "  p  [2 traces]  SAT",
+                         "  X q  [2 traces]  SAT", "    q  [2 traces]  SAT"]),
+            ("p | X p", ["p | X p  [2 traces]  SAT", "  split: 2 | 0 traces",
+                         "  p  [2 traces]  SAT", "  X p  [0 traces]  SAT",
+                         "    p  [0 traces]  SAT"]),
+            ("q \\|/ p", ["q \\|/ p  [2 traces]  SAT", "  q  [2 traces]  UNSAT",
+                          "  p  [2 traces]  SAT"]),
+            ("p \\|/ q", ["p \\|/ q  [2 traces]  SAT", "  p  [2 traces]  SAT"]),
+            ("~q", ["~q  [2 traces]  SAT", "  q  [2 traces]  UNSAT"]),
+            ("p U q", ["p U q  [2 traces]  SAT", "  witness offset: 1",
+                       "  q  [2 traces]  SAT"]),
+            ("p R !r", ["p R !r  [2 traces]  SAT", "  release offset: 0",
+                        "  p  [2 traces]  SAT"]),
+            # The suffix teams repeat after three: R holds as G !r.
+            ("G !r", ["G !r  [2 traces]  SAT", "  never released in 3 suffix teams",
+                      "  !r  [2 traces]  SAT"]),
+            ("dep(q)", ["dep(q)  [2 traces]  SAT"]),
+            ("!r", ["!r  [2 traces]  SAT"]),
+            ("F (p & q)", ["F (p & q)  [2 traces]  UNSAT"]),
+        ],
+    )
+    def test_explain_opens_every_connective(self, runner, tmp_path, formula, tree):
+        # Member one is p then q forever, member two alternates p and p, q.
+        team_file = tmp_path / "t.json"
+        team_file.write_text(json.dumps({"traces": [
+            {"prefix": [["p"]], "loop": [["q"]]},
+            {"prefix": [], "loop": [["p"], ["p", "q"]]},
+        ]}))
+        result = runner.invoke(main, ["check-path", str(team_file), formula, "--explain"])
+        verdict = tree[0].split()[-1]
+        assert result.exit_code == (0 if verdict == "SAT" else 1)
+        assert result.output.splitlines() == [*tree, verdict]
+
+    def test_explain_prints_a_cover_only_split(self, runner, tmp_path):
+        # The one trace goes on both sides: no partition satisfies the split.
+        team_file = tmp_path / "t.json"
+        team_file.write_text(json.dumps({"traces": [{"prefix": [], "loop": [["p"]]}]}))
+        result = runner.invoke(main, ["check-path", str(team_file), "(~BOT) | (~BOT)", "--explain"])
+        assert result.exit_code == 0
+        assert result.output.splitlines() == [
+            "(~BOT) | ~BOT  [1 traces]  SAT", "  split: 1 | 1 traces",
+            "  ~BOT  [1 traces]  SAT", "    BOT  [1 traces]  UNSAT",
+            "  ~BOT  [1 traces]  SAT", "    BOT  [1 traces]  UNSAT", "SAT",
+        ]
+
+    def test_explain_reads_the_split_the_check_found(self, runner, tmp_path):
+        # The check answers at once; trying every partition of the 22
+        # traces would take 2^22 checks.  --explain reads the split parts
+        # that the check itself found.
         doc = {"traces": [
             {"prefix": [[f"{side}{i:02}"]], "loop": [[loop]]}
             for side, loop in (("a", "q"), ("z", "p")) for i in range(11)
@@ -78,8 +128,22 @@ class TestCheckPath:
         start = time.perf_counter()
         result = runner.invoke(main, [*args, "--explain"])
         assert time.perf_counter() - start < 5
-        assert result.exit_code == 3
-        assert "split over 22 traces" in result.stderr
+        assert result.exit_code == 0
+        assert "  split: 11 | 11 traces" in result.output.splitlines()
+
+    def test_explain_opens_only_what_the_check_read(self, runner, tmp_path):
+        # The left side of \\|/ holds, so the check never tries the cover
+        # split on the right, which would enumerate 22 traces, past the cap.
+        doc = {"traces": [{"prefix": [[f"a{i:02}"]], "loop": [["p"]]} for i in range(22)]}
+        team_file = tmp_path / "t.json"
+        team_file.write_text(json.dumps(doc))
+        args = ["check-path", str(team_file), "(~BOT) \\|/ ((~p) | (~q))", "--explain"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        assert result.output.splitlines() == [
+            "(~BOT) \\|/ ((~p) | ~q)  [22 traces]  SAT", "  ~BOT  [22 traces]  SAT",
+            "    BOT  [22 traces]  UNSAT", "SAT",
+        ]
 
     def test_too_deep_formula_exit_2(self, runner, workspace):
         for depth in (500, 3000):

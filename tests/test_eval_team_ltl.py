@@ -1,10 +1,15 @@
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import teamtl
 from teamtl.errors import ResourceCapError, UnsupportedNodeError
 from teamtl.eval_team_ltl import _TeamEval, check_team, naive_oracle
 from teamtl.fixtures import union_closure_team
@@ -349,3 +354,27 @@ def test_nested_searches_are_linear_in_the_horizon(monkeypatch, text, verdict):
     assert check_team(team, parse_ltl(text)) is verdict
     assert len(set(calls)) == 5544
     assert len(calls) <= 3 * 5544
+
+
+def test_state_numbering_does_not_follow_the_hash_seed():
+    # A team's traces are a frozenset, which iterates in an order that
+    # follows the string hash seed; states are numbered in the team's order.
+    code = (
+        "import random\n"
+        "from teamtl.eval_team_ltl import _TeamEval\n"
+        "from teamtl.formula import Prop\n"
+        "from teamtl.qbf import reduce_to_tpc\n"
+        "from teamtl.selftest import random_qbf\n"
+        "team, _ = reduce_to_tpc(random_qbf(random.Random(3), 4, 4))\n"
+        "ev = _TeamEval(team, Prop('p'), len(team))\n"
+        "print(len(team), ev.root, [sorted(head) for head in ev.heads])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(teamtl.__file__).parents[1]))
+    runs = {
+        subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env=dict(env, PYTHONHASHSEED=str(seed)),
+        ).stdout
+        for seed in (0, 1)
+    }
+    assert len(runs) == 1

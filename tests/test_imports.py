@@ -35,8 +35,8 @@ ALL = [
     "mc_ctl", "mc_ctl_bruteforce", "naive_oracle", "normalize_qbf", "parse_ctl",
     "parse_ltl", "parse_qbf_text", "parser", "pl_team_satisfiable_bruteforce",
     "prfx", "propositions", "qbf", "reduce_plsim_to_tpc", "reduce_to_tmc_ctl",
-    "reduce_to_tpc", "render", "run_selftest", "selftest", "suffix_team",
-    "tmc_splitfree", "top", "trace",
+    "reduce_to_tpc", "render", "run_selftest", "selftest", "tmc_splitfree",
+    "top", "trace",
 ]
 
 LOADED = (
@@ -77,6 +77,19 @@ def test_check_path_loads_the_team_ltl_evaluator_only():
     assert loaded_by(args) == modules(
         "cli", "errors", "files", "formula", "parser", "trace", "eval_team_ltl"
     )
+    # The witness tree comes from the same evaluator run.
+    assert loaded_by([*args, "--explain"]) == loaded_by(args)
+
+
+def test_the_team_ltl_evaluator_loads_no_parser():
+    # `_TeamEval.explain` imports `render` only when it is called.
+    code = (
+        "from teamtl.eval_team_ltl import check_team\n"
+        "from teamtl.formula import Prop\n"
+        "from teamtl.trace import LassoTrace, TeamEncoding\n"
+        "check_team(TeamEncoding.of([LassoTrace.of([], [['p']])]), Prop('p'))\n" + LOADED
+    )
+    assert "teamtl.parser" not in json.loads(run(code))
 
 
 def test_ctl_check_model_loads_the_ctl_evaluator_only():

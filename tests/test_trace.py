@@ -3,13 +3,14 @@ import timeit
 import pytest
 from hypothesis import given, strategies as st
 
+from teamtl.eval_team_ltl import _TeamEval
+from teamtl.formula import Prop
 from teamtl.trace import (
     LassoTrace,
     TeamEncoding,
     canonicalize,
     lcm_loop,
     prfx,
-    suffix_team,
     suffix_trace,
     trace_at,
 )
@@ -108,8 +109,23 @@ def test_team_built_directly_is_canonical():
 @given(st.lists(traces, max_size=3))
 def test_suffix_team_is_periodic_after_prefix(ts):
     team = TeamEncoding.of(ts)
-    i = prfx(team)
-    assert suffix_team(team, i) == suffix_team(team, i + lcm_loop(team))
+    start, end = prfx(team), prfx(team) + lcm_loop(team)
+
+    def suffix_team(i):
+        return TeamEncoding.of(suffix_trace(t, i) for t in team)
+
+    assert suffix_team(start) == suffix_team(end)
+    # The evaluator's one successor of a team is its suffix team: the same
+    # number of distinct members, with the same labels first.
+    ev = _TeamEval(team, Prop("p"), len(team))
+    masks = [ev.root]
+    while len(masks) <= end:
+        masks += ev.successors(masks[-1])
+    assert masks[start] == masks[end]
+    for i, mask in enumerate(masks):
+        states = [s for s in range(len(ev.heads)) if mask >> s & 1]
+        assert len(states) == len(suffix_team(i))
+        assert {ev.heads[s] for s in states} == {trace_at(t, i) for t in team}
 
 
 def test_empty_team_bounds():
