@@ -10,9 +10,14 @@ interned as integers across the whole team, with a successor table
 team is then an ``int`` bitmask over states: a literal is one mask test,
 and the suffix team is a bit remap under which members that have become
 equal merge by themselves.  The formula is compiled by the shared core,
-`formula.Compiled`; here a flat node's mask is over states, and a
-generalised atom's rows come from its parameters checked on one-state
-teams, which are pure LTL formulas.
+`formula.Compiled`; here a flat node's mask is over states.
+
+A team of one trace satisfies a downward-closed formula iff the trace
+satisfies it classically (singleton equivalence), so one bit-parallel
+labelling gives, for each such node, the mask ``alone`` of the states on
+which it holds alone.  A generalised atom's rows are read off its
+parameters' masks (parameters are pure LTL), and so is which traces can
+go on each side of a split.
 
 A team has one successor team, its suffix team (``successors``), so
 ``X``, ``U`` and ``R`` are TeamCTL's rules on a graph where every team
@@ -41,23 +46,24 @@ search's verdict, so nested temporal operators reuse it.
 
 Splitjunctions are the expensive part, and the formula alone picks how
 each is enumerated.  On a downward-closed split node it suffices to
-enumerate disjoint subsets, pruned by per-trace feasibility, and to try
-the other side only beside a maximal part, one that no further trace
-can join with its side still true.  Both sides are downward closed, so
-this is complete: a side that fails beside a maximal part fails beside
-every part under it, whose complement is larger.  Where one side is a
-single union whose masks close, its maximal parts are read off the
-masks: ``mask & ~F`` for each mask F that misses the traces that must
-go on that side, and the other side is tried beside them in the order
-the enumeration would try them, but no part is enumerated.  The traces
-that can go on that side are read off the masks too, so only the other
-side is checked trace by trace.  Otherwise
-the left parts are enumerated from the largest down.  If only one side
-is downward closed, partitions still suffice: that side may shrink to
-the complement of the other side's part (the strict and lax readings of
-the split agree).  A trace on which it fails alone must go on the other
-side, so only the other side's parts that hold those traces are
-enumerated, with the closed side checked first on each complement.
+enumerate disjoint subsets, pruned by per-trace feasibility, which is
+one AND with each side's ``alone`` mask, and to try the other side only
+beside a maximal part, one that no further trace can join with its side
+still true.  Both sides are downward closed, so this is complete: a
+side that fails beside a maximal part fails beside every part under it,
+whose complement is larger.  Where one side is a single union whose
+masks close, its maximal parts are read off the masks: ``mask & ~F``
+for each mask F that misses the traces that must go on that side, and
+the other side is tried beside them in the order the enumeration would
+try them, but no part is enumerated.  Otherwise the left parts are
+enumerated from the largest down.  The masks only prune: every part is
+still decided by the rules.  If only one side is downward closed,
+partitions still suffice: that side may shrink to the complement of the
+other side's part (the strict and lax readings of the split agree).  A
+trace on which it fails alone, one outside its ``alone`` mask, must go
+on the other side, so only the other side's parts that hold those
+traces are enumerated, with the closed side checked first on each
+complement.
 Only where neither side is downward closed must every ordered cover
 (each trace goes left, right, or both) be considered.  Covers are
 decided with a superset closure ("sum over subsets") of the subteams
@@ -69,6 +75,7 @@ implementation used for differential testing.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterator
 
@@ -89,6 +96,7 @@ from .formula import (
     Split,
     Until,
     _image,
+    _least_fixpoint,
     _pre_image,
     check_depth,
     formula_length,
@@ -148,7 +156,10 @@ class _TeamEval(Compiled):
     first position and ``succ[s]`` the bit of the state one position
     later.  A team is a mask of states, and a flat node's ``fails`` mask
     holds the states whose first position falsifies it.  ``steps`` caches
-    each team's one successor team, as `successors` returns it.
+    each team's one successor team, as `successors` returns it, and
+    ``alone`` holds, for each downward-closed node, the states whose
+    one-state team satisfies it: splits read which traces can go on each
+    side off it, and atoms their rows.
     """
 
     logic = "team LTL"
@@ -224,8 +235,60 @@ class _TeamEval(Compiled):
             image = self.steps[mask] = (_image(mask, self.succ),)
         return image
 
-    def singletons(self, mask: int):
-        return _bits(mask)
+    @functools.cached_property
+    def alone(self) -> list[int | None]:
+        """``alone[n]``: the mask of the states whose one-state team
+        satisfies node ``n``, for each node in the downward-closed
+        fragment, and None for every other node.
+
+        On one trace a downward-closed formula has its classical meaning
+        (singleton equivalence), so each mask is one bottom-up pass over
+        the nodes, children first, in the style of CTL labelling: ``&``
+        is an AND of the children's masks, ``|`` and ``\\|/`` an OR, ``X``
+        a pre-image, ``U`` the least fixpoint of ψ ∨ (φ ∧ pre(Z)) and
+        ``R`` the greatest fixpoint of ψ ∧ (φ ∨ pre(Z)), the complement
+        of ¬φ U ¬ψ.  An atom holds on the states whose one row it accepts.
+        Splits and atoms read it on first use, so a check without them
+        never builds it."""
+        pre = self.pre_some
+        alone: list[int | None] = []
+        for node, kind in enumerate(self.kinds):
+            kids = [alone[a] for a in self.args[node]]
+            fails = self.fails[node]
+            if not self.dc[node]:
+                mask = None
+            elif fails is not None:
+                mask = self.full ^ fails
+            elif kind is And:
+                mask = kids[0] & kids[1]
+            elif kind is Split or kind is BoolOr:
+                mask = kids[0] | kids[1]
+            elif kind is Next:
+                mask = pre(kids[0])
+            elif kind is Until:
+                phi, psi = kids
+                mask = _least_fixpoint(psi, lambda z: phi & pre(z))
+            elif kind is Release:
+                # φ R ψ is ¬(¬φ U ¬ψ), and on one successor pre commutes with ¬.
+                phi, psi = (self.full ^ kid for kid in kids)
+                mask = self.full ^ _least_fixpoint(psi, lambda z: phi & pre(z))
+            elif kind is GenAtomApp:
+                accepts = self.formulas[node].atom.evaluator
+                mask = sum(
+                    bit for bit in _bits(self.full)
+                    if accepts([tuple(bool(bit & m) for m in kids)])
+                )
+            else:
+                self._unsupported(0, node)
+            alone.append(mask)
+        return alone
+
+    def _gen_atom(self, team: int, node: int) -> bool:
+        # A parameter is pure LTL, so its row entry on a member is one bit
+        # of its ``alone`` mask.
+        params = [self.alone[p] for p in self.args[node]]
+        rows = [tuple(bool(bit & m) for m in params) for bit in _bits(team)]
+        return self.formulas[node].atom.evaluator(rows)
 
     def split(self, mask: int, node: int) -> tuple[int, int] | None:
         left, right = self.args[node]
@@ -256,49 +319,30 @@ class _TeamEval(Compiled):
         if self.fails[right] is not None:
             part = mask & self.fails[right]
             return (part, mask ^ part) if self.check(part, left) else None
-        # A side decided by one union whose masks all close holds on a trace
-        # iff the trace misses one of them, so only the other side is
-        # checked trace by trace; the left side is taken if both are such.
-        closed = None
-        for side, other in ((left, right), (right, left)):
-            unions = self.unions[side]
-            if unions is not None and len(unions) == 1:
-                closed = unions[0].force()
-                if closed is not None:
-                    break
-        if closed is None:
-            can_left = can_right = 0
-            for bit in _bits(mask):
-                if self.check(bit, left):
-                    can_left |= bit
-                if self.check(bit, right):
-                    can_right |= bit
-        else:
-            blocked = mask
-            for f in closed:
-                blocked &= f
-            can_side = mask ^ blocked
-            can_other = sum(bit for bit in _bits(mask) if self.check(bit, other))
-            can_left, can_right = (
-                (can_side, can_other) if side == left else (can_other, can_side)
-            )
+        # A trace can go on a side iff it satisfies that side alone.
+        alone = self.alone
+        can_left, can_right = mask & alone[left], mask & alone[right]
         if can_left | can_right != mask:
             return None
         free = list(_bits(can_left & can_right))
         self._check_cap(len(free))
-        # It also makes maximal parts complete.  Beside a closed union the
-        # largest parts of its side are mask & ~F, for each of its masks F
-        # that misses the traces that must go on that side, and the other
-        # side is tried only on the complements mask & F of the maximal
-        # ones: if it holds beside some part, it holds on the smaller
-        # complement of a maximal part above it.  They are tried in the
-        # order of the enumeration below, which this skips.
-        if closed is not None:
-            must = mask & ~can_other
-            for rest in _minimal([mask & f for f in closed if not f & must]):
-                if self.check(rest, other):
-                    return (mask ^ rest, rest) if side == left else (rest, mask ^ rest)
-            return None
+        # It also makes maximal parts complete.  Beside a side decided by
+        # one union whose masks all close (the left side if both are), the
+        # largest parts of that side are mask & ~F, for each of its masks F
+        # that misses the traces that must go on it, and the other side is
+        # tried only on the complements mask & F of the maximal ones: if it
+        # holds beside some part, it holds on the smaller complement of a
+        # maximal part above it.  They are tried in the order of the
+        # enumeration below, which this skips.
+        for side, other, can_other in ((left, right, can_right), (right, left, can_left)):
+            unions = self.unions[side]
+            closed = unions[0].force() if unions is not None and len(unions) == 1 else None
+            if closed is not None:
+                must = mask & ~can_other
+                for rest in _minimal([mask & f for f in closed if not f & must]):
+                    if self.check(rest, other):
+                        return (mask ^ rest, rest) if side == left else (rest, mask ^ rest)
+                return None
         base = mask & ~can_right
         # Otherwise the right side is tried only on an enumerated left part
         # that no free trace can join with the left side still true: if
@@ -324,9 +368,7 @@ class _TeamEval(Compiled):
         # side's part, so partitions suffice.  A trace on which it fails
         # alone can be on no part of it, so it goes on the other side.
         fails = self.fails[closed]
-        if fails is None:
-            fails = sum(bit for bit in _bits(mask) if not self.check(bit, closed))
-        must = mask & fails
+        must = mask & (~self.alone[closed] if fails is None else fails)
         free = list(_bits(mask ^ must))
         self._check_cap(len(free))
         # The closed side is checked first: it is cheaper, and memoised.

@@ -575,7 +575,8 @@ class Compiled:
     atom's row for a member checks each parameter on the member's
     one-member team, which gives its classical value: parameters admit no
     ``~`` and no atom, so the empty team satisfies them and ``|`` on one
-    member is plain disjunction.
+    member is plain disjunction.  Team LTL reads the same values off its
+    one-trace masks instead (`eval_team_ltl._TeamEval.alone`).
 
     A subclass encodes its teams and supplies ``literal_fails(name,
     negated)`` (the mask of members falsifying a literal), ``successors``
@@ -583,13 +584,14 @@ class Compiled:
     satisfy a split's sides, or None), the name of its ``logic`` and
     ``temporal``, which maps each temporal class to its operator (``"X"``,
     ``"U"`` or ``"R"``) and path quantifier (``"E"``, ``"A"``, or ``""``
-    where every team has one successor); where it admits atoms, also
-    ``singletons`` (a team's one-member teams, a member once per copy) and
-    the node classes ``param_nodes`` admitted in their parameters.  Before
-    it compiles it sets ``full`` (the mask of every member) and
-    ``pre_some``, the pre-image of a mask (the members with a successor in
-    it), and where a temporal class is not under A, ``cutoff`` and
-    ``pre_all`` (the members with only successors in it).  Any other class
+    where every team has one successor); where it admits atoms, also the
+    node classes ``param_nodes`` admitted in their parameters, and
+    ``singletons`` (a team's one-member teams, a member once per copy) or
+    its own ``_gen_atom``.  Before it compiles it sets ``full`` (the mask
+    of every member) and ``pre_some``, the pre-image of a mask (the
+    members with a successor in it), and where a temporal class is not
+    under A, ``cutoff`` and ``pre_all`` (the members with only successors
+    in it).  Any other class
     is rejected with `UnsupportedNodeError`, in a parameter when it is
     compiled, elsewhere when it is evaluated.
     """

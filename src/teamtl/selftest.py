@@ -21,7 +21,7 @@ from .eval_classical import (
     check_ltl_classical_extended,
 )
 from .eval_team_ctl import CtlLimits, from_index_zero, mc_ctl, mc_ctl_bruteforce
-from .eval_team_ltl import check_team, naive_oracle
+from .eval_team_ltl import _TeamEval, check_team, naive_oracle
 from .formula import (
     AR,
     AU,
@@ -36,6 +36,7 @@ from .formula import (
     GenAtomApp,
     NegProp,
     Next,
+    PURE_LTL,
     Prop,
     Release,
     Split,
@@ -46,6 +47,7 @@ from .formula import (
     expand_shorthand,
     inclusion_atom,
     is_downward_closed,
+    iter_nodes,
     map_literals,
     propositions,
     top,
@@ -776,6 +778,50 @@ def suite_qbf_tpc_clauses(rng, count):
         yield check_team(team, phi, max_team=len(team)), eval_qbf(q), q
 
 
+def _state_trace(ev: _TeamEval, state: int) -> LassoTrace:
+    """The suffix that the interned state ``state`` of ``ev`` stands for:
+    its heads along the successor table, looping at the first repeat."""
+    path: list[int] = []
+    while state not in path:
+        path.append(state)
+        state = ev.succ[state].bit_length() - 1
+    heads = [ev.heads[s] for s in path]
+    start = path.index(state)
+    return LassoTrace(tuple(heads[:start]), tuple(heads[start:]))
+
+
+@_suite("one-trace masks of check_team vs classical LTL")
+def suite_ltl_alone(rng, count):
+    """Singleton equivalence for the masks a split reads: for every
+    downward-closed node, each state's bit in ``_TeamEval.alone`` against
+    the suffix that state stands for, alone; every member is such a
+    state.  Classical LTL is the reference on pure LTL nodes, and
+    ``naive_oracle`` on the one-trace team where a node holds a ``\\|/``
+    or a dependence atom.  Every other node must have no mask."""
+    for _ in range(count):
+        team = random_team(rng, max_prefix=3, max_loop=3)
+        phi = random_ltl_formula(
+            rng, rng.randint(1, 6),
+            allow_cneg=True, allow_boolor=True, allow_atoms=True,
+        )
+        ev = _TeamEval(team, phi, len(team))
+        traces = [_state_trace(ev, s) for s in range(len(ev.heads))]
+        got, expected = [], []
+        for node, sub in enumerate(ev.formulas):
+            if not ev.dc[node]:
+                got.append(ev.alone[node])
+                expected.append(None)
+                continue
+            pure = all(isinstance(n, PURE_LTL) for n in iter_nodes(sub))
+            for s, t in enumerate(traces):
+                got.append(bool(ev.alone[node] >> s & 1))
+                expected.append(
+                    check_ltl_classical(t, sub) if pure
+                    else naive_oracle(TeamEncoding.of([t]), sub)
+                )
+        yield got, expected, phi, team
+
+
 @_suite("pinned fixtures")
 def suite_fixtures(rng, count):
     """The pinned verdicts; draws nothing and ignores ``count``."""
@@ -787,7 +833,8 @@ SUITES = (
     suite_ltl_oracle, suite_ltl_structural, suite_ltl_downward_closed, suite_split_one_dc,
     suite_ltl_union, suite_splitfree, suite_ltl_ctl_agreement, suite_ctl_oracle, suite_ctl_flat,
     suite_ctl_union, suite_ctl_singleton, suite_successor_teams, suite_qbf_reductions,
-    suite_plsim, suite_qbf_tpc, suite_qbf_tpc_clauses, suite_shared_temporal, suite_fixtures,
+    suite_plsim, suite_qbf_tpc, suite_qbf_tpc_clauses, suite_shared_temporal, suite_ltl_alone,
+    suite_fixtures,
 )
 # The costlier suites run at a fraction of ``run_selftest``'s count.
 _DIVISORS = {

@@ -26,6 +26,7 @@ from teamtl.parser import parse_ltl
 from teamtl.selftest import (
     cycle_fan,
     random_ltl_formula,
+    suite_ltl_alone,
     suite_ltl_oracle,
     suite_ltl_downward_closed,
     suite_plsim,
@@ -248,14 +249,20 @@ class TestMaskUnions:
         (union,) = ev.unions[ev.args[node][0]]
         assert union.force() == union.masks and union.masks
 
-    def test_split_beside_a_closed_union_checks_the_other_side_per_trace(self):
-        # The traces that can go left are read off the masks of F p: no
-        # one-trace team is checked against it, only against F !p.
+    def test_split_beside_a_closed_union_checks_the_other_side_per_maximal_part(self):
+        # The traces that can go on either side are read off the one-trace
+        # masks: F p holds alone on the two states that reach p, F !p on
+        # every state.  No one-trace team is checked against F p, and F !p
+        # is checked only on the complement of the one maximal part of
+        # F p, which here is one trace.
         ev, node = self.compiled(union_closure_team(), "F p | F !p")
         left, right = ev.args[node]
         assert ev.check(ev.root, node)
-        assert [team.bit_count() for team in ev.memo[left]] == []
-        assert [team.bit_count() for team in ev.memo[right]] == [1, 1]
+        reach_p = sum(1 << s for s, head in enumerate(ev.heads) if "p" in head)
+        reach_p |= ev.pre_some(reach_p)
+        assert (ev.alone[left], ev.alone[right]) == (reach_p, ev.full)
+        assert list(ev.memo[left]) == []
+        assert list(ev.memo[right]) == [ev.split(ev.root, node)[1]]
 
 
 class TestOracleAgreement:
@@ -297,6 +304,11 @@ class TestOracleAgreement:
     @given(st.integers(0, 2**32))
     def test_downward_closure(self, seed):
         assert not suite_ltl_structural(random.Random(seed), 1).mismatches
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_one_trace_masks_equal_classical(self, seed):
+        assert not suite_ltl_alone(random.Random(seed), 1).mismatches
 
 
 def test_long_horizon_stops_at_first_witness():

@@ -160,6 +160,19 @@ def test_many_clause_frontier_instance_decides_in_a_second():
     assert time.process_time() - started < 1
 
 
+def test_frontier_splits_read_one_trace_verdicts_off_masks():
+    # 71 traces and SAT.  Which traces can go on each side of a split is
+    # read off the one-trace masks, so hardly any one-trace team is
+    # decided by the rules: checking each trace alone stored 8128 of the
+    # 16 093 memo entries.
+    team, phi = reduce_to_tpc(frontier_qbf(13, 13))
+    ev = _TeamEval(team, phi, len(team))
+    assert ev.check(ev.root, ev.top) is True
+    entries = [sub for memo in ev.memo for sub in memo]
+    assert sum(sub.bit_count() == 1 for sub in entries) <= 10
+    assert len(entries) < 10_000
+
+
 @pytest.mark.parametrize(
     "lengths, goals, verdict",
     [
