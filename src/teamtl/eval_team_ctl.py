@@ -108,6 +108,7 @@ from .formula import (
     check_depth,
     children,
     is_downward_closed,
+    prop_masks,
     rebuild,
 )
 from .kripke import KripkeStructure, MultiTeam, world_ids
@@ -208,16 +209,8 @@ class _CtlEval(Compiled):
             worlds = sum(1 << w for w in ws)
             self.shifts.append((d, worlds, sum(digits[w] for w in ws)))
             self.stepped ^= worlds
-        # Worlds with equal label sets are summed once per set.
-        by_label: dict[frozenset[str], list[int]] = {}
         index = k.index
-        for w, ps in k.labels.items():
-            by_label.setdefault(ps, []).append(digits[index[w]])
-        self.prop_masks: dict[str, int] = {}
-        for ps, ds in by_label.items():
-            holds = sum(ds)
-            for p in ps:
-                self.prop_masks[p] = self.prop_masks.get(p, 0) | holds
+        self.prop_masks = prop_masks((ps, digits[index[w]]) for w, ps in k.labels.items())
         self.supports: dict[int, int] = {}
         self.succ_cache: dict[int, tuple[int, ...]] = {}
 
@@ -288,10 +281,6 @@ class _CtlEval(Compiled):
 
     # -- compiling ---------------------------------------------------------
 
-    def literal_fails(self, name: str, negated: bool) -> int:
-        holds = self.prop_masks.get(name, 0)
-        return holds if negated else self.full ^ holds
-
     def pre_all(self, mask: int) -> int:
         """The digits of the worlds with only successors in the digit mask
         ``mask``: the relation is left-total, so those without a successor
@@ -355,7 +344,6 @@ def mc_ctl(
         )
     evaluator = _CtlEval(k, len(team))
     key = evaluator.encode(team.worlds)
-    check_depth(phi)
     return evaluator.check(key, evaluator.compile(phi))
 
 

@@ -97,9 +97,9 @@ from .formula import (
     Until,
     _image,
     _least_fixpoint,
-    _pre_image,
-    check_depth,
+    _shifts,
     formula_length,
+    prop_masks,
 )
 from .trace import LassoTrace, TeamEncoding, trace_at
 
@@ -173,11 +173,9 @@ class _TeamEval(Compiled):
         self.heads: list[frozenset[str]] = []
         self.succ: list[int] = []
         self.steps: dict[int, tuple[int]] = {}
-        self.root = self._intern_team(team)
+        self.root, groups = self._intern_team(team)
         self.full = (1 << len(self.heads)) - 1
-        self.pre_some = self.pre_all = _pre_image(
-            (bit.bit_length() - 1,) for bit in self.succ
-        )
+        self.pre_some = self.pre_all = _shifts(groups)
         # An Until or Release sequence still open after this many sets gives
         # way to the search along the suffix teams.
         self.cutoff = len(self.heads) + 1
@@ -185,46 +183,52 @@ class _TeamEval(Compiled):
 
     # -- compiling ---------------------------------------------------------
 
-    def _add_state(self, head: frozenset[str]) -> int:
-        self.heads.append(head)
-        self.succ.append(0)
-        return len(self.heads) - 1
-
-    def _intern_team(self, team: TeamEncoding) -> int:
+    def _intern_team(self, team: TeamEncoding) -> tuple[int, dict[int, int]]:
+        """Number the states of ``team``; return the mask of its members
+        and the states grouped by the offset of their successor."""
         # A rotation of a primitive loop is a distinct pure-loop state, and
         # a prefix state (head, next state) of a canonical trace is never
         # pure-loop; so these two keys identify suffixes exactly.  Loops
         # that are rotations of each other share one key, their least
-        # rotation over per-label ids, whose states are numbered from there.
+        # rotation over per-label ids, whose states are numbered from there
+        # on, each but the last with its successor one state later.
+        heads, succ = self.heads, self.succ
+        groups: dict[int, int] = {}
         label_ids: dict[frozenset[str], int] = {}
         loop_states: dict[tuple[int, ...], int] = {}
         prefix_states: dict[tuple[frozenset[str], int], int] = {}
         mask = 0
         for t in team:
-            loop, stem, n = t.loop, len(t.prefix), len(t.loop)
+            loop, n = t.loop, len(t.loop)
             ids = [label_ids.setdefault(head, len(label_ids)) for head in loop]
-            first = _least_rotation(ids)
+            first = _least_rotation(ids) if n > 1 else 0
             least = tuple(ids[first:] + ids[:first])
             base = loop_states.get(least)
             if base is None:
-                base = loop_states[least] = len(self.heads)
-                for j in range(n):
-                    self._add_state(loop[(first + j) % n])
-                    self.succ[base + j] = 1 << (base + (j + 1) % n)
+                base = loop_states[least] = len(heads)
+                heads += loop[first:] + loop[:first]
+                succ += [2 << s for s in range(base, base + n - 1)]
+                succ.append(1 << base)
+                last = 1 << base + n - 1
+                if n > 1:
+                    groups[1] = groups.get(1, 0) | (last - (1 << base))
+                groups[1 - n] = groups.get(1 - n, 0) | last
             state = base + (n - first) % n
-            for i in range(stem - 1, -1, -1):
-                key = (t.prefix[i], state)
+            for head in reversed(t.prefix):
+                key = (head, state)
                 known = prefix_states.get(key)
                 if known is None:
-                    known = prefix_states[key] = self._add_state(t.prefix[i])
-                    self.succ[known] = 1 << state
+                    known = prefix_states[key] = len(heads)
+                    heads.append(head)
+                    succ.append(1 << state)
+                    groups[state - known] = groups.get(state - known, 0) | 1 << known
                 state = known
             mask |= 1 << state
-        return mask
+        return mask, groups
 
-    def literal_fails(self, name: str, negated: bool) -> int:
-        holds = sum(1 << s for s, head in enumerate(self.heads) if name in head)
-        return holds if negated else self.full ^ holds
+    @functools.cached_property
+    def prop_masks(self) -> dict[str, int]:
+        return prop_masks(zip(self.heads, map((1).__lshift__, range(len(self.heads)))))
 
     # -- evaluating --------------------------------------------------------
 
@@ -471,7 +475,7 @@ def check_team(
     split over one trace is always allowed.  Also raises it when ``phi``
     is nested deeper than `formula.MAX_DEPTH`.
     """
-    evaluator = _TeamEval(team, check_depth(phi), max_team)
+    evaluator = _TeamEval(team, phi, max_team)
     return evaluator.check(evaluator.root, evaluator.top)
 
 
@@ -479,7 +483,7 @@ def explain_team(team: TeamEncoding, phi: Formula, *,
                  max_team: int = DEFAULT_MAX_TEAM) -> tuple[bool, Iterator[str]]:
     """`check_team`'s verdict, and the lines of the witness tree that the
     same run found for it (`_TeamEval.explain`), produced as they are read."""
-    evaluator = _TeamEval(team, check_depth(phi), max_team)
+    evaluator = _TeamEval(team, phi, max_team)
     sat = evaluator.check(evaluator.root, evaluator.top)
     return sat, evaluator.explain(evaluator.root, evaluator.top)
 

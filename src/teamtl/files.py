@@ -5,6 +5,12 @@ parsing so fixture files can carry commentary.  The writers put each
 top-level key on a line of its own, and each trace of a team file, and
 write every line with `json.dumps` without ``indent``: the C encoder,
 where ``indent`` would take the pure-Python one.
+
+A team file is read in one pass: each position is checked as it is
+turned into a label set, each distinct spelling once per file, and each
+trace is built once, as `trace.TeamEncoding` keeps a trace that is
+already canonical.  Formulas are read by `parser`, which bounds their
+depth.
 """
 
 from __future__ import annotations
@@ -50,15 +56,39 @@ def _lists_of_strings(values: Iterable, message: str, length: int | None = None)
         raise TypeError(message)
 
 
+_POSITION = "a trace position must be a list of strings"
+
+
+def _positions(values, labels: dict[tuple, frozenset[str]]) -> tuple[frozenset[str], ...]:
+    """The label sets of a prefix or a loop, each position a JSON array of
+    strings.  ``labels`` maps each spelling met so far, all of whose items
+    are strings, to its frozenset, so each distinct spelling is checked
+    and built once per file."""
+    out = []
+    for pos in values:
+        if type(pos) is not list:
+            raise TypeError(_POSITION)
+        key = tuple(pos)
+        try:
+            label = labels.get(key)
+        except TypeError:  # an item that is an array or an object
+            raise TypeError(_POSITION) from None
+        if label is None:
+            if not set(map(type, key)) <= {str}:
+                raise TypeError(_POSITION)
+            label = labels[key] = frozenset(key)
+        out.append(label)
+    return tuple(out)
+
+
 def loads_team(text: str) -> TeamEncoding:
     try:
         doc = json.loads(_strip_comments(text))
+        labels: dict[tuple, frozenset[str]] = {}
         traces = []
         for entry in doc["traces"]:
             prefix, loop = entry["prefix"], entry["loop"]
-            for positions in (prefix, loop):
-                _lists_of_strings(positions, "a trace position must be a list of strings")
-            traces.append(LassoTrace.of(prefix, loop))
+            traces.append(LassoTrace(_positions(prefix, labels), _positions(loop, labels)))
     except _MALFORMED as exc:
         raise FileFormatError(f"malformed team file: {exc}") from exc
     return TeamEncoding.of(traces)

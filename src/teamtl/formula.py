@@ -31,8 +31,9 @@ operator itself, each temporal class declared by its operator and path
 quantifier; the evaluators add their team encoding, successor teams,
 pre-images and splits.
 
-`check_depth` bounds how deep a formula may nest, at every evaluator
-entry point, for trees built in code; the parsers bound the depth of
+How deep a formula may nest is bounded once per entry point, for trees
+built in code: by `Compiled.compile` as it interns the tree, and by
+`check_depth` where nothing compiles; the parsers bound the depth of
 each node as they build it.
 """
 
@@ -50,7 +51,10 @@ RESERVED_TAUT_PROP = "_taut"
 
 # The deepest formula the parsers and evaluators accept, counting the
 # syntax tree's levels; the parsers also count the brackets and prefix
-# operators around any sub-expression.  The evaluators recurse per tree
+# operators around any sub-expression.  The parsers bound each node as
+# they build it; `Compiled.compile` bounds the tree it interns, for
+# check_team, mc_ctl and check_model_splitfree; `check_depth` bounds it
+# at every other entry point, before they recurse.  The evaluators recurse per tree
 # level: from a shallow stack, under Python's default recursion limit of
 # 1000, mc_ctl_bruteforce decides EX nested 247 deep (four frames a
 # level), classical LTL U nested 330 deep, and check_team and mc_ctl
@@ -264,13 +268,16 @@ def bot() -> Formula:
 # The derived temporal operators: each is its class with ⊤ or ⊥ on the
 # left of its operand.  G φ = ⊥ R φ, as in CTL; see README for why the
 # Until variant is rejected.  `parser.render` folds them back by this table.
+# All of them share one ⊤ and one ⊥, which the parser also reads for TOP
+# and BOT, so that a parsed formula holds one object for each.
+_TOP, _BOT = top(), bot()
 SHORTHANDS: dict[str, tuple[type, Formula]] = {
-    "F": (Until, top()),
-    "G": (Release, bot()),
-    "EF": (EU, top()),
-    "EG": (ER, bot()),
-    "AF": (AU, top()),
-    "AG": (AR, bot()),
+    "F": (Until, _TOP),
+    "G": (Release, _BOT),
+    "EF": (EU, _TOP),
+    "EG": (ER, _BOT),
+    "AF": (AU, _TOP),
+    "AG": (AR, _BOT),
 }
 
 
@@ -352,7 +359,11 @@ def check_depth(phi: Formula) -> Formula:
         level = {id(kid): kid for node in level.values() for kid in children(node)}
         if not level:
             return phi
-    raise ResourceCapError(f"formula nested more than {MAX_DEPTH} deep")
+    raise _too_deep()
+
+
+def _too_deep() -> ResourceCapError:
+    return ResourceCapError(f"formula nested more than {MAX_DEPTH} deep")
 
 
 def require_nodes(phi: Formula, allowed: tuple[type, ...], where: str) -> Formula:
@@ -421,16 +432,22 @@ def _image(mask: int, succ: list[int]) -> int:
 def _pre_image(succ_ids: Iterable[Iterable[int]], width: int = 1):
     """The function mapping a mask to the mask of the members with a
     successor in it, for ``succ_ids[i]`` the successors of member i and
-    each member ``width`` bits of a mask.  The members with an edge of
-    one offset in the member order form a group, and the function shifts
-    a whole mask once per group.  It holds no reference to the
-    evaluator, so the mask sequences that keep it do not make the
-    evaluator a reference cycle."""
+    each member ``width`` bits of a mask: `_shifts` of the members
+    grouped by the offset of each of their edges in the member order."""
     digit = (1 << width) - 1
     groups: dict[int, int] = {}
     for i, vs in enumerate(succ_ids):
         for v in vs:
             groups[v - i] = groups.get(v - i, 0) | digit << width * i
+    return _shifts(groups, width)
+
+
+def _shifts(groups: dict[int, int], width: int = 1):
+    """The pre-image function of ``groups``, which maps each offset d to
+    the mask of the members with a successor d members later: it shifts
+    a whole mask once per group.  It holds no reference to the
+    evaluator, so the mask sequences that keep it do not make the
+    evaluator a reference cycle."""
     forward = tuple((d * width, ms) for d, ms in groups.items() if d >= 0)
     backward = tuple((-d * width, ms) for d, ms in groups.items() if d < 0)
 
@@ -443,6 +460,20 @@ def _pre_image(succ_ids: Iterable[Iterable[int]], width: int = 1):
         return found
 
     return pre_some
+
+
+def prop_masks(labelled: Iterable[tuple[frozenset[str], int]]) -> dict[str, int]:
+    """Each proposition's mask of the members labelled with it, from the
+    (label set, member mask) pairs ``labelled``.  Equal label sets are
+    gathered first, so each is read once."""
+    by_label: dict[frozenset[str], int] = {}
+    for label, mask in labelled:
+        by_label[label] = by_label.get(label, 0) | mask
+    masks: dict[str, int] = {}
+    for label, mask in by_label.items():
+        for p in label:
+            masks[p] = masks.get(p, 0) | mask
+    return masks
 
 
 def _least_fixpoint(mask: int, pre: Callable[[int], int]) -> int:
@@ -530,7 +561,8 @@ class Compiled:
     Node ``n`` is a distinct subformula: ``kinds[n]`` is its node class,
     ``args[n]`` its child node ids (a generalised atom's children are its
     parameters), ``dc[n]`` whether it lies in the downward-closed
-    fragment, and ``rules[n]`` the function deciding it on a team.  A node
+    fragment, ``height[n]`` its number of levels, and ``rules[n]`` the
+    function deciding it on a team.  A node
     is flat when its truth on a team is decided member by member; then
     ``fails[n]`` is the mask of members falsifying it, and it holds on a
     team iff no member is in that mask.  Literals are flat, and so are
@@ -578,8 +610,8 @@ class Compiled:
     member is plain disjunction.  Team LTL reads the same values off its
     one-trace masks instead (`eval_team_ltl._TeamEval.alone`).
 
-    A subclass encodes its teams and supplies ``literal_fails(name,
-    negated)`` (the mask of members falsifying a literal), ``successors``
+    A subclass encodes its teams and supplies ``prop_masks`` (each
+    proposition's mask of the members labelled with it), ``successors``
     (a team's distinct successor teams), ``split`` (the two parts that
     satisfy a split's sides, or None), the name of its ``logic`` and
     ``temporal``, which maps each temporal class to its operator (``"X"``,
@@ -597,6 +629,7 @@ class Compiled:
     """
 
     temporal: dict[type, tuple[str, str]]
+    rule_of: dict[type, Callable[..., bool]]
     full: int
     cutoff: int
     pre_some: Callable[[int], int]
@@ -611,36 +644,59 @@ class Compiled:
         self.unions: list[tuple[MaskUnion, ...] | None] = []
         self.rules: list[Callable[..., bool]] = []
         self.memo: list[dict[int, bool]] = []
+        self.height: list[int] = []
         self.node_keys: dict[tuple, int] = {}
         self.compiled: dict[int, int] = {}
+
+    def __init_subclass__(cls, **kwargs):
         # Rules are functions of the class, called as rule(self, team, node):
         # bound methods kept on the evaluator would make it a reference
         # cycle, so its memos would outlive the call until a collection.
-        cls = type(self)
-        self.rule_of = {
+        super().__init_subclass__(**kwargs)
+        cls.rule_of = {
             And: cls._and,
             BoolOr: cls._bool_or,
             CNeg: cls._cneg,
             Split: cls._split,
             GenAtomApp: cls._gen_atom,
         }
-        for kind, (op, quantifier) in self.temporal.items():
+        for kind, (op, quantifier) in cls.temporal.items():
             if op == "X":
-                self.rule_of[kind] = Compiled._step
+                cls.rule_of[kind] = Compiled._step
             elif (op, quantifier) in (("U", "A"), ("R", "E")):
-                self.rule_of[kind] = Compiled._region
+                cls.rule_of[kind] = Compiled._region
             else:
-                self.rule_of[kind] = Compiled._path
+                cls.rule_of[kind] = Compiled._path
 
-    def compile(self, phi: Formula) -> int:
-        """The node id of ``phi``, interning it and its subformulas."""
-        node = self.compiled.get(id(phi))
+    def compile(self, phi: Formula, room: int = MAX_DEPTH) -> int:
+        """The node id of ``phi``, interning it and its subformulas.
+
+        Raises `ResourceCapError` when ``phi`` has more than ``room``
+        levels, `MAX_DEPTH` at the root.  Each subformula is compiled with
+        one level less room, and one met again, shared within the tree,
+        is checked by its height, so this walk bounds the depth of every
+        tree that an evaluator compiles and never recurses past the
+        bound."""
+        ident = id(phi)
+        node = self.compiled.get(ident)
         if node is not None:
+            if self.height[node] > room:
+                raise _too_deep()
             return node
+        if room < 1:
+            raise _too_deep()
         kind = type(phi)
+        dc, height = self.dc, self.height
         if kind is Prop or kind is NegProp:
             args: tuple[int, ...] = ()
             key: tuple = (kind, phi.name)
+        elif isinstance(phi, Binary):
+            room -= 1
+            args = (self.compile(phi.left, room), self.compile(phi.right, room))
+            key = (kind, *args)
+        elif isinstance(phi, Unary):
+            args = (self.compile(phi.child, room - 1),)
+            key = (kind, *args)
         elif kind is GenAtomApp:
             if len(phi.params) != phi.atom.arity:
                 raise ValueError(
@@ -649,77 +705,85 @@ class Compiled:
                 )
             for param in phi.params:
                 require_nodes(param, self.param_nodes, f"{self.logic} atom parameters")
-            args = tuple(map(self.compile, phi.params))
+            room -= 1
+            args = tuple([self.compile(kid, room) for kid in phi.params])
             key = (kind, id(phi.atom), *args)
         else:
-            args = tuple(map(self.compile, children(phi)))
-            key = (kind, *args)
+            args, key = (), (kind,)
         node = self.node_keys.get(key)
         if node is None:
             node = self.node_keys[key] = len(self.kinds)
-            fails = self._fails(phi, kind, args)
-            unions = None if fails is not None else self._unions(node, kind, args)
+            fails, unions = self._masks(phi, kind, args, node)
             self.fails.append(fails)
             self.unions.append(unions)
             self.formulas.append(phi)
             self.kinds.append(kind)
             self.args.append(args)
-            self.dc.append(
-                kind is not CNeg
-                and (kind is not GenAtomApp or phi.atom.downward_closed)
-                and all(self.dc[a] for a in args)
-            )
+            closed = kind is not CNeg and (kind is not GenAtomApp or phi.atom.downward_closed)
+            below = 0
+            for a in args:
+                closed = closed and dc[a]
+                if height[a] > below:
+                    below = height[a]
+            dc.append(closed)
+            height.append(below + 1)
             self.rules.append(
                 Compiled._union if unions else self.rule_of.get(kind, Compiled._unsupported)
             )
             self.memo.append({})
-        self.compiled[id(phi)] = node
+        self.compiled[ident] = node
         return node
 
-    def _fails(self, phi: Formula, kind: type, args: tuple[int, ...]) -> int | None:
+    def _masks(self, phi: Formula, kind: type, args: tuple[int, ...],
+               node: int) -> tuple[int | None, tuple[MaskUnion, ...] | None]:
+        """The ``fails`` mask of new node ``node`` if it is flat, else
+        None, and its ``unions`` if it is mask-decided, else None."""
         if kind is Prop or kind is NegProp:
-            return self.literal_fails(phi.name, kind is NegProp)
-        masks = [self.fails[a] for a in args]
-        if None in masks:
-            return None
+            holds = self.prop_masks.get(phi.name, 0)
+            return (holds if kind is NegProp else self.full ^ holds), None
+        masks = list(map(self.fails.__getitem__, args))
+        flat = None not in masks
         if kind is And:
-            return masks[0] | masks[1]
+            if flat:
+                return masks[0] | masks[1], None
+            unions = []
+            for a, mask in zip(args, masks):
+                if self.unions[a] is not None:
+                    unions += self.unions[a]
+                elif mask is None:
+                    return None, None
+                else:
+                    unions.append(MaskUnion([mask]))
+            return None, tuple(unions)
         if kind is Split:
-            return masks[0] & masks[1]
-        if kind not in self.temporal:
-            return None
-        op, quantifier = self.temporal[kind]
+            return (masks[0] & masks[1] if flat else None), None
+        temporal = self.temporal.get(kind)
+        if temporal is None or not flat:
+            return None, None
+        op, quantifier = temporal
+        full = self.full
         # X φ fails where every successor fails φ, AX φ where one does;
         # G ψ fails where ψ fails or, from there on, where every successor
         # fails, or under A where one does: a least fixpoint.
         pre = self.pre_some if quantifier == "A" else self.pre_all
         if op == "X":
-            return pre(masks[0])
-        if op == "U" and masks[1] == self.full:
-            return self.full
-        if op == "R" and masks[0] | masks[1] == self.full:
-            return _least_fixpoint(masks[1], pre)
-        return None
-
-    def _unions(self, node: int, kind: type, args: tuple[int, ...]) -> tuple[MaskUnion, ...] | None:
-        if kind is And:
-            if any(self.fails[a] is None and self.unions[a] is None for a in args):
-                return None
-            return tuple(u for a in args for u in self.unions[a] or (MaskUnion([self.fails[a]]),))
-        op, quantifier = self.temporal.get(kind, ("", ""))
-        masks = [self.fails[a] for a in args]
-        if op not in ("U", "R") or quantifier == "A" or None in masks:
-            return None
-        phi, psi = (self.full ^ mask for mask in masks)
+            return pre(masks[0]), None
+        if op == "U" and masks[1] == full:
+            return full, None
+        if op == "R" and masks[0] | masks[1] == full:
+            return _least_fixpoint(masks[1], pre), None
+        if quantifier == "A":
+            return None, None
+        phi_holds, psi_holds = full ^ masks[0], full ^ masks[1]
         if op == "U":
-            stay, start, inside = (), psi, phi
+            stay, start, inside = (), psi_holds, phi_holds
         else:
             # The team stays on ψ forever, which each member does on its
             # own (G ψ), or reaches φ ∧ ψ at one step through ψ.
-            stay = (_least_fixpoint(masks[1], self.pre_all),)
-            start, inside = phi & psi, psi
-        rest = _until_masks(start, inside, self.pre_some, self.full, self.cutoff)
-        return (MaskUnion(stay, rest, self.rule_of[kind], node),)
+            stay = (_least_fixpoint(masks[1], pre),)
+            start, inside = phi_holds & psi_holds, psi_holds
+        rest = _until_masks(start, inside, self.pre_some, full, self.cutoff)
+        return None, (MaskUnion(stay, rest, self.rule_of[kind], node),)
 
     def check(self, team: int, node: int) -> bool:
         """Whether ``team`` satisfies node ``node``."""

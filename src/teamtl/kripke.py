@@ -202,30 +202,22 @@ def is_successor_team(k: KripkeStructure, t1: MultiTeam, t2: MultiTeam) -> bool:
 # Trace enumeration for lasso-forest structures
 
 
-def _reachable(k: KripkeStructure, start: str) -> set[str]:
-    seen = {start}
-    frontier = [start]
+def _reachable(succ: tuple[tuple[int, ...], ...], starts: Iterable[int]) -> set[int]:
+    """The worlds reachable from ``starts`` in zero steps or more, for
+    ``succ`` the successor numbers of each world."""
+    seen = set(starts)
+    frontier = list(seen)
     while frontier:
-        w = frontier.pop()
-        for s in k.succ[w]:
-            if s not in seen:
-                seen.add(s)
-                frontier.append(s)
+        for v in succ[frontier.pop()]:
+            if v not in seen:
+                seen.add(v)
+                frontier.append(v)
     return seen
 
 
-def _on_cycle(k: KripkeStructure, w: str) -> bool:
-    seen = set(k.succ[w])
-    frontier = list(seen)
-    while frontier:
-        v = frontier.pop()
-        if v == w:
-            return True
-        for s in k.succ[v]:
-            if s not in seen:
-                seen.add(s)
-                frontier.append(s)
-    return w in seen
+def _on_cycle(k: KripkeStructure, w: int) -> bool:
+    """Whether world number ``w`` reaches itself in one step or more."""
+    return w in _reachable(k.succ_ids, k.succ_ids[w])
 
 
 def enumerate_traces(k: KripkeStructure) -> TeamEncoding:
@@ -233,24 +225,38 @@ def enumerate_traces(k: KripkeStructure) -> TeamEncoding:
 
     Requires the lasso-forest condition: every reachable world lying on a
     cycle has out-degree exactly 1, so each path closes into a unique lasso.
+    Only a world with more than one successor can break it, so only those
+    are searched for a cycle, in name order; the first on one is named.
     """
     if k.initial is None:
         raise ValueError("trace enumeration requires an initial world")
-    reachable = _reachable(k, k.initial)
-    for w in sorted(reachable):
-        if _on_cycle(k, w) and len(k.succ[w]) > 1:
-            raise LassoForestViolation(w)
+    succ, name = k.succ_ids, k.worlds.__getitem__
+    root = k.index[k.initial]
+    branching = [w for w in _reachable(succ, (root,)) if len(succ[w]) > 1]
+    for w in sorted(branching, key=name):
+        if _on_cycle(k, w):
+            raise LassoForestViolation(name(w))
+    empty: frozenset[str] = frozenset()
+    labels = [k.labels.get(w, empty) for w in k.worlds]
+    label = labels.__getitem__
     traces = []
-    stack: list[list[str]] = [[k.initial]]
-    while stack:
-        path = stack.pop()
-        for s in k.succ[path[-1]]:
-            if s in path:
-                start = path.index(s)
-                labels = [k.label(w) for w in path]
-                traces.append(
-                    LassoTrace(tuple(labels[:start]), tuple(labels[start:]))
-                )
-            else:
-                stack.append(path + [s])
+    # A depth-first walk of the paths from the root: ``path`` is the one
+    # under way, ``at`` the position of each of its worlds, and
+    # ``pending`` the successors of each still to follow.  A successor
+    # already on the path closes a lasso there.
+    path, at, pending = [root], {root: 0}, [iter(succ[root])]
+    while pending:
+        for v in pending[-1]:
+            start = at.get(v)
+            if start is None:
+                at[v] = len(path)
+                path.append(v)
+                pending.append(iter(succ[v]))
+                break
+            traces.append(LassoTrace(
+                tuple(map(label, path[:start])), tuple(map(label, path[start:]))
+            ))
+        else:
+            pending.pop()
+            del at[path.pop()]
     return TeamEncoding.of(traces)

@@ -16,13 +16,20 @@ proposition.  In CTL a bare ``X``, ``F``, ``G``, ``U`` or ``R`` is an
 error.  Atoms: `dep(p1,..;q1,..)`, `inc(p1,..;q1,..)`, `TOP`, `BOT`,
 and registered generalised atoms.  `#` starts a comment; whitespace is
 insignificant.
+
+The text is split into tokens by one regular expression, and a token is
+its text: offsets are counted only for the span of an error.  The
+parser bounds the depth of each node as it builds it, so a formula
+deeper than `formula.MAX_DEPTH` is a `ParseError` with the span where
+the bound is passed, and each proposition's literal is built once per
+parse and shared.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 from .errors import TeamTLError
 from .formula import (
@@ -46,10 +53,8 @@ from .formula import (
     Release,
     Split,
     Until,
-    bot,
     dependence_atom,
     inclusion_atom,
-    top,
 )
 
 
@@ -66,21 +71,16 @@ class ParseError(TeamTLError):
         self.span = span
 
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+|\#[^\n]*)
-  | (?P<boolor>\\\|/)
-  | (?P<sym>[()\[\],;&|!~])
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-    """,
-    re.VERBOSE,
-)
+# The tokens: Boolean disjunction, the symbols and the identifiers.
+# Splitting on this pattern leaves the text between tokens, which may
+# hold only whitespace and comments.
+_TOKEN_RE = re.compile(r"(\\\|/|[()\[\],;&|!~]|[A-Za-z_][A-Za-z0-9_]*)")
+_COMMENT_RE = re.compile(r"#[^\n]*")
 
 # ---------------------------------------------------------------------------
 # The syntax tables
 
-_TOP = top()
-_BOT = bot()
+_TOP, _BOT = SHORTHANDS["F"][1], SHORTHANDS["G"][1]
 _CONSTANTS = {"TOP": _TOP, "BOT": _BOT}
 # Infix operators by class: their text and precedence, loosest first.
 # U and R, at precedence `_RIGHT`, group to the right, the others to the
@@ -127,33 +127,28 @@ _SYNTAX = {
 }
 
 
-class _Token(NamedTuple):
-    kind: str  # symbol text, "ident", "boolor", or "eof"
-    text: str
-    start: int
-    end: int
-
-    @property
-    def span(self) -> SourceSpan:
-        return SourceSpan(self.start, self.end)
+def _blank(comment: re.Match) -> str:
+    return " " * len(comment.group())
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    pos = 0
-    for m in _TOKEN_RE.finditer(text):
-        start, end = m.span()
-        if start != pos:
-            break
-        pos = end
-        group = m.lastgroup
-        if group != "ws":
-            word = m.group()
-            tokens.append(_Token(word if group == "sym" else group, word, start, end))
-    if pos != len(text):
-        raise ParseError(f"unexpected character {text[pos]!r}", SourceSpan(pos, pos + 1))
-    tokens.append(_Token("eof", "", pos, pos))
-    return tokens
+def _split(text: str) -> list[str]:
+    """``text`` split into the text between tokens and the tokens,
+    alternately, starting and ending with the former.  Comments are
+    blanked first, which keeps every offset; a character that is neither
+    whitespace nor part of a token is an error at the first one."""
+    if "#" in text:
+        text = _COMMENT_RE.sub(_blank, text)
+    parts = _TOKEN_RE.split(text)
+    between = "".join(parts[::2])
+    if between and not between.isspace():
+        offset = 0
+        for gap, token in zip(parts[::2], parts[1::2] + [""]):
+            if not gap.isspace():
+                pos = offset + len(gap) - len(gap.lstrip())
+                if pos < offset + len(gap):
+                    raise ParseError(f"unexpected character {text[pos]!r}", SourceSpan(pos, pos + 1))
+            offset += len(gap) + len(token)
+    return parts
 
 
 # The depth of TOP and BOT: each is a connective over two literals.
@@ -161,199 +156,205 @@ _CONSTANT_DEPTH = 2
 
 
 class _Parser:
+    """One parse.  The tokens are their texts, with "" for the end of the
+    input; ``tok`` is the current one, number ``pos``.  Offsets are
+    needed only for errors, so `span` counts them from ``parts``."""
+
     def __init__(self, text: str, mode: str, atoms: Mapping[str, GenAtomDef]):
-        self.tokens = _tokenize(text)
+        self.parts = _split(text)
+        self.tokens = self.parts[1::2]
+        self.tokens.append("")
         self.pos = 0
-        self.nesting = 0
+        self.tok = self.tokens[0]
         self.syntax = _SYNTAX[mode]
         self.atoms = atoms
+        # Each proposition's literals, built once per parse.
+        self.literals: dict[tuple[type, str], Formula] = {}
 
     # -- token helpers ----------------------------------------------------
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def span(self, pos: int | None = None) -> SourceSpan:
+        """The span of token ``pos``, by default the current one."""
+        pos = self.pos if pos is None else pos
+        start = sum(map(len, self.parts[: 2 * pos + 1]))
+        return SourceSpan(start, start + len(self.tokens[pos]))
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def error(self, message: str, pos: int | None = None) -> ParseError:
+        return ParseError(message, self.span(pos))
+
+    def advance(self) -> None:
         self.pos += 1
-        return tok
+        self.tok = self.tokens[self.pos]
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.span)
-        return self.advance()
+    def expect(self, text: str) -> None:
+        if self.tok != text:
+            raise self.error(f"expected {text!r}, found {self.tok or 'end of input'!r}")
+        self.advance()
+
+    def literal(self, kind: type, name: str) -> Formula:
+        phi = self.literals.get((kind, name))
+        if phi is None:
+            phi = self.literals[kind, name] = kind(name)
+        return phi
 
     # -- grammar ----------------------------------------------------------
     #
     # Each rule returns the formula it built and the number of levels of its
     # tree, so that no walk over the finished tree is needed to bound it.
+    # ``level`` counts the calls of `unary_expr` under way, through which
+    # every nested sub-expression passes: a bracket, an atom's arguments,
+    # and the operand of a prefix operator or `~`.
 
-    def node(self, phi: Formula, *depths: int) -> tuple[Formula, int]:
-        """``phi`` with its depth, one more than the deepest of ``depths``
-        (its subformulas'); a tree deeper than `MAX_DEPTH` is an error."""
-        depth = 1 + max(depths, default=0)
-        if depth > MAX_DEPTH:
-            raise ParseError(f"formula nested more than {MAX_DEPTH} deep", self.peek().span)
-        return phi, depth
+    def node(self, phi: Formula, below: int) -> tuple[Formula, int]:
+        """``phi`` with its depth, one more than ``below``, the deepest of
+        its subformulas'; a tree deeper than `MAX_DEPTH` is an error."""
+        if below >= MAX_DEPTH:
+            raise self.error(f"formula nested more than {MAX_DEPTH} deep")
+        return phi, below + 1
 
     def parse(self) -> Formula:
-        phi, _ = self.expr()
-        tok = self.peek()
-        if tok.kind != "eof":
-            if tok.kind == "ident" and tok.text in self.syntax.bare:
-                raise ParseError(f"bare {tok.text} without path quantifier", tok.span)
-            raise ParseError(f"unexpected {tok.text!r}", tok.span)
+        phi, _ = self.expr(0)
+        tok = self.tok
+        if tok:
+            if tok in self.syntax.bare:
+                raise self.error(f"bare {tok} without path quantifier")
+            raise self.error(f"unexpected {tok!r}")
         return phi
 
-    def expr(self) -> tuple[Formula, int]:
+    def expr(self, level: int) -> tuple[Formula, int]:
         negations = 0
-        while self.peek().kind == "~":
+        while self.tok == "~":
             self.advance()
             negations += 1
-        phi, depth = self.infix_expr()
+        phi, depth = self.infix_expr(level)
         for _ in range(negations):
             phi, depth = self.node(CNeg(phi), depth)
         return phi, depth
 
-    def infix_expr(self) -> tuple[Formula, int]:
+    def infix_expr(self, level: int) -> tuple[Formula, int]:
         # Operator precedence without a frame per level: an operator waits
         # until one arrives that binds no tighter (for U and R, looser), or
         # the expression ends, and then takes the two operands before it.
-        operands, waiting = [self.unary_expr()], []
+        operands, waiting = [self.unary_expr(level)], []
         infix = self.syntax.infix
         while True:
-            op = infix.get(self.peek().text)
+            op = infix.get(self.tok)
             prec = op[1] if op else 0
             while waiting and (waiting[-1][1] > prec or waiting[-1][1] == prec != _RIGHT):
                 kind, _ = waiting.pop()
                 right, right_depth = operands.pop()
                 left, left_depth = operands.pop()
-                operands.append(self.node(kind(left, right), left_depth, right_depth))
+                operands.append(self.node(kind(left, right), max(left_depth, right_depth)))
             if op is None:
                 return operands[0]
             self.advance()
             waiting.append(op)
-            operands.append(self.unary_expr())
+            operands.append(self.unary_expr(level))
 
-    def unary_expr(self) -> tuple[Formula, int]:
-        # Every nested sub-expression passes through here: a bracket, an
-        # atom's arguments, and the operand of a prefix operator or `~`.
-        self.nesting += 1
-        if self.nesting > MAX_DEPTH:
-            raise ParseError(
-                f"formula nested more than {MAX_DEPTH} deep", self.peek().span
-            )
-        try:
-            tok = self.peek()
-            if tok.kind == "~":
-                self.advance()
-                phi, depth = self.expr()
-                return self.node(CNeg(phi), depth)
-            if tok.kind == "!":
-                self.advance()
-                prop = self.peek()
-                if prop.kind != "ident" or prop.text in self.syntax.keywords:
-                    raise ParseError(
-                        "negation `!` applies only to propositions "
-                        "(formulas are in negation normal form)",
-                        prop.span,
-                    )
-                self.advance()
-                return NegProp(prop.text), 1
-            if tok.kind == "ident":
-                syntax, word = self.syntax, tok.text
-                if word in syntax.prefix:
-                    self.advance()
-                    phi, depth = self.unary_expr()
-                    return self.node(syntax.prefix[word](phi), depth)
-                if word in syntax.shorthands:
-                    # F, G and their CTL forms put TOP or BOT beside the operand.
-                    self.advance()
-                    kind, constant = SHORTHANDS[word]
-                    phi, depth = self.unary_expr()
-                    return self.node(kind(constant, phi), _CONSTANT_DEPTH, depth)
-                if word in syntax.quantifiers:
-                    return self.bracketed_path(word)
-                if word in syntax.bare:
-                    raise ParseError(f"bare {word} without path quantifier", tok.span)
-            return self.primary()
-        finally:
-            self.nesting -= 1
+    def unary_expr(self, level: int) -> tuple[Formula, int]:
+        level += 1
+        if level > MAX_DEPTH:
+            raise self.error(f"formula nested more than {MAX_DEPTH} deep")
+        tok, syntax = self.tok, self.syntax
+        if tok not in syntax.keywords and tok.isidentifier() and tok not in self.atoms:
+            self.advance()
+            return self.literal(Prop, tok), 1
+        if tok == "~":
+            self.advance()
+            phi, depth = self.expr(level)
+            return self.node(CNeg(phi), depth)
+        if tok == "!":
+            self.advance()
+            name = self.tok
+            if not name.isidentifier() or name in syntax.keywords:
+                raise self.error(
+                    "negation `!` applies only to propositions "
+                    "(formulas are in negation normal form)"
+                )
+            self.advance()
+            return self.literal(NegProp, name), 1
+        if tok in syntax.prefix:
+            self.advance()
+            phi, depth = self.unary_expr(level)
+            return self.node(syntax.prefix[tok](phi), depth)
+        if tok in syntax.shorthands:
+            # F, G and their CTL forms put TOP or BOT beside the operand.
+            self.advance()
+            kind, constant = SHORTHANDS[tok]
+            phi, depth = self.unary_expr(level)
+            return self.node(kind(constant, phi), max(_CONSTANT_DEPTH, depth))
+        if tok in syntax.quantifiers:
+            return self.bracketed_path(tok, level)
+        if tok in syntax.bare:
+            raise self.error(f"bare {tok} without path quantifier")
+        return self.primary(level)
 
-    def bracketed_path(self, quantifier: str) -> tuple[Formula, int]:
+    def bracketed_path(self, quantifier: str, level: int) -> tuple[Formula, int]:
         self.advance()
         self.expect("[")
-        left, left_depth = self.expr()
-        op = self.peek()
-        kind = self.syntax.paths.get((quantifier, op.text))
+        left, left_depth = self.expr(level)
+        kind = self.syntax.paths.get((quantifier, self.tok))
         if kind is None:
-            raise ParseError("expected U or R inside path brackets", op.span)
+            raise self.error("expected U or R inside path brackets")
         self.advance()
-        right, right_depth = self.expr()
+        right, right_depth = self.expr(level)
         self.expect("]")
-        return self.node(kind(left, right), left_depth, right_depth)
+        return self.node(kind(left, right), max(left_depth, right_depth))
 
-    def primary(self) -> tuple[Formula, int]:
-        tok = self.peek()
-        if tok.kind == "(":
+    def primary(self, level: int) -> tuple[Formula, int]:
+        tok = self.tok
+        if tok == "(":
             self.advance()
-            phi = self.expr()
+            phi = self.expr(level)
             self.expect(")")
             return phi
-        if tok.kind == "ident":
-            if tok.text in _CONSTANTS:
+        if tok.isidentifier():
+            if tok in _CONSTANTS:
                 self.advance()
-                return _CONSTANTS[tok.text], _CONSTANT_DEPTH
-            if tok.text in ("dep", "inc") or tok.text in self.atoms:
-                return self.atom(tok.text)
-            if tok.text in self.syntax.keywords:
-                raise ParseError(f"unexpected keyword {tok.text!r}", tok.span)
-            self.advance()
-            return Prop(tok.text), 1
-        raise ParseError(
-            f"expected a formula, found {tok.text or 'end of input'!r}", tok.span
-        )
+                return _CONSTANTS[tok], _CONSTANT_DEPTH
+            if tok in ("dep", "inc") or tok in self.atoms:
+                return self.atom(tok, level)
+            raise self.error(f"unexpected keyword {tok!r}")
+        raise self.error(f"expected a formula, found {tok or 'end of input'!r}")
 
-    def atom(self, name: str) -> tuple[Formula, int]:
-        start = self.advance()
+    def atom(self, name: str, level: int) -> tuple[Formula, int]:
+        start = self.pos
+        self.advance()
         self.expect("(")
-        first, second = self.param_list(), None
-        if self.peek().kind == ";":
+        first, second = self.param_list(level), None
+        if self.tok == ";":
             self.advance()
-            second = self.param_list()
+            second = self.param_list(level)
         self.expect(")")
         if name == "dep":
             if second is None:
                 # Constancy shorthand dep(p) = dep(;p).
                 first, second = [], first
             if not second:
-                raise ParseError("dep needs at least one determined parameter", start.span)
+                raise self.error("dep needs at least one determined parameter", start)
             atom = dependence_atom(len(first), len(second))
         elif name == "inc":
             if second is None or len(first) != len(second):
-                raise ParseError(
-                    "inc needs two parameter lists of equal length", start.span
-                )
+                raise self.error("inc needs two parameter lists of equal length", start)
             atom = inclusion_atom(len(first))
         else:
             atom = self.atoms[name]
             given = len(first) + len(second or ())
             if given != atom.arity:
-                raise ParseError(
-                    f"atom {atom.name} expects {atom.arity} parameters, got {given}",
-                    start.span,
+                raise self.error(
+                    f"atom {atom.name} expects {atom.arity} parameters, got {given}", start
                 )
         params = first + (second or [])
         return self.node(
-            GenAtomApp(atom, tuple(phi for phi, _ in params)), *(depth for _, depth in params)
+            GenAtomApp(atom, tuple(phi for phi, _ in params)),
+            max((depth for _, depth in params), default=0),
         )
 
-    def param_list(self) -> list[tuple[Formula, int]]:
-        params = [self.expr()]
-        while self.peek().kind == ",":
+    def param_list(self, level: int) -> list[tuple[Formula, int]]:
+        params = [self.expr(level)]
+        while self.tok == ",":
             self.advance()
-            params.append(self.expr())
+            params.append(self.expr(level))
         return params
 
 

@@ -46,8 +46,8 @@ from .formula import (
     Until,
     _image,
     _pre_image,
-    check_depth,
     iter_nodes,
+    prop_masks,
     require_nodes,
     top,
 )
@@ -87,6 +87,8 @@ class _SubsetEval(Compiled):
     temporal = {Next: ("X", "A"), Until: ("U", "A"), Release: ("R", "A")}
     # Only ⊤ is admitted, and ⊤ is flat.
     split = Compiled._unsupported
+    # Atoms are rejected after compiling, with the formula's other checks.
+    param_nodes = (Formula,)
 
     def __init__(self, k: KripkeStructure, max_subsets: int):
         if max_subsets < 1:
@@ -104,16 +106,16 @@ class _SubsetEval(Compiled):
     # over flat nodes take a pre-image.
     @cached_property
     def succ(self) -> list[int]:
-        return [sum(1 << v for v in vs) for vs in self.structure.succ_ids]
+        return [sum(map((1).__lshift__, vs)) for vs in self.structure.succ_ids]
 
     @cached_property
     def pre_some(self):
         return _pre_image(self.structure.succ_ids)
 
-    def literal_fails(self, name: str, negated: bool) -> int:
-        index = self.structure.index
-        holds = sum(1 << index[w] for w, ps in self.structure.labels.items() if name in ps)
-        return holds if negated else self.full ^ holds
+    @cached_property
+    def prop_masks(self) -> dict[str, int]:
+        labels, index = self.structure.labels, self.structure.index
+        return prop_masks(zip(labels.values(), map((1).__lshift__, map(index.__getitem__, labels))))
 
     def successors(self, team: int) -> tuple[int]:
         """The one successor team: the image of ``team``."""
@@ -142,10 +144,11 @@ def flatten(
     which the flattening has to represent explicitly).
     """
     evaluator = _SubsetEval(k, max_subsets)
+    masks, full = evaluator.prop_masks, evaluator.full
     literals = [
-        (name, evaluator.literal_fails(p, negated))
+        (name, fails)
         for p in sorted(k.prop_universe if props is None else props)
-        for name, negated in ((p, False), (negative_prop(p), True))
+        for name, fails in ((p, full ^ masks.get(p, 0)), (negative_prop(p), masks.get(p, 0)))
     ]
     positions: dict[int, int] = {}
     subset = evaluator.root
@@ -183,7 +186,9 @@ def check_model_splitfree(
     ``max_subsets`` caps the subsets stepped.  Raises `ResourceCapError`
     when ``phi`` is nested deeper than `formula.MAX_DEPTH`.
     """
-    require_nodes(check_depth(phi), _LTL_NODES, "splitfree model checking")
+    evaluator = _SubsetEval(k, max_subsets)
+    node = evaluator.compile(phi)
+    require_nodes(phi, _LTL_NODES, "splitfree model checking")
     if any(isinstance(node, Split) and node != _TOP for node in iter_nodes(phi)):
         raise SplitjunctionPresent(
             "formula contains a splitjunction; use trace enumeration instead"
@@ -193,5 +198,4 @@ def check_model_splitfree(
             "flattening keeps only unanimous-label information, which cannot "
             "evaluate generalised atoms"
         )
-    evaluator = _SubsetEval(k, max_subsets)
-    return evaluator.check(evaluator.root, evaluator.compile(phi))
+    return evaluator.check(evaluator.root, node)

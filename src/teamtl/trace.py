@@ -4,7 +4,9 @@ suffix/prefix arithmetic used to bound temporal-operator witnesses.
 A :class:`LassoTrace` ``(prefix, loop)`` denotes the infinite trace
 ``prefix · loop^ω``.  Teams of traces are plain sets, deduplicated by the
 canonical form of the denoted ω-word, so two encodings of the same trace
-never count as distinct team members.
+never count as distinct team members.  A trace already in canonical form
+is its own canonical form, so a team built from canonical traces, such
+as a team file written by `files.dumps_team`, builds no trace twice.
 """
 
 from __future__ import annotations
@@ -66,14 +68,15 @@ def suffix_trace(t: LassoTrace, i: int) -> LassoTrace:
 
 def _primitive_loop(loop: tuple[PropSet, ...]) -> tuple[PropSet, ...]:
     n = len(loop)
-    for d in range(1, n + 1):
+    for d in range(1, n):
         if n % d == 0 and loop[:d] * (n // d) == loop:
             return loop[:d]
     return loop
 
 
 def canonicalize(t: LassoTrace) -> LassoTrace:
-    """Unique representative of the denoted ω-word.
+    """Unique representative of the denoted ω-word: ``t`` itself when it
+    is already canonical.
 
     Reduces the loop to its primitive period, then folds the prefix tail
     into the loop as long as the last prefix position matches the position
@@ -91,6 +94,8 @@ def canonicalize(t: LassoTrace) -> LassoTrace:
     if folded:
         shift = folded % n
         prefix, loop = prefix[:-folded], loop[n - shift:] + loop[:n - shift]
+    elif loop is t.loop:
+        return t
     return LassoTrace(prefix, loop)
 
 
@@ -113,7 +118,7 @@ class TeamEncoding:
 
     @staticmethod
     def of(traces: Iterable[LassoTrace]) -> "TeamEncoding":
-        return TeamEncoding(frozenset(traces))
+        return TeamEncoding(traces)
 
     def __iter__(self):
         return iter(self.order)

@@ -49,6 +49,7 @@ from teamtl.formula import (
     top,
 )
 from teamtl.kripke import KripkeStructure, MultiTeam
+from teamtl.tmc_splitfree import check_model_splitfree
 from teamtl.selftest import random_ctl_formula, random_ltl_formula, suite_ltl_ctl_agreement
 from teamtl.trace import LassoTrace, TeamEncoding
 
@@ -243,6 +244,35 @@ def test_check_depth_visits_shared_subtrees_once():
     assert check_depth(phi) is phi
     with pytest.raises(ResourceCapError, match=f"nested more than {MAX_DEPTH} deep"):
         check_depth(And(phi, phi))
+
+
+def test_compiling_bounds_shared_subtrees():
+    # The evaluators that compile take no separate depth walk: compiling
+    # visits each shared subtree once, and where it meets one again
+    # further down, checks it by its height.
+    inner = p
+    for _ in range(MAX_DEPTH - 11):
+        inner = And(inner, inner)
+
+    def beside(levels):
+        """``inner`` beside itself ``levels`` levels further down."""
+        phi = inner
+        for _ in range(levels):
+            phi = Next(phi)
+        return And(inner, phi)
+
+    team = TeamEncoding.of([LassoTrace.of([], [["p"]])])
+    k = KripkeStructure.of(["a"], [("a", "a")], {"a": ["p"]}, initial="a")
+    # ``inner`` has MAX_DEPTH - 10 levels.
+    assert check_team(team, beside(9))
+    for decide in (
+        lambda phi: check_team(team, phi),
+        lambda phi: check_model_splitfree(k, phi),
+        lambda phi: mc_ctl(k, MultiTeam.of(["a"]), phi),
+    ):
+        for phi in (beside(10), And(beside(9), beside(9))):
+            with pytest.raises(ResourceCapError, match=f"nested more than {MAX_DEPTH} deep"):
+                decide(phi)
 
 
 def test_temporal_rules_come_from_the_path_quantifier():

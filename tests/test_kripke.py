@@ -1,5 +1,6 @@
 import pytest
 
+from teamtl import kripke
 from teamtl.errors import LassoForestViolation
 from teamtl.kripke import (
     KripkeStructure,
@@ -8,6 +9,7 @@ from teamtl.kripke import (
     is_successor_team,
 )
 from teamtl.qbf import assignment_structure
+from teamtl.selftest import cycle_fan
 from teamtl.trace import LassoTrace
 
 
@@ -110,8 +112,33 @@ class TestEnumerateTraces:
         k = KripkeStructure.of(
             ["a", "b"], [("a", "a"), ("a", "b"), ("b", "b")], initial="a"
         )
-        with pytest.raises(LassoForestViolation):
+        with pytest.raises(LassoForestViolation) as exc:
             enumerate_traces(k)
+        assert exc.value.world == "a"
+
+    def test_first_violation_in_name_order_is_named(self):
+        # Both c and b branch on a cycle; b comes first by name.
+        k = KripkeStructure.of(
+            ["r", "c", "b", "x"],
+            [("r", "c"), ("r", "b"), ("c", "c"), ("c", "x"), ("b", "b"), ("b", "x"),
+             ("x", "x")],
+            initial="r",
+        )
+        with pytest.raises(LassoForestViolation) as exc:
+            enumerate_traces(k)
+        assert exc.value.world == "b"
+
+    def test_cycles_are_searched_only_from_branching_worlds(self, monkeypatch):
+        # The benchmark's lasso fan: a root into cycles of 7, 8, 9 and 11.
+        k = cycle_fan((7, 8, 9, 11), lambda w: ["p"] if w.endswith("_0") else [])
+        searched = []
+        on_cycle = kripke._on_cycle
+        monkeypatch.setattr(
+            kripke, "_on_cycle", lambda k, w: searched.append(w) or on_cycle(k, w)
+        )
+        assert len(enumerate_traces(k)) == 4
+        assert searched == [k.index["r"]]
+        assert all(len(k.succ_ids[w]) > 1 for w in searched)
 
     def test_unreachable_violations_are_ignored(self):
         k = KripkeStructure.of(

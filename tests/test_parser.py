@@ -122,26 +122,6 @@ class TestCtlMode:
             parse_ltl("EX p")
 
 
-class TestErrors:
-    def test_error_carries_span(self):
-        with pytest.raises(ParseError) as e:
-            parse_ltl("p & )")
-        assert e.value.span.start == 4
-
-    def test_trailing_garbage(self):
-        with pytest.raises(ParseError):
-            parse_ltl("p q")
-
-    def test_unexpected_character(self):
-        with pytest.raises(ParseError) as e:
-            parse_ltl("p @ q")
-        assert (e.value.span.start, e.value.span.end) == (2, 3)
-        for text, offset in (("p & q @", 6), ("@", 0), ("p # note\n& q@", 12)):
-            with pytest.raises(ParseError) as e:
-                parse_ltl(text)
-            assert (e.value.span.start, e.value.span.end) == (offset, offset + 1)
-
-
 # Formulas of each nesting shape, n levels deep.
 DEEP = {
     "prefix": lambda n: "X " * (n - 1) + "p",
@@ -159,6 +139,60 @@ def test_nesting_is_bounded(shape):
     for depth in (MAX_DEPTH + 1, 5000):
         with pytest.raises(ParseError, match="nested more than"):
             parse_ltl(DEEP[shape](depth))
+
+
+# One input per place that raises ParseError, with the message and the
+# (start, end) span pinned as they were before the tokenizer kept offsets
+# only for errors.
+_TOO_DEEP = f"formula nested more than {MAX_DEPTH} deep"
+_NEGATION = "negation `!` applies only to propositions (formulas are in negation normal form)"
+ERROR_SPANS = [
+    ("ltl", "p @ q", "unexpected character '@'", (2, 3)),
+    ("ltl", "p # comment\n& @", "unexpected character '@'", (14, 15)),
+    ("ltl", "p \\| q", "unexpected character '\\\\'", (2, 3)),
+    ("ltl", "p & (q | r", "expected ')', found 'end of input'", (10, 10)),
+    ("ctl", "E p", "expected '[', found 'p'", (2, 3)),
+    ("ctl", "E[p U q", "expected ']', found 'end of input'", (7, 7)),
+    ("ctl", "X p", "bare X without path quantifier", (0, 1)),
+    ("ctl", "EX p U q", "bare U without path quantifier", (5, 6)),
+    ("ltl", "!(p & q)", _NEGATION, (1, 2)),
+    ("ltl", "p & !", _NEGATION, (5, 5)),
+    ("ctl", "E[p & q]", "expected U or R inside path brackets", (7, 8)),
+    ("ltl", "p & U", "unexpected keyword 'U'", (4, 5)),
+    ("ltl", "p & )", "expected a formula, found ')'", (4, 5)),
+    ("ltl", "", "expected a formula, found 'end of input'", (0, 0)),
+    ("ltl", "p q", "unexpected 'q'", (2, 3)),
+    ("ltl", "TOP(p)", "unexpected '('", (3, 4)),
+    ("ltl", "dep(p;)", "expected a formula, found ')'", (6, 7)),
+    ("ltl", "inc(p; q, r)", "inc needs two parameter lists of equal length", (0, 3)),
+    ("ltl", DEEP["prefix"](MAX_DEPTH + 1), _TOO_DEEP, (160, 161)),
+    ("ltl", DEEP["brackets"](MAX_DEPTH + 1), _TOO_DEEP, (80, 81)),
+    ("ltl", DEEP["atoms"](MAX_DEPTH + 1), _TOO_DEEP, (320, 321)),
+    ("ltl", DEEP["chain"](MAX_DEPTH + 1), _TOO_DEEP, (321, 321)),
+    ("ltl", DEEP["cneg"](MAX_DEPTH + 1), _TOO_DEEP, (81, 81)),
+]
+
+
+class TestErrors:
+    def test_error_carries_span(self):
+        for mode, text, message, span in ERROR_SPANS:
+            with pytest.raises(ParseError) as e:
+                (parse_ltl if mode == "ltl" else parse_ctl)(text)
+            assert (mode, text, e.value.message) == (mode, text, message)
+            assert (e.value.span.start, e.value.span.end) == span, (mode, text)
+
+    def test_trailing_garbage(self):
+        with pytest.raises(ParseError):
+            parse_ltl("p q")
+
+    def test_unexpected_character(self):
+        with pytest.raises(ParseError) as e:
+            parse_ltl("p @ q")
+        assert (e.value.span.start, e.value.span.end) == (2, 3)
+        for text, offset in (("p & q @", 6), ("@", 0), ("p # note\n& q@", 12)):
+            with pytest.raises(ParseError) as e:
+                parse_ltl(text)
+            assert (e.value.span.start, e.value.span.end) == (offset, offset + 1)
 
 
 def test_evaluators_run_at_the_depth_bound():
@@ -207,6 +241,95 @@ def test_evaluators_bound_trees_built_in_code(levels):
             decide()
     assert check_team(team, chain(Next, MAX_DEPTH))
     assert mc_ctl_bruteforce(k, MultiTeam.of(["a"]), chain(EX, MAX_DEPTH))
+
+
+# Each recursive shape of tree the evaluators take, by the logics that
+# admit it, ``levels`` levels deep.
+LTL_SHAPES = {
+    "next": lambda n: chain(Next, n),
+    "until": lambda n: chain(lambda phi: Until(p, phi), n),
+    "release": lambda n: chain(lambda phi: Release(phi, q), n),
+    "and": lambda n: chain(lambda phi: And(phi, p), n),
+    "split": lambda n: chain(lambda phi: Split(q, phi), n),
+}
+EXTENDED_SHAPES = {
+    "cneg": lambda n: chain(CNeg, n),
+    "boolor": lambda n: chain(lambda phi: BoolOr(phi, q), n),
+}
+CTL_SHAPES = {
+    "ex": lambda n: chain(EX, n),
+    "ax": lambda n: chain(AX, n),
+    "eu": lambda n: chain(lambda phi: EU(p, phi), n),
+    "ar": lambda n: chain(lambda phi: AR(q, phi), n),
+    "and": lambda n: chain(lambda phi: And(phi, p), n),
+}
+# Splitfree model checking admits no splitjunction.
+SPLITFREE_SHAPES = {
+    name: shape
+    for name, shape in {**LTL_SHAPES, **EXTENDED_SHAPES}.items()
+    if name != "split"
+}
+
+
+def _entry_points():
+    trace = LassoTrace((frozenset({"p"}),), (frozenset({"q"}), frozenset()))
+    team = TeamEncoding.of([trace, LassoTrace((), (frozenset({"p", "q"}),))])
+    k = KripkeStructure.of(
+        ["a", "b"], [("a", "a"), ("a", "b"), ("b", "a")], {"a": ["p"], "b": ["q"]}, "a"
+    )
+    multiteam = MultiTeam.of(["a", "b"])
+    return [
+        ("check_team", lambda phi: check_team(team, phi), {**LTL_SHAPES, **EXTENDED_SHAPES}),
+        ("check_ltl_classical", lambda phi: check_ltl_classical(trace, phi), LTL_SHAPES),
+        ("check_ltl_classical_extended",
+         lambda phi: check_ltl_classical_extended(trace, phi), SPLITFREE_SHAPES),
+        ("check_model_splitfree", lambda phi: check_model_splitfree(k, phi), SPLITFREE_SHAPES),
+        ("mc_ctl", lambda phi: mc_ctl(k, multiteam, phi), {**CTL_SHAPES, **EXTENDED_SHAPES}),
+        ("check_ctl_classical", lambda phi: check_ctl_classical(k, "a", phi), CTL_SHAPES),
+    ]
+
+
+def _from_deep_caller(frames, call):
+    """``call()`` run from a caller already ``frames`` frames deep."""
+    return call() if frames == 0 else _from_deep_caller(frames - 1, call)
+
+
+@pytest.mark.parametrize(
+    "name,decide,shapes", _entry_points(), ids=[name for name, _, _ in _entry_points()]
+)
+def test_entry_points_decide_at_the_bound_from_a_deep_caller(name, decide, shapes):
+    # At MAX_DEPTH an entry point decides, and one level past it, it
+    # raises ResourceCapError; never RecursionError, even 100 frames down.
+    assert MAX_DEPTH == 80
+    for shape in shapes.values():
+        phi = shape(MAX_DEPTH)
+        assert _from_deep_caller(100, lambda: decide(phi)) in (True, False)
+        too_deep = shape(MAX_DEPTH + 1)
+        with pytest.raises(ResourceCapError, match="nested more than"):
+            _from_deep_caller(100, lambda: decide(too_deep))
+
+
+@pytest.mark.parametrize("mode", ["ltl", "ctl"])
+def test_parser_and_render_at_the_bound_from_a_deep_caller(mode):
+    parse = parse_ltl if mode == "ltl" else parse_ctl
+    shapes = {**(LTL_SHAPES if mode == "ltl" else CTL_SHAPES), **EXTENDED_SHAPES}
+    for shape in shapes.values():
+        phi = shape(MAX_DEPTH)
+        text = _from_deep_caller(100, lambda: render(phi))
+        assert _from_deep_caller(100, lambda: parse(text)) == phi
+        text = render(shape(MAX_DEPTH + 1))
+        with pytest.raises(ParseError, match="nested more than"):
+            _from_deep_caller(100, lambda: parse(text))
+    texts = DEEP if mode == "ltl" else {
+        "prefix": lambda n: "EX " * (n - 1) + "p",
+        "path": lambda n: "E[p U " * (n - 1) + "p" + "]" * (n - 1),
+        "brackets": DEEP["brackets"],
+        "atoms": DEEP["atoms"],
+    }
+    for make in texts.values():
+        _from_deep_caller(100, lambda: parse(make(MAX_DEPTH)))
+        with pytest.raises(ParseError, match="nested more than"):
+            _from_deep_caller(100, lambda: parse(make(MAX_DEPTH + 1)))
 
 
 @settings(max_examples=200, deadline=None)

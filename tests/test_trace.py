@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from teamtl.eval_team_ltl import _TeamEval
-from teamtl.formula import Prop
+from teamtl.formula import Prop, _pre_image
 from teamtl.trace import (
     LassoTrace,
     TeamEncoding,
@@ -126,6 +126,17 @@ def test_suffix_team_is_periodic_after_prefix(ts):
         states = [s for s in range(len(ev.heads)) if mask >> s & 1]
         assert len(states) == len(suffix_team(i))
         assert {ev.heads[s] for s in states} == {trace_at(t, i) for t in team}
+
+
+@given(st.lists(traces, max_size=4), st.integers(min_value=0))
+def test_pre_image_groups_follow_the_successor_table(ts, seed):
+    # The interning groups the states by successor offset as it numbers
+    # them; that must be the grouping of the successor table itself.
+    ev = _TeamEval(TeamEncoding.of(ts), Prop("p"), 4)
+    reference = _pre_image([(bit.bit_length() - 1,) for bit in ev.succ])
+    mask = seed % (ev.full + 1)
+    assert ev.pre_some(mask) == reference(mask)
+    assert ev.pre_some(ev.full) == reference(ev.full)
 
 
 def test_empty_team_bounds():
