@@ -68,8 +68,14 @@ successor-multiset graph, two of them, as Release is the dual of Until:
 ``EU`` and ``AR`` are decided by a finite path, found or not by a
 depth-first search, and ``AU`` and ``ER`` by one depth-first search over
 the teams a path may stay in, which fails at a cycle among them.
-A generalised atom's rows come from its parameters, literals, ``&``,
-``|`` and ``\\|/``, checked on the one-member team of each copy.
+
+Splits are the shared core's (`formula.Compiled.split`), over the member
+units of a team, each world's digit unit once per copy, so a split is
+over indices, as in the paper.  On one world a downward-closed formula
+has its classical CTL meaning, so the labelling ``alone`` that prunes
+splits is classical CTL labelling over digit masks (Clarke, Emerson and
+Sistla, 1986), and a generalised atom's rows are read off its
+parameters' masks, one row per copy.
 
 Reading Until and Release from index 1 is a rewrite of the formula that
 callers apply, `from_index_zero`, after which every operator is decided
@@ -154,7 +160,8 @@ class _CtlEval(Compiled):
     and successor keys.
 
     A flat node's ``fails`` mask holds the digits of the worlds
-    falsifying it; ``pre_some`` and ``pre_all`` map such a digit mask to
+    falsifying it, as ``alone`` holds those of the worlds on which a node
+    holds alone; ``pre_some`` and ``pre_all`` map such a digit mask to
     its existential and universal pre-image, and ``cutoff`` is the number
     of sets an E-Until or E-Release sequence may step before its node
     gives way to the search.  The core decides every temporal class of
@@ -173,6 +180,8 @@ class _CtlEval(Compiled):
         super().__init__()
         self.structure = k
         n = len(k.worlds)
+        # No split of a team of this size enumerates more units than it has.
+        self.max_team = team_size
         width = self.width = max(team_size.bit_length(), 1)
         self.digit = (1 << width) - 1
         unit = self.unit = [1 << width * w for w in range(n)]
@@ -289,39 +298,11 @@ class _CtlEval(Compiled):
 
     # -- evaluating --------------------------------------------------------
 
-    def singletons(self, key: int):
+    def units(self, key: int):
+        """The member units of the multiset: each world's unit, once per
+        copy, so that a split is over indices."""
         for w, count in self.members(key):
             yield from [self.unit[w]] * count
-
-    def split(self, key: int, node: int) -> tuple[int, int] | None:
-        left, right = self.args[node]
-        if self.dc[left] or self.dc[right]:
-            # Disjoint index splits: a downward-closed side may shrink to the
-            # complement of the other side's part.  Verdicts only depend on
-            # multisets, so enumerate per-world count assignments instead of
-            # index sets.
-            options = [
-                [(n * self.unit[w], (count - n) * self.unit[w]) for n in range(count + 1)]
-                for w, count in self.members(key)
-            ]
-        else:
-            # Covers: each index may serve both sides, so a world with count
-            # c contributes l copies left and r copies right with l + r >= c.
-            options = [
-                [
-                    (l * self.unit[w], r * self.unit[w])
-                    for l in range(count + 1)
-                    for r in range(count + 1)
-                    if l + r >= count
-                ]
-                for w, count in self.members(key)
-            ]
-        for assignment in itertools.product(*options):
-            left_key = sum(part for part, _ in assignment)
-            right_key = sum(part for _, part in assignment)
-            if self.check(left_key, left) and self.check(right_key, right):
-                return left_key, right_key
-        return None
 
 
 def mc_ctl(

@@ -12,13 +12,6 @@ and the suffix team is a bit remap under which members that have become
 equal merge by themselves.  The formula is compiled by the shared core,
 `formula.Compiled`; here a flat node's mask is over states.
 
-A team of one trace satisfies a downward-closed formula iff the trace
-satisfies it classically (singleton equivalence), so one bit-parallel
-labelling gives, for each such node, the mask ``alone`` of the states on
-which it holds alone.  A generalised atom's rows are read off its
-parameters' masks (parameters are pure LTL), and so is which traces can
-go on each side of a split.
-
 A team has one successor team, its suffix team (``successors``), so
 ``X``, ``U`` and ``R`` are TeamCTL's rules on a graph where every team
 has one successor: the ``temporal`` table declares them without a path
@@ -44,31 +37,10 @@ the prfx(T) + lcm(T) teams of the whole horizon are built only when the
 formula needs them.  By the expansion laws every team passed has the
 search's verdict, so nested temporal operators reuse it.
 
-Splitjunctions are the expensive part, and the formula alone picks how
-each is enumerated.  On a downward-closed split node it suffices to
-enumerate disjoint subsets, pruned by per-trace feasibility, which is
-one AND with each side's ``alone`` mask, and to try the other side only
-beside a maximal part, one that no further trace can join with its side
-still true.  Both sides are downward closed, so this is complete: a
-side that fails beside a maximal part fails beside every part under it,
-whose complement is larger.  Where one side is a single union whose
-masks close, its maximal parts are read off the masks: ``mask & ~F``
-for each mask F that misses the traces that must go on that side, and
-the other side is tried beside them in the order the enumeration would
-try them, but no part is enumerated.  Otherwise the left parts are
-enumerated from the largest down.  The masks only prune: every part is
-still decided by the rules.  If only one side is downward closed,
-partitions still suffice: that side may shrink to the complement of the
-other side's part (the strict and lax readings of the split agree).  A
-trace on which it fails alone, one outside its ``alone`` mask, must go
-on the other side, so only the other side's parts that hold those
-traces are enumerated, with the closed side checked first on each
-complement.
-Only where neither side is downward closed must every ordered cover
-(each trace goes left, right, or both) be considered.  Covers are
-decided with a superset closure ("sum over subsets") of the subteams
-satisfying the right side, in O(n·2^n), rather than by pairing every
-left subteam with every right one.
+Splits are the shared core's (`formula.Compiled.split`), over member
+units that are state bits: the classical labelling ``alone`` that prunes
+them is over states, and a generalised atom's rows are read off its
+parameters' masks (parameters are pure LTL).
 ``naive_oracle`` is a deliberately independent and unoptimized second
 implementation used for differential testing.
 """
@@ -95,8 +67,8 @@ from .formula import (
     Release,
     Split,
     Until,
+    _bits,
     _image,
-    _least_fixpoint,
     _shifts,
     formula_length,
     prop_masks,
@@ -125,45 +97,21 @@ def _least_rotation(seq: list[int]) -> int:
     return min(i, j)
 
 
-def _bits(mask: int):
-    """The single-bit masks of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low
-        mask ^= low
-
-
-def _minimal(masks: list[int]) -> list[int]:
-    """The ⊆-minimal masks among ``masks``, each once, in the order in
-    which the parts of a split, enumerated from the largest down, meet
-    their complements: the smallest first, and of two the same size,
-    first the one without the lowest bit in which they differ."""
-    distinct = set(masks)
-    if len(distinct) < 2:
-        return list(distinct)
-    width = max(distinct).bit_length()
-    kept: list[int] = []
-    for mask in sorted(distinct, key=lambda m: (m.bit_count(), f"{m:0{width}b}"[::-1])):
-        if all(k & ~mask for k in kept):
-            kept.append(mask)
-    return kept
-
-
 class _TeamEval(Compiled):
     """One call's compiled team, over the shared formula core.
 
     State ``s`` is a distinct suffix of some member: ``heads[s]`` is its
     first position and ``succ[s]`` the bit of the state one position
     later.  A team is a mask of states, and a flat node's ``fails`` mask
-    holds the states whose first position falsifies it.  ``steps`` caches
-    each team's one successor team, as `successors` returns it, and
-    ``alone`` holds, for each downward-closed node, the states whose
-    one-state team satisfies it: splits read which traces can go on each
-    side off it, and atoms their rows.
+    holds the states whose first position falsifies it, as ``alone``
+    holds those on which a node holds alone.  ``steps`` caches each
+    team's one successor team, as `successors` returns it.
     """
 
     logic = "team LTL"
     param_nodes = PURE_LTL
+    # A member unit is one state bit.
+    units = staticmethod(_bits)
     # Each team has one successor team, its suffix team.
     temporal = {Next: ("X", ""), Until: ("U", ""), Release: ("R", "")}
 
@@ -238,182 +186,6 @@ class _TeamEval(Compiled):
         if image is None:
             image = self.steps[mask] = (_image(mask, self.succ),)
         return image
-
-    @functools.cached_property
-    def alone(self) -> list[int | None]:
-        """``alone[n]``: the mask of the states whose one-state team
-        satisfies node ``n``, for each node in the downward-closed
-        fragment, and None for every other node.
-
-        On one trace a downward-closed formula has its classical meaning
-        (singleton equivalence), so each mask is one bottom-up pass over
-        the nodes, children first, in the style of CTL labelling: ``&``
-        is an AND of the children's masks, ``|`` and ``\\|/`` an OR, ``X``
-        a pre-image, ``U`` the least fixpoint of ψ ∨ (φ ∧ pre(Z)) and
-        ``R`` the greatest fixpoint of ψ ∧ (φ ∨ pre(Z)), the complement
-        of ¬φ U ¬ψ.  An atom holds on the states whose one row it accepts.
-        Splits and atoms read it on first use, so a check without them
-        never builds it."""
-        pre = self.pre_some
-        alone: list[int | None] = []
-        for node, kind in enumerate(self.kinds):
-            kids = [alone[a] for a in self.args[node]]
-            fails = self.fails[node]
-            if not self.dc[node]:
-                mask = None
-            elif fails is not None:
-                mask = self.full ^ fails
-            elif kind is And:
-                mask = kids[0] & kids[1]
-            elif kind is Split or kind is BoolOr:
-                mask = kids[0] | kids[1]
-            elif kind is Next:
-                mask = pre(kids[0])
-            elif kind is Until:
-                phi, psi = kids
-                mask = _least_fixpoint(psi, lambda z: phi & pre(z))
-            elif kind is Release:
-                # φ R ψ is ¬(¬φ U ¬ψ), and on one successor pre commutes with ¬.
-                phi, psi = (self.full ^ kid for kid in kids)
-                mask = self.full ^ _least_fixpoint(psi, lambda z: phi & pre(z))
-            elif kind is GenAtomApp:
-                accepts = self.formulas[node].atom.evaluator
-                mask = sum(
-                    bit for bit in _bits(self.full)
-                    if accepts([tuple(bool(bit & m) for m in kids)])
-                )
-            else:
-                self._unsupported(0, node)
-            alone.append(mask)
-        return alone
-
-    def _gen_atom(self, team: int, node: int) -> bool:
-        # A parameter is pure LTL, so its row entry on a member is one bit
-        # of its ``alone`` mask.
-        params = [self.alone[p] for p in self.args[node]]
-        rows = [tuple(bool(bit & m) for m in params) for bit in _bits(team)]
-        return self.formulas[node].atom.evaluator(rows)
-
-    def split(self, mask: int, node: int) -> tuple[int, int] | None:
-        left, right = self.args[node]
-        if self.dc[node]:
-            return self._split_disjoint(mask, left, right)
-        if self.dc[left]:
-            return self._split_one_closed(mask, left, right)
-        if self.dc[right]:
-            parts = self._split_one_closed(mask, right, left)
-            return parts and parts[::-1]
-        return self._split_covers(mask, left, right)
-
-    def _check_cap(self, members: int) -> None:
-        """Charge a split that enumerates parts over ``members`` traces
-        against the cap; a split over one trace is always allowed."""
-        if members > 1 and members > self.max_team:
-            raise ResourceCapError(
-                f"split over {members} traces exceeds the split cap {self.max_team}"
-            )
-
-    def _split_disjoint(self, mask: int, left: int, right: int) -> tuple[int, int] | None:
-        # Downward closure makes minimal assignments complete: a trace that
-        # can only live on one side must go there, and when one side is flat
-        # the other side's part can be taken as small as possible.
-        if self.fails[left] is not None:
-            part = mask & self.fails[left]
-            return (mask ^ part, part) if self.check(part, right) else None
-        if self.fails[right] is not None:
-            part = mask & self.fails[right]
-            return (part, mask ^ part) if self.check(part, left) else None
-        # A trace can go on a side iff it satisfies that side alone.
-        alone = self.alone
-        can_left, can_right = mask & alone[left], mask & alone[right]
-        if can_left | can_right != mask:
-            return None
-        free = list(_bits(can_left & can_right))
-        self._check_cap(len(free))
-        # It also makes maximal parts complete.  Beside a side decided by
-        # one union whose masks all close (the left side if both are), the
-        # largest parts of that side are mask & ~F, for each of its masks F
-        # that misses the traces that must go on it, and the other side is
-        # tried only on the complements mask & F of the maximal ones: if it
-        # holds beside some part, it holds on the smaller complement of a
-        # maximal part above it.  They are tried in the order of the
-        # enumeration below, which this skips.
-        for side, other, can_other in ((left, right, can_right), (right, left, can_left)):
-            unions = self.unions[side]
-            closed = unions[0].force() if unions is not None and len(unions) == 1 else None
-            if closed is not None:
-                must = mask & ~can_other
-                for rest in _minimal([mask & f for f in closed if not f & must]):
-                    if self.check(rest, other):
-                        return (mask ^ rest, rest) if side == left else (rest, mask ^ rest)
-                return None
-        base = mask & ~can_right
-        # Otherwise the right side is tried only on an enumerated left part
-        # that no free trace can join with the left side still true: if
-        # the right side holds beside some part, the traces added one by
-        # one to make it maximal leave a smaller right part, which still
-        # satisfies it.  Parts go from the largest down, so every
-        # part | bit has been checked already and is a memo hit.
-        for size in range(len(free), -1, -1):
-            for extra in itertools.combinations(free, size):
-                part = base | sum(extra)
-                if (
-                    self.check(part, left)
-                    and not any(
-                        self.check(part | bit, left) for bit in free if not part & bit
-                    )
-                    and self.check(mask ^ part, right)
-                ):
-                    return part, mask ^ part
-        return None
-
-    def _split_one_closed(self, mask: int, closed: int, other: int) -> tuple[int, int] | None:
-        # The downward-closed side may shrink to the complement of the other
-        # side's part, so partitions suffice.  A trace on which it fails
-        # alone can be on no part of it, so it goes on the other side.
-        fails = self.fails[closed]
-        must = mask & (~self.alone[closed] if fails is None else fails)
-        free = list(_bits(mask ^ must))
-        self._check_cap(len(free))
-        # The closed side is checked first: it is cheaper, and memoised.
-        for size in range(len(free) + 1):
-            for extra in itertools.combinations(free, size):
-                part = must | sum(extra)
-                if self.check(mask ^ part, closed) and self.check(part, other):
-                    return mask ^ part, part
-        return None
-
-    def _split_covers(self, mask: int, left: int, right: int) -> tuple[int, int] | None:
-        # subteams[x] holds the members whose index bits are set in x.
-        members = list(_bits(mask))
-        self._check_cap(len(members))
-        subteams = [0]
-        for bit in members:
-            subteams += [sub | bit for sub in subteams]
-        # Bit x of ``covered``: some superset of subteams[x] satisfies the
-        # right side.  Start from the subteams themselves, then close
-        # upwards one member at a time: for x without member i, take the
-        # bit of x | 1 << i, which sits ``step`` places higher.
-        covered = 0
-        for x, sub in enumerate(subteams):
-            if self.check(sub, right):
-                covered |= 1 << x
-        every = (1 << len(subteams)) - 1
-        for i in range(len(members)):
-            step = 1 << i
-            without_i = every // ((1 << 2 * step) - 1) * ((1 << step) - 1)
-            covered |= (covered >> step) & without_i
-        # A cover exists iff some left subteam's complement is covered; its
-        # right part is the first superset of the complement, in index
-        # order, that satisfies the right side.
-        full = len(subteams) - 1
-        for x, sub in enumerate(subteams):
-            if covered >> (full ^ x) & 1 and self.check(sub, left):
-                extra = 0
-                while not self.check(subteams[full ^ x | extra], right):
-                    extra = (extra - x) & x
-                return sub, subteams[full ^ x | extra]
-        return None
 
     # -- explaining --------------------------------------------------------
 

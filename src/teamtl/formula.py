@@ -28,8 +28,9 @@ flat node by one mask test, any other by its rule, memoised per team; a
 conjunction of unions of flat masks is one node.  It decides ``&``,
 Boolean disjunction, ``~``, generalised atoms and every temporal
 operator itself, each temporal class declared by its operator and path
-quantifier; the evaluators add their team encoding, successor teams,
-pre-images and splits.
+quantifier, and every split, pruned by the classical labelling of the
+downward-closed nodes; the evaluators add their team encoding, member
+units, successor teams and pre-images.
 
 How deep a formula may nest is bounded once per entry point, for trees
 built in code: by `Compiled.compile` as it interns the tree, and by
@@ -39,6 +40,7 @@ each node as they build it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
@@ -368,10 +370,18 @@ def _too_deep() -> ResourceCapError:
 
 def require_nodes(phi: Formula, allowed: tuple[type, ...], where: str) -> Formula:
     """Return ``phi`` if each of its nodes is an instance of a class in
-    ``allowed``, else raise `UnsupportedNodeError` naming ``where``."""
-    for node in iter_nodes(phi):
+    ``allowed``, else raise `UnsupportedNodeError` naming ``where``.  A
+    subtree shared within ``phi`` is visited once."""
+    seen = set()
+    stack = [phi]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
         if not isinstance(node, allowed):
             raise UnsupportedNodeError(f"{type(node).__name__} is not supported in {where}")
+        stack.extend(children(node))
     return phi
 
 
@@ -416,6 +426,30 @@ def is_ctl(phi: Formula) -> bool:
 
 # ---------------------------------------------------------------------------
 # The compiled-formula core shared by the team evaluators
+
+
+def _bits(mask: int):
+    """The single-bit masks of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
+def _minimal(masks: list[int]) -> list[int]:
+    """The ⊆-minimal masks among ``masks``, each once, in the order in
+    which the parts of a split, enumerated from the largest down, meet
+    their complements: the smallest first, and of two the same size,
+    first the one without the lowest bit in which they differ."""
+    distinct = set(masks)
+    if len(distinct) < 2:
+        return list(distinct)
+    width = max(distinct).bit_length()
+    kept: list[int] = []
+    for mask in sorted(distinct, key=lambda m: (m.bit_count(), f"{m:0{width}b}"[::-1])):
+        if all(k & ~mask for k in kept):
+            kept.append(mask)
+    return kept
 
 
 def _image(mask: int, succ: list[int]) -> int:
@@ -603,27 +637,39 @@ class Compiled:
 
     A team is an int, and a flat node's mask uses the same bits, so
     ``check(team, node)`` decides every node: a flat one by one mask test,
-    any other from its memo or by ``rules[node](self, team, node)``.  An
-    atom's row for a member checks each parameter on the member's
-    one-member team, which gives its classical value: parameters admit no
-    ``~`` and no atom, so the empty team satisfies them and ``|`` on one
-    member is plain disjunction.  Team LTL reads the same values off its
-    one-trace masks instead (`eval_team_ltl._TeamEval.alone`).
+    any other from its memo or by ``rules[node](self, team, node)``.
+
+    A split is over a team's member units, listed once per copy, so it is
+    over indices (`split`).  The formula alone picks how each split is
+    enumerated, and ``alone``, the classical labelling of each
+    downward-closed node (singleton equivalence), prunes it: a member on
+    which a side fails alone goes on the other side.  Where both sides
+    are downward closed, disjoint parts suffice: beside a flat side the
+    other side's part is one check, beside a union whose masks close the
+    maximal parts are read off its masks, and otherwise the other side is
+    tried only beside an enumerated maximal part.  Where one side is,
+    partitions suffice, as it may shrink to the complement of the other
+    side's part; only where neither is are covers enumerated, by a
+    superset closure in O(n·2^n).  The masks only prune: every part is
+    decided by the rules.  An atom's row for a member reads each
+    parameter's ``alone`` bit, its classical value: parameters admit no
+    ``~`` and no atom.
 
     A subclass encodes its teams and supplies ``prop_masks`` (each
     proposition's mask of the members labelled with it), ``successors``
-    (a team's distinct successor teams), ``split`` (the two parts that
-    satisfy a split's sides, or None), the name of its ``logic`` and
+    (a team's distinct successor teams), ``units`` (a team's member
+    units, one per copy, lowest first, which sum to the team),
+    ``max_team`` (the most units a split may enumerate its parts over),
+    the name of its ``logic`` and
     ``temporal``, which maps each temporal class to its operator (``"X"``,
     ``"U"`` or ``"R"``) and path quantifier (``"E"``, ``"A"``, or ``""``
     where every team has one successor); where it admits atoms, also the
-    node classes ``param_nodes`` admitted in their parameters, and
-    ``singletons`` (a team's one-member teams, a member once per copy) or
-    its own ``_gen_atom``.  Before it compiles it sets ``full`` (the mask
-    of every member) and ``pre_some``, the pre-image of a mask (the
-    members with a successor in it), and where a temporal class is not
-    under A, ``cutoff`` and ``pre_all`` (the members with only successors
-    in it).  Any other class
+    node classes ``param_nodes`` admitted in their parameters.  Before it
+    compiles it sets ``full`` (the mask of every member) and ``pre_some``,
+    the pre-image of a mask (the members with a successor in it), and
+    where a temporal class is not under A, ``cutoff`` and ``pre_all``
+    (the members with only successors in it), which ``alone`` reads under
+    A too.  Any other class
     is rejected with `UnsupportedNodeError`, in a parameter when it is
     compiled, elsewhere when it is evaluated.
     """
@@ -634,6 +680,8 @@ class Compiled:
     cutoff: int
     pre_some: Callable[[int], int]
     pre_all: Callable[[int], int]
+    units: Callable[[int], Iterable[int]]
+    max_team: int
 
     def __init__(self):
         self.formulas: list[Formula] = []
@@ -817,20 +865,211 @@ class Compiled:
     def _cneg(self, team: int, node: int) -> bool:
         return not self.check(team, self.args[node][0])
 
-    def _split(self, team: int, node: int) -> bool:
-        return self.split(team, node) is not None
-
     def _gen_atom(self, team: int, node: int) -> bool:
-        params = self.args[node]
-        rows = [
-            tuple(self.check(one, p) for p in params) for one in self.singletons(team)
-        ]
+        # A parameter is downward closed, so its row entry on a member is
+        # one bit of its ``alone`` mask.
+        params = [self.alone[p] for p in self.args[node]]
+        rows = [tuple(bool(unit & m) for m in params) for unit in self.units(team)]
         return self.formulas[node].atom.evaluator(rows)
 
     def _unsupported(self, team: int, node: int) -> bool:
         raise UnsupportedNodeError(
             f"{self.logic} evaluation does not support {self.kinds[node].__name__}"
         )
+
+    @functools.cached_property
+    def alone(self) -> list[int | None]:
+        """``alone[n]``: the mask of the members whose one-member team
+        satisfies node ``n``, for each node in the downward-closed
+        fragment, and None for every other node.
+
+        On one member a downward-closed formula has its classical meaning
+        (singleton equivalence), so each mask is one bottom-up pass over
+        the nodes, children first, as in CTL labelling: ``&`` is an AND of
+        the children's masks, ``|`` and ``\\|/`` an OR, ``X`` a pre-image
+        under the node's quantifier, ``U`` the least fixpoint of
+        ψ ∨ (φ ∧ pre(Z)) and ``R`` the complement of the Until of the
+        other quantifier over ¬φ and ¬ψ.  Under E, or where every team has
+        one successor, pre is ``pre_some``; under A it is ``pre_all``, and
+        a left-total structure keeps A's nodes downward closed.  An atom
+        holds on the members whose one row it accepts.  Splits and atoms
+        read it on first use, so a check without them never builds it."""
+        full = self.full
+        alone: list[int | None] = []
+        for node, kind in enumerate(self.kinds):
+            kids = [alone[a] for a in self.args[node]]
+            fails = self.fails[node]
+            if not self.dc[node]:
+                mask = None
+            elif fails is not None:
+                mask = full ^ fails
+            elif kind is And:
+                mask = kids[0] & kids[1]
+            elif kind is Split or kind is BoolOr:
+                mask = kids[0] | kids[1]
+            elif kind is GenAtomApp:
+                # Group the members by their row, one mask per distinct row.
+                rows = {(): full}
+                for m in kids:
+                    rows = {
+                        row + (b,): part for row, members in rows.items()
+                        for b, part in ((True, members & m), (False, members & ~m)) if part
+                    }
+                accepts = self.formulas[node].atom.evaluator
+                mask = sum(part for row, part in rows.items() if accepts([row]))
+            elif kind in self.temporal:
+                op, quantifier = self.temporal[kind]
+                pre, dual = self.pre_some, self.pre_all
+                if quantifier == "A":
+                    pre, dual = dual, pre
+                if op == "X":
+                    mask = pre(kids[0])
+                elif op == "U":
+                    phi, psi = kids
+                    mask = _least_fixpoint(psi, lambda z: phi & pre(z))
+                else:
+                    phi, psi = (full ^ kid for kid in kids)
+                    mask = full ^ _least_fixpoint(psi, lambda z: phi & dual(z))
+            else:
+                self._unsupported(0, node)
+            alone.append(mask)
+        return alone
+
+    # -- splits ------------------------------------------------------------
+
+    # A team lists its member units (`units`): a part of a split is a sum
+    # of some of them, and its complement in a team is the difference, as
+    # a unit may occur more than once.  Every mask the core builds holds a
+    # member's every copy or none, so AND, OR and AND NOT act on them as on
+    # sets; the splits are over indices, one copy at a time, and one copy
+    # holding a side alone does not let every copy join it.
+
+    def _split(self, team: int, node: int) -> bool:
+        return self.split(team, node) is not None
+
+    def split(self, team: int, node: int) -> tuple[int, int] | None:
+        """The parts of ``team`` satisfying the two sides of split node
+        ``node``, left first, or None.  Disjoint parts if both sides are
+        downward closed, a partition beside the one that is, and covers
+        only where neither is."""
+        left, right = self.args[node]
+        if self.dc[node]:
+            return self._split_disjoint(team, left, right)
+        if self.dc[left]:
+            return self._split_one_closed(team, left, right)
+        if self.dc[right]:
+            parts = self._split_one_closed(team, right, left)
+            return parts and parts[::-1]
+        return self._split_covers(team, left, right)
+
+    def _check_cap(self, members: int) -> None:
+        """Charge a split that enumerates parts over ``members`` members
+        against the cap; a split over one member is always allowed."""
+        if members > 1 and members > self.max_team:
+            raise ResourceCapError(
+                f"split over {members} members exceeds the split cap {self.max_team}"
+            )
+
+    def _split_disjoint(self, team: int, left: int, right: int) -> tuple[int, int] | None:
+        # Downward closure makes minimal assignments complete: a member that
+        # can only live on one side must go there, and when one side is flat
+        # the other side's part can be taken as small as possible.
+        if self.fails[left] is not None:
+            part = team & self.fails[left]
+            return (team - part, part) if self.check(part, right) else None
+        if self.fails[right] is not None:
+            part = team & self.fails[right]
+            return (part, team - part) if self.check(part, left) else None
+        # A member can go on a side only if it satisfies that side alone.
+        alone = self.alone
+        can_left, can_right = team & alone[left], team & alone[right]
+        if can_left | can_right != team:
+            return None
+        free = list(self.units(can_left & can_right))
+        self._check_cap(len(free))
+        # It also makes maximal parts complete.  Beside a side decided by
+        # one union whose masks all close (the left side if both are), the
+        # largest parts of that side are team & ~F, for each of its masks F
+        # that misses the members that must go on it, and the other side is
+        # tried only on the complements team & F of the maximal ones: if it
+        # holds beside some part, it holds on the smaller complement of a
+        # maximal part above it.  They are tried in the order of the
+        # enumeration below, which this skips.
+        for side, other, can_other in ((left, right, can_right), (right, left, can_left)):
+            unions = self.unions[side]
+            closed = unions[0].force() if unions is not None and len(unions) == 1 else None
+            if closed is not None:
+                must = team & ~can_other
+                for rest in _minimal([team & f for f in closed if not f & must]):
+                    if self.check(rest, other):
+                        return (team - rest, rest) if side == left else (rest, team - rest)
+                return None
+        base, both = team & ~can_right, can_left & can_right
+        # Otherwise the right side is tried only on an enumerated left part
+        # that no free member can join with the left side still true: if
+        # the right side holds beside some part, the members added one by
+        # one to make it maximal leave a smaller right part, which still
+        # satisfies it.  Parts go from the largest down, so every part with
+        # one more member has been checked already and is a memo hit.
+        for size in range(len(free), -1, -1):
+            for extra in itertools.combinations(free, size):
+                added = sum(extra)
+                part = base + added
+                if (
+                    self.check(part, left)
+                    and not any(self.check(part + unit, left) for unit in self.units(both - added))
+                    and self.check(team - part, right)
+                ):
+                    return part, team - part
+        return None
+
+    def _split_one_closed(self, team: int, closed: int, other: int) -> tuple[int, int] | None:
+        # The downward-closed side may shrink to the complement of the other
+        # side's part, so partitions suffice.  A member on which it fails
+        # alone can be on no part of it, so it goes on the other side.
+        fails = self.fails[closed]
+        must = team & (~self.alone[closed] if fails is None else fails)
+        free = list(self.units(team - must))
+        self._check_cap(len(free))
+        # The closed side is checked first: it is cheaper, and memoised.
+        for size in range(len(free) + 1):
+            for extra in itertools.combinations(free, size):
+                part = must + sum(extra)
+                if self.check(team - part, closed) and self.check(part, other):
+                    return team - part, part
+        return None
+
+    def _split_covers(self, team: int, left: int, right: int) -> tuple[int, int] | None:
+        # subteams[x] holds the members whose indices are set in x.
+        members = list(self.units(team))
+        self._check_cap(len(members))
+        subteams = [0]
+        for unit in members:
+            subteams += [sub + unit for sub in subteams]
+        # Bit x of ``covered``: some superset of subteams[x] satisfies the
+        # right side.  Start from the subteams themselves, then close
+        # upwards one member at a time: for x without member i, take the
+        # bit of x | 1 << i, which sits ``step`` places higher.
+        covered = 0
+        for x, sub in enumerate(subteams):
+            if self.check(sub, right):
+                covered |= 1 << x
+        every = (1 << len(subteams)) - 1
+        for i in range(len(members)):
+            step = 1 << i
+            without_i = every // ((1 << 2 * step) - 1) * ((1 << step) - 1)
+            covered |= (covered >> step) & without_i
+        # A cover exists iff some left subteam's complement is covered; its
+        # right part is the first superset of the complement, in index
+        # order, that satisfies the right side.
+        full = len(subteams) - 1
+        for x, sub in enumerate(subteams):
+            if covered >> (full ^ x) & 1 and self.check(sub, left):
+                extra = 0
+                while not self.check(subteams[full ^ x | extra], right):
+                    extra = (extra - x) & x
+                return sub, subteams[full ^ x | extra]
+        return None
 
     # -- temporal searches over the successor-team graph ------------------
 

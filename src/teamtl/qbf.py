@@ -203,7 +203,7 @@ def eval_qbf(q: QbfInstance) -> bool:
 # Reduction: QBF -> team path checking (LTL)
 
 
-def _split_chain(parts: list[Formula]) -> Formula:
+def _splitjunction_chain(parts: list[Formula]) -> Formula:
     result = parts[-1]
     for part in reversed(parts[:-1]):
         result = Split(part, result)
@@ -239,14 +239,14 @@ def reduce_to_tpc(q: QbfInstance) -> tuple[TeamEncoding, Formula]:
     parts += [_f(Prop(clause_prop(j))) for j in range(1, len(q.clauses) + 1)]
     if not parts:
         return TeamEncoding.of([]), top()
-    phi = _split_chain(parts)
+    phi = _splitjunction_chain(parts)
     for i in range(n - 1, -1, -1):
         var = q.variables[i]
         qp = Prop(quant_prop(var))
         if q.quantifiers[i] == "e":
             phi = Split(_f(qp), phi)
         else:
-            body = _split_chain(
+            body = _splitjunction_chain(
                 [
                     Prop(DOLLAR),
                     Until(NegProp(quant_prop(var)), qp),

@@ -20,7 +20,7 @@ from .eval_classical import (
     check_ltl_classical,
     check_ltl_classical_extended,
 )
-from .eval_team_ctl import CtlLimits, from_index_zero, mc_ctl, mc_ctl_bruteforce
+from .eval_team_ctl import CtlLimits, _CtlEval, from_index_zero, mc_ctl, mc_ctl_bruteforce
 from .eval_team_ltl import _TeamEval, check_team, naive_oracle
 from .formula import (
     AR,
@@ -689,24 +689,34 @@ def suite_ctl_singleton(rng, count):
         yield mc_ctl(k, MultiTeam.of([w]), phi), check_ctl_classical(k, w, phi), phi, w, k
 
 
-@_suite("is_successor_team vs function enumeration")
+@_suite("successor teams vs function enumeration")
 def suite_successor_teams(rng, count):
-    """Leads with the pinned case where every member can step into the
-    target but no matching exists."""
+    """``is_successor_team``, and the successor multisets of
+    ``_CtlEval.successors``, against the multisets that one successor
+    per member makes.  Leads with the pinned case where every member can
+    step into the target but no matching exists."""
+
+    def compare(k, t1, t2):
+        choices = list(itertools.product(*(k.succ[w] for w in t1.worlds)))
+        expected = len(t1) == len(t2) and any(
+            Counter(choice) == Counter(t2.worlds) for choice in choices
+        )
+        ev = _CtlEval(k, len(t1))
+        return (
+            (is_successor_team(k, t1, t2), set(ev.successors(ev.encode(t1.worlds)))),
+            (expected, set(map(ev.encode, choices))),
+            t1, t2, k,
+        )
+
     k = KripkeStructure.of(
         ["a", "b", "c", "x", "y"],
         [("a", "x"), ("b", "x"), ("c", "x"), ("c", "y"), ("x", "x"), ("y", "y")],
     )
-    t1, t2 = MultiTeam.of(["a", "b", "c"]), MultiTeam.of(["x", "y", "y"])
-    yield is_successor_team(k, t1, t2), False, t1, t2, k
+    yield compare(k, MultiTeam.of(["a", "b", "c"]), MultiTeam.of(["x", "y", "y"]))
     for _ in range(count):
         k = random_kripke(rng, max_worlds=5)
         t1, t2 = random_multiteam(rng, k, max_size=4), random_multiteam(rng, k, max_size=4)
-        expected = len(t1) == len(t2) and any(
-            Counter(choice) == Counter(t2.worlds)
-            for choice in itertools.product(*(k.succ[w] for w in t1.worlds))
-        )
-        yield is_successor_team(k, t1, t2), expected, t1, t2, k
+        yield compare(k, t1, t2)
 
 
 _CLAUSE_VARIABLES = ("x1", "x2", "x3")
@@ -822,6 +832,37 @@ def suite_ltl_alone(rng, count):
         yield got, expected, phi, team
 
 
+@_suite("one-world masks of mc_ctl vs classical CTL")
+def suite_ctl_alone(rng, count):
+    """Singleton equivalence for the masks a TeamCTL split reads: for
+    every downward-closed node, each world's bit in ``_CtlEval.alone``
+    against classical CTL at that world, or ``mc_ctl_bruteforce`` on that
+    one world where the node holds a ``\\|/`` or a dependence atom.
+    Every other node must have no mask."""
+    for _ in range(count):
+        k = random_kripke(rng)
+        phi = random_ctl_formula(
+            rng, rng.randint(1, 6),
+            allow_cneg=True, allow_boolor=True, allow_atoms=True,
+        )
+        ev = _CtlEval(k, 1)
+        ev.compile(phi)
+        got, expected = [], []
+        for node, sub in enumerate(ev.formulas):
+            if not ev.dc[node]:
+                got.append(ev.alone[node])
+                expected.append(None)
+                continue
+            pure = not any(isinstance(n, (BoolOr, GenAtomApp)) for n in iter_nodes(sub))
+            for w, world in enumerate(k.worlds):
+                got.append(bool(ev.alone[node] & ev.unit[w]))
+                expected.append(
+                    check_ctl_classical(k, world, sub) if pure
+                    else mc_ctl_bruteforce(k, MultiTeam.of([world]), sub)
+                )
+        yield got, expected, phi, k
+
+
 @_suite("pinned fixtures")
 def suite_fixtures(rng, count):
     """The pinned verdicts; draws nothing and ignores ``count``."""
@@ -834,7 +875,7 @@ SUITES = (
     suite_ltl_union, suite_splitfree, suite_ltl_ctl_agreement, suite_ctl_oracle, suite_ctl_flat,
     suite_ctl_union, suite_ctl_singleton, suite_successor_teams, suite_qbf_reductions,
     suite_plsim, suite_qbf_tpc, suite_qbf_tpc_clauses, suite_shared_temporal, suite_ltl_alone,
-    suite_fixtures,
+    suite_ctl_alone, suite_fixtures,
 )
 # The costlier suites run at a fraction of ``run_selftest``'s count.
 _DIVISORS = {

@@ -29,6 +29,7 @@ from .errors import (
     GenAtomPresent,
     ResourceCapError,
     SplitjunctionPresent,
+    UnsupportedNodeError,
 )
 from .formula import (
     And,
@@ -46,9 +47,7 @@ from .formula import (
     Until,
     _image,
     _pre_image,
-    iter_nodes,
     prop_masks,
-    require_nodes,
     top,
 )
 from .kripke import KripkeStructure
@@ -188,12 +187,19 @@ def check_model_splitfree(
     """
     evaluator = _SubsetEval(k, max_subsets)
     node = evaluator.compile(phi)
-    require_nodes(phi, _LTL_NODES, "splitfree model checking")
-    if any(isinstance(node, Split) and node != _TOP for node in iter_nodes(phi)):
+    # The node classes are checked on the distinct compiled nodes, so a
+    # subtree shared within the tree is checked once.
+    kinds = evaluator.kinds
+    for kind in kinds:
+        if not issubclass(kind, _LTL_NODES):
+            raise UnsupportedNodeError(
+                f"{kind.__name__} is not supported in splitfree model checking"
+            )
+    if any(kind is Split and sub != _TOP for kind, sub in zip(kinds, evaluator.formulas)):
         raise SplitjunctionPresent(
             "formula contains a splitjunction; use trace enumeration instead"
         )
-    if any(isinstance(node, GenAtomApp) for node in iter_nodes(phi)):
+    if GenAtomApp in kinds:
         raise GenAtomPresent(
             "flattening keeps only unanimous-label information, which cannot "
             "evaluate generalised atoms"

@@ -19,15 +19,17 @@ from teamtl.eval_team_ctl import (
     mc_ctl_bruteforce,
 )
 from teamtl.fixtures import af_multiplicity_structure, ef_counterexample_structure
-from teamtl.formula import Prop
+from teamtl.formula import Prop, Split
 from teamtl.kripke import KripkeStructure, MultiTeam
 from teamtl.parser import parse_ctl
 from teamtl.qbf import reduce_to_tmc_ctl
 from teamtl.selftest import (
     cycle_fan,
+    random_flat_ctl_formula,
     random_kripke,
     random_multiteam,
     random_qbf,
+    suite_ctl_alone,
     suite_ctl_flat,
     suite_ctl_oracle,
     suite_ctl_singleton,
@@ -257,8 +259,8 @@ def test_successors_deduplicate_multisets():
     ("(~BOT) | (~BOT)", ["a"], True),
 ])
 def test_splits_with_negated_sides(text, team, expected):
-    # Where one side is downward closed, mc_ctl splits the counts of each
-    # world between the sides; the oracle tries every cover.
+    # Where one side is downward closed, mc_ctl splits the team's copies
+    # between the sides; the oracle tries every cover.
     k = KripkeStructure.of(
         ["a", "b", "c"], [("a", "a"), ("b", "b"), ("c", "c"), ("c", "a")],
         {"a": ["p"], "b": ["q"]},
@@ -277,6 +279,65 @@ def test_agrees_with_bruteforce(seed):
 @given(st.integers(0, 2**32))
 def test_singleton_equals_classical(seed):
     assert not suite_ctl_singleton(random.Random(seed), 1).mismatches
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32))
+def test_one_world_masks_equal_classical(seed):
+    assert not suite_ctl_alone(random.Random(seed), 1).mismatches
+
+
+@pytest.mark.parametrize("text,copies,expected", [
+    ("AX EF p", 1, True),
+    ("AX EF p", 2, False),
+    ("(AX EF p) | (AX EF p)", 2, True),
+    ("(AX EF p) | (AX EF p)", 3, False),
+    ("(AX EF p) | ~(AX EF p)", 3, True),
+])
+def test_one_copy_holding_a_side_alone_does_not_let_every_copy_join(text, copies, expected):
+    # Each copy of w holds AX EF p alone, but two copies can step to a and
+    # b, which never reach p at one step.  So a split side takes at most
+    # one copy of w, which the maximal-part test finds by adding one copy
+    # at a time.
+    k = KripkeStructure.of(
+        ["w", "a", "b", "c", "d"],
+        [("w", "a"), ("w", "b"), ("a", "d"), ("b", "c"), ("c", "d"), ("d", "d")],
+        {"a": ["p"], "c": ["p"]},
+    )
+    phi, team = parse_ctl(text), MultiTeam.of(["w"] * copies)
+    assert mc_ctl(k, team, phi) == mc_ctl_bruteforce(k, team, phi) == expected
+
+
+# The verdicts of the 20 instances per team size, in the order drawn.
+SPLIT_RECIPE_VERDICTS = {
+    8: "11110111111111111110",
+    10: "10111111111011011111",
+    12: "11011111111110111111",
+}
+
+
+def test_splits_beside_flat_sides_decide_within_a_cpu_bound():
+    # Splits of four flat CTL formulas (pointwise EG/AG splits, or one U/R
+    # over pointwise operands) on teams of 8, 10 and 12 members over up to
+    # 12 worlds, with copies.  Enumerating every count assignment took
+    # about 29 s of CPU time for the three sizes, 28 s of it on one
+    # instance of size 12 (2-core shared VM, Python 3.11).
+    started = time.process_time()
+    for size, pinned in SPLIT_RECIPE_VERDICTS.items():
+        r = random.Random(size)
+        verdicts = ""
+        for _ in range(20):
+            k = random_kripke(r, max_worlds=12)
+            phi = random_flat_ctl_formula(r, 3)
+            for _ in range(3):
+                phi = Split(phi, random_flat_ctl_formula(r, 3))
+            worlds = list(k.worlds[:size])
+            while len(worlds) < size:
+                worlds.append(r.choice(k.worlds))
+            limits = CtlLimits(max_team=size, max_worlds=64)
+            verdicts += "01"[mc_ctl(k, MultiTeam.of(worlds), phi, limits=limits)]
+        assert verdicts == pinned, size
+    assert time.process_time() - started < 10
 
 
 @settings(max_examples=2000, deadline=None)

@@ -1,11 +1,13 @@
 import dataclasses
 import random
+import time
 import typing
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from teamtl.errors import ResourceCapError, UnsupportedNodeError
+from teamtl.eval_classical import check_ctl_classical, check_ltl_classical
 from teamtl.eval_team_ctl import _CtlEval, mc_ctl
 from teamtl.eval_team_ltl import _TeamEval, check_team
 from teamtl.formula import (
@@ -273,6 +275,24 @@ def test_compiling_bounds_shared_subtrees():
         for phi in (beside(10), And(beside(9), beside(9))):
             with pytest.raises(ResourceCapError, match=f"nested more than {MAX_DEPTH} deep"):
                 decide(phi)
+
+
+def test_shared_subtrees_are_checked_once():
+    # And(φ, φ) nested 41 deep has 2^41 leaves but 42 distinct subtrees:
+    # the node-class checks visit each distinct subtree once, so the
+    # entry points that walk the tree before they evaluate decide at once.
+    phi = p
+    for _ in range(41):
+        phi = And(phi, phi)
+    k = KripkeStructure.of(["a"], [("a", "a")], {"a": ["p"]}, initial="a")
+    for decide in (
+        lambda: check_model_splitfree(k, phi),
+        lambda: check_ltl_classical(LassoTrace.of([], [["p"]]), phi),
+        lambda: check_ctl_classical(k, "a", phi),
+    ):
+        started = time.process_time()
+        assert decide()
+        assert time.process_time() - started < 1
 
 
 def test_temporal_rules_come_from_the_path_quantifier():

@@ -137,3 +137,47 @@ def test_team_ctl_split_parts_satisfy_their_sides_under_the_oracle():
         disjoint += closed
         covers += not closed
     assert disjoint >= 10 and covers >= 10
+
+
+def draw_ctl_copies(rng):
+    k = random_kripke(rng)
+    size = rng.randint(2, 4)
+    worlds = [rng.choice(k.worlds) for _ in range(size - 1)]
+    team = MultiTeam.of(worlds + [rng.choice(worlds)])
+    sides = [random_ctl_formula(rng, rng.randint(0, 3), **MIXED) for _ in range(2)]
+    if rng.random() < 0.3:
+        sides = [CNeg(side) for side in sides]
+    ev = _CtlEval(k, len(team))
+    key = ev.encode(team.worlds)
+    node = ev.compile(Split(*sides))
+    if not ev.check(key, node):
+        return None, None, None
+    return (ev, k, team, key, node), *sides
+
+
+def test_team_ctl_split_parts_on_teams_with_copies_satisfy_their_sides():
+    # A world of the team occurs at least twice, so a split puts some of
+    # its copies on one side and the rest on the other, one copy at a time.
+    strategies = Counter()
+    for (ev, k, team, key, node), left, right in sat_splits(random.Random(23), draw_ctl_copies):
+        parts = ev.split(key, node)
+        assert parts is not None, (Split(left, right), team, k)
+        whole = counts(ev, key)
+        left_counts, right_counts = (counts(ev, part) for part in parts)
+        closed = is_downward_closed(left) or is_downward_closed(right)
+        for w, count in whole.items():
+            assert left_counts[w] <= count and right_counts[w] <= count
+            both = left_counts[w] + right_counts[w]
+            assert both == count if closed else both >= count, (Split(left, right), team, k)
+        assert set(left_counts) | set(right_counts) <= set(whole)
+        for side, part_counts in ((left, left_counts), (right, right_counts)):
+            part = MultiTeam.of([k.worlds[w] for w in sorted(part_counts.elements())])
+            assert mc_ctl_bruteforce(k, part, side), (side, part, k)
+        strategies[
+            "flat" if ev.fails[node] is not None
+            else "disjoint" if ev.dc[node]
+            else "one closed" if closed
+            else "covers"
+        ] += 1
+    # Every strategy of the shared split gave some of the witnesses.
+    assert min(strategies[s] for s in ("flat", "disjoint", "one closed", "covers")) >= 10
