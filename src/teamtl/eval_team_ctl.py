@@ -69,12 +69,12 @@ successor-multiset graph, two of them, as Release is the dual of Until:
 depth-first search, and ``AU`` and ``ER`` by one depth-first search over
 the teams a path may stay in, which fails at a cycle among them.
 
-Splits are the shared core's (`formula.Compiled.split`), over the member
-units of a team, each world's digit unit once per copy, so a split is
-over indices, as in the paper.  On one world a downward-closed formula
-has its classical CTL meaning, so the labelling ``alone`` that prunes
-splits is classical CTL labelling over digit masks (Clarke, Emerson and
-Sistla, 1986), and a generalised atom's rows are read off its
+Splits are the shared core's (`formula.Compiled.split`): a member unit
+is a world's digit unit, its count the world's multiplicity, and each
+distinct sub-multiset is one part.  On one world a downward-closed
+formula has its classical CTL meaning, so the labelling ``alone`` that
+prunes splits is classical CTL labelling over digit masks (Clarke,
+Emerson and Sistla, 1986), and an atom's rows are read off its
 parameters' masks, one row per copy.
 
 Reading Until and Release from index 1 is a rewrite of the formula that
@@ -180,7 +180,7 @@ class _CtlEval(Compiled):
         super().__init__()
         self.structure = k
         n = len(k.worlds)
-        # No split of a team of this size enumerates more units than it has.
+        # No split of a team of this size enumerates more copies than it has.
         self.max_team = team_size
         width = self.width = max(team_size.bit_length(), 1)
         self.digit = (1 << width) - 1
@@ -299,10 +299,8 @@ class _CtlEval(Compiled):
     # -- evaluating --------------------------------------------------------
 
     def units(self, key: int):
-        """The member units of the multiset: each world's unit, once per
-        copy, so that a split is over indices."""
-        for w, count in self.members(key):
-            yield from [self.unit[w]] * count
+        """Each world's unit in the multiset, with its multiplicity."""
+        return ((self.unit[w], count) for w, count in self.members(key))
 
 
 def mc_ctl(

@@ -110,7 +110,6 @@ class _TeamEval(Compiled):
 
     logic = "team LTL"
     param_nodes = PURE_LTL
-    # A member unit is one state bit.
     units = staticmethod(_bits)
     # Each team has one successor team, its suffix team.
     temporal = {Next: ("X", ""), Until: ("U", ""), Release: ("R", "")}

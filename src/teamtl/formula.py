@@ -429,11 +429,25 @@ def is_ctl(phi: Formula) -> bool:
 
 
 def _bits(mask: int):
-    """The single-bit masks of ``mask``, lowest first."""
+    """Each bit of ``mask``, lowest first, as a member unit ``(bit, 1)``."""
     while mask:
         low = mask & -mask
-        yield low
+        yield low, 1
         mask ^= low
+
+
+def _parts(units: list[tuple[int, int]], size: int):
+    """The sum of each sub-multiset of ``size`` copies of the member
+    units ``(unit, count)``, once; a set's parts come in the order of
+    `itertools.combinations`, beside each count vector of the rest."""
+    ones = [unit for unit, count in units if count == 1]
+    many = [(unit, count) for unit, count in units if count > 1]
+    for counts in itertools.product(*(range(count + 1) for _, count in many)):
+        rest = size - sum(counts)
+        if 0 <= rest <= len(ones):
+            base = sum(n * unit for n, (unit, _) in zip(counts, many))
+            for extra in itertools.combinations(ones, rest):
+                yield base + sum(extra)
 
 
 def _minimal(masks: list[int]) -> list[int]:
@@ -639,28 +653,19 @@ class Compiled:
     ``check(team, node)`` decides every node: a flat one by one mask test,
     any other from its memo or by ``rules[node](self, team, node)``.
 
-    A split is over a team's member units, listed once per copy, so it is
-    over indices (`split`).  The formula alone picks how each split is
-    enumerated, and ``alone``, the classical labelling of each
-    downward-closed node (singleton equivalence), prunes it: a member on
-    which a side fails alone goes on the other side.  Where both sides
-    are downward closed, disjoint parts suffice: beside a flat side the
-    other side's part is one check, beside a union whose masks close the
-    maximal parts are read off its masks, and otherwise the other side is
-    tried only beside an enumerated maximal part.  Where one side is,
-    partitions suffice, as it may shrink to the complement of the other
-    side's part; only where neither is are covers enumerated, by a
-    superset closure in O(n·2^n).  The masks only prune: every part is
-    decided by the rules.  An atom's row for a member reads each
-    parameter's ``alone`` bit, its classical value: parameters admit no
-    ``~`` and no atom.
+    A split is over the indices of a team, as in the paper, and
+    enumerates each distinct part once, by how many copies of each member
+    unit it takes.  The formula alone picks the enumeration (`split`),
+    and ``alone``, the classical labelling of each downward-closed node
+    (singleton equivalence), prunes it; every part is decided by the
+    rules.  An atom's row for a member reads each parameter's ``alone``
+    bit, its classical value: parameters admit no ``~`` and no atom.
 
     A subclass encodes its teams and supplies ``prop_masks`` (each
     proposition's mask of the members labelled with it), ``successors``
     (a team's distinct successor teams), ``units`` (a team's member
-    units, one per copy, lowest first, which sum to the team),
-    ``max_team`` (the most units a split may enumerate its parts over),
-    the name of its ``logic`` and
+    units with their counts, lowest first), ``max_team`` (the most copies
+    a split may enumerate its parts over), the name of its ``logic`` and
     ``temporal``, which maps each temporal class to its operator (``"X"``,
     ``"U"`` or ``"R"``) and path quantifier (``"E"``, ``"A"``, or ``""``
     where every team has one successor); where it admits atoms, also the
@@ -669,9 +674,8 @@ class Compiled:
     the pre-image of a mask (the members with a successor in it), and
     where a temporal class is not under A, ``cutoff`` and ``pre_all``
     (the members with only successors in it), which ``alone`` reads under
-    A too.  Any other class
-    is rejected with `UnsupportedNodeError`, in a parameter when it is
-    compiled, elsewhere when it is evaluated.
+    A too.  Any other class is rejected with `UnsupportedNodeError`, in
+    a parameter when it is compiled, elsewhere when it is evaluated.
     """
 
     temporal: dict[type, tuple[str, str]]
@@ -680,7 +684,7 @@ class Compiled:
     cutoff: int
     pre_some: Callable[[int], int]
     pre_all: Callable[[int], int]
-    units: Callable[[int], Iterable[int]]
+    units: Callable[[int], Iterable[tuple[int, int]]]
     max_team: int
 
     def __init__(self):
@@ -869,7 +873,10 @@ class Compiled:
         # A parameter is downward closed, so its row entry on a member is
         # one bit of its ``alone`` mask.
         params = [self.alone[p] for p in self.args[node]]
-        rows = [tuple(bool(unit & m) for m in params) for unit in self.units(team)]
+        rows = [
+            row for unit, count in self.units(team)
+            for row in [tuple(bool(unit & m) for m in params)] * count
+        ]
         return self.formulas[node].atom.evaluator(rows)
 
     def _unsupported(self, team: int, node: int) -> bool:
@@ -937,12 +944,10 @@ class Compiled:
 
     # -- splits ------------------------------------------------------------
 
-    # A team lists its member units (`units`): a part of a split is a sum
-    # of some of them, and its complement in a team is the difference, as
-    # a unit may occur more than once.  Every mask the core builds holds a
-    # member's every copy or none, so AND, OR and AND NOT act on them as on
-    # sets; the splits are over indices, one copy at a time, and one copy
-    # holding a side alone does not let every copy join it.
+    # A part of a split takes some copies of each member unit (`units`),
+    # and its complement in a team is the difference: a digit may exceed
+    # 1.  Every mask the core builds holds all copies of a member or none,
+    # and one copy holding a side alone does not let every copy join it.
 
     def _split(self, team: int, node: int) -> bool:
         return self.split(team, node) is not None
@@ -962,13 +967,15 @@ class Compiled:
             return parts and parts[::-1]
         return self._split_covers(team, left, right)
 
-    def _check_cap(self, members: int) -> None:
-        """Charge a split that enumerates parts over ``members`` members
-        against the cap; a split over one member is always allowed."""
+    def _check_cap(self, units: list[tuple[int, int]]) -> int:
+        """Charge a split over the member units ``units`` against the cap
+        (one member is always allowed), and return their copies."""
+        members = sum(count for _, count in units)
         if members > 1 and members > self.max_team:
             raise ResourceCapError(
                 f"split over {members} members exceeds the split cap {self.max_team}"
             )
+        return members
 
     def _split_disjoint(self, team: int, left: int, right: int) -> tuple[int, int] | None:
         # Downward closure makes minimal assignments complete: a member that
@@ -986,7 +993,7 @@ class Compiled:
         if can_left | can_right != team:
             return None
         free = list(self.units(can_left & can_right))
-        self._check_cap(len(free))
+        copies = self._check_cap(free)
         # It also makes maximal parts complete.  Beside a side decided by
         # one union whose masks all close (the left side if both are), the
         # largest parts of that side are team & ~F, for each of its masks F
@@ -1011,13 +1018,12 @@ class Compiled:
         # one to make it maximal leave a smaller right part, which still
         # satisfies it.  Parts go from the largest down, so every part with
         # one more member has been checked already and is a memo hit.
-        for size in range(len(free), -1, -1):
-            for extra in itertools.combinations(free, size):
-                added = sum(extra)
+        for size in range(copies, -1, -1):
+            for added in _parts(free, size):
                 part = base + added
                 if (
                     self.check(part, left)
-                    and not any(self.check(part + unit, left) for unit in self.units(both - added))
+                    and not any(self.check(part + unit, left) for unit, _ in self.units(both - added))
                     and self.check(team - part, right)
                 ):
                     return part, team - part
@@ -1030,45 +1036,47 @@ class Compiled:
         fails = self.fails[closed]
         must = team & (~self.alone[closed] if fails is None else fails)
         free = list(self.units(team - must))
-        self._check_cap(len(free))
         # The closed side is checked first: it is cheaper, and memoised.
-        for size in range(len(free) + 1):
-            for extra in itertools.combinations(free, size):
-                part = must + sum(extra)
+        for size in range(self._check_cap(free) + 1):
+            for extra in _parts(free, size):
+                part = must + extra
                 if self.check(team - part, closed) and self.check(part, other):
                     return team - part, part
         return None
 
     def _split_covers(self, team: int, left: int, right: int) -> tuple[int, int] | None:
-        # subteams[x] holds the members whose indices are set in x.
+        # subteams[x] takes n_j copies of member j, for n_j the mixed-radix
+        # digits of x, the lowest first: on a set, the members set in x.
         members = list(self.units(team))
-        self._check_cap(len(members))
+        self._check_cap(members)
         subteams = [0]
-        for unit in members:
-            subteams += [sub + unit for sub in subteams]
+        for unit, count in members:
+            subteams = [sub + n * unit for n in range(count + 1) for sub in subteams]
         # Bit x of ``covered``: some superset of subteams[x] satisfies the
         # right side.  Start from the subteams themselves, then close
-        # upwards one member at a time: for x without member i, take the
-        # bit of x | 1 << i, which sits ``step`` places higher.
-        covered = 0
-        for x, sub in enumerate(subteams):
-            if self.check(sub, right):
-                covered |= 1 << x
-        every = (1 << len(subteams)) - 1
-        for i in range(len(members)):
-            step = 1 << i
-            without_i = every // ((1 << 2 * step) - 1) * ((1 << step) - 1)
-            covered |= (covered >> step) & without_i
+        # upwards one copy at a time: for x with fewer than all copies of
+        # member j, take the bit of x with one more, ``step`` places higher.
+        covered = sum(1 << x for x, sub in enumerate(subteams) if self.check(sub, right))
+        every, step = (1 << len(subteams)) - 1, 1
+        for _, count in members:
+            below = every // ((1 << step * (count + 1)) - 1) * ((1 << step * count) - 1)
+            for _ in range(count):
+                covered |= (covered >> step) & below
+            step *= count + 1
         # A cover exists iff some left subteam's complement is covered; its
         # right part is the first superset of the complement, in index
         # order, that satisfies the right side.
         full = len(subteams) - 1
         for x, sub in enumerate(subteams):
-            if covered >> (full ^ x) & 1 and self.check(sub, left):
-                extra = 0
-                while not self.check(subteams[full ^ x | extra], right):
-                    extra = (extra - x) & x
-                return sub, subteams[full ^ x | extra]
+            if covered >> (full - x) & 1 and self.check(sub, left):
+                copies, digits = [], x
+                for unit, count in members:
+                    digits, n = divmod(digits, count + 1)
+                    copies.append(range(0, n * unit + 1, unit))
+                for extra in itertools.product(*copies[::-1]):
+                    part = team - sub + sum(extra)
+                    if self.check(part, right):
+                        return sub, part
         return None
 
     # -- temporal searches over the successor-team graph ------------------

@@ -29,7 +29,6 @@ from .errors import (
     GenAtomPresent,
     ResourceCapError,
     SplitjunctionPresent,
-    UnsupportedNodeError,
 )
 from .formula import (
     And,
@@ -48,6 +47,7 @@ from .formula import (
     _image,
     _pre_image,
     prop_masks,
+    require_nodes,
     top,
 )
 from .kripke import KripkeStructure
@@ -187,14 +187,8 @@ def check_model_splitfree(
     """
     evaluator = _SubsetEval(k, max_subsets)
     node = evaluator.compile(phi)
-    # The node classes are checked on the distinct compiled nodes, so a
-    # subtree shared within the tree is checked once.
+    require_nodes(phi, _LTL_NODES, "splitfree model checking")
     kinds = evaluator.kinds
-    for kind in kinds:
-        if not issubclass(kind, _LTL_NODES):
-            raise UnsupportedNodeError(
-                f"{kind.__name__} is not supported in splitfree model checking"
-            )
     if any(kind is Split and sub != _TOP for kind, sub in zip(kinds, evaluator.formulas)):
         raise SplitjunctionPresent(
             "formula contains a splitjunction; use trace enumeration instead"

@@ -308,6 +308,26 @@ def test_one_copy_holding_a_side_alone_does_not_let_every_copy_join(text, copies
     assert mc_ctl(k, team, phi) == mc_ctl_bruteforce(k, team, phi) == expected
 
 
+@pytest.mark.parametrize("text,expected", [
+    ("(AX EF p) | (AX EF p)", False),
+    ("(AX EF p) | ~(AX EF p)", True),
+    ("(~p) | (~q)", True),
+])
+def test_splits_over_many_copies_of_one_world_enumerate_each_multiset_once(text, expected):
+    # A split of 24 copies of w has 25 distinct parts: the disjoint, the
+    # one-closed and the cover enumeration each visit every sub-multiset
+    # once, where 2^24 index sets would not finish.
+    k = KripkeStructure.of(
+        ["w", "a", "b", "c", "d"],
+        [("w", "a"), ("w", "b"), ("a", "d"), ("b", "c"), ("c", "d"), ("d", "d")],
+        {"a": ["p"], "c": ["p"]},
+    )
+    started = time.process_time()
+    team = MultiTeam.of(["w"] * 24)
+    assert mc_ctl(k, team, parse_ctl(text), limits=CtlLimits(max_team=24)) == expected
+    assert time.process_time() - started < 1
+
+
 # The verdicts of the 20 instances per team size, in the order drawn.
 SPLIT_RECIPE_VERDICTS = {
     8: "11110111111111111110",
