@@ -93,7 +93,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ResourceCapError, UnsupportedNodeError
-from .eval_classical import prop_sat
 from .formula import (
     AR,
     AU,
@@ -351,6 +350,8 @@ def mc_ctl_bruteforce(
     cutoffs exact: a run of that many steps passes through one more team
     than there are multisets, so it revisits one and can be pumped.
     Raises `ResourceCapError` for a depth above `ORACLE_MAX_UNROLL`."""
+    from .eval_classical import prop_sat
+
     check_depth(phi)
     multisets = math.comb(max(len(k.worlds) + len(team) - 1, 0), len(team))
     bound = multisets if depth is None else depth

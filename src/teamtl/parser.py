@@ -74,7 +74,8 @@ class ParseError(TeamTLError):
 # The tokens: Boolean disjunction, the symbols and the identifiers.
 # Splitting on this pattern leaves the text between tokens, which may
 # hold only whitespace and comments.
-_TOKEN_RE = re.compile(r"(\\\|/|[()\[\],;&|!~]|[A-Za-z_][A-Za-z0-9_]*)")
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_TOKEN_RE = re.compile(rf"(\\\|/|[()\[\],;&|!~]|{_NAME})")
 _COMMENT_RE = re.compile(r"#[^\n]*")
 
 # ---------------------------------------------------------------------------
@@ -125,6 +126,14 @@ _SYNTAX = {
         bare=("X", "F", "G", "U", "R"),
     ),
 }
+
+_RESERVED = frozenset().union(*(syntax.keywords for syntax in _SYNTAX.values()))
+
+
+def is_proposition_name(name: str) -> bool:
+    """Whether both parsers read ``name`` as a proposition: an identifier
+    token that is no reserved word of either logic."""
+    return re.fullmatch(_NAME, name) is not None and name not in _RESERVED
 
 
 def _blank(comment: re.Match) -> str:

@@ -40,6 +40,7 @@ from .formula import (
     top,
 )
 from .kripke import KripkeStructure, MultiTeam, enumerate_traces
+from .parser import is_proposition_name
 from .trace import LassoTrace, TeamEncoding
 
 # Reserved proposition names for the reduction alphabets ($ and # markers).
@@ -99,9 +100,21 @@ class QbfParseError(TeamTLError):
     pass
 
 
+def _variable(name: str, lineno: int) -> str:
+    if not is_proposition_name(name):
+        raise QbfParseError(
+            f"line {lineno}: variable {name!r} is no proposition name, "
+            "an ASCII identifier that is no keyword of the formula syntax"
+        )
+    return name
+
+
 def parse_qbf_text(text: str) -> PrenexCnf:
     """Text format: quantifier lines `exists x` / `forall y` first, then one
-    clause per line as space-separated literals with `-` for negation."""
+    clause per line as space-separated literals with `-` for negation.
+    The reductions write each variable into a formula as a proposition,
+    so a name that the formula parsers would not read back as one is an
+    error."""
     quantifiers: list[str] = []
     variables: list[str] = []
     clauses: list[tuple[Literal, ...]] = []
@@ -119,7 +132,7 @@ def parse_qbf_text(text: str) -> PrenexCnf:
             if len(tokens) != 2:
                 raise QbfParseError(f"line {lineno}: expected one variable name")
             quantifiers.append("e" if tokens[0] == "exists" else "a")
-            variables.append(tokens[1])
+            variables.append(_variable(tokens[1], lineno))
             continue
         in_matrix = True
         clause = []
@@ -128,7 +141,7 @@ def parse_qbf_text(text: str) -> PrenexCnf:
             var = tok[1:] if negative else tok
             if not var:
                 raise QbfParseError(f"line {lineno}: empty literal")
-            clause.append((var, not negative))
+            clause.append((_variable(var, lineno), not negative))
         clauses.append(tuple(clause))
     if len(set(variables)) != len(variables):
         raise QbfParseError("duplicate quantified variable")

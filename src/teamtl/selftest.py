@@ -53,7 +53,7 @@ from .formula import (
     top,
 )
 from .kripke import KripkeStructure, MultiTeam, enumerate_traces, is_successor_team
-from .parser import render
+from .parser import parse_ctl, render
 from .qbf import (
     QbfInstance,
     eval_qbf,
@@ -838,13 +838,12 @@ def suite_ctl_alone(rng, count):
     every downward-closed node, each world's bit in ``_CtlEval.alone``
     against classical CTL at that world, or ``mc_ctl_bruteforce`` on that
     one world where the node holds a ``\\|/`` or a dependence atom.
-    Every other node must have no mask."""
-    for _ in range(count):
-        k = random_kripke(rng)
-        phi = random_ctl_formula(
-            rng, rng.randint(1, 6),
-            allow_cneg=True, allow_boolor=True, allow_atoms=True,
-        )
+    Every other node must have no mask.  Leads with fixed instances, which
+    draw nothing: on a→b, a→c, b→d, c→c, d→d with p on d, the A forms of
+    AF p, A[!p U p], AG !p, AX EF p and (AF p) | (AF p) fail at a, and
+    their E forms hold there."""
+
+    def compare(k, phi):
         ev = _CtlEval(k, 1)
         ev.compile(phi)
         got, expected = [], []
@@ -860,7 +859,22 @@ def suite_ctl_alone(rng, count):
                     check_ctl_classical(k, world, sub) if pure
                     else mc_ctl_bruteforce(k, MultiTeam.of([world]), sub)
                 )
-        yield got, expected, phi, k
+        return got, expected, phi, k
+
+    k = KripkeStructure.of(
+        ["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("b", "d"), ("c", "c"), ("d", "d")],
+        {"d": ["p"]},
+    )
+    for text in ("AF p", "A[!p U p]", "AG !p", "AX EF p", "(AF p) | (AF p)"):
+        yield compare(k, parse_ctl(text))
+        yield compare(k, parse_ctl(text.replace("A", "E")))
+    for _ in range(count):
+        k = random_kripke(rng)
+        phi = random_ctl_formula(
+            rng, rng.randint(1, 6),
+            allow_cneg=True, allow_boolor=True, allow_atoms=True,
+        )
+        yield compare(k, phi)
 
 
 @_suite("pinned fixtures")

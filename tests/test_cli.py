@@ -1,8 +1,9 @@
 import json
 import time
+from pathlib import Path
 
+import cli_runner
 import pytest
-from click.testing import CliRunner
 
 from teamtl.cli import main
 from teamtl.files import dumps_kripke, dumps_team
@@ -17,7 +18,7 @@ from teamtl.fixtures import (
 
 @pytest.fixture
 def runner():
-    return CliRunner()
+    return cli_runner
 
 
 @pytest.fixture
@@ -402,6 +403,37 @@ class TestGen:
         r = runner.invoke(main, ["gen", "qbf-tpc", str(f),
                                  "--out-dir", str(tmp_path / "o")])
         assert r.exit_code == 2
+
+    @pytest.mark.parametrize("kind", ["qbf-tpc", "qbf-ctl"])
+    def test_pinned_qbf_reads_back(self, runner, tmp_path, kind):
+        # The instance files that gen writes decide the QBF's verdict.
+        source = Path(__file__).parents[1] / "fixtures" / "worked_qbf.qbf"
+        r = runner.invoke(main, ["gen", kind, str(source), "--out-dir", str(tmp_path), "--check"])
+        assert r.exit_code == 0
+        assert "REDUCTION OK (valid)" in r.output
+        formula = f"@{tmp_path / 'formula.txt'}"
+        if kind == "qbf-tpc":
+            args = ["check-path", str(tmp_path / "team.json"), formula, "--max-team", "64"]
+        else:
+            team = (tmp_path / "team.txt").read_text().strip()
+            args = ["check-model", str(tmp_path / "kripke.json"), formula,
+                    "--mode", "ctl", "--team", team]
+        assert runner.invoke(main, args).exit_code == 0
+
+    @pytest.mark.parametrize("kind,name", [
+        ("qbf-tpc", "X"), ("qbf-ctl", "EX"), ("qbf-tpc", "a.b"), ("qbf-tpc", "1x"),
+        ("qbf-ctl", "é"),
+    ])
+    def test_variable_that_names_no_proposition_exit_2(self, runner, tmp_path, kind, name):
+        # A reduction writes each variable into its formula, which the
+        # checkers would not read back: X and EX are operators, and a.b,
+        # 1x and é no identifiers.
+        f = tmp_path / "bad.qbf"
+        f.write_text(f"exists {name}\nforall y\nexists z\n{name} y z\n-{name} -y z\n",
+                     encoding="utf-8")
+        r = runner.invoke(main, ["gen", kind, str(f), "--out-dir", str(tmp_path / "o"), "--check"])
+        assert r.exit_code == 2
+        assert "is no proposition name" in r.stderr
 
     def test_out_dir_below_a_file_exit_2(self, runner, tmp_path):
         (tmp_path / "file").write_text("")

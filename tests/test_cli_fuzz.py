@@ -7,7 +7,7 @@ import random
 import tempfile
 from pathlib import Path
 
-from click.testing import CliRunner
+from cli_runner import invoke
 from hypothesis import given, settings, strategies as st
 
 from teamtl.cli import main
@@ -143,7 +143,7 @@ def test_every_input_ends_in_a_verdict_or_a_clean_error(invocation):
         args = [command, str(path), text, "--max-team", str(max_team)]
         if command == "check-model":
             args += ["--mode", mode, "--team", team_arg]
-        result = CliRunner().invoke(main, args)
+        result = invoke(main, args)
     assert result.exit_code in (0, 1, 2, 3), (result.exit_code, result.output)
     if result.exit_code in (0, 1):
         expected = library_verdict(command, document, text, mode, team_arg, max_team)
@@ -153,7 +153,7 @@ def test_every_input_ends_in_a_verdict_or_a_clean_error(invocation):
 def _check_model(tmp_path, doc, *args):
     path = tmp_path / "k.json"
     path.write_text(json.dumps(doc))
-    return CliRunner().invoke(main, ["check-model", str(path), *args])
+    return invoke(main, ["check-model", str(path), *args])
 
 
 def test_labels_that_are_no_object_exit_2(tmp_path):

@@ -1,7 +1,10 @@
 """Which modules a CLI call loads, and the lazy names of the package.
 
 Each check runs in a fresh interpreter, so that nothing another test
-imported hides a module that the call would load."""
+imported hides a module that the call would load.  It starts with ``-S``,
+without the site packages, so a module that the package needs from
+outside the standard library fails to import, and one found on the path
+anyway fails the standard-library assertion."""
 
 import json
 import os
@@ -41,6 +44,8 @@ ALL = [
 
 LOADED = (
     "import json, sys\n"
+    "outside = {m.split('.')[0] for m in sys.modules} - {*sys.stdlib_module_names, '__main__'}\n"
+    "assert outside == {'teamtl'}, outside\n"
     "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'teamtl')))\n"
 )
 
@@ -48,7 +53,7 @@ LOADED = (
 def run(code: str) -> str:
     env = {**os.environ, "PYTHONPATH": SRC}
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -99,7 +104,7 @@ def test_ctl_check_model_loads_the_ctl_evaluator_only():
     ]
     assert loaded_by(args) == modules(
         "cli", "errors", "files", "formula", "parser", "trace",
-        "kripke", "eval_classical", "eval_team_ctl",
+        "kripke", "eval_team_ctl",
     )
 
 
