@@ -95,7 +95,6 @@ def gen(args: argparse.Namespace) -> int:
     """Generate a checking instance: qbf-tpc / qbf-ctl take a QBF file,
     plsim takes a propositional formula with ~ (inline or @file)."""
     from . import qbf
-    from .eval_team_ltl import check_team
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -131,6 +130,8 @@ def gen(args: argparse.Namespace) -> int:
 
         got = mc_ctl(k, team, goal, limits=CtlLimits(max_team=len(team), max_worlds=4096))
     else:
+        from .eval_team_ltl import check_team
+
         got = check_team(team, goal)
     if got != expected:
         return _fail(EXIT_SELFTEST, "reduction verdict mismatch")
@@ -183,6 +184,17 @@ def _directory(text: str) -> str:
     return text
 
 
+class _Command(argparse.ArgumentParser):
+    """A subcommand's parser: it rejects the arguments it does not take
+    itself, so the error shows its own usage, not the top-level one."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def _parser() -> argparse.ArgumentParser:
     # Each parser takes the options declared here and no others: no -h, no abbreviations.
     bare = {"add_help": False, "allow_abbrev": False}
@@ -190,7 +202,7 @@ def _parser() -> argparse.ArgumentParser:
         "Synchronous team semantics for LTL and CTL: path checking, model checking, "
         "reduction generators, and a differential self-test."))
     parser.add_argument("--help", action="help", help="Show this message and exit.")
-    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    commands = parser.add_subparsers(metavar="COMMAND", required=True, parser_class=_Command)
 
     def command(name, run):
         doc = " ".join(run.__doc__.split())

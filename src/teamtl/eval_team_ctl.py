@@ -18,20 +18,21 @@ power-of-two base lets the worlds of a key be read off its lowest set
 bits, one step per distinct member.  Every key's support mask (the
 worlds it contains) is cached.
 Successor multisets come from a per-member dynamic program over sums of
-digit units, which merges equal multisets by itself and carries each
-sum's support along; a member with one successor only adds a fixed
-offset to every sum.  Worlds whose only successor lies the same distance
+digit units (`_CtlEval.step`), which the shared core runs once per team
+and keeps (`formula.Compiled.successors`).  It merges equal multisets
+by itself and carries each sum's support along; a member with one
+successor only adds a fixed offset to every sum.  Worlds whose only successor lies the same distance
 further on in the world order (the chains of the QBF gadgets) form shift
 classes, and all members in one class step at once: one mask and one
 shift of the key.
 
 The formula is compiled and decided by the shared core,
 `formula.Compiled`, which also decides team LTL: the ``temporal`` table
-declares each operator with its path quantifier, and ``successors``
-gives a team's successor multisets.  Here a flat node's ``fails`` mask
-holds the digits of the worlds falsifying it, so a flat node holds on a
-team iff its key misses ``fails``, which needs no memo and no split
-enumeration.  Beyond literals and ``&`` and ``|`` over flat nodes, flat
+declares each operator with its path quantifier, and the structure's
+successor numbers give the core its pre-images.  Here a flat node's
+``fails`` mask holds the digits of the worlds falsifying it, so a flat
+node holds on a team iff its key misses ``fails``, which needs no memo
+and no split enumeration.  Beyond literals and ``&`` and ``|`` over flat nodes, flat
 are ``EX``/``AX`` over a flat node, ``E[φ R ψ]`` and ``A[φ R ψ]`` over
 flat nodes where no world satisfies φ ∧ ψ (such as ``EG`` and ``AG``),
 and ``E[φ U ψ]`` and ``A[φ U ψ]`` where no world satisfies ψ.  Each is
@@ -109,7 +110,6 @@ from .formula import (
     NegProp,
     Prop,
     Split,
-    _pre_image,
     check_depth,
     children,
     is_downward_closed,
@@ -154,17 +154,17 @@ class _CtlEval(Compiled):
     once and ``succ_steps[w]`` the (unit, world bit) pair of each of its
     successors.
     Members on the worlds of a shift class in ``shifts`` step together,
-    members on the worlds in ``stepped`` one by one.  ``supports`` and
-    ``succ_cache`` hold every key's support mask (the bits of its worlds)
-    and successor keys.
+    members on the worlds in ``stepped`` one by one, in `step`.
+    ``supports`` holds every key's support mask (the bits of its worlds).
 
     A flat node's ``fails`` mask holds the digits of the worlds
     falsifying it, as ``alone`` holds those of the worlds on which a node
-    holds alone; ``pre_some`` and ``pre_all`` map such a digit mask to
-    its existential and universal pre-image, and ``cutoff`` is the number
-    of sets an E-Until or E-Release sequence may step before its node
-    gives way to the search.  The core decides every temporal class of
-    ``temporal`` by its path quantifier, over ``successors``.
+    holds alone; the core's ``pre_some`` and ``pre_all`` map such a digit
+    mask to its existential and universal pre-image, and ``cutoff`` is
+    the number of sets an E-Until or E-Release sequence may step before
+    its node gives way to the search.  The core decides every temporal
+    class of ``temporal`` by its path quantifier, over its memo of the
+    successor keys `step` finds.
     """
 
     logic = "team CTL"
@@ -178,6 +178,7 @@ class _CtlEval(Compiled):
     def __init__(self, k: KripkeStructure, team_size: int):
         super().__init__()
         self.structure = k
+        self.succ_ids = k.succ_ids
         n = len(k.worlds)
         # No split of a team of this size enumerates more copies than it has.
         self.max_team = team_size
@@ -185,7 +186,6 @@ class _CtlEval(Compiled):
         self.digit = (1 << width) - 1
         unit = self.unit = [1 << width * w for w in range(n)]
         digits = [self.digit << width * w for w in range(n)]
-        self.full = (1 << width * n) - 1
         # One pass over the worlds, in the structure's integer form.  Worlds
         # whose only successor lies the same distance d further on form a
         # shift class: their digits move together by d digits and their
@@ -197,7 +197,6 @@ class _CtlEval(Compiled):
             self.succ_steps.append(tuple(map(pairs.__getitem__, vs)))
             if len(vs) == 1:
                 classes.setdefault(vs[0] - w, []).append(w)
-        self.pre_some = _pre_image(k.succ_ids, width)
         # An E-Until or E-Release sequence still open after this many sets
         # gives way to the search.  |W|² + 1 sets closed every sequence
         # measured, on random structures of up to 8 worlds and on the QBF
@@ -220,7 +219,6 @@ class _CtlEval(Compiled):
         index = k.index
         self.prop_masks = prop_masks((ps, digits[index[w]]) for w, ps in k.labels.items())
         self.supports: dict[int, int] = {}
-        self.succ_cache: dict[int, tuple[int, ...]] = {}
 
     # -- multiset keys -----------------------------------------------------
 
@@ -251,49 +249,38 @@ class _CtlEval(Compiled):
             w = low.bit_length() - 1
             yield w, key >> self.width * w & self.digit
 
-    def successors(self, key: int) -> tuple[int, ...]:
+    def step(self, key: int) -> tuple[int, ...]:
         """The keys of the distinct successor multisets."""
-        cached = self.succ_cache.get(key)
-        if cached is None:
-            support, width = self.support(key), self.width
-            offset = fixed = 0
-            for delta, worlds, digits in self.shifts:
-                moved = support & worlds
-                if moved:
-                    if delta >= 0:
-                        offset += (key & digits) << width * delta
-                        fixed |= moved << delta
-                    else:
-                        offset += (key & digits) >> -width * delta
-                        fixed |= moved >> -delta
-            branching = []
-            for w, count in self.members(key, self.stepped):
-                steps = self.succ_steps[w]
-                if len(steps) == 1:
-                    offset += count * steps[0][0]
-                    fixed |= steps[0][1]
+        support, width = self.support(key), self.width
+        offset = fixed = 0
+        for delta, worlds, digits in self.shifts:
+            moved = support & worlds
+            if moved:
+                if delta >= 0:
+                    offset += (key & digits) << width * delta
+                    fixed |= moved << delta
                 else:
-                    branching += [steps] * count
-            # The sums map every successor key to its support, so that no
-            # successor has to be decoded.
-            sums = {offset: fixed}
-            for steps in branching:
-                sums = {
-                    s + unit: sup | bit
-                    for s, sup in sums.items()
-                    for unit, bit in steps
-                }
-            self.supports.update(sums)
-            cached = self.succ_cache[key] = tuple(sums)
-        return cached
-
-    # -- compiling ---------------------------------------------------------
-
-    def pre_all(self, mask: int) -> int:
-        """The digits of the worlds with only successors in the digit mask
-        ``mask``: the relation is left-total, so those without a successor
-        outside it."""
-        return self.full ^ self.pre_some(self.full ^ mask)
+                    offset += (key & digits) >> -width * delta
+                    fixed |= moved >> -delta
+        branching = []
+        for w, count in self.members(key, self.stepped):
+            steps = self.succ_steps[w]
+            if len(steps) == 1:
+                offset += count * steps[0][0]
+                fixed |= steps[0][1]
+            else:
+                branching += [steps] * count
+        # The sums map every successor key to its support, so that no
+        # successor has to be decoded.
+        sums = {offset: fixed}
+        for steps in branching:
+            sums = {
+                s + unit: sup | bit
+                for s, sup in sums.items()
+                for unit, bit in steps
+            }
+        self.supports.update(sums)
+        return tuple(sums)
 
     # -- evaluating --------------------------------------------------------
 

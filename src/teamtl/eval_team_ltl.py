@@ -12,9 +12,11 @@ and the suffix team is a bit remap under which members that have become
 equal merge by themselves.  The formula is compiled by the shared core,
 `formula.Compiled`; here a flat node's mask is over states.
 
-A team has one successor team, its suffix team (``successors``), so
-``X``, ``U`` and ``R`` are TeamCTL's rules on a graph where every team
-has one successor: the ``temporal`` table declares them without a path
+A team has one successor team, its suffix team: the image of its
+states under the successor table, which the shared core steps once per
+team and keeps (`formula.Compiled.successors`).  So ``X``, ``U`` and
+``R`` are TeamCTL's rules on a graph where every team has one
+successor: the ``temporal`` table declares them without a path
 quantifier, and the shared core decides them.  Every state has one
 successor, so the members of a team step independently, and ``X`` over
 a flat node is flat: it fails on the pre-image of the child's mask, one
@@ -47,7 +49,6 @@ implementation used for differential testing.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from typing import Iterator
 
@@ -68,8 +69,7 @@ from .formula import (
     Split,
     Until,
     _bits,
-    _image,
-    _shifts,
+    _derived,
     formula_length,
     prop_masks,
 )
@@ -101,11 +101,10 @@ class _TeamEval(Compiled):
     """One call's compiled team, over the shared formula core.
 
     State ``s`` is a distinct suffix of some member: ``heads[s]`` is its
-    first position and ``succ[s]`` the bit of the state one position
-    later.  A team is a mask of states, and a flat node's ``fails`` mask
-    holds the states whose first position falsifies it, as ``alone``
-    holds those on which a node holds alone.  ``steps`` caches each
-    team's one successor team, as `successors` returns it.
+    first position and ``succ_ids[s]`` holds the state one position
+    later, whose bit is ``succ[s]``.  A team is a mask of states, and a
+    flat node's ``fails`` mask holds the states whose first position
+    falsifies it, as ``alone`` holds those on which a node holds alone.
     """
 
     logic = "team LTL"
@@ -118,11 +117,8 @@ class _TeamEval(Compiled):
         super().__init__()
         self.max_team = max_team
         self.heads: list[frozenset[str]] = []
-        self.succ: list[int] = []
-        self.steps: dict[int, tuple[int]] = {}
-        self.root, groups = self._intern_team(team)
-        self.full = (1 << len(self.heads)) - 1
-        self.pre_some = self.pre_all = _shifts(groups)
+        self.succ_ids: list[tuple[int]] = []
+        self.root = self._intern_team(team)
         # An Until or Release sequence still open after this many sets gives
         # way to the search along the suffix teams.
         self.cutoff = len(self.heads) + 1
@@ -130,17 +126,15 @@ class _TeamEval(Compiled):
 
     # -- compiling ---------------------------------------------------------
 
-    def _intern_team(self, team: TeamEncoding) -> tuple[int, dict[int, int]]:
-        """Number the states of ``team``; return the mask of its members
-        and the states grouped by the offset of their successor."""
+    def _intern_team(self, team: TeamEncoding) -> int:
+        """Number the states of ``team``; return the mask of its members."""
         # A rotation of a primitive loop is a distinct pure-loop state, and
         # a prefix state (head, next state) of a canonical trace is never
         # pure-loop; so these two keys identify suffixes exactly.  Loops
         # that are rotations of each other share one key, their least
         # rotation over per-label ids, whose states are numbered from there
         # on, each but the last with its successor one state later.
-        heads, succ = self.heads, self.succ
-        groups: dict[int, int] = {}
+        heads, succ_ids = self.heads, self.succ_ids
         label_ids: dict[frozenset[str], int] = {}
         loop_states: dict[tuple[int, ...], int] = {}
         prefix_states: dict[tuple[frozenset[str], int], int] = {}
@@ -154,12 +148,8 @@ class _TeamEval(Compiled):
             if base is None:
                 base = loop_states[least] = len(heads)
                 heads += loop[first:] + loop[:first]
-                succ += [2 << s for s in range(base, base + n - 1)]
-                succ.append(1 << base)
-                last = 1 << base + n - 1
-                if n > 1:
-                    groups[1] = groups.get(1, 0) | (last - (1 << base))
-                groups[1 - n] = groups.get(1 - n, 0) | last
+                succ_ids += [(s,) for s in range(base + 1, base + n)]
+                succ_ids.append((base,))
             state = base + (n - first) % n
             for head in reversed(t.prefix):
                 key = (head, state)
@@ -167,24 +157,14 @@ class _TeamEval(Compiled):
                 if known is None:
                     known = prefix_states[key] = len(heads)
                     heads.append(head)
-                    succ.append(1 << state)
-                    groups[state - known] = groups.get(state - known, 0) | 1 << known
+                    succ_ids.append((state,))
                 state = known
             mask |= 1 << state
-        return mask, groups
+        return mask
 
-    @functools.cached_property
+    @_derived
     def prop_masks(self) -> dict[str, int]:
         return prop_masks(zip(self.heads, map((1).__lshift__, range(len(self.heads)))))
-
-    # -- evaluating --------------------------------------------------------
-
-    def successors(self, mask: int) -> tuple[int]:
-        """The one successor team: the suffix team one position later."""
-        image = self.steps.get(mask)
-        if image is None:
-            image = self.steps[mask] = (_image(mask, self.succ),)
-        return image
 
     # -- explaining --------------------------------------------------------
 

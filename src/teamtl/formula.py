@@ -29,8 +29,9 @@ conjunction of unions of flat masks is one node.  It decides ``&``,
 Boolean disjunction, ``~``, generalised atoms and every temporal
 operator itself, each temporal class declared by its operator and path
 quantifier, and every split, pruned by the classical labelling of the
-downward-closed nodes; the evaluators add their team encoding, member
-units, successor teams and pre-images.
+downward-closed nodes.  The evaluators add their team encoding, member
+units and each member's successor numbers, from which the core builds
+the pre-images and steps each team once per call.
 
 How deep a formula may nest is bounded once per entry point, for trees
 built in code: by `Compiled.compile` as it interns the tree, and by
@@ -43,7 +44,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ResourceCapError, UnsupportedNodeError
 
@@ -466,36 +467,19 @@ def _minimal(masks: list[int]) -> list[int]:
     return kept
 
 
-def _image(mask: int, succ: list[int]) -> int:
-    """The union of ``succ[i]`` over the members ``i`` in ``mask``: for
-    ``succ[i]`` the mask of member i's successors, those of the mask."""
-    found = 0
-    while mask:
-        low = mask & -mask
-        found |= succ[low.bit_length() - 1]
-        mask ^= low
-    return found
-
-
 def _pre_image(succ_ids: Iterable[Iterable[int]], width: int = 1):
     """The function mapping a mask to the mask of the members with a
     successor in it, for ``succ_ids[i]`` the successors of member i and
-    each member ``width`` bits of a mask: `_shifts` of the members
-    grouped by the offset of each of their edges in the member order."""
+    each member ``width`` bits of a mask.  It groups the members by the
+    offset of each of their edges in the member order and shifts a whole
+    mask once per group.  It holds no reference to the evaluator, so the
+    mask sequences that keep it do not make the evaluator a reference
+    cycle."""
     digit = (1 << width) - 1
     groups: dict[int, int] = {}
     for i, vs in enumerate(succ_ids):
         for v in vs:
             groups[v - i] = groups.get(v - i, 0) | digit << width * i
-    return _shifts(groups, width)
-
-
-def _shifts(groups: dict[int, int], width: int = 1):
-    """The pre-image function of ``groups``, which maps each offset d to
-    the mask of the members with a successor d members later: it shifts
-    a whole mask once per group.  It holds no reference to the
-    evaluator, so the mask sequences that keep it do not make the
-    evaluator a reference cycle."""
     forward = tuple((d * width, ms) for d, ms in groups.items() if d >= 0)
     backward = tuple((-d * width, ms) for d, ms in groups.items() if d < 0)
 
@@ -552,6 +536,18 @@ def _until_masks(start: int, inside: int, pre_some, full: int, steps: int):
             return
         reach = grown
     yield None
+
+
+class _derived(functools.cached_property):
+    """A `functools.cached_property` stored with ``setattr``: in CPython a
+    write through an object's ``__dict__`` slows its later attribute reads."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = self.func(instance)
+        setattr(instance, self.attrname, value)
+        return value
 
 
 class MaskUnion:
@@ -662,28 +658,28 @@ class Compiled:
     bit, its classical value: parameters admit no ``~`` and no atom.
 
     A subclass encodes its teams and supplies ``prop_masks`` (each
-    proposition's mask of the members labelled with it), ``successors``
-    (a team's distinct successor teams), ``units`` (a team's member
-    units with their counts, lowest first), ``max_team`` (the most copies
-    a split may enumerate its parts over), the name of its ``logic`` and
-    ``temporal``, which maps each temporal class to its operator (``"X"``,
-    ``"U"`` or ``"R"``) and path quantifier (``"E"``, ``"A"``, or ``""``
-    where every team has one successor); where it admits atoms, also the
-    node classes ``param_nodes`` admitted in their parameters.  Before it
-    compiles it sets ``full`` (the mask of every member) and ``pre_some``,
-    the pre-image of a mask (the members with a successor in it), and
-    where a temporal class is not under A, ``cutoff`` and ``pre_all``
-    (the members with only successors in it), which ``alone`` reads under
-    A too.  Any other class is rejected with `UnsupportedNodeError`, in
-    a parameter when it is compiled, elsewhere when it is evaluated.
+    proposition's mask of the members labelled with it), ``units`` (a
+    team's member units with their counts, lowest first), ``max_team``
+    (the most copies a split may enumerate its parts over), the name of
+    its ``logic`` and ``temporal``, which maps each temporal class to its
+    operator (``"X"``, ``"U"`` or ``"R"``) and path quantifier (``"E"``,
+    ``"A"``, or ``""`` where every team has one successor); where it
+    admits atoms, also the node classes ``param_nodes`` admitted in their
+    parameters, and where a temporal class is not under A, ``cutoff``.
+    Before it compiles it sets ``succ_ids``, each member's successor
+    numbers in member order, every member having one at least, and
+    ``width``, the bits of a team per member, where that is not 1.  The
+    core derives the rest from them (see `successors`), and a subclass
+    whose teams have other successors than the image overrides ``step``.
+    Any other class is rejected with `UnsupportedNodeError`, in a
+    parameter when it is compiled, elsewhere when it is evaluated.
     """
 
     temporal: dict[type, tuple[str, str]]
     rule_of: dict[type, Callable[..., bool]]
-    full: int
+    succ_ids: Sequence[Sequence[int]]
+    width = 1
     cutoff: int
-    pre_some: Callable[[int], int]
-    pre_all: Callable[[int], int]
     units: Callable[[int], Iterable[tuple[int, int]]]
     max_team: int
 
@@ -699,6 +695,7 @@ class Compiled:
         self.height: list[int] = []
         self.node_keys: dict[tuple, int] = {}
         self.compiled: dict[int, int] = {}
+        self.graph: dict[int, tuple[int, ...]] = {}
 
     def __init_subclass__(cls, **kwargs):
         # Rules are functions of the class, called as rule(self, team, node):
@@ -884,7 +881,7 @@ class Compiled:
             f"{self.logic} evaluation does not support {self.kinds[node].__name__}"
         )
 
-    @functools.cached_property
+    @_derived
     def alone(self) -> list[int | None]:
         """``alone[n]``: the mask of the members whose one-member team
         satisfies node ``n``, for each node in the downward-closed
@@ -1078,6 +1075,48 @@ class Compiled:
                     if self.check(part, right):
                         return sub, part
         return None
+
+    # -- the successor-team graph -----------------------------------------
+
+    # Derived from ``succ_ids`` on first use, as many checks step no team
+    # and few take a pre-image: ``full``, the mask of every member,
+    # ``succ[i]``, member i's successor mask (one shift where it has one
+    # successor), and ``pre_some``, the members with a successor in a mask.
+
+    @_derived
+    def full(self) -> int:
+        return (1 << self.width * len(self.succ_ids)) - 1
+
+    @_derived
+    def succ(self) -> list[int]:
+        return [1 << vs[0] if len(vs) == 1 else sum(map((1).__lshift__, vs))
+                for vs in self.succ_ids]
+
+    @_derived
+    def pre_some(self) -> Callable[[int], int]:
+        return _pre_image(self.succ_ids, self.width)
+
+    def pre_all(self, mask: int) -> int:
+        """The members with no successor outside ``mask``: as each has one,
+        those with only successors in it, ``pre_some`` where it is one."""
+        return self.full ^ self.pre_some(self.full ^ mask)
+
+    def successors(self, team: int) -> tuple[int, ...]:
+        """The distinct successor teams of ``team``, each team stepped
+        once per call and kept in ``graph``."""
+        found = self.graph.get(team)
+        if found is None:
+            found = self.graph[team] = self.step(team)
+        return found
+
+    def step(self, team: int) -> tuple[int, ...]:
+        """The one successor team: the image of ``team`` under ``succ``."""
+        succ, image = self.succ, 0
+        while team:
+            low = team & -team
+            image |= succ[low.bit_length() - 1]
+            team ^= low
+        return (image,)
 
     # -- temporal searches over the successor-team graph ------------------
 

@@ -440,10 +440,25 @@ def reduce_plsim_to_tpc(phi: Formula) -> tuple[TeamEncoding, Formula]:
 # Brute-force propositional team satisfiability (oracle for the reduction)
 
 
+# The oracle tabulates each node over all 2^(2^n) subteams of the 2^n
+# assignments of n variables, and a split pairs every satisfying subteam
+# of one side with every one of the other: 4 variables give 65536
+# subteams, and a split of 3 variables at most 2^8 · 2^8 pairs.
+PL_ORACLE_MAX_VARS = 4
+PL_ORACLE_MAX_PAIRS = 2**20
+
+
 def pl_team_satisfiable_bruteforce(phi: Formula) -> bool:
     """Is there a nonempty team of assignments satisfying the formula under
-    propositional team semantics (splits as unrestricted covers)?"""
+    propositional team semantics (splits as unrestricted covers)?  Raises
+    `ResourceCapError` for more than `PL_ORACLE_MAX_VARS` variables, or
+    where a split would pair more than `PL_ORACLE_MAX_PAIRS` subteams."""
     variables = sorted(set(pl_variables(phi)))
+    if len(variables) > PL_ORACLE_MAX_VARS:
+        raise ResourceCapError(
+            f"propositional oracle supports at most {PL_ORACLE_MAX_VARS} variables, "
+            f"not {len(variables)}"
+        )
     assignments = [
         frozenset(v for v, bit in zip(variables, bits) if bit)
         for bits in itertools.product((False, True), repeat=len(variables))
@@ -477,6 +492,11 @@ def pl_team_satisfiable_bruteforce(phi: Formula) -> bool:
             lt, rt = table(node.left), table(node.right)
             sat_left = [m for m in full_masks if lt[m]]
             sat_right = [m for m in full_masks if rt[m]]
+            if len(sat_left) * len(sat_right) > PL_ORACLE_MAX_PAIRS:
+                raise ResourceCapError(
+                    f"propositional oracle split pairs {len(sat_left)} by "
+                    f"{len(sat_right)} subteams, over {PL_ORACLE_MAX_PAIRS}"
+                )
             unions = set()
             for m1 in sat_left:
                 for m2 in sat_right:

@@ -23,7 +23,6 @@ the companion proposition `negative_prop` of p when none is.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import (
     GenAtomPresent,
@@ -44,8 +43,7 @@ from .formula import (
     Release,
     Split,
     Until,
-    _image,
-    _pre_image,
+    _derived,
     prop_masks,
     require_nodes,
     top,
@@ -75,10 +73,10 @@ class _SubsetEval(Compiled):
 
     A team is the mask of the worlds its paths start from, bit ``w`` for
     world ``k.worlds[w]``, and a flat node's ``fails`` mask holds the
-    worlds falsifying it.  ``root`` is {initial}, ``succ[w]`` the mask of
-    the successors of world ``w``, and ``images`` caches each team's one
-    successor team, as `successors` returns it; it holds at most
-    ``max_subsets``.
+    worlds falsifying it.  ``root`` is {initial}, and a team's one
+    successor team is its image under the core's ``succ``, stepped once
+    per team and kept in the core's ``graph``, which `step` holds to at
+    most ``max_subsets`` teams.
     """
 
     logic = "splitfree model checking"
@@ -97,35 +95,21 @@ class _SubsetEval(Compiled):
         super().__init__()
         self.structure = k
         self.max_subsets = max_subsets
+        self.succ_ids = k.succ_ids
         self.root = 1 << k.index[k.initial]
-        self.full = (1 << len(k.worlds)) - 1
-        self.images: dict[int, tuple[int]] = {}
 
-    # Built on first use: many checks step no subset, and only X and G
-    # over flat nodes take a pre-image.
-    @cached_property
-    def succ(self) -> list[int]:
-        return [sum(map((1).__lshift__, vs)) for vs in self.structure.succ_ids]
-
-    @cached_property
-    def pre_some(self):
-        return _pre_image(self.structure.succ_ids)
-
-    @cached_property
+    @_derived
     def prop_masks(self) -> dict[str, int]:
         labels, index = self.structure.labels, self.structure.index
         return prop_masks(zip(labels.values(), map((1).__lshift__, map(index.__getitem__, labels))))
 
-    def successors(self, team: int) -> tuple[int]:
-        """The one successor team: the image of ``team``."""
-        image = self.images.get(team)
-        if image is None:
-            if len(self.images) >= self.max_subsets:
-                raise ResourceCapError(
-                    f"successor-set sequence exceeded {self.max_subsets} subsets"
-                )
-            image = self.images[team] = (_image(team, self.succ),)
-        return image
+    def step(self, team: int) -> tuple[int]:
+        """The one successor team, charged against ``max_subsets``."""
+        if len(self.graph) >= self.max_subsets:
+            raise ResourceCapError(
+                f"successor-set sequence exceeded {self.max_subsets} subsets"
+            )
+        return super().step(team)
 
 
 def flatten(

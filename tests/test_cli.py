@@ -243,6 +243,21 @@ def test_negative_max_team_exit_2(runner, workspace, command, extra):
     assert "--max-team" in r.stderr
 
 
+@pytest.mark.parametrize("args,usage", [
+    (["check-path", "team.json", "F p", "--expl"], "teamtl check-path"),
+    (["check-path", "team.json", "F p", "extra"], "teamtl check-path"),
+    (["--bogus", "selftest"], "teamtl"),
+])
+def test_unknown_argument_shows_the_usage_of_its_parser(runner, workspace, args, usage):
+    # An argument that a subcommand does not take is reported against
+    # that subcommand's usage, one before the subcommand against the top.
+    args = [str(workspace / a) if a.endswith(".json") else a for a in args]
+    r = runner.invoke(main, args)
+    assert r.exit_code == 2
+    assert r.stderr.startswith(f"usage: {usage} [--help]")
+    assert f"{usage}: error: unrecognized arguments: " in r.stderr
+
+
 @pytest.mark.parametrize("value", ["0", "-5"])
 def test_nonpositive_max_subsets_exit_2(runner, tmp_path, value):
     k = tmp_path / "k.json"
@@ -447,6 +462,20 @@ class TestGen:
                                  "--out-dir", str(tmp_path / "o"), "--check"])
         assert r.exit_code == 0
         assert "REDUCTION OK (satisfiable)" in r.output
+
+    @pytest.mark.parametrize("source", [
+        # Five variables: no table is built.
+        "(a | b) & ~(c | d) & (e \\|/ a)",
+        # Four: the outer splits would pair 2^16 by 2^16 subteams.
+        "(a | !a) | (b | !b) | (c | !c) | (d | !d)",
+    ])
+    def test_plsim_oracle_cap_exit_3(self, runner, tmp_path, source):
+        start = time.process_time()
+        r = runner.invoke(main, ["gen", "plsim", source,
+                                 "--out-dir", str(tmp_path / "o"), "--check"])
+        assert r.exit_code == 3
+        assert r.stderr.startswith("error: propositional oracle")
+        assert time.process_time() - start < 5
 
 
 class TestSelftest:

@@ -97,6 +97,11 @@ def test_the_team_ltl_evaluator_loads_no_parser():
     assert "teamtl.parser" not in json.loads(run(code))
 
 
+def test_gen_without_check_loads_no_evaluator(tmp_path):
+    args = ["gen", "qbf-ctl", str(FIXTURES / "worked_qbf.qbf"), "--out-dir", str(tmp_path)]
+    assert not {"teamtl.eval_team_ltl", "teamtl.eval_team_ctl"} & loaded_by(args)
+
+
 def test_ctl_check_model_loads_the_ctl_evaluator_only():
     args = [
         "check-model", str(FIXTURES / "ef_counterexample.json"), "EF p",

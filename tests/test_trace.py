@@ -130,13 +130,17 @@ def test_suffix_team_is_periodic_after_prefix(ts):
 
 @given(st.lists(traces, max_size=4), st.integers(min_value=0))
 def test_pre_image_groups_follow_the_successor_table(ts, seed):
-    # The interning groups the states by successor offset as it numbers
-    # them; that must be the grouping of the successor table itself.
+    # The core derives the successor masks ``succ`` and the one pre-image
+    # grouping from the numbering's ``succ_ids``: the pre-image read off
+    # the masks must be the same.  Every state has one successor, so
+    # ``pre_all``, the complement of the pre-image of the complement, is
+    # ``pre_some``.
     ev = _TeamEval(TeamEncoding.of(ts), Prop("p"), 4)
     reference = _pre_image([(bit.bit_length() - 1,) for bit in ev.succ])
     mask = seed % (ev.full + 1)
     assert ev.pre_some(mask) == reference(mask)
     assert ev.pre_some(ev.full) == reference(ev.full)
+    assert ev.pre_all(mask) == ev.pre_some(mask)
 
 
 def test_empty_team_bounds():
