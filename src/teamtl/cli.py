@@ -234,8 +234,9 @@ def _parser() -> argparse.ArgumentParser:
         help=f"{max_team}, as in check-path.  It applies to --mode ltl-enumerate "
              "only; ctl mode checks teams of any size.  (default: %(default)s)")
     arg("--max-subsets", type=_at_least(1), default=DEFAULT_MAX_SUBSETS,
-        help="In splitfree mode, cap on the successor sets the check actually "
-             "steps.  (default: %(default)s)")
+        help="In splitfree mode, cap on the steps the check takes along the "
+             "successor-set sequence; a set stepped again counts again.  "
+             "(default: %(default)s)")
     arg("--until-from-one", dest="from_one", action="store_true",
         help="In ctl mode, make until ignore the current team.")
 

@@ -14,17 +14,16 @@ ints of the structure's own numbering (``k.index`` and ``k.succ_ids``,
 made where the structure is built), from which one pass over the worlds
 sets up the evaluator's tables.  A multiset team is one int: digit w, in
 a base 2^b above the team size, is the multiplicity of world w.  A
-power-of-two base lets the worlds of a key be read off its lowest set
-bits, one step per distinct member.  Every key's support mask (the
-worlds it contains) is cached.
+power-of-two base lets the worlds of a key be read off the key itself:
+four big-int operations keep the top bit of each digit that is not
+zero, one bit per distinct member (`_CtlEval.members`).
 Successor multisets come from a per-member dynamic program over sums of
-digit units (`_CtlEval.step`), which the shared core runs once per team
-and keeps (`formula.Compiled.successors`).  It merges equal multisets
-by itself and carries each sum's support along; a member with one
-successor only adds a fixed offset to every sum.  Worlds whose only successor lies the same distance
-further on in the world order (the chains of the QBF gadgets) form shift
-classes, and all members in one class step at once: one mask and one
-shift of the key.
+digit units (`_CtlEval.successors`), run each time a search steps a team
+and kept by no one.  It merges equal multisets by itself, and a member
+with one successor only adds a fixed offset to every sum.  Worlds whose
+only successor lies the same distance further on in the world order (the
+chains of the QBF gadgets) form shift classes, and all members in one
+class step at once: one mask and one shift of the key.
 
 The formula is compiled and decided by the shared core,
 `formula.Compiled`, which also decides team LTL: the ``temporal`` table
@@ -151,11 +150,15 @@ class _CtlEval(Compiled):
 
     World ``w`` is ``k.worlds[w]``, for ``k`` the ``structure``, numbered
     as in ``k.succ_ids``; ``unit[w]`` is the key of the team holding it
-    once and ``succ_steps[w]`` the (unit, world bit) pair of each of its
-    successors.
+    once and ``succ_steps[w]`` the units of its successors.  ``top``
+    holds each digit's top bit and ``low`` its bits below that, so that
+    ``((key & low) + low | key) & top`` is the key's support, the top
+    bits of the worlds it holds: adding ``low`` carries into a digit's top
+    bit exactly when its lower bits are not zero, and the sum stays
+    inside the digit.
     Members on the worlds of a shift class in ``shifts`` step together,
-    members on the worlds in ``stepped`` one by one, in `step`.
-    ``supports`` holds every key's support mask (the bits of its worlds).
+    members on the worlds whose top bits are in ``stepped`` one by one,
+    in `successors`.
 
     A flat node's ``fails`` mask holds the digits of the worlds
     falsifying it, as ``alone`` holds those of the worlds on which a node
@@ -163,8 +166,8 @@ class _CtlEval(Compiled):
     mask to its existential and universal pre-image, and ``cutoff`` is
     the number of sets an E-Until or E-Release sequence may step before
     its node gives way to the search.  The core decides every temporal
-    class of ``temporal`` by its path quantifier, over its memo of the
-    successor keys `step` finds.
+    class of ``temporal`` by its path quantifier, over the successor keys
+    `successors` finds each time a search steps a team.
     """
 
     logic = "team CTL"
@@ -186,15 +189,16 @@ class _CtlEval(Compiled):
         self.digit = (1 << width) - 1
         unit = self.unit = [1 << width * w for w in range(n)]
         digits = [self.digit << width * w for w in range(n)]
+        ones = sum(unit)
+        self.top = ones << width - 1
+        self.low = self.top - ones
         # One pass over the worlds, in the structure's integer form.  Worlds
         # whose only successor lies the same distance d further on form a
-        # shift class: their digits move together by d digits and their
-        # support bits by d bits.
-        pairs = [(u, 1 << v) for v, u in enumerate(unit)]
+        # shift class: their digits move together by d digits.
         self.succ_steps = []
         classes: dict[int, list[int]] = {}
         for w, vs in enumerate(k.succ_ids):
-            self.succ_steps.append(tuple(map(pairs.__getitem__, vs)))
+            self.succ_steps.append(tuple(map(unit.__getitem__, vs)))
             if len(vs) == 1:
                 classes.setdefault(vs[0] - w, []).append(w)
         # An E-Until or E-Release sequence still open after this many sets
@@ -211,14 +215,12 @@ class _CtlEval(Compiled):
             key=lambda item: len(item[1]), reverse=True,
         )[:max(team_size, 1)]
         self.shifts = []
-        self.stepped = (1 << n) - 1
+        self.stepped = self.top
         for d, ws in kept:
-            worlds = sum(1 << w for w in ws)
-            self.shifts.append((d, worlds, sum(digits[w] for w in ws)))
-            self.stepped ^= worlds
-        index = k.index
-        self.prop_masks = prop_masks((ps, digits[index[w]]) for w, ps in k.labels.items())
-        self.supports: dict[int, int] = {}
+            mask = sum(digits[w] for w in ws)
+            self.shifts.append((max(width * d, 0), max(-width * d, 0), mask))
+            self.stepped ^= mask & self.top
+        self.prop_masks = prop_masks((ps, digits[k.index[w]]) for w, ps in k.labels.items())
 
     # -- multiset keys -----------------------------------------------------
 
@@ -227,59 +229,32 @@ class _CtlEval(Compiled):
         first that is no world of the structure."""
         return sum(map(self.unit.__getitem__, world_ids(self.structure, worlds)))
 
-    def support(self, key: int) -> int:
-        """The mask of the worlds in the multiset."""
-        support = self.supports.get(key)
-        if support is None:
-            support, rest = 0, key
-            while rest:
-                w = ((rest & -rest).bit_length() - 1) // self.width
-                support |= 1 << w
-                rest -= (rest >> self.width * w & self.digit) * self.unit[w]
-            self.supports[key] = support
-        return support
-
     def members(self, key: int, worlds: int = -1):
-        """Yield (world, multiplicity) for every world of the multiset that
-        is in the mask ``worlds``."""
-        rest = self.support(key) & worlds
+        """Yield (world, multiplicity) for every world of the multiset whose
+        top bit is in the mask ``worlds``."""
+        low, width = self.low, self.width
+        rest = ((key & low) + low | key) & self.top & worlds
         while rest:
-            low = rest & -rest
-            rest ^= low
-            w = low.bit_length() - 1
-            yield w, key >> self.width * w & self.digit
+            bit = rest & -rest
+            rest ^= bit
+            w = (bit.bit_length() - 1) // width
+            yield w, key >> width * w & self.digit
 
-    def step(self, key: int) -> tuple[int, ...]:
+    def successors(self, key: int) -> tuple[int, ...]:
         """The keys of the distinct successor multisets."""
-        support, width = self.support(key), self.width
-        offset = fixed = 0
-        for delta, worlds, digits in self.shifts:
-            moved = support & worlds
-            if moved:
-                if delta >= 0:
-                    offset += (key & digits) << width * delta
-                    fixed |= moved << delta
-                else:
-                    offset += (key & digits) >> -width * delta
-                    fixed |= moved >> -delta
+        offset = 0
+        for up, down, digits in self.shifts:
+            offset += (key & digits) << up >> down
         branching = []
         for w, count in self.members(key, self.stepped):
             steps = self.succ_steps[w]
             if len(steps) == 1:
-                offset += count * steps[0][0]
-                fixed |= steps[0][1]
+                offset += count * steps[0]
             else:
                 branching += [steps] * count
-        # The sums map every successor key to its support, so that no
-        # successor has to be decoded.
-        sums = {offset: fixed}
+        sums = {offset}
         for steps in branching:
-            sums = {
-                s + unit: sup | bit
-                for s, sup in sums.items()
-                for unit, bit in steps
-            }
-        self.supports.update(sums)
+            sums = {s + u for s in sums for u in steps}
         return tuple(sums)
 
     # -- evaluating --------------------------------------------------------
@@ -317,10 +292,11 @@ def mc_ctl(
 
 
 # The oracle recurses about four Python frames per unrolling step, and as
-# many per formula level: 120 steps under `formula.MAX_DEPTH` levels stay
-# well below Python's default recursion limit of 1000.  Nested Until and
-# Release can stack their unrollings; the differential suites keep the
-# depth at 20 or less.
+# many per formula level: 120 steps under 20 levels take about 570 frames,
+# well below Python's default recursion limit of 1000, and under 100
+# levels about 890.  Under `formula.MAX_DEPTH` levels they need more, and
+# nested Until and Release can stack their unrollings; the differential
+# suites keep the depth at 20 or less.
 ORACLE_MAX_UNROLL = 120
 
 

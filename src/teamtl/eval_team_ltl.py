@@ -13,8 +13,8 @@ equal merge by themselves.  The formula is compiled by the shared core,
 `formula.Compiled`; here a flat node's mask is over states.
 
 A team has one successor team, its suffix team: the image of its
-states under the successor table, which the shared core steps once per
-team and keeps (`formula.Compiled.successors`).  So ``X``, ``U`` and
+states under the successor table, which the shared core steps each time
+a search reaches the team (`formula.Compiled.successors`).  So ``X``, ``U`` and
 ``R`` are TeamCTL's rules on a graph where every team has one
 successor: the ``temporal`` table declares them without a path
 quantifier, and the shared core decides them.  Every state has one

@@ -31,7 +31,8 @@ operator itself, each temporal class declared by its operator and path
 quantifier, and every split, pruned by the classical labelling of the
 downward-closed nodes.  The evaluators add their team encoding, member
 units and each member's successor numbers, from which the core builds
-the pre-images and steps each team once per call.
+the pre-images and steps a team whenever a search reaches it, keeping
+no successor.
 
 How deep a formula may nest is bounded once per entry point, for trees
 built in code: by `Compiled.compile` as it interns the tree, and by
@@ -63,10 +64,11 @@ RESERVED_TAUT_PROP = "_taut"
 # level), classical LTL U nested 330 deep, and check_team and mc_ctl
 # about 500.  The parser itself takes up to six frames per bracket level
 # (an atom in an atom's argument list), which binds first: atoms nested
-# 100 deep need a limit of 612, and 80 levels leave about 500 frames to
-# the caller.  The QBF-to-path-checking reduction of 10 variables and 10
-# clauses is 57 deep.
-MAX_DEPTH = 80
+# 100 deep need a limit of 612, and 140 levels one of about 850, which
+# leaves about 150 frames to the caller; at 150 levels a caller 100
+# frames deep runs out.  The QBF-to-path-checking reduction of n
+# variables and n clauses is 5.5n + 2 deep: 57 at n = 10, 134 at n = 24.
+MAX_DEPTH = 140
 
 # The default resource caps of the evaluators, kept here beside the depth
 # bound so that the CLI reads them without importing an evaluator: the
@@ -669,8 +671,8 @@ class Compiled:
     Before it compiles it sets ``succ_ids``, each member's successor
     numbers in member order, every member having one at least, and
     ``width``, the bits of a team per member, where that is not 1.  The
-    core derives the rest from them (see `successors`), and a subclass
-    whose teams have other successors than the image overrides ``step``.
+    core derives the rest from them, and a subclass whose teams have
+    other successors than the image overrides `successors`.
     Any other class is rejected with `UnsupportedNodeError`, in a
     parameter when it is compiled, elsewhere when it is evaluated.
     """
@@ -695,7 +697,6 @@ class Compiled:
         self.height: list[int] = []
         self.node_keys: dict[tuple, int] = {}
         self.compiled: dict[int, int] = {}
-        self.graph: dict[int, tuple[int, ...]] = {}
 
     def __init_subclass__(cls, **kwargs):
         # Rules are functions of the class, called as rule(self, team, node):
@@ -1102,15 +1103,9 @@ class Compiled:
         return self.full ^ self.pre_some(self.full ^ mask)
 
     def successors(self, team: int) -> tuple[int, ...]:
-        """The distinct successor teams of ``team``, each team stepped
-        once per call and kept in ``graph``."""
-        found = self.graph.get(team)
-        if found is None:
-            found = self.graph[team] = self.step(team)
-        return found
-
-    def step(self, team: int) -> tuple[int, ...]:
-        """The one successor team: the image of ``team`` under ``succ``."""
+        """The distinct successor teams of ``team``, stepped anew on each
+        call; here the one successor, the image of ``team`` under
+        ``succ``."""
         succ, image = self.succ, 0
         while team:
             low = team & -team

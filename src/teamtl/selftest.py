@@ -694,7 +694,8 @@ def suite_successor_teams(rng, count):
     """``is_successor_team``, and the successor multisets of
     ``_CtlEval.successors``, against the multisets that one successor
     per member makes.  Leads with the pinned case where every member can
-    step into the target but no matching exists."""
+    step into the target but no matching exists, and with teams whose
+    members fill a whole digit of their key."""
 
     def compare(k, t1, t2):
         choices = list(itertools.product(*(k.succ[w] for w in t1.worlds)))
@@ -713,6 +714,17 @@ def suite_successor_teams(rng, count):
         [("a", "x"), ("b", "x"), ("c", "x"), ("c", "y"), ("x", "x"), ("y", "y")],
     )
     yield compare(k, MultiTeam.of(["a", "b", "c"]), MultiTeam.of(["x", "y", "y"]))
+    # 3 copies fill a digit of a key at width 2 and 7 copies at width 3,
+    # which random teams of at most 4 members never do: on a branching
+    # world, and on a forward (f0, f1) and a backward (g2, g1) shift class.
+    k = KripkeStructure.of(
+        ["a", "f0", "f1", "f2", "g0", "g1", "g2"],
+        [("a", "a"), ("a", "f0"), ("a", "g2"), ("f0", "f1"), ("f1", "f2"),
+         ("f2", "a"), ("g2", "g1"), ("g1", "g0"), ("g0", "g0")],
+    )
+    for n in (3, 7):
+        for w in ("a", "f0", "f1", "g1", "g2"):
+            yield compare(k, MultiTeam.of([w] * n), MultiTeam.of([k.succ[w][-1]] * n))
     for _ in range(count):
         k = random_kripke(rng, max_worlds=5)
         t1, t2 = random_multiteam(rng, k, max_size=4), random_multiteam(rng, k, max_size=4)

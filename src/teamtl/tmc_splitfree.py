@@ -12,7 +12,8 @@ quantifier: X φ over a flat φ fails on the worlds with a successor that
 fails φ, G ψ on those that reach a world failing ψ, and Until and
 Release otherwise are the core's searches.  The subsets repeat within
 2^|W| steps, so every search ends, and images are computed only as the
-searches reach them; the cap ``max_subsets`` counts them.
+searches reach them, and again each time one does, as none is kept; the
+cap ``max_subsets`` counts these steps.
 
 ``flatten`` is the paper's construction, the reference of the self-test:
 the subsets stepped to their repeat and folded into one lasso trace,
@@ -74,9 +75,9 @@ class _SubsetEval(Compiled):
     A team is the mask of the worlds its paths start from, bit ``w`` for
     world ``k.worlds[w]``, and a flat node's ``fails`` mask holds the
     worlds falsifying it.  ``root`` is {initial}, and a team's one
-    successor team is its image under the core's ``succ``, stepped once
-    per team and kept in the core's ``graph``, which `step` holds to at
-    most ``max_subsets`` teams.
+    successor team is its image under the core's ``succ``, stepped on
+    each call of `successors`, which allows at most ``max_subsets``
+    steps per check.
     """
 
     logic = "splitfree model checking"
@@ -95,6 +96,7 @@ class _SubsetEval(Compiled):
         super().__init__()
         self.structure = k
         self.max_subsets = max_subsets
+        self.steps = 0
         self.succ_ids = k.succ_ids
         self.root = 1 << k.index[k.initial]
 
@@ -103,13 +105,14 @@ class _SubsetEval(Compiled):
         labels, index = self.structure.labels, self.structure.index
         return prop_masks(zip(labels.values(), map((1).__lshift__, map(index.__getitem__, labels))))
 
-    def step(self, team: int) -> tuple[int]:
-        """The one successor team, charged against ``max_subsets``."""
-        if len(self.graph) >= self.max_subsets:
+    def successors(self, team: int) -> tuple[int]:
+        """The one successor team, one step charged against ``max_subsets``."""
+        if self.steps == self.max_subsets:
             raise ResourceCapError(
-                f"successor-set sequence exceeded {self.max_subsets} subsets"
+                f"successor-set sequence exceeded {self.max_subsets} steps"
             )
-        return super().step(team)
+        self.steps += 1
+        return super().successors(team)
 
 
 def flatten(
@@ -166,8 +169,9 @@ def check_model_splitfree(
     formula?  CNeg and BoolOr are admitted; splitjunctions other than ⊤,
     generalised atoms and CTL operators are not.  The successor-set
     sequence is stepped only as far as the check's searches reach, and
-    ``max_subsets`` caps the subsets stepped.  Raises `ResourceCapError`
-    when ``phi`` is nested deeper than `formula.MAX_DEPTH`.
+    ``max_subsets`` caps the steps taken, a subset stepped again counting
+    again.  Raises `ResourceCapError` when ``phi`` is nested deeper than
+    `formula.MAX_DEPTH`.
     """
     evaluator = _SubsetEval(k, max_subsets)
     node = evaluator.compile(phi)

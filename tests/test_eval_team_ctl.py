@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,7 @@ from teamtl.parser import parse_ctl
 from teamtl.qbf import reduce_to_tmc_ctl
 from teamtl.selftest import (
     cycle_fan,
+    random_ctl_formula,
     random_flat_ctl_formula,
     random_kripke,
     random_multiteam,
@@ -501,3 +503,23 @@ def test_region_search_memoises_the_teams_it_decides(monkeypatch):
     phi = parse_ctl("AG AF (p \\|/ p)")
     assert mc_ctl(k, MultiTeam.of(["w1"]), phi, limits=CtlLimits(max_worlds=n))
     assert len(calls) <= 2 * n
+
+
+def test_nested_searches_keep_no_successors():
+    # The third draw of this recipe is a split whose right side, EX AX
+    # A[AX p U p], steps about a thousand teams of the first 5 members on
+    # a 10-world structure with 43 edges: half a million successor keys,
+    # 20 MiB, if they were kept.  Only the teams the searches hold stay.
+    r = random.Random(10)
+    for _ in range(3):
+        k = random_kripke(r, max_worlds=12)
+        phi = Split(random_ctl_formula(r, r.randint(3, 6)), random_ctl_formula(r, r.randint(2, 5)))
+        worlds = [r.choice(k.worlds) for _ in range(10)]
+    assert phi.right == parse_ctl("EX AX A[AX p U p]")
+    tracemalloc.start()
+    try:
+        assert not mc_ctl(k, MultiTeam.of(worlds[:5]), phi.right)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

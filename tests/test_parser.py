@@ -165,11 +165,11 @@ ERROR_SPANS = [
     ("ltl", "TOP(p)", "unexpected '('", (3, 4)),
     ("ltl", "dep(p;)", "expected a formula, found ')'", (6, 7)),
     ("ltl", "inc(p; q, r)", "inc needs two parameter lists of equal length", (0, 3)),
-    ("ltl", DEEP["prefix"](MAX_DEPTH + 1), _TOO_DEEP, (160, 161)),
-    ("ltl", DEEP["brackets"](MAX_DEPTH + 1), _TOO_DEEP, (80, 81)),
-    ("ltl", DEEP["atoms"](MAX_DEPTH + 1), _TOO_DEEP, (320, 321)),
-    ("ltl", DEEP["chain"](MAX_DEPTH + 1), _TOO_DEEP, (321, 321)),
-    ("ltl", DEEP["cneg"](MAX_DEPTH + 1), _TOO_DEEP, (81, 81)),
+    ("ltl", DEEP["prefix"](MAX_DEPTH + 1), _TOO_DEEP, (2 * MAX_DEPTH, 2 * MAX_DEPTH + 1)),
+    ("ltl", DEEP["brackets"](MAX_DEPTH + 1), _TOO_DEEP, (MAX_DEPTH, MAX_DEPTH + 1)),
+    ("ltl", DEEP["atoms"](MAX_DEPTH + 1), _TOO_DEEP, (4 * MAX_DEPTH, 4 * MAX_DEPTH + 1)),
+    ("ltl", DEEP["chain"](MAX_DEPTH + 1), _TOO_DEEP, (4 * MAX_DEPTH + 1, 4 * MAX_DEPTH + 1)),
+    ("ltl", DEEP["cneg"](MAX_DEPTH + 1), _TOO_DEEP, (MAX_DEPTH + 1, MAX_DEPTH + 1)),
 ]
 
 
@@ -300,7 +300,7 @@ def _from_deep_caller(frames, call):
 def test_entry_points_decide_at_the_bound_from_a_deep_caller(name, decide, shapes):
     # At MAX_DEPTH an entry point decides, and one level past it, it
     # raises ResourceCapError; never RecursionError, even 100 frames down.
-    assert MAX_DEPTH == 80
+    assert MAX_DEPTH == 140
     for shape in shapes.values():
         phi = shape(MAX_DEPTH)
         assert _from_deep_caller(100, lambda: decide(phi)) in (True, False)

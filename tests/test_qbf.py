@@ -160,6 +160,15 @@ def test_many_clause_frontier_instance_decides_in_a_second():
     assert time.process_time() - started < 1
 
 
+def test_frontier_instance_deeper_than_80_levels_decides():
+    # 88 traces and UNSAT; the goal is 5.5n + 2 = 90 levels deep, which a
+    # depth bound of 80 rejected before any evaluation.
+    q = frontier_qbf(16, 16)
+    team, phi = reduce_to_tpc(q)
+    assert len(team) == 88
+    assert check_team(team, phi, max_team=len(team)) is eval_qbf(q) is False
+
+
 def test_frontier_splits_read_one_trace_verdicts_off_masks():
     # 71 traces and SAT.  Which traces can go on each side of a split is
     # read off the one-trace masks, so hardly any one-trace team is

@@ -87,7 +87,8 @@ class TestFlatten:
 
 class TestOnDemand:
     """Model checking steps the successor-set sequence only as far as its
-    searches reach, and the cap counts the subsets stepped."""
+    searches reach, and the cap counts the steps taken: a subset that two
+    searches step is charged twice."""
 
     def test_decided_at_position_0_under_a_small_cap(self):
         assert check_model_splitfree(HORIZON, parse_ltl("q U p"), max_subsets=4)
@@ -123,6 +124,15 @@ class TestOnDemand:
         monkeypatch.setattr(_SubsetEval, "successors", counted)
         assert check_model_splitfree(k, phi)
         assert calls >= 5545
+
+    def test_cap_counts_every_step_of_nested_searches(self):
+        # The outer G and the inner F each walk the loop of 5544 subsets,
+        # and no step is kept for the other to reuse.
+        k = cycle_fan((7, 8, 9, 11), lambda w: ["p"] if w.endswith("_0") else [])
+        phi = parse_ltl("G F (p \\|/ p)")
+        assert check_model_splitfree(k, phi, max_subsets=11089)
+        with pytest.raises(ResourceCapError):
+            check_model_splitfree(k, phi, max_subsets=11088)
 
     def test_walks_wrap_around_the_loop(self):
         # p only at the two cycle heads: unanimous at positions 1, 7, 13,
