@@ -192,6 +192,11 @@ class _Command(argparse.ArgumentParser):
         namespace, extras = super().parse_known_args(args, namespace)
         if extras:
             self.error(f"unrecognized arguments: {' '.join(extras)}")
+        # Some argparse releases drop a "--" that follows the first one and
+        # leave its positional the empty list: it is the text "--".
+        for name, value in vars(namespace).items():
+            if value == []:
+                setattr(namespace, name, "--")
         return namespace, extras
 
 

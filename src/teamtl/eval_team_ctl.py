@@ -63,11 +63,12 @@ node, so the QBF gadgets' conjunction of ``EF`` goals is one memoised
 test per team.
 
 ``A[φ U ψ]`` and ``A[φ R ψ]``, and ``E[φ U ψ]`` and ``E[φ R ψ]`` over
-operands that are not flat, are the shared core's searches over the
-successor-multiset graph, two of them, as Release is the dual of Until:
-``EU`` and ``AR`` are decided by a finite path, found or not by a
-depth-first search, and ``AU`` and ``ER`` by one depth-first search over
-the teams a path may stay in, which fails at a cycle among them.
+operands that are not flat, are the shared core's one depth-first search
+over the successor-multiset graph, as Release is the dual of Until.  It
+looks for a path that decides the node: for ``EU`` and ``AR`` a finite
+path to the goal, for ``AU`` and ``ER`` one that never reaches it, which
+ends where the operands fail or at a cycle among the teams a path may
+stay in.
 
 Splits are the shared core's (`formula.Compiled.split`): a member unit
 is a world's digit unit, its count the world's multiplicity, and each
@@ -295,8 +296,9 @@ def mc_ctl(
 # many per formula level: 120 steps under 20 levels take about 570 frames,
 # well below Python's default recursion limit of 1000, and under 100
 # levels about 890.  Under `formula.MAX_DEPTH` levels they need more, and
-# nested Until and Release can stack their unrollings; the differential
-# suites keep the depth at 20 or less.
+# nested Until and Release can stack their unrollings, so where the stack
+# runs out the oracle raises `ResourceCapError`; the differential suites
+# keep the depth at 20 or less.
 ORACLE_MAX_UNROLL = 120
 
 
@@ -312,7 +314,8 @@ def mc_ctl_bruteforce(
     multisets of the team's size, C(|W|+|T|-1, |T|), which makes the
     cutoffs exact: a run of that many steps passes through one more team
     than there are multisets, so it revisits one and can be pumped.
-    Raises `ResourceCapError` for a depth above `ORACLE_MAX_UNROLL`."""
+    Raises `ResourceCapError` for a depth above `ORACLE_MAX_UNROLL`, and
+    where its recursion exceeds Python's recursion limit."""
     from .eval_classical import prop_sat
 
     check_depth(phi)
@@ -396,4 +399,10 @@ def mc_ctl_bruteforce(
             f"oracle does not support {type(phi).__name__}"
         )
 
-    return sat(team.worlds, phi, bound)
+    try:
+        return sat(team.worlds, phi, bound)
+    except RecursionError:
+        raise ResourceCapError(
+            f"oracle unrolling {bound} steps under this formula exceeds "
+            "Python's recursion limit"
+        ) from None

@@ -16,8 +16,8 @@ A team has one successor team, its suffix team: the image of its
 states under the successor table, which the shared core steps each time
 a search reaches the team (`formula.Compiled.successors`).  So ``X``, ``U`` and
 ``R`` are TeamCTL's rules on a graph where every team has one
-successor: the ``temporal`` table declares them without a path
-quantifier, and the shared core decides them.  Every state has one
+successor: the ``temporal`` table declares them under E, which agrees
+with A there, and the shared core decides them.  Every state has one
 successor, so the members of a team step independently, and ``X`` over
 a flat node is flat: it fails on the pre-image of the child's mask, one
 shift per distinct successor offset in the state order.  Until and
@@ -33,7 +33,7 @@ the call.
 Temporal witnesses: the suffix teams T, T[1,∞), T[2,∞), ... form a
 deterministic sequence, periodic from prfx(T) on with a period dividing
 lcm(T).  Until and Release over other operands search it as the
-one-successor case of the TeamCTL path search (`formula.Compiled._path`),
+one-successor case of the TeamCTL search (`formula.Compiled._search`),
 lazily, and stop at the first verdict or at the first repeated team, so
 the prfx(T) + lcm(T) teams of the whole horizon are built only when the
 formula needs them.  By the expansion laws every team passed has the
@@ -110,8 +110,8 @@ class _TeamEval(Compiled):
     logic = "team LTL"
     param_nodes = PURE_LTL
     units = staticmethod(_bits)
-    # Each team has one successor team, its suffix team.
-    temporal = {Next: ("X", ""), Until: ("U", ""), Release: ("R", "")}
+    # Each team has one successor team, its suffix team, so E and A agree.
+    temporal = {Next: ("X", "E"), Until: ("U", "E"), Release: ("R", "E")}
 
     def __init__(self, team: TeamEncoding, phi: Formula, max_team: int):
         super().__init__()

@@ -556,20 +556,18 @@ class MaskUnion:
     """A union of flat masks: a team satisfies it iff it misses one of
     them.  ``masks`` holds the masks found so far; the iterator ``rest``
     yields the others one at a time and ends when there are no more, or
-    yields None when it gives up before that.  From then on
-    ``search(evaluator, team, node)`` decides the union, which must then
-    be equivalent to node ``node``.  A flat node is the union of its one
-    mask.  Both team evaluators decide Until and Release over flat
+    yields None when it gives up before that.  From then on the search
+    of node ``node``, an Until or Release that the union is equivalent
+    to, decides it (`Compiled._search`).  A flat node is the union of its
+    one mask.  Both team evaluators decide Until and Release over flat
     operands by one: checks read its masks one at a time (`more`), and
     the team LTL disjoint split reads them all at once (`force`)."""
 
-    __slots__ = ("masks", "rest", "search", "node")
+    __slots__ = ("masks", "rest", "node")
 
-    def __init__(self, masks: Iterable[int], rest: Iterable[int | None] = (),
-                 search: Callable[..., bool] | None = None, node: int = -1):
+    def __init__(self, masks: Iterable[int], rest: Iterable[int | None] = (), node: int = -1):
         self.masks = list(masks)
         self.rest: Iterator[int | None] | None = iter(rest)
-        self.search = search
         self.node = node
 
     def more(self, evaluator: Compiled, team: int) -> bool:
@@ -585,7 +583,7 @@ class MaskUnion:
             else:
                 return False
             self.masks, self.rest = [], None
-        return self.search(evaluator, team, self.node)
+        return evaluator._search(team, self.node)
 
     def force(self) -> list[int] | None:
         """Every mask of the union, found now, or None if it gives up
@@ -623,12 +621,11 @@ class Compiled:
     and ER (equally AX, AU and AR) where every team has one successor,
     and one set of rules decides all three, read off a subclass's table
     ``temporal`` of each temporal class's operator and path quantifier.
-    Splitfree model checking declares A: its masks are over worlds, each
-    of which steps to all of its successors at once.  ``X`` steps once
-    (`_step`).  E-Until and A-Release look for one path (`_path`), and so
-    do Until and Release on one successor; A-Until and E-Release search
-    the region every path must leave (`_region`).  As a team's members
-    step independently, some temporal nodes over flat children are flat:
+    Team LTL declares E, and splitfree model checking A, as its masks are
+    over worlds, each of which steps to all of its successors at once.
+    ``X`` steps once (`_step`), and Until and Release search for a path
+    that decides them (`_search`).  As a team's members step
+    independently, some temporal nodes over flat children are flat:
     ``X`` fails where every successor fails, under A where one does;
     ``U`` fails everywhere where ψ holds nowhere; ``R`` where φ ∧ ψ holds
     nowhere is G ψ, which fails where ψ fails or, from there on, where
@@ -637,9 +634,9 @@ class Compiled:
     A node that is not flat may still be mask-decided: ``unions[n]`` is
     then a tuple of `MaskUnion`s, and it holds on a team iff the team
     misses some mask of each.  So are Until and Release over flat
-    children under E or on one successor: φ U ψ holds iff, for one n,
-    every member reaches a ψ-member through n φ-members (`_until_masks`),
-    and φ R ψ is the G ψ mask and the same sequence from φ ∧ ψ through ψ.
+    children under E: φ U ψ holds iff, for one n, every member reaches a
+    ψ-member through n φ-members (`_until_masks`), and φ R ψ is the G ψ
+    mask and the same sequence from φ ∧ ψ through ψ.
     ``&`` over flat and mask-decided children concatenates their unions
     at compile time, a flat child giving the union of its one mask, so a
     conjunction of them is one node, tested with one memoised rule call
@@ -664,8 +661,8 @@ class Compiled:
     team's member units with their counts, lowest first), ``max_team``
     (the most copies a split may enumerate its parts over), the name of
     its ``logic`` and ``temporal``, which maps each temporal class to its
-    operator (``"X"``, ``"U"`` or ``"R"``) and path quantifier (``"E"``,
-    ``"A"``, or ``""`` where every team has one successor); where it
+    operator (``"X"``, ``"U"`` or ``"R"``) and path quantifier (``"E"``
+    or ``"A"``, which agree where every team has one successor); where it
     admits atoms, also the node classes ``param_nodes`` admitted in their
     parameters, and where a temporal class is not under A, ``cutoff``.
     Before it compiles it sets ``succ_ids``, each member's successor
@@ -710,13 +707,8 @@ class Compiled:
             Split: cls._split,
             GenAtomApp: cls._gen_atom,
         }
-        for kind, (op, quantifier) in cls.temporal.items():
-            if op == "X":
-                cls.rule_of[kind] = Compiled._step
-            elif (op, quantifier) in (("U", "A"), ("R", "E")):
-                cls.rule_of[kind] = Compiled._region
-            else:
-                cls.rule_of[kind] = Compiled._path
+        for kind, (op, _) in cls.temporal.items():
+            cls.rule_of[kind] = Compiled._step if op == "X" else Compiled._search
 
     def compile(self, phi: Formula, room: int = MAX_DEPTH) -> int:
         """The node id of ``phi``, interning it and its subformulas.
@@ -833,7 +825,7 @@ class Compiled:
             stay = (_least_fixpoint(masks[1], pre),)
             start, inside = phi_holds & psi_holds, psi_holds
         rest = _until_masks(start, inside, self.pre_some, full, self.cutoff)
-        return None, (MaskUnion(stay, rest, self.rule_of[kind], node),)
+        return None, (MaskUnion(stay, rest, node),)
 
     def check(self, team: int, node: int) -> bool:
         """Whether ``team`` satisfies node ``node``."""
@@ -894,11 +886,11 @@ class Compiled:
         the children's masks, ``|`` and ``\\|/`` an OR, ``X`` a pre-image
         under the node's quantifier, ``U`` the least fixpoint of
         ψ ∨ (φ ∧ pre(Z)) and ``R`` the complement of the Until of the
-        other quantifier over ¬φ and ¬ψ.  Under E, or where every team has
-        one successor, pre is ``pre_some``; under A it is ``pre_all``, and
-        a left-total structure keeps A's nodes downward closed.  An atom
-        holds on the members whose one row it accepts.  Splits and atoms
-        read it on first use, so a check without them never builds it."""
+        other quantifier over ¬φ and ¬ψ.  Under E pre is ``pre_some``;
+        under A it is ``pre_all``, and a left-total structure keeps A's
+        nodes downward closed.  An atom holds on the members whose one row
+        it accepts.  Splits and atoms read it on first use, so a check
+        without them never builds it."""
         full = self.full
         alone: list[int | None] = []
         for node, kind in enumerate(self.kinds):
@@ -1117,8 +1109,7 @@ class Compiled:
 
     # Release is the dual of Until, so each search serves one of each:
     # with ``until`` false it is the Until search for ¬φ and ¬ψ, its
-    # verdict negated.  A team with one successor is a team of traces,
-    # where the E and A readings agree and `_path` serves both.
+    # verdict negated.
 
     def _step(self, team: int, node: int) -> bool:
         """X φ: some successor team satisfies φ, or under A every one."""
@@ -1129,56 +1120,24 @@ class Compiled:
                 return not every
         return every
 
-    def _path(self, team: int, node: int) -> bool:
-        """E[φ U ψ], or A[φ R ψ]: a depth-first search for a path of φ
-        teams to a ψ team, or of ¬φ teams to a ¬ψ team.
+    def _search(self, team: int, node: int) -> bool:
+        """φ U ψ or φ R ψ: a depth-first search over the teams reached
+        through φ teams, for a path that decides the node, its verdict
+        ``found``.  E[φ U ψ] looks for a path of φ teams to a ψ team, and
+        A[φ U ψ] for a path that never meets ψ: one to a team where φ and
+        ψ fail, or a cycle, which a successor still on the search stack
+        closes.  For Release read ¬φ and ¬ψ: A[φ R ψ] searches as E-Until
+        and E[φ R ψ] as A-Until.  Where every team has one successor, E
+        and A agree.
 
-        By the expansion law U = ψ ∨ (φ ∧ X U) every team on the path
-        found shares its verdict, and where none is found every team
-        visited has the other one; both go to the memo, where the search
-        also stops, so nested temporal nodes read each team once."""
+        Where a path is found, its verdict holds on every team of the
+        search stack, the path itself; where none is, the other verdict
+        holds on every team the search entered.  Both go to the memo,
+        where the search also stops, so nested temporal nodes read each
+        team a bounded number of times."""
         inv, tgt = self.args[node]
-        until = self.temporal[self.kinds[node]][0] == "U"
-        memo, check, successors = self.memo[node], self.check, self.successors
-        # The search tree: each team visited, with the team it came from.
-        parent: dict[int, int | None] = {team: None}
-        stack = [team]
-        while stack:
-            team = stack.pop()
-            verdict = memo.get(team)
-            if verdict is None:
-                if check(team, tgt) == until:
-                    verdict = until
-                elif check(team, inv) != until:
-                    verdict = not until
-                else:
-                    for s in successors(team):
-                        if s not in parent:
-                            parent[s] = team
-                            stack.append(s)
-                    continue
-            if verdict == until:
-                while team is not None:
-                    memo[team] = until
-                    team = parent[team]
-                return until
-        for team in parent:
-            memo[team] = not until
-        return not until
-
-    def _region(self, team: int, node: int) -> bool:
-        """A[φ U ψ], or E[φ R ψ]: a depth-first search over the teams
-        reached before ψ, which fails where φ fails on one of them, or
-        where a successor is still on the search stack: that closes a
-        cycle of them, a path that never meets ψ.  For E[φ R ψ] read ¬φ
-        and ¬ψ.
-
-        Where it holds, it holds on every team the search entered, and
-        where it fails, on every team of the search stack; both go to
-        the memo, where the search also stops, so nested temporal nodes
-        read each team a bounded number of times."""
-        inv, tgt = self.args[node]
-        until = self.temporal[self.kinds[node]][0] == "U"
+        op, quantifier = self.temporal[self.kinds[node]]
+        until, found = op == "U", quantifier == "E"
         memo, check, successors = self.memo[node], self.check, self.successors
         seen: set[int] = set()
         # The search stack, in order: each team on it, with its successors
@@ -1191,22 +1150,24 @@ class Compiled:
                 if verdict is None:
                     if s in stack:
                         verdict = not until
-                    elif s in seen or check(s, tgt) == until:
+                    elif s in seen:
                         continue
+                    elif check(s, tgt) == until:
+                        verdict = until
                     elif check(s, inv) != until:
                         verdict = not until
                     else:
                         seen.add(s)
                         pending = stack[s] = iter(successors(s))
                         break
-                if verdict != until:
+                if verdict == found:
                     for s in stack:
-                        memo[s] = not until
-                    return not until
+                        memo[s] = found
+                    return found
             else:
                 if len(stack) <= 1:
                     for s in seen:
-                        memo[s] = until
-                    return until
+                        memo[s] = not found
+                    return not found
                 stack.popitem()
                 pending = stack[next(reversed(stack))]

@@ -623,10 +623,10 @@ def _searched(rng: random.Random, op: type, phi: Formula, psi: Formula) -> Formu
 
 # A search that leaves a wrong verdict in the memo for a team it did not
 # decide passes every other suite, since random formulas rarely read one
-# U/R node on two teams.  Memoising every team `Compiled._path` visits,
-# not only its path, where it succeeds, or every team `Compiled._region`
-# entered, not only its stack, where it fails, gives mismatches here on
-# the pinned instances and on about one random instance in 35 and in 120.
+# U/R node on two teams.  Memoising every team `Compiled._search`
+# entered, not only its stack, where it finds its path gives mismatches
+# here only: at seed 3 and count 200, on the pinned EF and AF instances
+# and on one random instance.
 @_suite("U/R verdicts read from several contexts vs the oracles")
 def suite_shared_temporal(rng, count):
     """A non-flat U or R node θ decided on a team, then read, from the

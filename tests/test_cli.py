@@ -258,6 +258,24 @@ def test_unknown_argument_shows_the_usage_of_its_parser(runner, workspace, args,
     assert f"{usage}: error: unrecognized arguments: " in r.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ["check-path", "team.json", "--", "--"],
+    ["check-path", "--", "team.json", "--"],
+    ["check-path", "team.json", "--", "-p"],
+    ["check-model", "ef.json", "--", "--"],
+    ["gen", "plsim", "--", "--"],
+])
+def test_text_after_double_dash_is_a_formula(runner, workspace, args):
+    # After "--", text that looks like an option, "--" included, is read
+    # as the formula, and a parse error is an input error.
+    args = [str(workspace / a) if a.endswith(".json") else a for a in args]
+    if args[0] == "gen":
+        args[1:1] = ["--out-dir", str(workspace / "out")]
+    r = runner.invoke(main, args)
+    assert r.exit_code == 2
+    assert r.stderr.startswith("error: unexpected character '-'")
+
+
 @pytest.mark.parametrize("value", ["0", "-5"])
 def test_nonpositive_max_subsets_exit_2(runner, tmp_path, value):
     k = tmp_path / "k.json"

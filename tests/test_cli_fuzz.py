@@ -8,12 +8,13 @@ import tempfile
 from pathlib import Path
 
 from cli_runner import invoke
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from teamtl.cli import main
 from teamtl.eval_team_ctl import CtlLimits, mc_ctl
 from teamtl.eval_team_ltl import check_team
 from teamtl.files import dumps_kripke, dumps_team, loads_kripke, loads_team
+from teamtl.fixtures import union_closure_team
 from teamtl.kripke import MultiTeam, enumerate_traces
 from teamtl.parser import parse_ctl, parse_ltl, render
 from teamtl.selftest import (
@@ -117,6 +118,9 @@ def library_verdict(command, document, text, mode, team_arg, max_team):
     return check_team(enumerate_traces(k), parse_ltl(text), max_team=max_team)
 
 
+TEAM = dumps_team(union_closure_team())
+
+
 @st.composite
 def invocations(draw):
     command = draw(st.sampled_from(["check-path", "check-model"]))
@@ -135,15 +139,20 @@ def invocations(draw):
 
 @settings(max_examples=500, deadline=None)
 @given(invocations())
+# Formula texts that are options, or their end, when they come before "--".
+@example(("check-path", TEAM, "--help", "ctl", "", 16))
+@example(("check-path", TEAM, "--", "ctl", "", 16))
+@example(("check-path", TEAM, "-p", "ctl", "", 16))
+@example(("check-path", TEAM, "--max-team", "ctl", "", 16))
 def test_every_input_ends_in_a_verdict_or_a_clean_error(invocation):
     command, document, text, mode, team_arg, max_team = invocation
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "input.json"
         path.write_text(document)
-        args = [command, str(path), text, "--max-team", str(max_team)]
+        args = [command, "--max-team", str(max_team)]
         if command == "check-model":
             args += ["--mode", mode, "--team", team_arg]
-        result = invoke(main, args)
+        result = invoke(main, [*args, "--", str(path), text])
     assert result.exit_code in (0, 1, 2, 3), (result.exit_code, result.output)
     if result.exit_code in (0, 1):
         expected = library_verdict(command, document, text, mode, team_arg, max_team)

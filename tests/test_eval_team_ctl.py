@@ -20,7 +20,7 @@ from teamtl.eval_team_ctl import (
     mc_ctl_bruteforce,
 )
 from teamtl.fixtures import af_multiplicity_structure, ef_counterexample_structure
-from teamtl.formula import Prop, Split
+from teamtl.formula import EX, Prop, Split
 from teamtl.kripke import KripkeStructure, MultiTeam
 from teamtl.parser import parse_ctl
 from teamtl.qbf import reduce_to_tmc_ctl
@@ -236,6 +236,19 @@ def test_bruteforce_refuses_deep_unrolling():
     with pytest.raises(ResourceCapError, match="unroll"):
         mc_ctl_bruteforce(k, team, parse_ctl("EG !p"))
     assert mc_ctl(k, team, parse_ctl("EG !p"))
+
+
+def test_bruteforce_refuses_a_recursion_past_the_stack():
+    # EF p under 137 EX, unrolled 120 steps: the formula is within the
+    # depth bound and the unrolling within its cap, but the two stack.
+    worlds = [f"c{i}" for i in range(7)]
+    k = KripkeStructure.of(worlds, [(w, worlds[(i + 1) % 7]) for i, w in enumerate(worlds)])
+    phi = parse_ctl("E[TOP U p]")
+    for _ in range(137):
+        phi = EX(phi)
+    with pytest.raises(ResourceCapError, match="recursion"):
+        mc_ctl_bruteforce(k, MultiTeam.of(["c0"]), phi, depth=120)
+    assert not mc_ctl(k, MultiTeam.of(["c0"]), phi)
 
 
 def test_successors_deduplicate_multisets():

@@ -304,13 +304,14 @@ def test_temporal_rules_come_from_the_path_quantifier():
         _TeamEval(TeamEncoding.of([trace]), p, 1),
         _CtlEval(k, 1),
     )
-    step, path, region = Compiled._step, Compiled._path, Compiled._region
+    step, search = Compiled._step, Compiled._search
     expected = {
-        Next: step, Until: path, Release: path,
-        EX: step, AX: step, EU: path, AR: path, AU: region, ER: region,
+        Next: step, Until: search, Release: search,
+        EX: step, AX: step, EU: search, AR: search, AU: search, ER: search,
     }
     for ev in evaluators:
         assert {kind: ev.rule_of[kind] for kind in ev.temporal} == {
             kind: expected[kind] for kind in ev.temporal
         }
-        assert not {"_step", "_path", "_region"} & vars(type(ev)).keys()
+        assert {quantifier for _, quantifier in ev.temporal.values()} <= {"E", "A"}
+        assert not {"_step", "_search"} & vars(type(ev)).keys()
