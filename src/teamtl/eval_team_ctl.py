@@ -11,19 +11,24 @@ exactly that cutoff.
 
 Each call compiles the structure and the formula once.  Worlds are the
 ints of the structure's own numbering (``k.index`` and ``k.succ_ids``,
-made where the structure is built), from which one pass over the worlds
-sets up the evaluator's tables.  A multiset team is one int: digit w, in
-a base 2^b above the team size, is the multiplicity of world w.  A
-power-of-two base lets the worlds of a key be read off the key itself:
-four big-int operations keep the top bit of each digit that is not
-zero, one bit per distinct member (`_CtlEval.members`).
+made where the structure is built), and the evaluator sets up only what
+every check reads: the digit layout and the label masks.  A multiset
+team is one int: digit w, in a base 2^b above the team size, is the
+multiplicity of world w.  A power-of-two base lets the worlds of a key
+be read off the key itself: four big-int operations keep the top bit of
+each digit that is not zero, one bit per distinct member
+(`_CtlEval.members`).
 Successor multisets come from a per-member dynamic program over sums of
 digit units (`_CtlEval.successors`), run each time a search steps a team
 and kept by no one.  It merges equal multisets by itself, and a member
 with one successor only adds a fixed offset to every sum.  Worlds whose
 only successor lies the same distance further on in the world order (the
 chains of the QBF gadgets) form shift classes, and all members in one
-class step at once: one mask and one shift of the key.
+class step at once: one mask and one shift of the key.  The classes are
+the core's groups of edges by offset (`formula._offset_groups`) cut down
+to the one-successor worlds, and they and the successors of the other
+worlds are set up on the first step, so a check decided by masks alone
+sets up none of them.
 
 The formula is compiled and decided by the shared core,
 `formula.Compiled`, which also decides team LTL: the ``temporal`` table
@@ -110,6 +115,7 @@ from .formula import (
     NegProp,
     Prop,
     Split,
+    _derived,
     check_depth,
     children,
     is_downward_closed,
@@ -151,15 +157,14 @@ class _CtlEval(Compiled):
 
     World ``w`` is ``k.worlds[w]``, for ``k`` the ``structure``, numbered
     as in ``k.succ_ids``; ``unit[w]`` is the key of the team holding it
-    once and ``succ_steps[w]`` the units of its successors.  ``top``
-    holds each digit's top bit and ``low`` its bits below that, so that
-    ``((key & low) + low | key) & top`` is the key's support, the top
-    bits of the worlds it holds: adding ``low`` carries into a digit's top
-    bit exactly when its lower bits are not zero, and the sum stays
-    inside the digit.
-    Members on the worlds of a shift class in ``shifts`` step together,
-    members on the worlds whose top bits are in ``stepped`` one by one,
-    in `successors`.
+    once.  ``top`` holds each digit's top bit and ``low`` its bits below
+    that, so that ``((key & low) + low | key) & top`` is the key's
+    support, the top bits of the worlds it holds: adding ``low`` carries
+    into a digit's top bit exactly when its lower bits are not zero, and
+    the sum stays inside the digit.
+    Members on the worlds of a shift class step together, members on the
+    other worlds one by one, in `successors`, by the tables
+    ``step_tables`` builds on the first step.
 
     A flat node's ``fails`` mask holds the digits of the worlds
     falsifying it, as ``alone`` holds those of the worlds on which a node
@@ -187,41 +192,50 @@ class _CtlEval(Compiled):
         # No split of a team of this size enumerates more copies than it has.
         self.max_team = team_size
         width = self.width = max(team_size.bit_length(), 1)
-        self.digit = (1 << width) - 1
-        unit = self.unit = [1 << width * w for w in range(n)]
-        digits = [self.digit << width * w for w in range(n)]
-        ones = sum(unit)
+        digit = self.digit = (1 << width) - 1
+        self.unit = [1 << width * w for w in range(n)]
+        ones = ((1 << width * n) - 1) // digit
         self.top = ones << width - 1
         self.low = self.top - ones
-        # One pass over the worlds, in the structure's integer form.  Worlds
-        # whose only successor lies the same distance d further on form a
-        # shift class: their digits move together by d digits.
-        self.succ_steps = []
-        classes: dict[int, list[int]] = {}
-        for w, vs in enumerate(k.succ_ids):
-            self.succ_steps.append(tuple(map(unit.__getitem__, vs)))
-            if len(vs) == 1:
-                classes.setdefault(vs[0] - w, []).append(w)
         # An E-Until or E-Release sequence still open after this many sets
         # gives way to the search.  |W|² + 1 sets closed every sequence
         # measured, on random structures of up to 8 worlds and on the QBF
         # gadgets; |W| + 1 left about one in 125 of the former open.
         self.cutoff = n ** 2 + 1
-        # Only shift classes of two or more worlds are kept, at most one per
-        # team member, the largest first, so that testing them costs no
-        # more than stepping the members; every other world is stepped
-        # member by member.
+        self.prop_masks = prop_masks(
+            (ps, digit << width * k.index[w]) for w, ps in k.labels.items()
+        )
+
+    @_derived
+    def step_tables(self) -> tuple[list[tuple[int, int, int]], int, dict[int, tuple[int, ...]]]:
+        """``shifts``, ``stepped`` and ``moves``, built on the first
+        `successors` call from the core's offset groups.  Worlds whose
+        only successor lies the same distance d further on form a shift
+        class, whose digits move together by d digits: a shift is
+        ``(up, down, digits)``.  Only classes of two or more worlds are
+        kept, at most one per team member, the largest first, so that
+        testing them costs no more than stepping the members.  Every other
+        world's top bit is in ``stepped``, and ``moves`` maps it to the
+        units of the world's successors."""
+        groups, single = self.offsets
+        width, top, unit = self.width, self.top, self.unit
+        # A world holds ``width`` bits of a class's digits.
+        classes = [(d, members & single) for d, members in groups.items()]
         kept = sorted(
-            ((d, ws) for d, ws in classes.items() if len(ws) > 1),
-            key=lambda item: len(item[1]), reverse=True,
-        )[:max(team_size, 1)]
-        self.shifts = []
-        self.stepped = self.top
-        for d, ws in kept:
-            mask = sum(digits[w] for w in ws)
-            self.shifts.append((max(width * d, 0), max(-width * d, 0), mask))
-            self.stepped ^= mask & self.top
-        self.prop_masks = prop_masks((ps, digits[k.index[w]]) for w, ps in k.labels.items())
+            ((d, digits) for d, digits in classes if digits.bit_count() > width),
+            key=lambda item: item[1].bit_count(), reverse=True,
+        )[:max(self.max_team, 1)]
+        shifts, stepped = [], top
+        for d, digits in kept:
+            shifts.append((max(width * d, 0), max(-width * d, 0), digits))
+            stepped ^= digits & top
+        moves, rest = {}, stepped
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            vs = self.succ_ids[bit.bit_length() // width - 1]
+            moves[bit] = tuple(map(unit.__getitem__, vs))
+        return shifts, stepped, moves
 
     # -- multiset keys -----------------------------------------------------
 
@@ -230,11 +244,10 @@ class _CtlEval(Compiled):
         first that is no world of the structure."""
         return sum(map(self.unit.__getitem__, world_ids(self.structure, worlds)))
 
-    def members(self, key: int, worlds: int = -1):
-        """Yield (world, multiplicity) for every world of the multiset whose
-        top bit is in the mask ``worlds``."""
+    def members(self, key: int):
+        """Yield (world, multiplicity) for every world of the multiset."""
         low, width = self.low, self.width
-        rest = ((key & low) + low | key) & self.top & worlds
+        rest = ((key & low) + low | key) & self.top
         while rest:
             bit = rest & -rest
             rest ^= bit
@@ -242,19 +255,31 @@ class _CtlEval(Compiled):
             yield w, key >> width * w & self.digit
 
     def successors(self, key: int) -> tuple[int, ...]:
-        """The keys of the distinct successor multisets."""
+        """The keys of the distinct successor multisets, in one pass over
+        the stepped worlds of ``key``: a one-successor member adds a fixed
+        offset, and each branching copy takes each of its successors."""
+        shifts, stepped, moves = self.step_tables
         offset = 0
-        for up, down, digits in self.shifts:
+        for up, down, digits in shifts:
             offset += (key & digits) << up >> down
+        low, width, digit = self.low, self.width, self.digit
+        rest = ((key & low) + low | key) & stepped
         branching = []
-        for w, count in self.members(key, self.stepped):
-            steps = self.succ_steps[w]
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            steps = moves[bit]
+            count = key >> bit.bit_length() - width & digit
             if len(steps) == 1:
                 offset += count * steps[0]
             else:
                 branching += [steps] * count
-        sums = {offset}
-        for steps in branching:
+        if not branching:
+            return (offset,)
+        # One copy's successors are distinct, so the set sums start at the
+        # second branching copy.
+        sums = tuple(map(offset.__add__, branching[0]))
+        for steps in branching[1:]:
             sums = {s + u for s in sums for u in steps}
         return tuple(sums)
 

@@ -43,14 +43,12 @@ def _strip_comments(text: str) -> str:
     return _COMMENT_RE.sub("", text) if "#" in text else text
 
 
-def _lists_of_strings(values: Iterable, message: str, length: int | None = None) -> None:
+def _lists_of_strings(values: Iterable, message: str) -> None:
     """Raise `TypeError` with ``message`` unless every item of ``values``
-    is a JSON array of strings, each of ``length`` items if that is given.
-    JSON values have exact types, so one set of types per level checks
-    them all."""
+    is a JSON array of strings.  JSON values have exact types, so one set
+    of types per level checks them all."""
     if not (
         set(map(type, values)) <= {list}
-        and (length is None or set(map(len, values)) <= {length})
         and set(map(type, chain.from_iterable(values))) <= {str}
     ):
         raise TypeError(message)
@@ -123,7 +121,11 @@ def loads_kripke(text: str) -> KripkeStructure:
         # Indexing a document that is no JSON object raises TypeError.
         worlds, edges = doc["worlds"], doc["edges"]
         _lists_of_strings((worlds,), "worlds must be a list of strings")
-        _lists_of_strings(edges, "an edge must be a list of two strings", 2)
+        # Endpoints are checked where the structure is built: one that is
+        # no string names no declared world, and an array or an object
+        # cannot be hashed into the edge set.
+        if not (set(map(type, edges)) <= {list} and set(map(len, edges)) <= {2}):
+            raise TypeError("an edge must be a list of two worlds")
         labels = doc.get("labels") or {}
         if not isinstance(labels, dict):
             raise TypeError("labels must be an object")

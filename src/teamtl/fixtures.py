@@ -115,6 +115,12 @@ def pinned_checks() -> list[tuple[str, bool]]:
         ("doubled root team falsifies AF p",
          not mc_ctl(af, MultiTeam.of(["w", "w"]), af_formula))
     )
+    # The one cover puts both copies of w on each side; it is found only
+    # where covers close upwards over every copy of a member, not one.
+    results.append(
+        ("doubled root team satisfies (~(AF p)) | (~(AF p))",
+         mc_ctl(af, MultiTeam.of(["w", "w"]), parse_ctl("(~(AF p)) | (~(AF p))")))
+    )
     q = worked_qbf()
     results.append(("worked QBF is valid", eval_qbf(q)))
     tpc_team, tpc_formula = reduce_to_tpc(q)

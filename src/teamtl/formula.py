@@ -469,19 +469,36 @@ def _minimal(masks: list[int]) -> list[int]:
     return kept
 
 
-def _pre_image(succ_ids: Iterable[Iterable[int]], width: int = 1):
+def _offset_groups(succ_ids: Sequence[Sequence[int]], width: int = 1) -> tuple[dict[int, int], int]:
+    """The members grouped by the offset of each of their edges in the
+    member order, for ``succ_ids[i]`` the successors of member i and each
+    member ``width`` bits of a mask: the mask of the members with an edge
+    at each offset d, in the order in which the members first meet the
+    offsets, and the mask of the members with exactly one successor."""
+    digit = (1 << width) - 1
+    groups: dict[int, int] = {}
+    branching = 0
+    for i, vs in enumerate(succ_ids):
+        bits = digit << width * i
+        # Most members have one successor and one group; the one-successor
+        # mask is the complement of the others.
+        if len(vs) == 1:
+            d = vs[0] - i
+            groups[d] = groups.get(d, 0) | bits
+        else:
+            branching |= bits
+            for v in vs:
+                groups[v - i] = groups.get(v - i, 0) | bits
+    return groups, ((1 << width * len(succ_ids)) - 1) ^ branching
+
+
+def _pre_image(groups: dict[int, int], width: int = 1):
     """The function mapping a mask to the mask of the members with a
-    successor in it, for ``succ_ids[i]`` the successors of member i and
-    each member ``width`` bits of a mask.  It groups the members by the
-    offset of each of their edges in the member order and shifts a whole
+    successor in it, from the offset groups ``groups`` of
+    `_offset_groups` over members of ``width`` bits: it shifts a whole
     mask once per group.  It holds no reference to the evaluator, so the
     mask sequences that keep it do not make the evaluator a reference
     cycle."""
-    digit = (1 << width) - 1
-    groups: dict[int, int] = {}
-    for i, vs in enumerate(succ_ids):
-        for v in vs:
-            groups[v - i] = groups.get(v - i, 0) | digit << width * i
     forward = tuple((d * width, ms) for d, ms in groups.items() if d >= 0)
     backward = tuple((-d * width, ms) for d, ms in groups.items() if d < 0)
 
@@ -1074,7 +1091,11 @@ class Compiled:
     # Derived from ``succ_ids`` on first use, as many checks step no team
     # and few take a pre-image: ``full``, the mask of every member,
     # ``succ[i]``, member i's successor mask (one shift where it has one
-    # successor), and ``pre_some``, the members with a successor in a mask.
+    # successor), ``offsets``, the one grouping of the edges by their
+    # offset in the member order with the mask of the one-successor
+    # members (`_offset_groups`), and from it ``pre_some``, the members
+    # with a successor in a mask.  TeamCTL's shift classes read the same
+    # groups.
 
     @_derived
     def full(self) -> int:
@@ -1086,8 +1107,12 @@ class Compiled:
                 for vs in self.succ_ids]
 
     @_derived
+    def offsets(self) -> tuple[dict[int, int], int]:
+        return _offset_groups(self.succ_ids, self.width)
+
+    @_derived
     def pre_some(self) -> Callable[[int], int]:
-        return _pre_image(self.succ_ids, self.width)
+        return _pre_image(self.offsets[0], self.width)
 
     def pre_all(self, mask: int) -> int:
         """The members with no successor outside ``mask``: as each has one,

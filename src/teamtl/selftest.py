@@ -694,8 +694,9 @@ def suite_successor_teams(rng, count):
     """``is_successor_team``, and the successor multisets of
     ``_CtlEval.successors``, against the multisets that one successor
     per member makes.  Leads with the pinned case where every member can
-    step into the target but no matching exists, and with teams whose
-    members fill a whole digit of their key."""
+    step into the target but no matching exists, with teams whose
+    members fill a whole digit of their key, and with teams too small to
+    keep every shift class."""
 
     def compare(k, t1, t2):
         choices = list(itertools.product(*(k.succ[w] for w in t1.worlds)))
@@ -725,6 +726,19 @@ def suite_successor_teams(rng, count):
     for n in (3, 7):
         for w in ("a", "f0", "f1", "g1", "g2"):
             yield compare(k, MultiTeam.of([w] * n), MultiTeam.of([k.succ[w][-1]] * n))
+    # Three shift classes of two worlds each, at offsets +1 (u0, u1), -1
+    # (d2, d1) and 0 (s0, s1), beside the branching world b, whose edge at
+    # +1 keeps it out of the first class: a team of one or two members
+    # keeps only one or two of them and steps the others' worlds one by
+    # one, and two copies of b run the set sums.
+    k = KripkeStructure.of(
+        ["b", "u0", "u1", "u2", "d0", "d1", "d2", "s0", "s1"],
+        [("b", "u0"), ("b", "d2"), ("b", "s0"), ("u0", "u1"), ("u1", "u2"), ("u2", "b"),
+         ("d2", "d1"), ("d1", "d0"), ("d0", "b"), ("s0", "s0"), ("s1", "s1")],
+    )
+    for n in (1, 2):
+        for ws in itertools.combinations_with_replacement(k.worlds, n):
+            yield compare(k, MultiTeam.of(ws), MultiTeam.of([k.succ[w][-1] for w in ws]))
     for _ in range(count):
         k = random_kripke(rng, max_worlds=5)
         t1, t2 = random_multiteam(rng, k, max_size=4), random_multiteam(rng, k, max_size=4)

@@ -338,6 +338,14 @@ class TestCheckModel:
         assert r.exit_code == 2
         assert "'b' is not a declared world" in r.stderr
 
+    def test_edge_endpoint_that_is_no_string_exit_2(self, runner, tmp_path):
+        k = tmp_path / "k.json"
+        k.write_text(json.dumps({"worlds": ["a"], "edges": [["a", "a"], [1, "a"]]}))
+        r = runner.invoke(main, ["check-model", str(k), "AX p", "--mode", "ctl",
+                                 "--team", "a"])
+        assert r.exit_code == 2
+        assert "edge source 1 is not a declared world" in r.stderr
+
     @pytest.mark.parametrize("mode,formula", [
         ("ctl", "AX AX p"), ("ctl", "AX AX BOT"),
         ("ltl-splitfree", "X X p"), ("ltl-splitfree", "X X !p"),

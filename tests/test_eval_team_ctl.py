@@ -61,6 +61,17 @@ class TestPinnedFixtures:
         assert mc_ctl(k, MultiTeam.of(["w"]), af_p)
         assert not mc_ctl(k, MultiTeam.of(["w", "w"]), af_p)
 
+    def test_covers_close_upwards_over_every_copy(self):
+        # Neither side is downward closed, so the split tries covers.
+        # ~(AF p) holds on both copies of w together and on no smaller
+        # part, so the one cover puts both copies on each side.  Finding
+        # it closes the right side's parts upwards by two copies of w, from
+        # both copies down to the empty part; closing by one misses it.
+        k = af_multiplicity_structure()
+        team, phi = MultiTeam.of(["w", "w"]), parse_ctl("(~(AF p)) | (~(AF p))")
+        assert mc_ctl(k, team, phi)
+        assert mc_ctl_bruteforce(k, team, phi)
+
 
 class TestBasics:
     def test_empty_team(self):
@@ -262,6 +273,28 @@ def test_successors_deduplicate_multisets():
     )
 
 
+def test_step_tables_wait_for_the_first_step():
+    # a, b and c form the shift class +1, and d branches.  A flat formula
+    # is decided by masks alone and steps no team, so the evaluator builds
+    # no step tables; a team on the class alone then has one successor.
+    k = KripkeStructure.of(
+        ["a", "b", "c", "d"],
+        [("a", "b"), ("b", "c"), ("c", "d"), ("d", "d"), ("d", "a")],
+        {"a": ["p"], "b": ["p"], "c": ["q"], "d": ["q"]},
+    )
+    team = MultiTeam.of(["a", "b"])
+    phi = parse_ctl("EG p | AG q")
+    ev = _CtlEval(k, len(team))
+    node, key = ev.compile(phi), ev.encode(team.worlds)
+    assert ev.fails[node] is not None
+    assert ev.check(key, node) == mc_ctl_bruteforce(k, team, phi)
+    assert "step_tables" not in vars(ev)
+    assert ev.successors(key) == (ev.encode(["b", "c"]),)
+    shifts, stepped, moves = ev.step_tables
+    assert len(shifts) == 1 and not ((key & ev.low) + ev.low | key) & stepped
+    assert list(moves.values()) == [(ev.encode(["a"]), ev.encode(["d"]))]
+
+
 @pytest.mark.parametrize("text,team,expected", [
     ("p | ~q", ["a", "a", "c"], True),
     ("p | ~q", ["b", "b"], False),
@@ -419,7 +452,7 @@ def _successor_walk(k, worlds, limit=300):
         seen.add(key)
         found.append(ev.successors(key))
         frontier += [s for s in found[-1] if s not in seen]
-    return ev.succ_steps, found
+    return ev.step_tables, found
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -129,6 +129,18 @@ def test_malformed_structure_shapes(doc):
         loads_kripke(json.dumps(doc))
 
 
+@pytest.mark.parametrize("endpoint", [1, None, True, 1.5, ["b"], {"a": 1}])
+@pytest.mark.parametrize("at", [0, 1])
+def test_edge_endpoints_that_are_no_strings(endpoint, at):
+    # The loader checks only that an edge is a list of two; building the
+    # structure rejects an endpoint that is no declared world.
+    edge = ["a", "a"]
+    edge[at] = endpoint
+    doc = {"worlds": ["a"], "edges": [["a", "a"], edge]}
+    with pytest.raises(FileFormatError):
+        loads_kripke(json.dumps(doc))
+
+
 def test_comments_and_hashes_in_structures():
     text = '# a one-world loop\n  # indented\n{"worlds": ["a"], "edges": [["a", "a"]]}'
     assert loads_kripke(text).worlds == ("a",)

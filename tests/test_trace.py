@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from teamtl.eval_team_ltl import _TeamEval
-from teamtl.formula import Prop, _pre_image
+from teamtl.formula import Prop, _offset_groups, _pre_image
 from teamtl.trace import (
     LassoTrace,
     TeamEncoding,
@@ -136,7 +136,7 @@ def test_pre_image_groups_follow_the_successor_table(ts, seed):
     # ``pre_all``, the complement of the pre-image of the complement, is
     # ``pre_some``.
     ev = _TeamEval(TeamEncoding.of(ts), Prop("p"), 4)
-    reference = _pre_image([(bit.bit_length() - 1,) for bit in ev.succ])
+    reference = _pre_image(_offset_groups([(bit.bit_length() - 1,) for bit in ev.succ])[0])
     mask = seed % (ev.full + 1)
     assert ev.pre_some(mask) == reference(mask)
     assert ev.pre_some(ev.full) == reference(ev.full)
